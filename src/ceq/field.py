@@ -7,6 +7,19 @@ the on-disk encoding used by the file format.
 
 Field orders are capped at 2^16 so every element fits comfortably in a
 machine word and small fields can be backed by flat lookup tables.
+
+Addition takes one of three paths, chosen by the field:
+
+* prime fields add residues mod p;
+* characteristic-2 extensions XOR the bit vectors;
+* odd-characteristic extensions, once warmed, use Zech's logarithms
+  (K. Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 36(4),
+  1990): with g primitive and Z(i) = log_g(1 + g^i),
+  g^i + g^j = g^(i + Z(j - i)). Unwarmed ones add base-p digit-wise.
+
+Multiplication goes through exp/log tables once the field is warmed.
+For q <= 256, warming also fills flat q x q tables that every operation
+then reads directly.
 """
 
 from __future__ import annotations
@@ -122,60 +135,11 @@ def _undigits(digits: Iterable[int], p: int) -> int:
     return x
 
 
-# Lexicographically smallest monic irreducible polynomials (by integer
-# encoding of the non-leading coefficients) for the orders used most.
-# `default_modulus` falls back to the same deterministic search for any
-# other supported (p, e), so this table is a cache, not a requirement.
-_COMMON_MODULI = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (2, 5): (1, 0, 1, 0, 0, 1),
-    (2, 6): (1, 1, 0, 0, 0, 0, 1),
-    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
-    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
-    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
-    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 13): (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 14): (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 15): (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 16): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (3, 2): (1, 0, 1),
-    (3, 3): (1, 2, 0, 1),
-    (3, 4): (2, 1, 0, 0, 1),
-    (3, 5): (1, 2, 0, 0, 0, 1),
-    (3, 6): (2, 1, 0, 0, 0, 0, 1),
-    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
-    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
-    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
-    (3, 10): (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1),
-    (5, 2): (2, 0, 1),
-    (5, 3): (1, 1, 0, 1),
-    (5, 4): (2, 0, 0, 0, 1),
-    (5, 5): (1, 4, 0, 0, 0, 1),
-    (5, 6): (2, 1, 0, 0, 0, 0, 1),
-    (7, 2): (1, 0, 1),
-    (7, 3): (2, 0, 0, 1),
-    (7, 4): (1, 1, 0, 0, 1),
-    (7, 5): (3, 1, 0, 0, 0, 1),
-    (11, 2): (1, 0, 1),
-    (11, 3): (4, 1, 0, 1),
-    (11, 4): (2, 1, 0, 0, 1),
-    (13, 2): (2, 0, 1),
-    (13, 3): (2, 0, 0, 1),
-    (13, 4): (2, 0, 0, 0, 1),
-}
-
-
 @functools.lru_cache(maxsize=None)
 def default_modulus(p: int, e: int) -> tuple[int, ...]:
     """Deterministic built-in modulus for GF(p^e): the lexicographically
-    smallest monic irreducible of degree e over F_p."""
-    got = _COMMON_MODULI.get((p, e))
-    if got is not None:
-        return got
+    smallest monic irreducible of degree e over F_p, ordered by the integer
+    encoding of the non-leading coefficients."""
     for enc in range(1, p**e):
         cand = _digits(enc, p, e) + [1]
         if _irreducible(cand, p):
@@ -203,6 +167,7 @@ class Field:
         "_mul_flat",
         "_neg_list",
         "_inv_list",
+        "_zech",
     )
 
     def __init__(self, p: int, e: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -238,6 +203,7 @@ class Field:
         self._mul_flat = None
         self._neg_list = None
         self._inv_list = None
+        self._zech = None
 
     # -- identity / plumbing ------------------------------------------------
 
@@ -335,24 +301,24 @@ class Field:
     # -- table management ----------------------------------------------------
 
     def _build_flat(self):
-        q = self.q
-        add = [0] * (q * q)
-        sub = [0] * (q * q)
-        mul = [0] * (q * q)
-        neg = [self._neg_raw(a) for a in range(q)]
         self._ensure_exp_log()
+        q = self.q
         exp, log = self._exp, self._log
         span = q - 1
-        for a in range(q):
-            base = a * q
-            la = log[a] if a else None
-            for b in range(q):
-                add[base + b] = self._add_raw(a, b)
-                sub[base + b] = self._add_raw(a, neg[b])
-                if a and b:
-                    mul[base + b] = exp[(la + log[b]) % span]
+        els = range(q)
+        if self._zech is not None:
+            # add() takes the Zech path while _add_flat is still unset
+            neg, add_fn = self._neg_list, self.add
+        else:
+            neg, add_fn = [self._neg_raw(a) for a in els], self._add_raw
+        add = [add_fn(a, b) for a in els for b in els]
+        mul = [0] * q
+        for a in range(1, q):
+            la = log[a]
+            mul.append(0)
+            mul.extend(exp[(la + log[b]) % span] for b in range(1, q))
+        self._sub_flat = [add[a * q + nb] for a in els for nb in neg]
         self._add_flat = add
-        self._sub_flat = sub
         self._mul_flat = mul
         self._neg_list = neg
 
@@ -377,7 +343,8 @@ class Field:
             if all(self._pow_raw(cand, span // f) != 1 for f in fs):
                 g = cand
                 break
-        assert g is not None
+        if g is None:
+            raise ReducibleModulus(f"{self!r} has no primitive element")
         exp = [0] * span
         acc = 1
         for i in range(span):
@@ -389,6 +356,14 @@ class Field:
         self._exp = exp
         self._log = log
         self._inv_list = [0] + [exp[(span - log[a]) % span] for a in range(1, q)]
+        if self.e > 1 and self.p != 2:
+            p = self.p
+            half = span // 2
+            # 1 + x changes only coefficient 0 of x
+            zech = [log[x - x % p + (x + 1) % p] for x in exp]
+            zech[half] = -1  # g^half = -1, so 1 + g^half = 0 has no log
+            self._zech = zech
+            self._neg_list = [0] + [exp[(log[a] + half) % span] for a in range(1, q)]
 
     def warm(self):
         """Build the fast lookup paths up front (idempotent)."""
@@ -411,6 +386,19 @@ class Field:
         t = self._add_flat
         if t is not None:
             return t[a * self.q + b]
+        z = self._zech
+        if z is not None:
+            if not a:
+                return b
+            if not b:
+                return a
+            log = self._log
+            la = log[a]
+            # z has q - 1 entries, so a negative index wraps mod q - 1
+            s = z[log[b] - la]
+            if s < 0:
+                return 0
+            return self._exp[(la + s) % (self.q - 1)]
         if self.q <= FLAT_TABLE_CAP:
             self.warm()
             return self._add_flat[a * self.q + b]
@@ -420,7 +408,8 @@ class Field:
         t = self._sub_flat
         if t is not None:
             return t[a * self.q + b]
-        return self.add(a, self._neg_raw(b))
+        n = self._neg_list
+        return self.add(a, n[b] if n is not None else self._neg_raw(b))
 
     def neg(self, a: int) -> int:
         t = self._neg_list

@@ -77,13 +77,6 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.field!r}, {self.k}x{self.n})"
 
-    def __getstate__(self):
-        return (self.field, self.rows, self.n)
-
-    def __setstate__(self, state):
-        fld, rows, n = state
-        self.__init__(fld, rows, n)
-
     def __reduce__(self):
         return (Mat, (self.field, self.rows, self.n))
 

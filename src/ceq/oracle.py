@@ -27,12 +27,11 @@ from __future__ import annotations
 import enum
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import Instance, Tag, Witness, diag_allowed, verify_witness
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NotFullRank, WitnessInvalid
 from .field import Field
 from .matrix import Mat, Mono, Perm, row_basis_transform, solve_change_of_basis
 from .rng import stream
@@ -175,7 +174,8 @@ def _exhaustive(inst: Instance, budget: Budget, first: Optional[int], ticker: _T
             if s is None:
                 continue
             w = Witness(s, m)
-            assert verify_witness(inst, w)
+            if not verify_witness(inst, w):
+                raise WitnessInvalid("exhaustive search recovered a non-verifying witness")
             return w
     return None
 
@@ -470,7 +470,8 @@ class _Backtracker:
         else:
             s = _extend_to_invertible(fld, k, self.basis_pairs)
         w = Witness(s, m)
-        assert verify_witness(self.inst, w)
+        if not verify_witness(self.inst, w):
+            raise WitnessInvalid("backtracking search completed a non-verifying witness")
         return w
 
 
@@ -491,9 +492,11 @@ def _extend_to_invertible(fld: Field, k: int, pairs) -> Mat:
     acc_x = _Echelon(fld)
     acc_y = _Echelon(fld)
     for x in xs:
-        assert acc_x.insert(x)
+        if not acc_x.insert(x):
+            raise NotFullRank("pinned x-side vectors are dependent")
     for y in ys:
-        assert acc_y.insert(y)
+        if not acc_y.insert(y):
+            raise NotFullRank("pinned y-side vectors are dependent")
     basis_x, basis_y = list(xs), list(ys)
     for i in range(k):
         e = [1 if t == i else 0 for t in range(k)]
@@ -503,7 +506,8 @@ def _extend_to_invertible(fld: Field, k: int, pairs) -> Mat:
         e = [1 if t == i else 0 for t in range(k)]
         if acc_y.insert(e):
             basis_y.append(e)
-    assert len(basis_x) == k and len(basis_y) == k
+    if len(basis_x) != k or len(basis_y) != k:
+        raise NotFullRank(f"extended bases have {len(basis_x)} and {len(basis_y)} vectors, need {k}")
     bx = Mat(fld, [[col[i] for col in basis_x] for i in range(k)], k)
     by = Mat(fld, [[col[i] for col in basis_y] for i in range(k)], k)
     return by.mul(bx.inv())
@@ -565,6 +569,10 @@ def decide(inst: Instance, budget: Budget = Budget(), workers: int = 1) -> Decid
         if completed:
             return DecideResult(Status.NO, None, nodes, elapsed)
         return DecideResult(Status.UNKNOWN, None, nodes, elapsed, "budget exhausted")
+
+    # imported here: concurrent.futures and multiprocessing are a large
+    # share of start-up time for every command that never fans out
+    from concurrent.futures import ProcessPoolExecutor
 
     width = _root_width(inst, budget.mode)
     total_nodes = 0
@@ -710,7 +718,8 @@ def generate(spec: GenSpec) -> Generated:
         h = s.mul(g).apply_mono(m)
         inst = Instance(fld, g, h, spec.tag)
         w = Witness(s, m)
-        assert verify_witness(inst, w)
+        if not verify_witness(inst, w):
+            raise WitnessInvalid("planted witness does not verify")
         return Generated(inst, w)
     if spec.planted is Planted.UNLABELED:
         g = _sample_full_rank(spec, rng)
@@ -731,5 +740,6 @@ def generate(spec: GenSpec) -> Generated:
         res = decide(inst, Budget(mode=Mode.EXHAUSTIVE))
         if res.status is Status.NO:
             return Generated(inst)
-        assert res.status is Status.YES
+        if res.status is not Status.YES:
+            raise BudgetExceeded(f"NO certification ended {res.status.value}: {res.detail}")
     raise BudgetExceeded("could not certify a NO instance within the retry budget")

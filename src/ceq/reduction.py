@@ -31,7 +31,7 @@ from .core import (
     preprocess,
     verify_witness,
 )
-from .errors import DimMismatch, StructureViolation, WitnessInvalid
+from .errors import DimMismatch, NotFullRank, StructureViolation, WitnessInvalid
 from .field import Field
 from .matrix import Mat, Mono, Perm, max_column_multiplicity
 
@@ -83,7 +83,7 @@ class ReductionCert:
 def build_gadget(a: Mat, m: int) -> Mat:
     """Expand a k x n matrix into its (k+1) x (n + 2nm + 1) gadget form.
 
-    Full row rank of the input is preserved; that is asserted here.
+    Full row rank of the input is preserved; that is checked here.
     """
     if a.n < 1:
         raise DimMismatch("gadget needs at least one column")
@@ -97,9 +97,10 @@ def build_gadget(a: Mat, m: int) -> Mat:
         rows.append(list(r) + [r[c] for c in dup] + [0] * (nm + 1))
     rows.append([1] * n + [0] * nm + [1] * (nm + 1))
     out = Mat(a.field, rows, n + 2 * nm + 1)
-    assert out.n == n + 2 * n * m + 1 and out.k == k + 1
-    if a.rank() == k:
-        assert out.rank() == k + 1, "gadget lost full row rank"
+    if out.n != n + 2 * nm + 1 or out.k != k + 1:
+        raise DimMismatch(f"gadget is {out.k}x{out.n}, expected {k + 1}x{n + 2 * nm + 1}")
+    if a.rank() == k and out.rank() != k + 1:
+        raise NotFullRank("gadget lost full row rank")
     return out
 
 
@@ -136,13 +137,15 @@ def reduce_instance(inst: Instance, target: Tag) -> tuple[Instance, ReductionCer
         return canonical_yes_instance(inst.field, target), cert
     m_g = max_column_multiplicity(norm.G)
     m_h = max_column_multiplicity(norm.H)
-    assert m_g == m_h, "profile check should have rejected this pair"
+    if m_g != m_h:
+        raise DimMismatch(f"column multiplicities {m_g} and {m_h} passed the profile check")
     m = m_g + 1
     g_prime = build_gadget(norm.G, m)
     h_prime = build_gadget(norm.H, m)
     cert = ReductionCert(inst.field, target, norm.n, norm.k, m, journal)
     reduced = Instance(inst.field, g_prime, h_prime, target)
-    assert reduced.n == cert.n_prime and reduced.k == cert.k + 1
+    if reduced.n != cert.n_prime or reduced.k != cert.k + 1:
+        raise DimMismatch(f"reduced pair is {reduced.k}x{reduced.n}, cert says {cert.k + 1}x{cert.n_prime}")
     return reduced, cert
 
 
@@ -288,5 +291,6 @@ def extract_witness(cert: ReductionCert, g: Mat, h: Mat, w: Witness) -> Witness:
         s_block.scale(a),
         Mono.from_perm(fld, Perm(tuple(sigma[c] for c in b1))),
     )
-    assert verify_witness(Instance(fld, g, h, Tag.PCE), out)
+    if not verify_witness(Instance(fld, g, h, Tag.PCE), out):
+        raise WitnessInvalid("extracted witness does not verify on the original pair")
     return out

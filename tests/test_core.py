@@ -241,3 +241,23 @@ def test_zero_column_pairing_maps_across_positions():
     back = map_witness_to_original(out.journal, w)
     assert back.M.perm.sigma[2] == 0
     assert verify_witness(inst, back)
+
+
+def test_pickle_roundtrip_of_worker_payloads_drops_memoized_rref():
+    # decide(workers > 1) ships these objects to worker processes
+    import pickle
+
+    fld = field(3, 6)
+    rng = stream(11, "pickle")
+    inst, w = planted(fld, 2, 4, Tag.LCE, rng)
+    inst.G.rref()
+    inst.H.rref_with_transform()
+    assert inst.G._rref is not None and inst.H._rref_t is not None
+    inst2 = pickle.loads(pickle.dumps(inst))
+    mono2 = pickle.loads(pickle.dumps(w.M))
+    mat2 = pickle.loads(pickle.dumps(inst.G))
+    assert inst2 == inst and mono2 == w.M and mat2 == inst.G
+    assert inst2.field is fld and mono2.field is fld
+    for m in (inst2.G, inst2.H, mat2):
+        assert m._rref is None and m._rref_t is None
+    assert verify_witness(inst2, Witness(w.S, mono2))

@@ -111,7 +111,9 @@ def test_field_axioms_exhaustive(f):
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
-@pytest.mark.parametrize("f", [field(251), field(2, 8), field(2, 16), field(251, 2)], ids=repr)
+@pytest.mark.parametrize(
+    "f", [field(251), field(2, 8), field(2, 16), field(251, 2), field(3, 6)], ids=repr
+)
 def test_field_axioms_sampled(f):
     rng = stream(20240815, "axioms", f.p, f.e)
     f.warm()
@@ -146,6 +148,45 @@ def test_tables_match_raw_arithmetic():
                 assert f.add(a, b) == f._add_raw(a, b)
 
 
+def _assert_warmed_matches_digitwise(f, pairs):
+    f.warm()
+    for a in f.elements():
+        assert f.neg(a) == f._neg_raw(a)
+    for a, b in pairs:
+        assert f.add(a, b) == f._add_raw(a, b)
+        assert f.sub(a, b) == f._add_raw(a, f._neg_raw(b))
+
+
+@pytest.mark.parametrize("f", [field(3, 2), field(5, 2), field(7, 2), field(3, 3), field(3, 5)], ids=repr)
+def test_zech_kernel_matches_digitwise_all_pairs(f):
+    _assert_warmed_matches_digitwise(f, ((a, b) for a in f.elements() for b in f.elements()))
+
+
+@pytest.mark.parametrize("f", [field(3, 6), field(5, 4), field(3, 10), field(251, 2)], ids=repr)
+def test_zech_kernel_matches_digitwise_sampled(f):
+    rng = stream(20261017, "zech", f.p, f.e)
+    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
+    # zero operands and b = -a take their own branches
+    pairs += [(0, 0), (0, 1), (1, 0), (1, f.minus_one), (f.minus_one, 1), (f.q - 1, f.q - 1)]
+    pairs += [(a, f._neg_raw(a)) for a, _ in pairs[:50]]
+    _assert_warmed_matches_digitwise(f, pairs)
+
+
+@pytest.mark.parametrize(
+    "p, e, modulus",
+    [(3, 2, (1, 0, 1)), (3, 6, (1, 1, 1, 0, 0, 0, 1))],
+    ids=["GF(3^2) x^2+1", "GF(3^6) x^6+x^2+x+1"],
+)
+def test_zech_kernel_with_non_primitive_modulus(p, e, modulus):
+    # x is not a generator of the multiplicative group under these moduli
+    f = Field(p, e, modulus)
+    x = f.encode((0, 1))
+    assert f.pow(x, (f.q - 1) // 2) == 1
+    rng = stream(20261017, "zech-explicit", p, e)
+    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
+    _assert_warmed_matches_digitwise(f, pairs)
+
+
 def test_large_field_exp_log_consistent_with_raw():
     f = field(2, 16)
     rng = stream(7, "explog")
@@ -162,11 +203,57 @@ def test_encode_decode_roundtrip():
     assert f.decode(5) == (2, 1, 0)
 
 
-def test_default_moduli_are_lex_smallest_and_frozen():
-    # the shipped table must agree with the deterministic search
-    from ceq.field import _COMMON_MODULI, _irreducible, _digits
+# Built-in moduli that files written so far depend on; changing any of
+# them changes the canonical encoding of every element of that field.
+FROZEN_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 13): (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 14): (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 15): (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 16): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
+    (3, 10): (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1),
+    (5, 6): (2, 1, 0, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+    (7, 5): (3, 1, 0, 0, 0, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (4, 1, 0, 1),
+    (11, 4): (2, 1, 0, 0, 1),
+    (13, 2): (2, 0, 1),
+    (13, 3): (2, 0, 0, 1),
+    (13, 4): (2, 0, 0, 0, 1),
+}
 
-    for (p, e), mod in list(_COMMON_MODULI.items())[:12]:
+
+def test_default_moduli_are_lex_smallest_and_frozen():
+    from ceq.field import _irreducible, _digits
+
+    for (p, e), mod in FROZEN_MODULI.items():
+        assert default_modulus(p, e) == mod, (p, e)
+    for (p, e), mod in list(FROZEN_MODULI.items())[:12]:
         assert _irreducible(mod, p)
         enc = sum(c * p**i for i, c in enumerate(mod[:-1]))
         for smaller in range(1, enc):
