@@ -16,7 +16,7 @@ from pathlib import Path
 from . import fileio
 from .core import Instance, Tag, Witness, map_witness_to_original, map_witness_to_normalized, verify_witness
 from .errors import BudgetExceeded, CeqError, FormatError, StructureViolation, WitnessInvalid
-from .field import Field, field
+from .field import Field, field, is_prime
 from .oracle import Budget, GenSpec, Mode, Planted, Status, decide, generate
 from .reduction import extract_witness, lift_witness, rebuild_cert, reduce_instance
 
@@ -50,15 +50,9 @@ def _parse_field_flag(spec: str, modulus: str | None) -> Field:
         return field(p, e, coeffs)
     except CeqError as exc:
         hint = ""
-        if e == 1 and p > 1 and not _is_prime_quick(p):
+        if e == 1 and p > 1 and not is_prime(p):
             hint = " (for prime powers use extension syntax, e.g. --field 2^2)"
         raise UsageError(f"{exc}{hint}") from None
-
-
-def _is_prime_quick(n: int) -> bool:
-    from .field import is_prime
-
-    return is_prime(n)
 
 
 def _load_instance(path: str) -> Instance:

@@ -8,7 +8,13 @@ EXHAUSTIVE iterates permutations in lexicographic order of sigma and,
 inside each, diagonal vectors in lexicographic order of the encoded
 field elements; a candidate action M is accepted when the row spaces of
 G*M and H coincide, at which point a change of basis is recovered. The
-first verifying candidate in that order is the one returned.
+first verifying candidate in that order is the one returned. The row
+space test is a single early-exit span check: a vector v lies in the row
+space of H exactly when, at every non-pivot column f of R = rref(H), the
+residual v[f] - sum_i v[piv_i] * R[i][f] is zero. These checks are
+listed once per call; for each candidate only the entries of the scaled
+rows of rref(G) that a check reads are computed, and the test stops at
+the first non-zero residual.
 
 BACKTRACKING assigns the permutation column by column. A partial
 assignment pins pairs (x, y) that the change of basis must map onto
@@ -17,7 +23,11 @@ rank, and the joint rank of those pairs disagree (an invertible map
 with the pinned behaviour then cannot exist), or when column
 multiplicity classes are incompatible. Once the x-side rank fills up,
 the change of basis is determined and the remainder of the assignment
-is forced by lookups instead of search.
+is forced by lookups instead of search. At that pin one Gauss-Jordan
+elimination of the k rows (y | x) turns the y half into the identity
+and leaves S^-1 * e_i in the x half of row i; each remaining target
+column y then needs the source column S^-1 * y. S itself is built only for a witness
+that is returned.
 
 Both modes return identical YES/NO answers; witnesses may differ.
 """
@@ -33,7 +43,7 @@ from typing import Optional
 from .core import Instance, Tag, Witness, diag_allowed, verify_witness
 from .errors import BudgetExceeded, NotFullRank, WitnessInvalid
 from .field import Field
-from .matrix import Mat, Mono, Perm, row_basis_transform, solve_change_of_basis
+from .matrix import Mat, Mono, Perm, _eliminate, row_basis_transform, solve_change_of_basis
 from .rng import stream
 
 
@@ -111,7 +121,7 @@ def _recover_basis(gm: Mat, h: Mat) -> Optional[Mat]:
     return row_basis_transform(gm, h)
 
 
-def _exhaustive(inst: Instance, budget: Budget, first: Optional[int], ticker: _Ticker):
+def _exhaustive(inst: Instance, first: Optional[int], ticker: _Ticker):
     """Scan candidates; optionally restrict to sigma[0] == first. Returns a
     witness or None after scanning the whole (sub)space."""
     fld, g, h = inst.field, inst.G, inst.H
@@ -119,37 +129,31 @@ def _exhaustive(inst: Instance, budget: Budget, first: Optional[int], ticker: _T
     scal = _scalars(fld, inst.tag)
     rg, rank_g, _ = g.rref()
     rh, rank_h, piv_h = h.rref()
-    reduced_rows = [list(r) for r in rg.rows[:rank_g]]
-    h_pivot_rows = [(piv_h[i], rh.rows[i]) for i in range(rank_h)]
+    reduced_rows = rg.rows[:rank_g]
+    # v lies in the row space of H iff at every non-pivot column f of
+    # R = rref(H) the residual v[f] - sum_i v[piv_i] * R[i][f] is zero
+    checks = [
+        (f, [(piv_h[i], rh.rows[i][f]) for i in range(rank_h) if rh.rows[i][f]])
+        for f in range(n)
+        if f not in piv_h
+    ]
+    sub, mul = fld.sub, fld.mul
 
-    flat = fld.flat_ops()
-    if flat:
-        _, sub_t, mul_t, _, _ = flat
-        q = fld.q
-
-        def member(v):
-            for pc, prow in h_pivot_rows:
-                coef = v[pc]
-                if coef:
-                    base = coef * q
-                    v = [sub_t[v[j] * q + mul_t[base + prow[j]]] for j in range(n)]
-            return not any(v)
-
-        def scaled_row(row, sigma, diag):
-            return [mul_t[diag[s] * q + row[s]] for s in sigma]
-
-    else:
-        f_sub, f_mul = fld.sub, fld.mul
-
-        def member(v):
-            for pc, prow in h_pivot_rows:
-                coef = v[pc]
-                if coef:
-                    v = [f_sub(v[j], f_mul(coef, prow[j])) for j in range(n)]
-            return not any(v)
-
-        def scaled_row(row, sigma, diag):
-            return [f_mul(diag[s], row[s]) for s in sigma]
+    def in_span(sigma, diag):
+        """Whether every scaled row [diag[s] * row[s] for s in sigma] of G
+        lies in the row space of H; computes only the entries a check reads."""
+        for row in reduced_rows:
+            for f, terms in checks:
+                s = sigma[f]
+                res = mul(diag[s], row[s])
+                for c, coef in terms:
+                    s = sigma[c]
+                    x = row[s]
+                    if x:
+                        res = sub(res, mul(coef, mul(diag[s], x)))
+                if res:
+                    return False
+        return True
 
     if first is None:
         perms = itertools.permutations(range(n))
@@ -162,12 +166,7 @@ def _exhaustive(inst: Instance, budget: Budget, first: Optional[int], ticker: _T
     for sigma in perms:
         for diag in itertools.product(scal, repeat=n):
             ticker.tick()
-            ok = True
-            for row in reduced_rows:
-                if not member(scaled_row(row, sigma, diag)):
-                    ok = False
-                    break
-            if not ok:
+            if not in_span(sigma, diag):
                 continue
             m = Mono(fld, Perm(sigma), diag) if n else Mono.identity(fld, 0)
             s = _recover_basis(g.apply_mono(m), h)
@@ -197,15 +196,16 @@ class _Echelon:
     def insert(self, vec) -> bool:
         """Reduce vec against the basis; extend and return True if it adds rank."""
         fld = self.fld
-        v = list(vec)
+        sub, mul = fld.sub, fld.mul
+        v = vec
         for piv, row in zip(self.pivots, self.rows):
             coef = v[piv]
             if coef:
-                v = [fld.sub(v[j], fld.mul(coef, row[j])) for j in range(len(v))]
+                v = [sub(a, mul(coef, b)) if b else a for a, b in zip(v, row)]
         for j, x in enumerate(v):
             if x:
                 inv = fld.inv(x)
-                self.rows.append([fld.mul(inv, y) for y in v])
+                self.rows.append([mul(inv, y) for y in v])
                 self.pivots.append(j)
                 return True
         return False
@@ -271,8 +271,8 @@ class _Backtracker:
         self.basis_pairs: list[tuple[tuple, tuple]] = []
         self.sigma = [-1] * self.n
         self.diag = [1] * self.n
-        self.s_mat: Optional[Mat] = None
-        self.s_inv: Optional[Mat] = None
+        # rows of S^-1 once the change of basis is pinned, else None
+        self.s_inv_rows: Optional[list[tuple]] = None
 
         # targets ordered by class (small, distinctive classes first)
         order = sorted(self.hclass.items(), key=lambda kv: (len(kv[1]), kv[0]))
@@ -316,13 +316,11 @@ class _Backtracker:
             self.basis_pairs.pop()
 
     def _pin_basis(self):
-        fld, k = self.fld, self.k
-        xs = [p[0] for p in self.basis_pairs]
-        ys = [p[1] for p in self.basis_pairs]
-        x_mat = Mat(fld, [[x[i] for x in xs] for i in range(k)], k)
-        y_mat = Mat(fld, [[y[i] for y in ys] for i in range(k)], k)
-        self.s_mat = y_mat.mul(x_mat.inv())
-        self.s_inv = x_mat.mul(y_mat.inv())
+        """S^-1 from the k pinned pairs S*x = y: eliminating the rows (y | x)
+        turns the y half into I, leaving S^-1 * e_i in the x half of row i."""
+        k = self.k
+        rows, _, _ = _eliminate(self.fld, [list(y + x) for x, y in self.basis_pairs], k)
+        self.s_inv_rows = list(zip(*(row[k:] for row in rows)))
 
     # -- search ---------------------------------------------------------------
 
@@ -363,7 +361,7 @@ class _Backtracker:
     def _assign(self, t: int, first: Optional[int]) -> Optional[Witness]:
         if t == len(self.targets):
             return self._finish()
-        if self.s_mat is not None:
+        if self.s_inv_rows is not None:
             return self._complete(t)
         j = self.targets[t]
         y = self.hcols[j]
@@ -386,15 +384,14 @@ class _Backtracker:
                 self.lock[hkey] = gkey
                 self.lock_rev[gkey] = hkey
             pinned = False
-            if self.acc_x.rank == self.k and self.s_mat is None:
+            if self.acc_x.rank == self.k and self.s_inv_rows is None:
                 self._pin_basis()
                 pinned = True
             got = self._assign(t + 1, None)
             if got is not None:
                 return got
             if pinned:
-                self.s_mat = None
-                self.s_inv = None
+                self.s_inv_rows = None
             if did_lock:
                 del self.lock[hkey]
                 del self.lock_rev[gkey]
@@ -408,17 +405,14 @@ class _Backtracker:
         """With the change of basis pinned, the rest of the assignment is
         forced; consume matching source columns or fail."""
         fld = self.fld
-        s_inv_rows = self.s_inv.rows
+        s_inv_rows = self.s_inv_rows
         consumed = []
         ok = True
         for tt in range(t, len(self.targets)):
             self.ticker.tick()
             j = self.targets[tt]
             y = self.hcols[j]
-            x_req = tuple(
-                _dot(fld, row, y)
-                for row in s_inv_rows
-            )
+            x_req = tuple(_dot(fld, row, y) for row in s_inv_rows)
             found = self._consume(j, x_req)
             if found is None:
                 ok = False
@@ -465,11 +459,7 @@ class _Backtracker:
             m = Mono(fld, Perm(tuple(self.sigma)), tuple(self.diag))
         else:
             m = Mono.identity(fld, 0)
-        if self.s_mat is not None:
-            s = self.s_mat
-        else:
-            s = _extend_to_invertible(fld, k, self.basis_pairs)
-        w = Witness(s, m)
+        w = Witness(_extend_to_invertible(fld, k, self.basis_pairs), m)
         if not verify_witness(self.inst, w):
             raise WitnessInvalid("backtracking search completed a non-verifying witness")
         return w
@@ -513,7 +503,7 @@ def _extend_to_invertible(fld: Field, k: int, pairs) -> Mat:
     return by.mul(bx.inv())
 
 
-def _backtracking(inst: Instance, budget: Budget, first: Optional[int], ticker: _Ticker):
+def _backtracking(inst: Instance, first: Optional[int], ticker: _Ticker):
     return _Backtracker(inst, ticker).run(first)
 
 
@@ -539,9 +529,9 @@ def _run_slice(inst: Instance, budget: Budget, first: Optional[int]):
     ticker = _Ticker(budget, t0)
     try:
         if budget.mode is Mode.EXHAUSTIVE:
-            w = _exhaustive(inst, budget, first, ticker)
+            w = _exhaustive(inst, first, ticker)
         else:
-            w = _backtracking(inst, budget, first, ticker)
+            w = _backtracking(inst, first, ticker)
         return w, ticker.nodes, True
     except _OutOfBudget:
         return None, ticker.nodes, False

@@ -4,6 +4,7 @@ from ceq.core import Instance, Tag, verify_witness
 from ceq.errors import BudgetExceeded
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm
+from ceq.reduction import reduce_instance
 from ceq.oracle import (
     Budget,
     GenSpec,
@@ -119,6 +120,141 @@ def test_modes_agree_randomized():
         if planted is Planted.YES:
             assert a.status is Status.YES
 
+
+
+def test_modes_agree_on_large_fields():
+    """Fields above the flat-table cap (q > 256) run the same search code
+    as small ones; both deciders must still agree and every YES verify."""
+    for fld in (field(3, 6), field(65521)):
+        for tag, n in ((Tag.PCE, 4), (Tag.PCE, 6), (Tag.SPCE, 3), (Tag.SPCE, 5)):
+            for planted in (Planted.YES, Planted.UNLABELED):
+                for seed in range(2):
+                    inst = generate(GenSpec(fld, 2, n, tag, planted, seed)).instance
+                    a = decide(inst, Budget(mode=Mode.EXHAUSTIVE))
+                    b = decide(inst, Budget(mode=Mode.BACKTRACKING))
+                    assert a.status == b.status, (fld, tag, n, planted, seed)
+                    assert a.status in (Status.YES, Status.NO)
+                    if a.status is Status.YES:
+                        assert verify_witness(inst, a.witness)
+                        assert verify_witness(inst, b.witness)
+                    if planted is Planted.YES:
+                        assert a.status is Status.YES
+
+
+# (tag, (p, e), k, n, planted, seed, profile, source, mode) ->
+# (status, nodes, (S rows, sigma, diag) or None). "gadget" instances are
+# the named PCE pair reduced to tag. Pinned so that a change meant to make
+# nodes cheaper cannot move the search: a change that is meant to alter
+# node counts or witnesses updates these values and says so.
+_PINNED_SEARCH = {
+    ('PCE', (2, 1), 2, 5, 'yes', 1, None, 'raw', Mode.EXHAUSTIVE):
+        ('YES', 33, (
+            ((1, 0), (0, 1)),
+            (1, 2, 3, 0, 4),
+            (1,) * 5,
+        )),
+    ('PCE', (2, 1), 2, 5, 'yes', 1, None, 'raw', Mode.BACKTRACKING):
+        ('YES', 5, (
+            ((1, 0), (0, 1)),
+            (1, 2, 3, 0, 4),
+            (1,) * 5,
+        )),
+    ('PCE', (7, 1), 3, 5, 'no', 1, (2, 1, 1, 1), 'raw', Mode.EXHAUSTIVE):
+        ('NO', 120, None),
+    ('PCE', (7, 1), 3, 5, 'no', 1, (2, 1, 1, 1), 'raw', Mode.BACKTRACKING):
+        ('NO', 21, None),
+    ('SPCE', (3, 1), 2, 5, 'yes', 3, None, 'raw', Mode.EXHAUSTIVE):
+        ('YES', 1061, (
+            ((1, 0), (2, 1)),
+            (1, 2, 3, 4, 0),
+            (1, 1, 2, 1, 1),
+        )),
+    ('SPCE', (3, 1), 2, 5, 'yes', 3, None, 'raw', Mode.BACKTRACKING):
+        ('YES', 5, (
+            ((1, 0), (2, 1)),
+            (1, 3, 2, 4, 0),
+            (1, 1, 2, 1, 1),
+        )),
+    ('SPCE', (7, 1), 2, 4, 'yes', 4, None, 'raw', Mode.EXHAUSTIVE):
+        ('YES', 120, (
+            ((2, 3), (5, 1)),
+            (1, 0, 3, 2),
+            (1, 6, 6, 6),
+        )),
+    ('SPCE', (7, 1), 2, 4, 'yes', 4, None, 'raw', Mode.BACKTRACKING):
+        ('YES', 4, (
+            ((1, 0), (2, 6)),
+            (1, 2, 3, 0),
+            (1, 6, 6, 1),
+        )),
+    ('LCE', (5, 1), 2, 4, 'yes', 5, None, 'raw', Mode.EXHAUSTIVE):
+        ('YES', 20, (
+            ((2, 3), (0, 2)),
+            (0, 1, 2, 3),
+            (1, 2, 1, 4),
+        )),
+    ('LCE', (5, 1), 2, 4, 'yes', 5, None, 'raw', Mode.BACKTRACKING):
+        ('YES', 10, (
+            ((2, 3), (0, 2)),
+            (0, 1, 2, 3),
+            (1, 2, 1, 4),
+        )),
+    ('LCE', (2, 2), 2, 4, 'no', 6, None, 'raw', Mode.EXHAUSTIVE):
+        ('NO', 1944, None),
+    ('LCE', (2, 2), 2, 4, 'no', 6, None, 'raw', Mode.BACKTRACKING):
+        ('NO', 0, None),
+    ('LCE', (3, 1), 2, 5, 'yes', 2, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING):
+        ('YES', 66, (
+            ((1, 1, 0), (0, 2, 0), (0, 0, 1)),
+            (
+                0, 2, 3, 1, 4, 5, 6, 7, 11, 12, 13, 14, 15, 16, 8, 9, 10, 17, 18, 19,
+                20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35,
+            ),
+            (1,) * 36,
+        )),
+    ('SPCE', (5, 1), 2, 5, 'yes', 1, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING):
+        ('YES', 130, (
+            ((2, 0, 0), (3, 1, 0), (0, 0, 1)),
+            (
+                4, 1, 3, 2, 0, 11, 12, 13, 8, 9, 10, 14, 15, 16, 17, 18, 19, 5, 6, 7,
+                20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35,
+            ),
+            (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 4, 4, 4, 1, 1, 1, 4, 4, 4, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+        )),
+    ('SPCE', (7, 1), 2, 5, 'yes', 0, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING):
+        ('YES', 130, (
+            ((4, 4, 0), (5, 4, 0), (0, 0, 1)),
+            (
+                2, 3, 1, 0, 4, 11, 12, 13, 14, 15, 16, 8, 9, 10, 5, 6, 7, 17, 18, 19,
+                20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35,
+            ),
+            (1,) * 36,
+        )),
+    ('LCE', (2, 1), 3, 5, 'yes', 5, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING):
+        ('YES', 59, (
+            ((0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (0, 0, 0, 1)),
+            (
+                2, 3, 0, 1, 4, 11, 12, 13, 14, 15, 16, 5, 6, 7, 8, 9, 10, 17, 18, 19,
+                20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35,
+            ),
+            (1,) * 36,
+        )),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_SEARCH), ids=lambda c: "-".join(map(str, c)))
+def test_search_nodes_and_witnesses_pinned(case):
+    tag, (p, e), k, n, planted, seed, profile, source, mode = case
+    fld = field(p, e)
+    if source == "gadget":
+        spec = GenSpec(fld, k, n, Tag.PCE, Planted(planted), seed, profile)
+        inst, _ = reduce_instance(generate(spec).instance, Tag[tag])
+    else:
+        inst = generate(GenSpec(fld, k, n, Tag[tag], Planted(planted), seed, profile)).instance
+    res = decide(inst, Budget(mode=mode))
+    w = res.witness
+    got = (res.status.value, res.nodes, None if w is None else (w.S.rows, w.M.perm.sigma, w.M.diag))
+    assert got == _PINNED_SEARCH[case]
 
 def test_decider_invariant_under_representation_change():
     rng = stream(99, "rerandom")

@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
-from ceq.core import Instance, Tag, Witness, preprocess, map_witness_to_normalized, verify_witness
+from ceq.core import Instance, Rejection, Tag, Witness, preprocess, map_witness_to_normalized, verify_witness
 from ceq.errors import DimMismatch, StructureViolation, WitnessInvalid
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm
-from ceq.oracle import Budget, Mode, Status, decide
+from ceq.oracle import Budget, GenSpec, Mode, Planted, Status, decide, generate
 from ceq.reduction import (
     CHECK_BASIS,
     CHECK_BLOCKS,
@@ -373,6 +373,33 @@ def test_soundness_exhaustive_sweep_q2():
                     checked += 1
     assert checked == 4 + 16 + 16 + 256
 
+
+
+def test_soundness_hard_no_through_gadget():
+    """Certified-NO PCE pairs that survive preprocessing reduce to NO pairs.
+
+    The profile hint gives G and H the same column-multiplicity profile, so
+    a share of the pairs gets past every preprocessing rule and through the
+    gadget; the backtracker (whose YES answers always carry a verified
+    witness) must then answer NO for both targets.
+    """
+    budget = Budget(max_nodes=200_000, mode=Mode.BACKTRACKING)
+    reached = 0
+    for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1)):
+        for n, profile in ((4, (2, 1, 1)), (5, (2, 1, 1, 1))):
+            for seed in range(8):
+                spec = GenSpec(field(p, e), 2, n, Tag.PCE, Planted.NO, seed, profile)
+                inst = generate(spec).instance
+                if isinstance(preprocess(inst), Rejection):
+                    continue
+                reached += 1
+                for target in (Tag.LCE, Tag.SPCE):
+                    red, cert = reduce_instance(inst, target)
+                    assert not cert.rejected
+                    res = decide(red, budget)
+                    assert res.status is Status.NO, (p, e, n, seed, target, res.status)
+    # preprocessing must not quietly swallow the sweep (29 of 80 pairs today)
+    assert reached >= 25
 
 def test_stripping_preserves_decision():
     rng = stream(47, "strip")
