@@ -167,8 +167,8 @@ def preprocess(inst: Instance) -> PreprocessOutcome:
     rh, rank_h, _, u_h = h_stripped.rref_with_transform()
     if rank_g != rank_h:
         return Rejection(RejectReason.RANK_MISMATCH)
-    g_norm = Mat(inst.field, rg.rows[:rank_g], g_stripped.n)
-    h_norm = Mat(inst.field, rh.rows[:rank_h], h_stripped.n)
+    g_norm = Mat._of(inst.field, rg.rows[:rank_g], g_stripped.n)
+    h_norm = Mat._of(inst.field, rh.rows[:rank_h], h_stripped.n)
     if column_multiplicity_profile(g_norm) != column_multiplicity_profile(h_norm):
         return Rejection(RejectReason.PROFILE_MISMATCH)
     norm_inst = Instance(inst.field, g_norm, h_norm, Tag.PCE)

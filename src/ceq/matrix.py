@@ -11,6 +11,14 @@ A monomial matrix factors as M = D * P with D = diag(d_1..d_n), so
 
 with the diagonal indexed by *source* column. Degenerate shapes (zero
 rows or zero columns) are legal in every operation.
+
+Validation happens at the boundary: the public constructor `Mat(...)`,
+unpickling and the file parser turn every entry into an int and check
+that it is a canonical element of the field. Rows the package computes
+itself (products, scalings, monomial actions, eliminations, column
+selections, the gadget and preprocessing's normalized matrices) are
+canonical by construction and go through the trusted `Mat._of`, which
+only freezes them.
 """
 
 from __future__ import annotations
@@ -50,6 +58,19 @@ class Mat:
         self.rows = rows
         self._rref = None
         self._rref_t = None
+
+    @classmethod
+    def _of(cls, fld: Field, rows, n: int) -> "Mat":
+        """Trusted constructor for rows the package computed itself: each
+        row has n canonical field ints. Freezes the rows, checks nothing."""
+        self = object.__new__(cls)
+        self.rows = rows = tuple(map(tuple, rows))
+        self.field = fld
+        self.k = len(rows)
+        self.n = n
+        self._rref = None
+        self._rref_t = None
+        return self
 
     # -- constructors --------------------------------------------------------
 
@@ -127,11 +148,13 @@ class Mat:
                             if b:
                                 acc[j] = add(acc[j], mul(a, b))
                 out.append(acc)
-        return Mat(self.field, out, m)
+        return Mat._of(self.field, out, m)
 
     def scale(self, a: int) -> "Mat":
+        if not (0 <= a < self.field.q):
+            raise ValueError(f"scalar {a} not in {self.field!r}")
         mul = self.field.mul
-        return Mat(self.field, [[mul(a, x) for x in r] for r in self.rows], self.n)
+        return Mat._of(self.field, [[mul(a, x) for x in r] for r in self.rows], self.n)
 
     def apply_mono(self, m: "Mono") -> "Mat":
         """A * M by column relocation and scaling; no dense n x n product."""
@@ -146,7 +169,7 @@ class Mat:
             [mul(diag[s], row[s]) for s in sigma]
             for row in self.rows
         ]
-        return Mat(self.field, out, self.n)
+        return Mat._of(self.field, out, self.n)
 
     # -- elimination -----------------------------------------------------------
 
@@ -154,7 +177,7 @@ class Mat:
         """(R, rank, pivots): the unique reduced row echelon form."""
         if self._rref is None:
             rows, rank, piv = _eliminate(self.field, [list(r) for r in self.rows], self.n)
-            self._rref = (Mat(self.field, rows, self.n), rank, tuple(piv))
+            self._rref = (Mat._of(self.field, rows, self.n), rank, tuple(piv))
         return self._rref
 
     def rref_with_transform(self):
@@ -163,8 +186,8 @@ class Mat:
             k, n = self.k, self.n
             aug = [list(r) + [1 if i == j else 0 for j in range(k)] for i, r in enumerate(self.rows)]
             rows, rank, piv = _eliminate(self.field, aug, n)
-            r_mat = Mat(self.field, [row[:n] for row in rows], n)
-            u_mat = Mat(self.field, [row[n:] for row in rows], k)
+            r_mat = Mat._of(self.field, [row[:n] for row in rows], n)
+            u_mat = Mat._of(self.field, [row[n:] for row in rows], k)
             self._rref_t = (r_mat, rank, tuple(piv), u_mat)
         return self._rref_t
 
@@ -299,7 +322,7 @@ def strip_zero_columns(a: Mat) -> tuple[Mat, tuple[int, ...]]:
         else:
             removed.append(j)
     rows = [[r[j] for j in kept] for r in a.rows]
-    return Mat(a.field, rows, len(kept)), tuple(removed)
+    return Mat._of(a.field, rows, len(kept)), tuple(removed)
 
 
 # ---------------------------------------------------------------------------

@@ -90,25 +90,48 @@ class _OutOfBudget(Exception):
     pass
 
 
-class _Ticker:
-    """Node counter with budget enforcement; time is checked in batches."""
+# target seconds between two clock reads of a search with a time limit
+_CLOCK_INTERVAL = 0.002
 
-    __slots__ = ("nodes", "max_nodes", "deadline", "_check_at")
+
+class _Ticker:
+    """Node counter with budget enforcement.
+
+    `tick` does one comparison per node. Without a time limit the check
+    point is the node after the budget. With one, the clock is read every
+    `stride` nodes, and the stride doubles or halves after each read so
+    that reads come about every _CLOCK_INTERVAL seconds, however long a
+    node takes.
+    """
+
+    __slots__ = ("nodes", "max_nodes", "deadline", "_check_at", "_stride", "_last")
 
     def __init__(self, budget: Budget, t0: float):
         self.nodes = 0
         self.max_nodes = budget.max_nodes
         self.deadline = None if budget.time_limit is None else t0 + budget.time_limit
-        self._check_at = 4096
+        self._stride = 1
+        self._last = t0
+        self._check_at = self.max_nodes + 1 if self.deadline is None else 1
 
     def tick(self):
         self.nodes += 1
         if self.nodes >= self._check_at:
-            self._check_at += 4096
-            if self.deadline is not None and time.perf_counter() > self.deadline:
-                raise _OutOfBudget
+            self._check()
+
+    def _check(self):
         if self.nodes > self.max_nodes:
             raise _OutOfBudget
+        now = time.perf_counter()
+        if now > self.deadline:
+            raise _OutOfBudget
+        gap = now - self._last
+        self._last = now
+        if gap < _CLOCK_INTERVAL / 2:
+            self._stride *= 2
+        elif gap > _CLOCK_INTERVAL * 2 and self._stride > 1:
+            self._stride //= 2
+        self._check_at = min(self.nodes + self._stride, self.max_nodes + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +265,9 @@ class _Backtracker:
         self.k = inst.k
         self.n = inst.n
         self.ticker = ticker
-        self.gcols = inst.G.cols()
-        self.hcols = inst.H.cols()
+        # columns as tuples; a 0-row matrix still has n (empty) columns
+        self.gcols = list(zip(*inst.G.rows)) if self.k else [()] * self.n
+        self.hcols = list(zip(*inst.H.rows)) if self.k else [()] * self.n
         self.scalars = _scalars(self.fld, self.tag)
         self.zero = (0,) * self.k
 
@@ -251,16 +275,23 @@ class _Backtracker:
         self.gclass: dict[tuple, list[int]] = {}
         for i, col in enumerate(self.gcols):
             self.gclass.setdefault(_class_key(fld, tag, col), []).append(i)
+        self.hkeys = [_class_key(fld, tag, col) for col in self.hcols]
         self.hclass: dict[tuple, list[int]] = {}
-        for j, col in enumerate(self.hcols):
-            self.hclass.setdefault(_class_key(fld, tag, col), []).append(j)
+        for j, key in enumerate(self.hkeys):
+            self.hclass.setdefault(key, []).append(j)
 
-        # distinct exact values inside each G class, each with its members
-        self.gvalues: dict[tuple, dict[tuple, list[int]]] = {}
+        # G class keys by class size, each list sorted
+        self.gkeys_by_size: dict[int, list[tuple]] = {}
+        for key in sorted(self.gclass):
+            self.gkeys_by_size.setdefault(len(self.gclass[key]), []).append(key)
+        # distinct exact values inside each G class in sorted order, each
+        # with its members
+        self.gvalues: dict[tuple, list[tuple[tuple, list[int]]]] = {}
         for key, members in self.gclass.items():
-            by_val = self.gvalues.setdefault(key, {})
+            by_val: dict[tuple, list[int]] = {}
             for i in members:
                 by_val.setdefault(self.gcols[i], []).append(i)
+            self.gvalues[key] = sorted(by_val.items())
 
         self.used = [False] * self.n
         self.lock: dict[tuple, tuple] = {}
@@ -334,21 +365,21 @@ class _Backtracker:
     def _candidates(self, j: int):
         """Deterministic candidate list for target column j: (gkey, value,
         rep index, scalar). Duplicates collapse to the smallest unused rep."""
-        hkey = _class_key(self.fld, self.tag, self.hcols[j])
+        hkey = self.hkeys[j]
         locked = self.lock.get(hkey)
         if locked is not None:
             gkeys = [locked]
         else:
             size = len(self.hclass[hkey])
-            gkeys = sorted(
+            gkeys = [
                 key
-                for key, members in self.gclass.items()
-                if len(members) == size and key not in self.lock_rev
-            )
+                for key in self.gkeys_by_size.get(size, ())
+                if key not in self.lock_rev
+            ]
         out = []
         for gkey in gkeys:
-            for value in sorted(self.gvalues[gkey]):
-                rep = next((i for i in self.gvalues[gkey][value] if not self.used[i]), None)
+            for value, members in self.gvalues[gkey]:
+                rep = next((i for i in members if not self.used[i]), None)
                 if rep is None:
                     continue
                 if value == self.zero:
@@ -434,8 +465,8 @@ class _Backtracker:
         by_val = self.gvalues.get(key)
         if by_val is None:
             return None
-        for value in sorted(by_val):
-            rep = next((i for i in by_val[value] if not self.used[i]), None)
+        for value, members in by_val:
+            rep = next((i for i in members if not self.used[i]), None)
             if rep is None:
                 continue
             if x_req == self.zero:

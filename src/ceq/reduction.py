@@ -33,7 +33,7 @@ from .core import (
 )
 from .errors import DimMismatch, NotFullRank, StructureViolation, WitnessInvalid
 from .field import Field
-from .matrix import Mat, Mono, Perm, max_column_multiplicity
+from .matrix import Mat, Mono, Perm, _eliminate, max_column_multiplicity
 
 CHECK_BLOCKS = "permutation crosses gadget block boundaries"
 CHECK_BASIS = "change of basis couples the marker row with the code rows"
@@ -83,7 +83,8 @@ class ReductionCert:
 def build_gadget(a: Mat, m: int) -> Mat:
     """Expand a k x n matrix into its (k+1) x (n + 2nm + 1) gadget form.
 
-    Full row rank of the input is preserved; that is checked here.
+    Full row rank of the input is preserved; that is checked here on the
+    gadget's at most 2n + 1 distinct columns.
     """
     if a.n < 1:
         raise DimMismatch("gadget needs at least one column")
@@ -96,12 +97,18 @@ def build_gadget(a: Mat, m: int) -> Mat:
     for r in a.rows:
         rows.append(list(r) + [r[c] for c in dup] + [0] * (nm + 1))
     rows.append([1] * n + [0] * nm + [1] * (nm + 1))
-    out = Mat(a.field, rows, n + 2 * nm + 1)
-    if out.n != n + 2 * nm + 1 or out.k != k + 1:
-        raise DimMismatch(f"gadget is {out.k}x{out.n}, expected {k + 1}x{n + 2 * nm + 1}")
-    if a.rank() == k and out.rank() != k + 1:
+    out = Mat._of(a.field, rows, n + 2 * nm + 1)
+    if out.k != k + 1 or any(len(r) != out.n for r in out.rows):
+        raise DimMismatch(f"gadget rows do not form a {k + 1}x{n + 2 * nm + 1} matrix")
+    if a.rank() == k and _distinct_column_rank(out) != k + 1:
         raise NotFullRank("gadget lost full row rank")
     return out
+
+
+def _distinct_column_rank(a: Mat) -> int:
+    """Rank of a, computed on its distinct columns (same column space)."""
+    distinct = list(dict.fromkeys(zip(*a.rows)))
+    return _eliminate(a.field, [list(r) for r in zip(*distinct)], len(distinct))[1]
 
 
 def canonical_no_instance(fld: Field, target: Tag) -> Instance:

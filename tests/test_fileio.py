@@ -126,3 +126,92 @@ def test_generated_files_are_byte_stable():
     b = fileio.serialize_instance(gen.instance)
     assert a == b
     assert a.endswith("\n") and "\t" not in a
+
+
+def _fuzz_corpus():
+    """Seeded instance, witness and cert files, each with the original
+    instance its cert was built from."""
+    files = []
+    specs = [
+        (field(2), 2, 5, (2, 1, 1, 1)),
+        (field(5), 3, 6, None),
+        (F9, 2, 4, None),
+        (field(2, 8), 2, 4, (2, 1, 1)),
+        (field(3, 6, (1, 1, 1, 0, 0, 0, 1)), 2, 3, None),
+    ]
+    for seed, (fld, k, n, prof) in enumerate(specs):
+        gen = generate(GenSpec(fld, k, n, Tag.PCE, Planted.YES, seed, prof))
+        inst = gen.instance
+        _, cert = reduce_instance(inst, Tag.SPCE if seed % 2 else Tag.LCE)
+        files.append(("instance", fileio.serialize_instance(inst), inst))
+        files.append(("witness", fileio.serialize_witness(fld, gen.witness), inst))
+        files.append(("cert", fileio.serialize_cert(cert), inst))
+    rejected = Instance(F2, Mat(F2, [[1, 0]]), Mat(F2, [[1, 1]]), Tag.PCE)
+    files.append(("cert", fileio.serialize_cert(reduce_instance(rejected, Tag.LCE)[1]), rejected))
+    empty = Instance(F2, Mat.zeros(F2, 2, 0), Mat.zeros(F2, 2, 0), Tag.PCE)
+    files.append(("cert", fileio.serialize_cert(reduce_instance(empty, Tag.LCE)[1]), empty))
+    return files
+
+
+_FUZZ_TOKENS = ("-1", "0", "1", "2", "3", "256", "65521", "x", "1.5", "", "^", ",", "9" * 25, "mod")
+
+
+def _mutate(text: str, rng) -> str:
+    lines = text.split("\n")
+    kind = rng.randrange(7)
+    i = rng.randrange(len(lines))
+    if kind == 0:
+        # replace one token of a line
+        parts = lines[i].split(" ")
+        j = rng.randrange(len(parts))
+        parts[j] = rng.choice(_FUZZ_TOKENS + (str(rng.randrange(-3, 300)),))
+        lines[i] = " ".join(parts)
+    elif kind == 1:
+        del lines[i]
+    elif kind == 2:
+        lines.insert(i, lines[rng.randrange(len(lines))])
+    elif kind == 3:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == 4:
+        return text[: rng.randrange(len(text))]
+    elif kind == 5:
+        pos = rng.randrange(len(text) + 1)
+        return text[:pos] + rng.choice(" \t-0123456789x,^\n") + text[pos:]
+    else:
+        # drop one token of a line
+        parts = lines[i].split(" ")
+        del parts[rng.randrange(len(parts))]
+        lines[i] = " ".join(parts)
+    return "\n".join(lines)
+
+
+def test_parser_fuzz_raises_only_ceq_errors():
+    # every mutated file either parses (and then goes through the checks
+    # that read it) or raises a CeqError; anything else is a crash
+    from ceq.core import verify_witness
+    from ceq.errors import CeqError
+
+    rng = stream(21, "fuzz")
+    corpus = _fuzz_corpus()
+    outcomes = {"parsed": 0, "rejected": 0}
+    crashes = []
+    for _ in range(6000):
+        kind, text, original = rng.choice(corpus)
+        mutated = _mutate(text, rng)
+        try:
+            if kind == "instance":
+                fileio.parse_instance(mutated)
+            elif kind == "witness":
+                fld, w = fileio.parse_witness(mutated)
+                if fld == original.field:
+                    verify_witness(original, w)
+            else:
+                rebuild_cert(original, fileio.parse_cert(mutated))
+            outcomes["parsed"] += 1
+        except CeqError:
+            outcomes["rejected"] += 1
+        except Exception as exc:
+            crashes.append((kind, mutated, repr(exc)))
+    assert crashes == []
+    assert outcomes["rejected"] >= 3000 and outcomes["parsed"] >= 100

@@ -247,3 +247,72 @@ def test_mono_class_predicates():
     assert m.is_signed()
     assert Mono.identity(F3, 2).is_permutation()
     assert not Mono(F5, Perm((0,)), (3,)).is_signed()
+
+
+# ---------------------------------------------------------------------------
+# trusted construction of computed results
+
+
+def _assert_canonical(m):
+    """m holds tuples of canonical ints and equals (and hashes like) the
+    same rows passed through the validating constructor."""
+    assert type(m.rows) is tuple
+    for row in m.rows:
+        assert type(row) is tuple and len(row) == m.n
+        for x in row:
+            assert type(x) is int and 0 <= x < m.field.q
+    checked = Mat(m.field, m.rows, m.n)
+    assert checked == m and hash(checked) == hash(m)
+    assert (checked.k, checked.n) == (m.k, m.n)
+
+
+def test_computed_results_match_validating_constructor():
+    # prime, flat-table, 2^e beyond the flat tables and odd p^e fields
+    fields = [F2, F5, field(65521), field(2, 2), field(3, 2), field(2, 16), field(3, 5)]
+    rng = stream(13, "trusted")
+    for fld in fields:
+        for k, n in ((0, 3), (3, 0), (1, 1), (2, 5), (4, 4), (3, 7)):
+            a = rand_mat(fld, k, n, rng)
+            b = rand_mat(fld, n, rng.randrange(0, 4), rng)
+            # a zero column for strip_zero_columns to drop
+            rows = [list(r) for r in a.rows]
+            if n:
+                for r in rows:
+                    r[rng.randrange(n)] = 0
+            z = Mat(fld, rows, n)
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            mono = Mono(fld, Perm(tuple(sigma)), tuple(rng.randrange(1, fld.q) for _ in range(n)))
+            r, _, _ = z.rref()
+            rt, _, _, u = z.rref_with_transform()
+            for m in (
+                a.mul(b),
+                a.scale(rng.randrange(fld.q)),
+                a.apply_mono(mono),
+                r,
+                rt,
+                u,
+                strip_zero_columns(z)[0],
+            ):
+                _assert_canonical(m)
+
+
+def test_scale_rejects_non_element():
+    a = Mat(F5, [[1, 2]])
+    for bad in (-1, 5):
+        with pytest.raises(ValueError):
+            a.scale(bad)
+
+
+def test_trusted_mat_survives_pickle():
+    import pickle
+
+    fld = field(3, 2)
+    rng = stream(14, "trusted-pickle")
+    a = rand_mat(fld, 3, 5, rng)
+    for m in (a.mul(rand_mat(fld, 5, 4, rng)), a.rref()[0], strip_zero_columns(a)[0]):
+        m.rref()
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and hash(back) == hash(m)
+        assert back._rref is None
+        _assert_canonical(back)

@@ -87,6 +87,19 @@ def test_unknown_on_tiny_time_limit():
         assert res.detail and res.witness is None
 
 
+def test_time_limit_stops_search_promptly():
+    # backtracking nodes on this 7 x 61 gadget pair cost tens of
+    # microseconds, so a fixed 4096-node clock cadence overshoots a 0.05 s
+    # limit by more than 0.1 s; the search itself runs for far longer
+    fld = field(2, 8).warm()
+    gen = generate(GenSpec(fld, 6, 12, Tag.PCE, Planted.YES, seed=7))
+    red, _ = reduce_instance(gen.instance, Tag.LCE)
+    for mode, limit in ((Mode.BACKTRACKING, 0.05), (Mode.BACKTRACKING, 0.3), (Mode.EXHAUSTIVE, 0.05)):
+        res = decide(red, Budget(time_limit=limit, mode=mode))
+        assert res.status is Status.UNKNOWN and res.witness is None
+        assert limit <= res.elapsed < limit + 0.1
+
+
 def test_unknown_on_tiny_budget():
     gen = generate(GenSpec(F5, 2, 4, Tag.LCE, Planted.UNLABELED, seed=5))
     res = decide(gen.instance, Budget(max_nodes=3, mode=Mode.EXHAUSTIVE))

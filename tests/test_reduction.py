@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from ceq.core import Instance, Rejection, Tag, Witness, preprocess, map_witness_to_normalized, verify_witness
-from ceq.errors import DimMismatch, StructureViolation, WitnessInvalid
+from ceq.errors import DimMismatch, NotFullRank, StructureViolation, WitnessInvalid
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm
 from ceq.oracle import Budget, GenSpec, Mode, Planted, Status, decide, generate
@@ -11,6 +11,7 @@ from ceq.reduction import (
     CHECK_BASIS,
     CHECK_BLOCKS,
     CHECK_SCALAR,
+    _distinct_column_rank,
     build_gadget,
     canonical_no_instance,
     extract_witness,
@@ -95,6 +96,47 @@ def test_gadget_blowup_identity_and_rank():
         assert out.n == n + 2 * n * m + 1
         assert out.k == k + 1
         assert out.rank() == k + 1
+
+
+def test_gadget_rank_from_distinct_columns_matches_full_rref():
+    # the distinct-column rank that build_gadget checks equals the rank of
+    # the whole gadget through the validating constructor, also for
+    # rank-deficient inputs (where build_gadget skips its check)
+    rng = stream(32, "gadget-rank")
+    fields = [F2, F3, field(2, 2), F5, field(7), field(3, 2), field(2, 8), field(65521)]
+    deficient = 0
+    for _ in range(120):
+        fld = rng.choice(fields)
+        k = rng.randrange(0, 5)
+        n = rng.randrange(1, 7)
+        pool = [[rng.randrange(fld.q) for _ in range(k)] for _ in range(rng.randrange(1, n + 1))]
+        cols = [rng.choice(pool) for _ in range(n)]
+        if rng.randrange(3) == 0 and k >= 2:
+            # force a dependent row
+            cols = [c[:-1] + [c[0]] for c in cols]
+        a = Mat(fld, [[c[i] for c in cols] for i in range(k)], n)
+        m = rng.randrange(1, 5)
+        out = build_gadget(a, m)
+        full = Mat(fld, out.rows, out.n)
+        assert _distinct_column_rank(out) == full.rank() == a.rank() + 1
+        deficient += a.rank() < k
+    assert deficient >= 20
+    # degenerate shapes: no rows, no columns
+    for k, n in ((0, 3), (2, 0), (0, 0)):
+        z = Mat.zeros(F3, k, n)
+        assert _distinct_column_rank(z) == z.rank() == 0
+
+
+def test_gadget_rank_check_raises_not_full_rank(monkeypatch):
+    import ceq.reduction as reduction
+
+    a = Mat.identity(F3, 2)
+    build_gadget(a, 2)
+    monkeypatch.setattr(reduction, "_distinct_column_rank", lambda g: g.k - 1)
+    with pytest.raises(NotFullRank):
+        build_gadget(a, 2)
+    # a rank-deficient input is not checked
+    build_gadget(Mat(F3, [[1, 2], [2, 1]]), 2)
 
 
 def test_gadget_needs_columns():

@@ -19,3 +19,16 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_boundary_modules_use_the_validating_constructor():
+    # fileio and cli read untrusted rows; Mat._of skips every entry check
+    boundary = [p for p in SOURCES if p.name in ("fileio.py", "cli.py")]
+    assert len(boundary) == 2
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in boundary
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "_of"
+    ]
+    assert found == []
