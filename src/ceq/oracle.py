@@ -90,28 +90,20 @@ class _OutOfBudget(Exception):
     pass
 
 
-# target seconds between two clock reads of a search with a time limit
-_CLOCK_INTERVAL = 0.002
-
-
 class _Ticker:
     """Node counter with budget enforcement.
 
     `tick` does one comparison per node. Without a time limit the check
-    point is the node after the budget. With one, the clock is read every
-    `stride` nodes, and the stride doubles or halves after each read so
-    that reads come about every _CLOCK_INTERVAL seconds, however long a
-    node takes.
+    point is the node after the budget; with one, every node is checked
+    and reads the clock.
     """
 
-    __slots__ = ("nodes", "max_nodes", "deadline", "_check_at", "_stride", "_last")
+    __slots__ = ("nodes", "max_nodes", "deadline", "_check_at")
 
     def __init__(self, budget: Budget, t0: float):
         self.nodes = 0
         self.max_nodes = budget.max_nodes
         self.deadline = None if budget.time_limit is None else t0 + budget.time_limit
-        self._stride = 1
-        self._last = t0
         self._check_at = self.max_nodes + 1 if self.deadline is None else 1
 
     def tick(self):
@@ -120,18 +112,8 @@ class _Ticker:
             self._check()
 
     def _check(self):
-        if self.nodes > self.max_nodes:
+        if self.nodes > self.max_nodes or time.perf_counter() > self.deadline:
             raise _OutOfBudget
-        now = time.perf_counter()
-        if now > self.deadline:
-            raise _OutOfBudget
-        gap = now - self._last
-        self._last = now
-        if gap < _CLOCK_INTERVAL / 2:
-            self._stride *= 2
-        elif gap > _CLOCK_INTERVAL * 2 and self._stride > 1:
-            self._stride //= 2
-        self._check_at = min(self.nodes + self._stride, self.max_nodes + 1)
 
 
 # ---------------------------------------------------------------------------

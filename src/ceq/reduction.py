@@ -98,8 +98,6 @@ def build_gadget(a: Mat, m: int) -> Mat:
         rows.append(list(r) + [r[c] for c in dup] + [0] * (nm + 1))
     rows.append([1] * n + [0] * nm + [1] * (nm + 1))
     out = Mat._of(a.field, rows, n + 2 * nm + 1)
-    if out.k != k + 1 or any(len(r) != out.n for r in out.rows):
-        raise DimMismatch(f"gadget rows do not form a {k + 1}x{n + 2 * nm + 1} matrix")
     if a.rank() == k and _distinct_column_rank(out) != k + 1:
         raise NotFullRank("gadget lost full row rank")
     return out

@@ -4,6 +4,7 @@ from ceq.core import Instance, Tag, verify_witness
 from ceq.errors import BudgetExceeded
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm
+from ceq import oracle
 from ceq.reduction import reduce_instance
 from ceq.oracle import (
     Budget,
@@ -87,17 +88,31 @@ def test_unknown_on_tiny_time_limit():
         assert res.detail and res.witness is None
 
 
-def test_time_limit_stops_search_promptly():
-    # backtracking nodes on this 7 x 61 gadget pair cost tens of
-    # microseconds, so a fixed 4096-node clock cadence overshoots a 0.05 s
-    # limit by more than 0.1 s; the search itself runs for far longer
+def test_time_limit_stops_search_at_first_node_past_deadline(monkeypatch):
+    # the oracle's clock moves one step per read, so the check is on fake
+    # seconds and does not depend on the speed or load of the machine; the
+    # search on this 7 x 61 gadget pair needs far more nodes than the limit
+    # allows in either mode. decide and its search each read the clock
+    # once before the first node, and decide once more after the last.
+    step = 2.0 ** -10
+    limit = 50 * step
+
+    class Clock:
+        now = 0.0
+
+        def perf_counter(self):
+            self.now += step
+            return self.now
+
     fld = field(2, 8).warm()
     gen = generate(GenSpec(fld, 6, 12, Tag.PCE, Planted.YES, seed=7))
     red, _ = reduce_instance(gen.instance, Tag.LCE)
-    for mode, limit in ((Mode.BACKTRACKING, 0.05), (Mode.BACKTRACKING, 0.3), (Mode.EXHAUSTIVE, 0.05)):
+    for mode in (Mode.BACKTRACKING, Mode.EXHAUSTIVE):
+        monkeypatch.setattr(oracle, "time", Clock())
         res = decide(red, Budget(time_limit=limit, mode=mode))
         assert res.status is Status.UNKNOWN and res.witness is None
-        assert limit <= res.elapsed < limit + 0.1
+        assert limit < res.elapsed <= limit + 3 * step
+        assert res.nodes == 51
 
 
 def test_unknown_on_tiny_budget():
