@@ -29,6 +29,18 @@ and leaves S^-1 * e_i in the x half of row i; each remaining target
 column y then needs the source column S^-1 * y. S itself is built only for a witness
 that is returned.
 
+Both deciders fix one scalar to 1. If (S, M) is a witness, so is
+(c*S, c^-1*M) for every unit c (LCE) or sign c (SPCE), so each class of
+witnesses under this global scalar has a member with that scalar equal
+to 1. EXHAUSTIVE enumerates only diagonals with diag[0] = 1; since 1 is
+the first scalar and the accepted candidates are closed under scaling,
+the first accepted candidate already had diag[0] = 1, and the witness
+returned is the same as without the quotient. BACKTRACKING gives the
+first non-zero column it pins scalar 1 only; the subtree under scalar c
+holds a witness iff the subtree under scalar 1 does, and the latter was
+searched first, so again the witness is the same. Only node counts
+fall; PCE, whose only scalar is 1, is unaffected.
+
 Both modes return identical YES/NO answers; witnesses may differ.
 """
 
@@ -168,8 +180,11 @@ def _exhaustive(inst: Instance, first: Optional[int], ticker: _Ticker):
         rest = [i for i in range(n) if i != first]
         perms = ((first,) + tail for tail in itertools.permutations(rest))
 
+    # the global scalar is quotiented out: diag[0] = 1 (module docstring)
+    head = (1,) if n else ()
     for sigma in perms:
-        for diag in itertools.product(scal, repeat=n):
+        for rest in itertools.product(scal, repeat=max(n - 1, 0)):
+            diag = head + rest
             ticker.tick()
             if not in_span(sigma, diag):
                 continue
@@ -344,11 +359,13 @@ class _Backtracker:
             return self._finish()
         return self._assign(0, first)
 
-    def _candidates(self, j: int):
-        """Deterministic candidate list for target column j: (gkey, value,
-        rep index, scalar). Duplicates collapse to the smallest unused rep."""
-        hkey = self.hkeys[j]
-        locked = self.lock.get(hkey)
+    def _candidates(self, hkey: tuple, locked: Optional[tuple]):
+        """Candidates for a target column of class hkey, in a fixed order and
+        one at a time: (gkey, value, rep index, scalar). Duplicates collapse
+        to the smallest unused rep. Until a non-zero column is pinned, a
+        non-zero value takes scalar 1 only (the global scalar is quotiented
+        out, see the module docstring). Each draw reads the search state
+        afresh; `_assign` restores it before drawing the next candidate."""
         if locked is not None:
             gkeys = [locked]
         else:
@@ -358,18 +375,16 @@ class _Backtracker:
                 for key in self.gkeys_by_size.get(size, ())
                 if key not in self.lock_rev
             ]
-        out = []
         for gkey in gkeys:
             for value, members in self.gvalues[gkey]:
                 rep = next((i for i in members if not self.used[i]), None)
                 if rep is None:
                     continue
-                if value == self.zero:
-                    out.append((gkey, value, rep, 1))
+                if value == self.zero or self.acc_x.rank == 0:
+                    yield gkey, value, rep, 1
                 else:
                     for d in self.scalars:
-                        out.append((gkey, value, rep, d))
-        return hkey, locked, out
+                        yield gkey, value, rep, d
 
     def _assign(self, t: int, first: Optional[int]) -> Optional[Witness]:
         if t == len(self.targets):
@@ -378,9 +393,11 @@ class _Backtracker:
             return self._complete(t)
         j = self.targets[t]
         y = self.hcols[j]
-        hkey, locked, cands = self._candidates(j)
+        hkey = self.hkeys[j]
+        locked = self.lock.get(hkey)
+        cands = self._candidates(hkey, locked)
         if first is not None:
-            cands = cands[first : first + 1]
+            cands = itertools.islice(cands, first, first + 1)
         fld = self.fld
         mul = fld.mul
         for gkey, value, rep, d in cands:
@@ -532,8 +549,8 @@ def _root_width(inst: Instance, mode: Mode) -> int:
     bt = _Backtracker(inst, _Ticker(Budget(), time.perf_counter()))
     if bt.infeasible_by_counting():
         return 1
-    _, _, cands = bt._candidates(bt.targets[0])
-    return max(1, len(cands))
+    cands = bt._candidates(bt.hkeys[bt.targets[0]], None)
+    return max(1, sum(1 for _ in cands))
 
 
 def _run_slice(inst: Instance, budget: Budget, first: Optional[int]):

@@ -88,31 +88,76 @@ def test_unknown_on_tiny_time_limit():
         assert res.detail and res.witness is None
 
 
-def test_time_limit_stops_search_at_first_node_past_deadline(monkeypatch):
-    # the oracle's clock moves one step per read, so the check is on fake
-    # seconds and does not depend on the speed or load of the machine; the
-    # search on this 7 x 61 gadget pair needs far more nodes than the limit
-    # allows in either mode. decide and its search each read the clock
-    # once before the first node, and decide once more after the last.
+class _StepClock:
+    """Stands in for the oracle's `time`: each read moves one step, so a
+    time limit is checked on fake seconds and does not depend on the speed
+    or load of the machine."""
+
     step = 2.0 ** -10
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += self.step
+        return self.now
+
+
+def test_time_limit_stops_search_at_first_node_past_deadline(monkeypatch):
+    # the search on this 7 x 61 gadget pair needs far more nodes than the
+    # limit allows in either mode. decide and its search each read the
+    # clock once before the first node, and decide once more after the last.
+    step = _StepClock.step
     limit = 50 * step
-
-    class Clock:
-        now = 0.0
-
-        def perf_counter(self):
-            self.now += step
-            return self.now
-
     fld = field(2, 8).warm()
     gen = generate(GenSpec(fld, 6, 12, Tag.PCE, Planted.YES, seed=7))
     red, _ = reduce_instance(gen.instance, Tag.LCE)
     for mode in (Mode.BACKTRACKING, Mode.EXHAUSTIVE):
-        monkeypatch.setattr(oracle, "time", Clock())
+        monkeypatch.setattr(oracle, "time", _StepClock())
         res = decide(red, Budget(time_limit=limit, mode=mode))
         assert res.status is Status.UNKNOWN and res.witness is None
         assert limit < res.elapsed <= limit + 3 * step
         assert res.nodes == 51
+
+
+def test_backtracker_draws_one_scalar_per_node(monkeypatch):
+    # LCE over GF(65521) has 65,520 scalars. Candidates are drawn one at a
+    # time, so a node does bounded work before its tick and a limit stops
+    # the search within a node; listing every scalar of a value before the
+    # first tick would draw about q - 1 of them.
+    step = _StepClock.step
+    limit = 50 * step
+
+    class CountingScalars:
+        drawn = 0
+
+        def __init__(self, scalars):
+            self.scalars = scalars
+
+        def __iter__(self):
+            for d in self.scalars:
+                CountingScalars.drawn += 1
+                yield d
+
+    real_scalars, real_tick = oracle._scalars, oracle._Ticker.tick
+    gaps = []
+
+    def tick(ticker):
+        gaps.append(CountingScalars.drawn - sum(gaps))
+        real_tick(ticker)
+
+    monkeypatch.setattr(oracle, "_scalars", lambda fld, tag: CountingScalars(real_scalars(fld, tag)))
+    monkeypatch.setattr(oracle._Ticker, "tick", tick)
+    monkeypatch.setattr(oracle, "time", _StepClock())
+    gen = generate(GenSpec(field(65521), 4, 8, Tag.PCE, Planted.YES, seed=7))
+    red, _ = reduce_instance(gen.instance, Tag.LCE)
+    assert (red.k, red.n) == (5, 41)
+    res = decide(red, Budget(time_limit=limit, mode=Mode.BACKTRACKING))
+    assert res.status is Status.UNKNOWN and res.nodes == 51
+    assert limit < res.elapsed <= limit + 3 * step
+    assert len(gaps) == 51 and max(gaps) <= 1
+    # past the first pinned column the branching does draw scalars
+    assert CountingScalars.drawn > 0
 
 
 def test_unknown_on_tiny_budget():
@@ -192,7 +237,7 @@ _PINNED_SEARCH = {
     ('PCE', (7, 1), 3, 5, 'no', 1, (2, 1, 1, 1), 'raw', Mode.BACKTRACKING):
         ('NO', 21, None),
     ('SPCE', (3, 1), 2, 5, 'yes', 3, None, 'raw', Mode.EXHAUSTIVE):
-        ('YES', 1061, (
+        ('YES', 533, (
             ((1, 0), (2, 1)),
             (1, 2, 3, 4, 0),
             (1, 1, 2, 1, 1),
@@ -204,7 +249,7 @@ _PINNED_SEARCH = {
             (1, 1, 2, 1, 1),
         )),
     ('SPCE', (7, 1), 2, 4, 'yes', 4, None, 'raw', Mode.EXHAUSTIVE):
-        ('YES', 120, (
+        ('YES', 64, (
             ((2, 3), (5, 1)),
             (1, 0, 3, 2),
             (1, 6, 6, 6),
@@ -228,7 +273,7 @@ _PINNED_SEARCH = {
             (1, 2, 1, 4),
         )),
     ('LCE', (2, 2), 2, 4, 'no', 6, None, 'raw', Mode.EXHAUSTIVE):
-        ('NO', 1944, None),
+        ('NO', 648, None),
     ('LCE', (2, 2), 2, 4, 'no', 6, None, 'raw', Mode.BACKTRACKING):
         ('NO', 0, None),
     ('LCE', (3, 1), 2, 5, 'yes', 2, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING):
@@ -241,7 +286,7 @@ _PINNED_SEARCH = {
             (1,) * 36,
         )),
     ('SPCE', (5, 1), 2, 5, 'yes', 1, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING):
-        ('YES', 130, (
+        ('YES', 88, (
             ((2, 0, 0), (3, 1, 0), (0, 0, 1)),
             (
                 4, 1, 3, 2, 0, 11, 12, 13, 8, 9, 10, 14, 15, 16, 17, 18, 19, 5, 6, 7,
@@ -250,7 +295,7 @@ _PINNED_SEARCH = {
             (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 4, 4, 4, 1, 1, 1, 4, 4, 4, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
         )),
     ('SPCE', (7, 1), 2, 5, 'yes', 0, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING):
-        ('YES', 130, (
+        ('YES', 88, (
             ((4, 4, 0), (5, 4, 0), (0, 0, 1)),
             (
                 2, 3, 1, 0, 4, 11, 12, 13, 14, 15, 16, 8, 9, 10, 5, 6, 7, 17, 18, 19,
