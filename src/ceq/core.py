@@ -85,7 +85,13 @@ def diag_allowed(fld: Field, tag: Tag, diag) -> bool:
 
 
 def verify_witness(inst: Instance, w: Witness) -> bool:
-    """Exact check: S invertible, diagonal in the tag's class, S*G*M = H."""
+    """Exact check: S invertible, diagonal in the tag's class, S*G*M = H.
+
+    Column j of S*G*M is d[sigma(j)] * (S*G)[sigma(j)], so S*G is formed
+    once per distinct column of G (a gadget repeats each column of the
+    source pair) and every column of H is compared with the scaled image
+    of its source; the scaling is skipped where d = 1.
+    """
     if w.S.field != inst.field or w.M.field != inst.field:
         raise FieldMismatch("witness field differs from instance field")
     if w.S.k != inst.k or w.S.n != inst.k:
@@ -96,7 +102,21 @@ def verify_witness(inst: Instance, w: Witness) -> bool:
         return False
     if not w.S.is_invertible():
         return False
-    return w.S.mul(inst.G).apply_mono(w.M) == inst.H
+    g_cols = inst.G.cols()
+    distinct = list(dict.fromkeys(g_cols))
+    slot = {c: i for i, c in enumerate(distinct)}
+    rows = list(zip(*distinct)) if distinct else [()] * inst.k
+    images = w.S.mul(Mat._of(inst.field, rows, len(distinct))).cols()
+    mul = inst.field.mul
+    diag = w.M.diag
+    for s, h_col in zip(w.M.perm.sigma, inst.H.cols()):
+        img = images[slot[g_cols[s]]]
+        d = diag[s]
+        if d != 1:
+            img = tuple([mul(d, x) for x in img])
+        if img != h_col:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -8,23 +8,30 @@ the on-disk encoding used by the file format.
 Field orders are capped at 2^16 so every element fits comfortably in a
 machine word and small fields can be backed by flat lookup tables.
 
-Addition takes one of three paths, chosen by the field:
+`add`, `sub`, `mul`, `neg` and `inv` are plain callables stored on the
+field. They are resolved once per field and table state (`Field._bind`),
+so a call pays for no dispatch:
 
-* prime fields add residues mod p;
-* characteristic-2 extensions XOR the bit vectors;
-* odd-characteristic extensions, once warmed, use Zech's logarithms
-  (K. Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 36(4),
-  1990): with g primitive and Z(i) = log_g(1 + g^i),
-  g^i + g^j = g^(i + Z(j - i)). Unwarmed ones add base-p digit-wise.
+* q <= 256: flat q x q lookup tables, built by the constructor;
+* primes above 256: integer arithmetic mod p, with no tables at all, so
+  `warm()` has nothing to do;
+* 2^e above 256: XOR add/sub; mul and inv through log and exp tables
+  once warmed (the exp table has 2(q - 1) entries, so a sum of two logs
+  indexes it without a reduction);
+* odd p^e above 256: once warmed, the same exp/log mul and inv, and add
+  and sub through Zech's logarithms (K. Huber, "Some comments on Zech's
+  logarithms", IEEE Trans. IT 36(4), 1990): with g primitive and
+  Z(i) = log_g(1 + g^i), g^i + g^j = g^(i + Z(j - i)).
 
-Multiplication goes through exp/log tables once the field is warmed.
-For q <= 256, warming also fills flat q x q tables that every operation
-then reads directly.
+An extension field above 256 computes digit-wise (polynomial arithmetic
+on its base-p digits) until `warm()` builds its tables and rebinds the
+kernels.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -151,7 +158,12 @@ def default_modulus(p: int, e: int) -> tuple[int, ...]:
 
 
 class Field:
-    """A field context GF(p^e); operations act on canonical element ints."""
+    """A field context GF(p^e); operations act on canonical element ints.
+
+    add(a, b), sub(a, b), mul(a, b), neg(a) and inv(a) are attributes
+    that `_bind` sets to the kernels of the current table state; inv(0)
+    raises ZeroInverse.
+    """
 
     __slots__ = (
         "p",
@@ -168,6 +180,11 @@ class Field:
         "_neg_list",
         "_inv_list",
         "_zech",
+        "add",
+        "sub",
+        "mul",
+        "neg",
+        "inv",
     )
 
     def __init__(self, p: int, e: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -204,6 +221,10 @@ class Field:
         self._neg_list = None
         self._inv_list = None
         self._zech = None
+        self._bind()
+        if q <= FLAT_TABLE_CAP:
+            self.warm()
+            self._build_flat()
 
     # -- identity / plumbing ------------------------------------------------
 
@@ -224,7 +245,9 @@ class Field:
         return hash((self.p, self.e, self.modulus))
 
     def __reduce__(self):
-        return (field, (self.p, self.e, self.modulus))
+        # a warmed field unpickles warmed, so that worker processes search
+        # with the same kernels as the parent
+        return (_unpickle, (self.p, self.e, self.modulus, self._exp is not None))
 
     def elements(self) -> range:
         return range(self.q)
@@ -300,31 +323,7 @@ class Field:
 
     # -- table management ----------------------------------------------------
 
-    def _build_flat(self):
-        self._ensure_exp_log()
-        q = self.q
-        exp, log = self._exp, self._log
-        span = q - 1
-        els = range(q)
-        if self._zech is not None:
-            # add() takes the Zech path while _add_flat is still unset
-            neg, add_fn = self._neg_list, self.add
-        else:
-            neg, add_fn = [self._neg_raw(a) for a in els], self._add_raw
-        add = [add_fn(a, b) for a in els for b in els]
-        mul = [0] * q
-        for a in range(1, q):
-            la = log[a]
-            mul.append(0)
-            mul.extend(exp[(la + log[b]) % span] for b in range(1, q))
-        self._sub_flat = [add[a * q + nb] for a in els for nb in neg]
-        self._add_flat = add
-        self._mul_flat = mul
-        self._neg_list = neg
-
-    def _ensure_exp_log(self):
-        if self._exp is not None:
-            return
+    def _build_exp_log(self):
         q = self.q
         span = q - 1
         fs = []
@@ -353,95 +352,102 @@ class Field:
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
+        # doubled, so that a sum of two logs indexes it without reduction
+        exp += exp
         self._exp = exp
         self._log = log
-        self._inv_list = [0] + [exp[(span - log[a]) % span] for a in range(1, q)]
-        if self.e > 1 and self.p != 2:
+        self._inv_list = [0] + [exp[span - log[a]] for a in range(1, q)]
+        if self.p != 2:
             p = self.p
             half = span // 2
             # 1 + x changes only coefficient 0 of x
-            zech = [log[x - x % p + (x + 1) % p] for x in exp]
+            zech = [log[x - x % p + (x + 1) % p] for x in exp[:span]]
             zech[half] = -1  # g^half = -1, so 1 + g^half = 0 has no log
-            self._zech = zech
-            self._neg_list = [0] + [exp[(log[a] + half) % span] for a in range(1, q)]
+            # doubled as well: an index log[b] - log[a] (+ half) then lands
+            # in it from either side
+            self._zech = zech + zech
+            self._neg_list = [0] + [exp[log[a] + half] for a in range(1, q)]
+
+    def _build_flat(self):
+        """Flat tables for q <= 256, filled through the bound kernels."""
+        els = range(self.q)
+        add, mul = self.add, self.mul
+        neg = [self.neg(a) for a in els]
+        self._add_flat = [add(a, b) for a in els for b in els]
+        self._sub_flat = [add(a, nb) for a in els for nb in neg]
+        self._mul_flat = [mul(a, b) for a in els for b in els]
+        self._neg_list = neg
+        self._inv_list = [0] + [self.inv(a) for a in range(1, self.q)]
+        self._bind()
+
+    def _bind(self):
+        """Store the add/sub/mul/neg/inv kernels of the current tables."""
+        p, q = self.p, self.q
+        if self._mul_flat is not None:
+            add_t, sub_t, mul_t = self._add_flat, self._sub_flat, self._mul_flat
+            add = lambda a, b: add_t[a * q + b]
+            sub = lambda a, b: sub_t[a * q + b]
+            mul = lambda a, b: mul_t[a * q + b]
+            neg = self._neg_list.__getitem__
+        elif self.e == 1:
+            add = lambda a, b: (a + b) % p
+            sub = lambda a, b: (a - b) % p
+            mul = lambda a, b: a * b % p
+            neg = lambda a: -a % p
+        else:
+            if p == 2:
+                add = sub = operator.xor
+                neg = operator.pos  # -a = a in characteristic 2
+            elif self._zech is None:
+                add, neg = self._add_raw, self._neg_raw
+                sub = lambda a, b: add(a, neg(b))
+            else:
+                add, sub = _zech_add_sub(self._exp, self._log, self._zech, self._neg_list, (q - 1) // 2)
+                neg = self._neg_list.__getitem__
+            if self._exp is None:
+                mul = self._mul_raw
+            else:
+                exp, log = self._exp, self._log
+                mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+        self.add, self.sub, self.mul, self.neg = add, sub, mul, neg
+
+        zero = f"zero has no inverse in {self!r}"
+        inv_t = self._inv_list
+        if inv_t is not None:
+            def inv(a):
+                if not a:
+                    raise ZeroInverse(zero)
+                return inv_t[a]
+        elif self.e == 1:
+            def inv(a):
+                if not a:
+                    raise ZeroInverse(zero)
+                return pow(a, -1, p)
+        else:
+            pow_raw = self._pow_raw
+
+            def inv(a):
+                if not a:
+                    raise ZeroInverse(zero)
+                return pow_raw(a, q - 2)
+        self.inv = inv
 
     def warm(self):
-        """Build the fast lookup paths up front (idempotent)."""
-        self._ensure_exp_log()
-        if self.q <= FLAT_TABLE_CAP and self._mul_flat is None:
-            self._build_flat()
+        """Build the exp/log tables of an extension field and rebind its
+        kernels (idempotent). Prime fields keep no such tables, and fields
+        with q <= 256 are warm from construction."""
+        if self.e > 1 and self._exp is None:
+            self._build_exp_log()
+            self._bind()
         return self
 
     def flat_ops(self):
-        """(add, sub, mul, neg, inv) flat tables for small q, else None."""
-        if self.q > FLAT_TABLE_CAP:
-            return None
+        """(add, sub, mul, neg, inv) flat tables for q <= 256, else None."""
         if self._mul_flat is None:
-            self.warm()
+            return None
         return (self._add_flat, self._sub_flat, self._mul_flat, self._neg_list, self._inv_list)
 
-    # -- public arithmetic -----------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        t = self._add_flat
-        if t is not None:
-            return t[a * self.q + b]
-        z = self._zech
-        if z is not None:
-            if not a:
-                return b
-            if not b:
-                return a
-            log = self._log
-            la = log[a]
-            # z has q - 1 entries, so a negative index wraps mod q - 1
-            s = z[log[b] - la]
-            if s < 0:
-                return 0
-            return self._exp[(la + s) % (self.q - 1)]
-        if self.q <= FLAT_TABLE_CAP:
-            self.warm()
-            return self._add_flat[a * self.q + b]
-        return self._add_raw(a, b)
-
-    def sub(self, a: int, b: int) -> int:
-        t = self._sub_flat
-        if t is not None:
-            return t[a * self.q + b]
-        n = self._neg_list
-        return self.add(a, n[b] if n is not None else self._neg_raw(b))
-
-    def neg(self, a: int) -> int:
-        t = self._neg_list
-        if t is not None:
-            return t[a]
-        return self._neg_raw(a)
-
-    def mul(self, a: int, b: int) -> int:
-        t = self._mul_flat
-        if t is not None:
-            return t[a * self.q + b]
-        if self.q <= FLAT_TABLE_CAP:
-            self.warm()
-            return self._mul_flat[a * self.q + b]
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        return self._mul_raw(a, b)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroInverse(f"zero has no inverse in {self!r}")
-        t = self._inv_list
-        if t is not None:
-            return t[a]
-        if self.q <= FLAT_TABLE_CAP:
-            self.warm()
-            return self._inv_list[a]
-        if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return self._pow_raw(a, self.q - 2)
+    # -- derived arithmetic ----------------------------------------------------
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:
@@ -466,6 +472,32 @@ class Field:
         return rng.randrange(self.q)
 
 
+def _zech_add_sub(exp, log, zech, neg, half):
+    """add and sub of a warmed odd-characteristic extension field, where
+    g^half = -1."""
+
+    def add(a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        s = zech[log[b] - la]
+        return exp[la + s] if s >= 0 else 0
+
+    def sub(a, b):
+        if not b:
+            return a
+        if not a:
+            return neg[b]
+        la = log[a]
+        # -b = g^(log b + half)
+        s = zech[log[b] + half - la]
+        return exp[la + s] if s >= 0 else 0
+
+    return add, sub
+
+
 @functools.lru_cache(maxsize=None)
 def _field_cached(p: int, e: int, modulus):
     return Field(p, e, modulus)
@@ -484,6 +516,11 @@ def field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> Field:
     else:
         mod = None
     return _field_cached(p, e, mod)
+
+
+def _unpickle(p: int, e: int, modulus, warm: bool) -> Field:
+    fld = field(p, e, modulus)
+    return fld.warm() if warm else fld
 
 
 class Element:

@@ -105,7 +105,7 @@ class Mat:
         return tuple(r[j] for r in self.rows)
 
     def cols(self) -> list[tuple]:
-        return [self.col(j) for j in range(self.n)]
+        return list(zip(*self.rows)) if self.k else [()] * self.n
 
     # -- arithmetic --------------------------------------------------------------
 

@@ -7,6 +7,7 @@ from ceq.core import (
     Rejection,
     Tag,
     Witness,
+    diag_allowed,
     map_witness_to_normalized,
     map_witness_to_original,
     preprocess,
@@ -101,6 +102,119 @@ def test_verify_is_exact():
     bumped = list(list(r) for r in w.S.rows)
     bumped[0][0] = (bumped[0][0] + 1) % 5
     assert not verify_witness(inst, Witness(Mat(F5, bumped), w.M))
+
+
+def _dense_verify(inst, w):
+    """Test-only reference: the verdict of verify_witness from the dense
+    product S*G*M over all n columns."""
+    if not diag_allowed(inst.field, inst.tag, w.M.diag):
+        return False
+    if not w.S.is_invertible():
+        return False
+    return w.S.mul(inst.G).apply_mono(w.M) == inst.H
+
+
+def _planted_repeated(fld, k, n_distinct, n, tag, rng):
+    """A planted pair whose n columns repeat n_distinct random columns,
+    zero columns allowed, with a random witness for the tag."""
+    base = [tuple(rng.randrange(fld.q) for _ in range(k)) for _ in range(n_distinct)]
+    if n_distinct and k:
+        base[0] = (0,) * k
+    cols = [base[rng.randrange(n_distinct)] for _ in range(n)] if n_distinct else []
+    g = Mat(fld, [[c[i] for c in cols] for i in range(k)], n)
+    s = rand_invertible(fld, k, rng)
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    scal = {Tag.PCE: (1,), Tag.SPCE: fld.signs(), Tag.LCE: tuple(fld.units())}[tag]
+    # equal columns often share a scalar, so some swaps of them stay valid
+    by_col = {c: rng.choice(scal) for c in cols}
+    diag = tuple(by_col[c] if rng.random() < 0.7 else rng.choice(scal) for c in cols)
+    m = Mono(fld, Perm(tuple(sigma)), diag)
+    return Instance(fld, g, s.mul(g).apply_mono(m), tag), Witness(s, m)
+
+
+def _gadget_pairs(fld, tag, rng):
+    """Planted PCE pairs with repeated columns, reduced to tag; the lifted
+    witness and a globally rescaled copy of it."""
+    from ceq.oracle import GenSpec, Planted, generate
+    from ceq.reduction import lift_witness, reduce_instance
+
+    out = []
+    for k, n, profile in ((2, 4, (2, 1, 1)), (3, 6, (2, 2, 1, 1))):
+        gen = generate(GenSpec(fld, k, n, Tag.PCE, Planted.YES, rng.getrandbits(32), profile))
+        red, cert = reduce_instance(gen.instance, tag)
+        w = lift_witness(cert, map_witness_to_normalized(cert.journal, gen.witness))
+        c = fld.minus_one if tag is Tag.SPCE else rng.randrange(2, fld.q) if fld.q > 2 else 1
+        scaled = Witness(w.S.scale(c), Mono(fld, w.M.perm, (fld.inv(c),) * red.n))
+        out += [(red, w), (red, scaled)]
+    return out
+
+
+def _mutants(inst, w, rng):
+    """(kind, witness) pairs: small edits of a valid witness."""
+    fld, n, k = inst.field, inst.n, inst.k
+    cols = inst.G.cols()
+    sigma, diag = list(w.M.perm.sigma), list(w.M.diag)
+    scal = {Tag.PCE: (1,), Tag.SPCE: fld.signs(), Tag.LCE: tuple(fld.units())}[inst.tag]
+
+    def with_m(sig, dg):
+        return Witness(w.S, Mono(fld, Perm(tuple(sig)), tuple(dg)))
+
+    out = []
+    dups = [s for s in range(n) if cols.count(cols[s]) > 1]
+    for s in rng.sample(dups, min(3, len(dups))):
+        other = [d for d in scal if d != diag[s]]
+        if other:
+            dg = diag.copy()
+            dg[s] = rng.choice(other)
+            out.append(("duplicate scalar", with_m(sigma, dg)))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    rng.shuffle(pairs)
+    same = [(a, b) for a, b in pairs if cols[sigma[a]] == cols[sigma[b]] and diag[sigma[a]] == diag[sigma[b]]]
+    differ = [(a, b) for a, b in pairs if cols[sigma[a]] != cols[sigma[b]]]
+    for kind, chosen in (("swap equal", same[:2]), ("swap different", differ[:2])):
+        for a, b in chosen:
+            sig = sigma.copy()
+            sig[a], sig[b] = sig[b], sig[a]
+            out.append((kind, with_m(sig, diag)))
+    if k:
+        rows = [list(r) for r in w.S.rows]
+        i, j = rng.randrange(k), rng.randrange(k)
+        rows[i][j] = fld.add(rows[i][j], rng.randrange(1, fld.q))
+        out.append(("S entry", Witness(Mat(fld, rows, k), w.M)))
+    banned = [d for d in fld.units() if d not in scal]
+    if n and banned:
+        dg = diag.copy()
+        dg[rng.randrange(n)] = rng.choice(banned)
+        out.append(("banned scalar", with_m(sigma, dg)))
+    return out
+
+
+def test_verify_matches_dense_reference_on_mutants():
+    rng = stream(20261018, "verify-diff")
+    cases = []
+    for fld in (F2, F3, field(2, 2), F5, field(7), field(5, 4)):
+        for tag in (Tag.LCE, Tag.SPCE):
+            cases += _gadget_pairs(fld, tag, rng)
+        for tag in Tag:
+            for k, n_distinct, n in ((2, 3, 6), (3, 4, 9), (1, 2, 5), (0, 1, 4), (2, 0, 0), (0, 0, 0)):
+                cases.append(_planted_repeated(fld, k, n_distinct, n, tag, rng))
+    verdicts = {}
+    for inst, w in cases:
+        assert verify_witness(inst, w) and _dense_verify(inst, w)
+        for kind, m in _mutants(inst, w, rng):
+            got = verify_witness(inst, m)
+            assert got == _dense_verify(inst, m), (kind, inst, m)
+            verdicts[kind, got] = verdicts.get((kind, got), 0) + 1
+    kinds = {"duplicate scalar", "swap equal", "swap different", "S entry", "banned scalar"}
+    assert {kind for kind, _ in verdicts} == kinds
+    assert sum(c for (_, got), c in verdicts.items() if got) >= 200
+    assert sum(c for (_, got), c in verdicts.items() if not got) >= 300
+    assert verdicts["swap equal", True] >= 150
+    assert verdicts["swap different", False] >= 100
+    # a zero column takes any scalar, so these edits reach both verdicts
+    assert verdicts["duplicate scalar", True] >= 20
+    assert verdicts["duplicate scalar", False] >= 100
 
 
 def test_preprocess_strips_and_normalizes():

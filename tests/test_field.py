@@ -148,13 +148,52 @@ def test_tables_match_raw_arithmetic():
                 assert f.add(a, b) == f._add_raw(a, b)
 
 
+def _assert_kernels_match_raw(f, pairs):
+    """The bound add/sub/mul/neg/inv against the table-free reference."""
+    for a, b in pairs:
+        assert f.add(a, b) == f._add_raw(a, b)
+        assert f.sub(a, b) == f._add_raw(a, f._neg_raw(b))
+        assert f.mul(a, b) == f._mul_raw(a, b)
+    for a in {x for pair in pairs for x in pair}:
+        assert f.neg(a) == f._neg_raw(a)
+        if a:
+            # inverses are unique, so this pins inv(a) to _pow_raw(a, q - 2)
+            assert f._mul_raw(a, f.inv(a)) == 1
+    with pytest.raises(ZeroInverse):
+        f.inv(0)
+
+
 def _assert_warmed_matches_digitwise(f, pairs):
     f.warm()
     for a in f.elements():
         assert f.neg(a) == f._neg_raw(a)
-    for a, b in pairs:
-        assert f.add(a, b) == f._add_raw(a, b)
-        assert f.sub(a, b) == f._add_raw(a, f._neg_raw(b))
+    _assert_kernels_match_raw(f, list(pairs))
+
+
+# one field per family on each side of the q = 256 flat-table cap
+@pytest.mark.parametrize("p, e", [(251, 1), (65521, 1), (2, 8), (2, 16), (3, 5), (5, 4)])
+def test_bound_kernels_match_raw_before_and_after_warm(p, e):
+    import pickle
+
+    f = Field(p, e)  # not the cached field, so no other test has warmed it
+    rng = stream(20261018, "kernels", p, e)
+    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
+    special = (0, 1, f.minus_one, f.q - 1)
+    pairs += [(a, b) for a in special for b in special]
+    _assert_kernels_match_raw(f, pairs)
+    for a in special[1:]:
+        assert f.inv(a) == f._pow_raw(a, f.q - 2)
+    unwarmed = pickle.loads(pickle.dumps(f))
+    kernels = (f.add, f.sub, f.mul, f.neg, f.inv)
+    f.warm()
+    # fields up to the cap are built with their tables, and large primes
+    # keep none; only a large extension field switches kernels
+    switched = [old is not new for old, new in zip(kernels, (f.add, f.sub, f.mul, f.neg, f.inv))]
+    assert any(switched) == (e > 1 and f.q > 256)
+    _assert_kernels_match_raw(f, pairs)
+    for g in (unwarmed, pickle.loads(pickle.dumps(f))):
+        assert g == f
+        _assert_kernels_match_raw(g, pairs)
 
 
 @pytest.mark.parametrize("f", [field(3, 2), field(5, 2), field(7, 2), field(3, 3), field(3, 5)], ids=repr)
@@ -185,6 +224,33 @@ def test_zech_kernel_with_non_primitive_modulus(p, e, modulus):
     rng = stream(20261017, "zech-explicit", p, e)
     pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
     _assert_warmed_matches_digitwise(f, pairs)
+
+
+def test_field_unpickles_in_its_table_state_in_a_fresh_process():
+    # worker processes of decide receive the instance's field by pickle
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    import ceq
+
+    fields = (Field(5, 4), Field(5, 4).warm())
+    # one after the other: both unpickle to the process-cached GF(5^4)
+    code = (
+        "import pickle, sys\n"
+        "for _ in range(2):\n"
+        "    f = pickle.load(sys.stdin.buffer)\n"
+        "    print(f._exp is not None, f.mul(2, 3), f.add(2, 3))"
+    )
+    src = os.path.dirname(os.path.dirname(ceq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], input=b"".join(map(pickle.dumps, fields)), capture_output=True, env=env, check=True
+    )
+    f = fields[0]
+    ops = f"{f._mul_raw(2, 3)} {f._add_raw(2, 3)}"
+    assert out.stdout.decode().splitlines() == [f"False {ops}", f"True {ops}"]
 
 
 def test_large_field_exp_log_consistent_with_raw():

@@ -32,3 +32,18 @@ def test_boundary_modules_use_the_validating_constructor():
         if isinstance(node, ast.Attribute) and node.attr == "_of"
     ]
     assert found == []
+
+
+def test_only_the_field_module_reads_field_tables():
+    # the table layout is private to field.py; other modules go through
+    # the bound kernels or Field.flat_ops()
+    private = {"_exp", "_log", "_zech", "_add_flat", "_sub_flat", "_mul_flat", "_neg_list", "_inv_list"}
+    others = [p for p in SOURCES if p.name != "field.py"]
+    assert len(others) == len(SOURCES) - 1
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in others
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert found == []
