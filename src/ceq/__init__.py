@@ -19,7 +19,7 @@ from .core import (
     preprocess,
     verify_witness,
 )
-from .field import Element, Field, field
+from .field import Field, field
 from .matrix import (
     Mat,
     Mono,
@@ -27,7 +27,6 @@ from .matrix import (
     column_multiplicity_profile,
     max_column_multiplicity,
     rowspace_equal,
-    solve_change_of_basis,
     strip_zero_columns,
 )
 from .oracle import Budget, DecideResult, GenSpec, Generated, Mode, Planted, Status, decide, generate
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Budget",
     "DecideResult",
-    "Element",
     "Field",
     "GenSpec",
     "Generated",
@@ -75,7 +73,6 @@ __all__ = [
     "preprocess",
     "reduce_instance",
     "rowspace_equal",
-    "solve_change_of_basis",
     "strip_zero_columns",
     "verify_witness",
 ]

@@ -120,9 +120,14 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = _load_instance(getattr(args, "in"))
     mode = Mode(args.mode)
-    budget = Budget(max_nodes=args.max_nodes, time_limit=args.time_limit, mode=mode)
+    try:
+        budget = Budget(max_nodes=args.max_nodes, time_limit=args.time_limit, mode=mode)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if args.workers < 1:
+        raise UsageError("--workers must be at least 1")
+    inst = _load_instance(getattr(args, "in"))
     res = decide(inst, budget, workers=args.workers)
     print(
         f"solve: {res.status.value} ({inst.tag.value} {inst.k}x{inst.n} over {inst.field!r}, "

@@ -37,10 +37,6 @@ class Singular(CeqError):
     """Matrix is not invertible."""
 
 
-class NotFullRank(CeqError):
-    """Full row rank required."""
-
-
 class WitnessInvalid(CeqError):
     """A witness does not verify against the instance it was offered for."""
 

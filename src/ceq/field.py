@@ -35,7 +35,6 @@ import operator
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
-    FieldMismatch,
     NotPrime,
     ReducibleModulus,
     UnsupportedSize,
@@ -447,19 +446,7 @@ class Field:
             return None
         return (self._add_flat, self._sub_flat, self._mul_flat, self._neg_list, self._inv_list)
 
-    # -- derived arithmetic ----------------------------------------------------
-
-    def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        r = 1
-        x = a
-        while k:
-            if k & 1:
-                r = self.mul(r, x)
-            x = self.mul(x, x)
-            k >>= 1
-        return r
+    # -- signs -----------------------------------------------------------------
 
     def is_sign(self, a: int) -> bool:
         """Whether a is 1 or -1 (these coincide in characteristic 2)."""
@@ -467,9 +454,6 @@ class Field:
 
     def signs(self) -> tuple[int, ...]:
         return (1,) if self.p == 2 else (1, self.minus_one)
-
-    def random_element(self, rng) -> int:
-        return rng.randrange(self.q)
 
 
 def _zech_add_sub(exp, log, zech, neg, half):
@@ -521,60 +505,3 @@ def field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> Field:
 def _unpickle(p: int, e: int, modulus, warm: bool) -> Field:
     fld = field(p, e, modulus)
     return fld.warm() if warm else fld
-
-
-class Element:
-    """A field element bound to its context, with operator sugar.
-
-    Internally the package works on raw canonical ints for speed; this
-    wrapper is the convenient public face for scripting and tests.
-    """
-
-    __slots__ = ("field", "val")
-
-    def __init__(self, fld: Field, val: int):
-        fld._check(val)
-        self.field = fld
-        self.val = val
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, Element):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-            return other.val
-        if isinstance(other, int):
-            self.field._check(other)
-            return other
-        raise TypeError(f"cannot combine Element with {type(other).__name__}")
-
-    def __add__(self, other):
-        return Element(self.field, self.field.add(self.val, self._coerce(other)))
-
-    def __sub__(self, other):
-        return Element(self.field, self.field.sub(self.val, self._coerce(other)))
-
-    def __mul__(self, other):
-        return Element(self.field, self.field.mul(self.val, self._coerce(other)))
-
-    def __neg__(self):
-        return Element(self.field, self.field.neg(self.val))
-
-    def __pow__(self, k: int):
-        return Element(self.field, self.field.pow(self.val, k))
-
-    def inverse(self):
-        return Element(self.field, self.field.inv(self.val))
-
-    def is_sign(self) -> bool:
-        return self.field.is_sign(self.val)
-
-    def __eq__(self, other):
-        if isinstance(other, Element):
-            return self.field == other.field and self.val == other.val
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.val))
-
-    def __repr__(self):
-        return f"{self.field!r}({self.val})"

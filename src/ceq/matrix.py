@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DimMismatch, FieldMismatch, NotFullRank, NotSquare, Singular
+from .errors import DimMismatch, FieldMismatch, NotSquare, Singular
 from .field import Field
 
 
@@ -262,29 +262,13 @@ def rowspace_equal(a: Mat, b: Mat) -> bool:
     return ra.rows[:rank_a] == rb.rows[:rank_b]
 
 
-def solve_change_of_basis(a: Mat, b: Mat) -> Optional[Mat]:
-    """S with S * a = b for full-row-rank a, b; None when row spans differ.
-
-    Inverts the pivot-column block of a and checks the product in full.
-    """
-    a._same_field(b)
-    if a.k != b.k or a.n != b.n:
-        raise DimMismatch(f"{a.k}x{a.n} vs {b.k}x{b.n}")
-    k = a.k
-    if a.rank() != k or b.rank() != k:
-        raise NotFullRank("both matrices must have full row rank")
-    piv = a.rref()[2]
-    a_blk = Mat(a.field, [[row[c] for c in piv] for row in a.rows], k)
-    b_blk = Mat(a.field, [[row[c] for c in piv] for row in b.rows], k)
-    s = b_blk.mul(a_blk.inv())
-    if s.mul(a) == b:
-        return s
-    return None
-
-
 def row_basis_transform(a: Mat, b: Mat) -> Optional[Mat]:
     """Invertible S with S * a = b for any equal-shape pair with equal row
-    span (works at any rank); None when the spans differ."""
+    span (works at any rank); None when the spans differ.
+
+    From U_a * a = R = U_b * b, S = U_b^-1 * U_a. S is unique exactly when
+    a has full row rank. This is the package's only change-of-basis
+    routine: the deciders recover every witness's S through it."""
     a._same_field(b)
     if a.k != b.k or a.n != b.n:
         raise DimMismatch(f"{a.k}x{a.n} vs {b.k}x{b.n}")

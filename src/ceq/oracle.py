@@ -7,14 +7,15 @@ compete with structural equivalence algorithms.
 EXHAUSTIVE iterates permutations in lexicographic order of sigma and,
 inside each, diagonal vectors in lexicographic order of the encoded
 field elements; a candidate action M is accepted when the row spaces of
-G*M and H coincide, at which point a change of basis is recovered. The
-first verifying candidate in that order is the one returned. The row
-space test is a single early-exit span check: a vector v lies in the row
-space of H exactly when, at every non-pivot column f of R = rref(H), the
-residual v[f] - sum_i v[piv_i] * R[i][f] is zero. These checks are
-listed once per call; for each candidate only the entries of the scaled
-rows of rref(G) that a check reads are computed, and the test stops at
-the first non-zero residual.
+G*M and H coincide, at which point the change of basis is recovered by
+`row_basis_transform(G*M, H)`. The first verifying candidate in that
+order is the one returned. The row space test is a single early-exit
+span check: a vector v lies in the row space of H exactly when, at every
+non-pivot column f of R = rref(H), the residual
+v[f] - sum_i v[piv_i] * R[i][f] is zero. These checks are listed once
+per call; for each candidate only the entries of the scaled rows of
+rref(G) that a check reads are computed, and the test stops at the
+first non-zero residual.
 
 BACKTRACKING assigns the permutation column by column. A partial
 assignment pins pairs (x, y) that the change of basis must map onto
@@ -26,8 +27,11 @@ the change of basis is determined and the remainder of the assignment
 is forced by lookups instead of search. At that pin one Gauss-Jordan
 elimination of the k rows (y | x) turns the y half into the identity
 and leaves S^-1 * e_i in the x half of row i; each remaining target
-column y then needs the source column S^-1 * y. S itself is built only for a witness
-that is returned.
+column y then needs the source column S^-1 * y. S itself is built once,
+for the witness that is returned, by `row_basis_transform(X, Y)`, where
+the r pinned pairs are the columns of the k x r matrices X and Y. When
+rank(G) = k, r = k and S is unique; when rank(G) < k, S is one of
+several valid choices.
 
 Both deciders fix one scalar to 1. If (S, M) is a witness, so is
 (c*S, c^-1*M) for every unit c (LCE) or sign c (SPCE), so each class of
@@ -53,9 +57,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Instance, Tag, Witness, diag_allowed, verify_witness
-from .errors import BudgetExceeded, NotFullRank, WitnessInvalid
+from .errors import BudgetExceeded, WitnessInvalid
 from .field import Field
-from .matrix import Mat, Mono, Perm, _eliminate, row_basis_transform, solve_change_of_basis
+from .matrix import Mat, Mono, Perm, _eliminate, row_basis_transform
 from .rng import stream
 
 
@@ -79,6 +83,10 @@ class Budget:
     def __post_init__(self):
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be at least 1")
+        # `not >= 0` also catches NaN, which every comparison would
+        # otherwise treat as "no deadline yet"
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError("time_limit must be a non-negative number")
 
 
 @dataclass(frozen=True)
@@ -132,12 +140,6 @@ class _Ticker:
 # exhaustive search
 
 
-def _recover_basis(gm: Mat, h: Mat) -> Optional[Mat]:
-    if gm.rank() == gm.k:
-        return solve_change_of_basis(gm, h)
-    return row_basis_transform(gm, h)
-
-
 def _exhaustive(inst: Instance, first: Optional[int], ticker: _Ticker):
     """Scan candidates; optionally restrict to sigma[0] == first. Returns a
     witness or None after scanning the whole (sub)space."""
@@ -189,7 +191,7 @@ def _exhaustive(inst: Instance, first: Optional[int], ticker: _Ticker):
             if not in_span(sigma, diag):
                 continue
             m = Mono(fld, Perm(sigma), diag) if n else Mono.identity(fld, 0)
-            s = _recover_basis(g.apply_mono(m), h)
+            s = row_basis_transform(g.apply_mono(m), h)
             if s is None:
                 continue
             w = Witness(s, m)
@@ -489,7 +491,14 @@ class _Backtracker:
             m = Mono(fld, Perm(tuple(self.sigma)), tuple(self.diag))
         else:
             m = Mono.identity(fld, 0)
-        w = Witness(_extend_to_invertible(fld, k, self.basis_pairs), m)
+        # the r pinned pairs as columns: two k x r matrices of full column
+        # rank, so both RREFs are [I_r; 0] and S exists (unique when r = k)
+        r = len(self.basis_pairs)
+        xs = [x for x, _ in self.basis_pairs]
+        ys = [y for _, y in self.basis_pairs]
+        x_mat = Mat._of(fld, zip(*xs) if r else [()] * k, r)
+        y_mat = Mat._of(fld, zip(*ys) if r else [()] * k, r)
+        w = Witness(row_basis_transform(x_mat, y_mat), m)
         if not verify_witness(self.inst, w):
             raise WitnessInvalid("backtracking search completed a non-verifying witness")
         return w
@@ -502,35 +511,6 @@ def _dot(fld: Field, row, vec) -> int:
         if a and b:
             acc = add(acc, mul(a, b))
     return acc
-
-
-def _extend_to_invertible(fld: Field, k: int, pairs) -> Mat:
-    """Invertible S with S*x = y for the given independent pairs, extended
-    greedily by standard basis vectors on both sides."""
-    xs = [list(p[0]) for p in pairs]
-    ys = [list(p[1]) for p in pairs]
-    acc_x = _Echelon(fld)
-    acc_y = _Echelon(fld)
-    for x in xs:
-        if not acc_x.insert(x):
-            raise NotFullRank("pinned x-side vectors are dependent")
-    for y in ys:
-        if not acc_y.insert(y):
-            raise NotFullRank("pinned y-side vectors are dependent")
-    basis_x, basis_y = list(xs), list(ys)
-    for i in range(k):
-        e = [1 if t == i else 0 for t in range(k)]
-        if acc_x.insert(e):
-            basis_x.append(e)
-    for i in range(k):
-        e = [1 if t == i else 0 for t in range(k)]
-        if acc_y.insert(e):
-            basis_y.append(e)
-    if len(basis_x) != k or len(basis_y) != k:
-        raise NotFullRank(f"extended bases have {len(basis_x)} and {len(basis_y)} vectors, need {k}")
-    bx = Mat(fld, [[col[i] for col in basis_x] for i in range(k)], k)
-    by = Mat(fld, [[col[i] for col in basis_y] for i in range(k)], k)
-    return by.mul(bx.inv())
 
 
 def _backtracking(inst: Instance, first: Optional[int], ticker: _Ticker):

@@ -31,9 +31,9 @@ from .core import (
     preprocess,
     verify_witness,
 )
-from .errors import DimMismatch, NotFullRank, StructureViolation, WitnessInvalid
+from .errors import DimMismatch, StructureViolation, WitnessInvalid
 from .field import Field
-from .matrix import Mat, Mono, Perm, _eliminate, max_column_multiplicity
+from .matrix import Mat, Mono, Perm, max_column_multiplicity
 
 CHECK_BLOCKS = "permutation crosses gadget block boundaries"
 CHECK_BASIS = "change of basis couples the marker row with the code rows"
@@ -83,30 +83,26 @@ class ReductionCert:
 def build_gadget(a: Mat, m: int) -> Mat:
     """Expand a k x n matrix into its (k+1) x (n + 2nm + 1) gadget form.
 
-    Full row rank of the input is preserved; that is checked here on the
-    gadget's at most 2n + 1 distinct columns.
+    The gadget's rank is always rank(a) + 1, because each first-block
+    column is the sum of two other gadget columns, so a full-row-rank
+    input gives a full-row-rank gadget and nothing is checked.
     """
     if a.n < 1:
         raise DimMismatch("gadget needs at least one column")
     if m < 1:
         raise ValueError("duplication count must be at least 1")
-    k, n = a.k, a.n
+    n = a.n
     nm = n * m
     dup = [c for c in range(n) for _ in range(m)]
     rows = []
     for r in a.rows:
         rows.append(list(r) + [r[c] for c in dup] + [0] * (nm + 1))
     rows.append([1] * n + [0] * nm + [1] * (nm + 1))
-    out = Mat._of(a.field, rows, n + 2 * nm + 1)
-    if a.rank() == k and _distinct_column_rank(out) != k + 1:
-        raise NotFullRank("gadget lost full row rank")
-    return out
-
-
-def _distinct_column_rank(a: Mat) -> int:
-    """Rank of a, computed on its distinct columns (same column space)."""
-    distinct = list(dict.fromkeys(zip(*a.rows)))
-    return _eliminate(a.field, [list(r) for r in zip(*distinct)], len(distinct))[1]
+    # rank(out) = rank(a) + 1: with n, m >= 1 the gadget has the columns
+    # [a_j; 0] (A-hat) and e_{k+1} (last block), and each first-block
+    # column [a_j; 1] is their sum, so the column space is that of [A; 0]
+    # plus e_{k+1}
+    return Mat._of(a.field, rows, n + 2 * nm + 1)
 
 
 def canonical_no_instance(fld: Field, target: Tag) -> Instance:

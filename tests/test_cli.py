@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from ceq.cli import main
 
 
@@ -116,6 +118,23 @@ def test_solve_unknown_budget_exit(tmp_path):
          "--planted", "unlabeled", "--seed", 13, "--out", inst])
     rc = run(["solve", "--in", inst, "--mode", "exhaustive", "--max-nodes", 2])
     assert rc in (0, 3)  # YES can legitimately appear before the budget bites
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-nodes", "0"), ("--workers", "0"), ("--workers", "-3"),
+     ("--time-limit", "nan"), ("--time-limit", "-1")],
+)
+def test_solve_rejects_bad_budget_flags(tmp_path, capsys, flag, value):
+    inst = tmp_path / "i.ceq"
+    run(["gen", "--k", 1, "--n", 2, "--field", 2, "--tag", "PCE",
+         "--planted", "yes", "--seed", 2, "--out", inst])
+    capsys.readouterr()
+    assert run(["solve", "--in", inst, flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:")
+    assert "Traceback" not in out + err
+    assert not out  # refused before any search
 
 
 def test_solve_stats_csv(tmp_path):

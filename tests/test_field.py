@@ -1,7 +1,7 @@
 import pytest
 
-from ceq.errors import NotPrime, ReducibleModulus, UnsupportedSize, ZeroInverse, FieldMismatch
-from ceq.field import Element, Field, field, default_modulus, is_prime
+from ceq.errors import NotPrime, ReducibleModulus, UnsupportedSize, ZeroInverse
+from ceq.field import Field, field, default_modulus, is_prime
 from ceq.rng import stream
 
 
@@ -220,7 +220,7 @@ def test_zech_kernel_with_non_primitive_modulus(p, e, modulus):
     # x is not a generator of the multiplicative group under these moduli
     f = Field(p, e, modulus)
     x = f.encode((0, 1))
-    assert f.pow(x, (f.q - 1) // 2) == 1
+    assert f._pow_raw(x, (f.q - 1) // 2) == 1
     rng = stream(20261017, "zech-explicit", p, e)
     pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
     _assert_warmed_matches_digitwise(f, pairs)
@@ -334,18 +334,6 @@ def test_field_constructor_is_cached_and_picklable():
     assert f1 is f2
     f3 = pickle.loads(pickle.dumps(f1))
     assert f3 == f1
-
-
-def test_element_wrapper():
-    f5 = field(5)
-    a = Element(f5, 2)
-    assert (a + 3).val == 0
-    assert (a * a.inverse()).val == 1
-    assert (-a).val == 3
-    assert (a**3).val == 3
-    assert a.is_sign() is False
-    with pytest.raises(FieldMismatch):
-        a + Element(field(3), 1)
 
 
 def test_is_prime():

@@ -1,6 +1,6 @@
 import pytest
 
-from ceq.errors import DimMismatch, FieldMismatch, NotFullRank, NotSquare, Singular
+from ceq.errors import DimMismatch, FieldMismatch, NotSquare, Singular
 from ceq.field import field
 from ceq.matrix import (
     Mat,
@@ -10,7 +10,6 @@ from ceq.matrix import (
     max_column_multiplicity,
     row_basis_transform,
     rowspace_equal,
-    solve_change_of_basis,
     strip_zero_columns,
 )
 from ceq.rng import stream
@@ -134,19 +133,21 @@ def test_rowspace_equal_examples():
         rowspace_equal(a, Mat(F5, [[1, 2]]))
 
 
-def test_solve_change_of_basis_examples():
+def test_row_basis_transform_examples():
     i2 = Mat.identity(F2, 2)
     b = Mat(F2, [[0, 1], [1, 0]])
-    assert solve_change_of_basis(i2, b) == b
-    assert solve_change_of_basis(b, b) == Mat.identity(F2, 2)
-    s = solve_change_of_basis(Mat(F5, [[1, 2]]), Mat(F5, [[2, 4]]))
+    assert row_basis_transform(i2, b) == b
+    assert row_basis_transform(b, b) == Mat.identity(F2, 2)
+    s = row_basis_transform(Mat(F5, [[1, 2]]), Mat(F5, [[2, 4]]))
     assert s.rows == ((2,),)
-    assert solve_change_of_basis(Mat(F2, [[1, 0]]), Mat(F2, [[1, 1]])) is None
-    with pytest.raises(NotFullRank):
-        solve_change_of_basis(Mat(F5, [[1, 2], [2, 4]]), Mat(F5, [[1, 2], [2, 4]]))
+    assert row_basis_transform(Mat(F2, [[1, 0]]), Mat(F2, [[1, 1]])) is None
+    # rank-deficient pair: S is not unique, but one invertible S exists
+    a = Mat(F5, [[1, 2], [2, 4]])
+    s = row_basis_transform(a, a)
+    assert s is not None and s.is_invertible() and s.mul(a) == a
 
 
-def test_solve_change_of_basis_property():
+def test_row_basis_transform_property():
     rng = stream(9, "cob")
     for _ in range(30):
         fld = rng.choice([F2, F3, F5])
@@ -157,16 +158,15 @@ def test_solve_change_of_basis_property():
             continue
         s = rand_invertible(fld, k, rng)
         b = s.mul(a)
-        got = solve_change_of_basis(a, b)
-        assert got is not None
-        assert got.mul(a) == b
-        assert got.is_invertible()
+        # full row rank: the change of basis is unique
+        assert row_basis_transform(a, b) == s
 
 
 def test_row_basis_transform_any_rank():
+    fields = [F2, F3, field(2, 2), F5, field(3, 6), field(65521)]
     rng = stream(13, "rbt")
     for _ in range(30):
-        fld = rng.choice([F3, F5])
+        fld = rng.choice(fields)
         k = rng.randrange(1, 4)
         n = rng.randrange(1, 5)
         a = rand_mat(fld, k, n, rng)
@@ -174,6 +174,24 @@ def test_row_basis_transform_any_rank():
         b = s.mul(a)
         t = row_basis_transform(a, b)
         assert t is not None and t.is_invertible() and t.mul(a) == b
+    # the backtracker's shape: r pinned pairs as the columns of two k x r
+    # matrices of full column rank, r from 0 to k, k = 0 included
+    shapes = set()
+    for fld in fields:
+        for k in range(5):
+            for r in range(k + 1):
+                for _ in range(3):
+                    x = rand_mat(fld, k, r, rng)
+                    while x.rank() != r:
+                        x = rand_mat(fld, k, r, rng)
+                    s = rand_invertible(fld, k, rng)
+                    y = s.mul(x)
+                    t = row_basis_transform(x, y)
+                    assert t is not None and t.is_invertible() and t.mul(x) == y
+                    if r == k:
+                        assert t == s
+                    shapes.add((fld.q, k, r))
+    assert len(shapes) == len(fields) * 15
 
 
 def test_identical_columns_preserved_by_invertible_maps():

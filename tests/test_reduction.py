@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from ceq.core import Instance, Rejection, Tag, Witness, preprocess, map_witness_to_normalized, verify_witness
-from ceq.errors import DimMismatch, NotFullRank, StructureViolation, WitnessInvalid
+from ceq.errors import DimMismatch, StructureViolation, WitnessInvalid
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm
 from ceq.oracle import Budget, GenSpec, Mode, Planted, Status, decide, generate
@@ -11,7 +11,6 @@ from ceq.reduction import (
     CHECK_BASIS,
     CHECK_BLOCKS,
     CHECK_SCALAR,
-    _distinct_column_rank,
     build_gadget,
     canonical_no_instance,
     extract_witness,
@@ -99,9 +98,9 @@ def test_gadget_blowup_identity_and_rank():
 
 
 def test_gadget_rank_from_distinct_columns_matches_full_rref():
-    # the distinct-column rank that build_gadget checks equals the rank of
-    # the whole gadget through the validating constructor, also for
-    # rank-deficient inputs (where build_gadget skips its check)
+    # the argument in build_gadget: the gadget's rank is rank(A) + 1, for
+    # full-row-rank and rank-deficient inputs alike (taken through the
+    # validating constructor, so no cached elimination is reused)
     rng = stream(32, "gadget-rank")
     fields = [F2, F3, field(2, 2), F5, field(7), field(3, 2), field(2, 8), field(65521)]
     deficient = 0
@@ -118,25 +117,14 @@ def test_gadget_rank_from_distinct_columns_matches_full_rref():
         m = rng.randrange(1, 5)
         out = build_gadget(a, m)
         full = Mat(fld, out.rows, out.n)
-        assert _distinct_column_rank(out) == full.rank() == a.rank() + 1
+        assert full.rank() == a.rank() + 1
         deficient += a.rank() < k
     assert deficient >= 20
-    # degenerate shapes: no rows, no columns
-    for k, n in ((0, 3), (2, 0), (0, 0)):
-        z = Mat.zeros(F3, k, n)
-        assert _distinct_column_rank(z) == z.rank() == 0
-
-
-def test_gadget_rank_check_raises_not_full_rank(monkeypatch):
-    import ceq.reduction as reduction
-
-    a = Mat.identity(F3, 2)
-    build_gadget(a, 2)
-    monkeypatch.setattr(reduction, "_distinct_column_rank", lambda g: g.k - 1)
-    with pytest.raises(NotFullRank):
-        build_gadget(a, 2)
-    # a rank-deficient input is not checked
-    build_gadget(Mat(F3, [[1, 2], [2, 1]]), 2)
+    # degenerate shapes: no rows, all-zero inputs, a single column, m = 1
+    # (an input without columns has no gadget, see test_gadget_needs_columns)
+    for k, n in ((0, 3), (2, 3), (0, 1), (3, 1)):
+        out = build_gadget(Mat.zeros(F3, k, n), 1)
+        assert Mat(F3, out.rows, out.n).rank() == 1
 
 
 def test_gadget_needs_columns():

@@ -47,3 +47,24 @@ def test_only_the_field_module_reads_field_tables():
         if isinstance(node, ast.Attribute) and node.attr in private
     ]
     assert found == []
+
+
+def test_no_unused_imports_in_package():
+    # a name imported but never read is a leftover of deleted code;
+    # __init__.py imports to re-export
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert found == []
