@@ -26,7 +26,6 @@ from .matrix import (
     Perm,
     column_multiplicity_profile,
     max_column_multiplicity,
-    rowspace_equal,
     strip_zero_columns,
 )
 from .oracle import Budget, DecideResult, GenSpec, Generated, Mode, Planted, Status, decide, generate
@@ -72,7 +71,6 @@ __all__ = [
     "max_column_multiplicity",
     "preprocess",
     "reduce_instance",
-    "rowspace_equal",
     "strip_zero_columns",
     "verify_witness",
 ]

@@ -9,23 +9,30 @@ Field orders are capped at 2^16 so every element fits comfortably in a
 machine word and small fields can be backed by flat lookup tables.
 
 `add`, `sub`, `mul`, `neg` and `inv` are plain callables stored on the
-field. They are resolved once per field and table state (`Field._bind`),
-so a call pays for no dispatch:
+field. The constructor builds every table the field uses and binds one
+kernel set (`Field._bind`); the field never changes after that, so a
+call pays for no dispatch:
 
-* q <= 256: flat q x q lookup tables, built by the constructor;
-* primes above 256: integer arithmetic mod p, with no tables at all, so
-  `warm()` has nothing to do;
+* q <= 256: flat q x q lookup tables;
+* primes above 256: integer arithmetic mod p, with no tables at all;
 * 2^e above 256: XOR add/sub; mul and inv through log and exp tables
-  once warmed (the exp table has 2(q - 1) entries, so a sum of two logs
-  indexes it without a reduction);
-* odd p^e above 256: once warmed, the same exp/log mul and inv, and add
-  and sub through Zech's logarithms (K. Huber, "Some comments on Zech's
+  (the exp table has 2(q - 1) entries, so a sum of two logs indexes it
+  without a reduction);
+* odd p^e above 256: the same exp/log mul and inv, and add and sub
+  through Zech's logarithms (K. Huber, "Some comments on Zech's
   logarithms", IEEE Trans. IT 36(4), 1990): with g primitive and
   Z(i) = log_g(1 + g^i), g^i + g^j = g^(i + Z(j - i)).
 
-An extension field above 256 computes digit-wise (polynomial arithmetic
-on its base-p digits) until `warm()` builds its tables and rebinds the
-kernels.
+The exp table is the walk 1, g, g^2, ... with a lookup per step.
+Multiplication by g is F_p-linear: with a = lo + P*hi and P = p^(e//2),
+a*g is the digit-wise sum of the images of lo and of P*hi, which cost
+about 2 sqrt(q) digit-wise products to precompute. In characteristic 2
+that sum is XOR. For odd p each image holds one w-bit slot per digit,
+w the bit length of 2(p - 1), so an int sum adds digits without carries
+and one lookup per half maps the slot sums back to digits mod p.
+
+The digit-wise `_add_raw`, `_neg_raw`, `_mul_raw` and `_pow_raw` are the
+reference that the tables are built from and tested against.
 """
 
 from __future__ import annotations
@@ -160,8 +167,8 @@ class Field:
     """A field context GF(p^e); operations act on canonical element ints.
 
     add(a, b), sub(a, b), mul(a, b), neg(a) and inv(a) are attributes
-    that `_bind` sets to the kernels of the current table state; inv(0)
-    raises ZeroInverse.
+    that the constructor binds, once, to the kernels of the tables it
+    builds; inv(0) raises ZeroInverse.
     """
 
     __slots__ = (
@@ -200,6 +207,8 @@ class Field:
         self.e = e
         self.q = q
         if e == 1:
+            if modulus is not None:
+                raise ReducibleModulus("a prime field takes no modulus")
             self.modulus = None
         else:
             coeffs = tuple(int(c) for c in (modulus if modulus is not None else default_modulus(p, e)))
@@ -212,18 +221,15 @@ class Field:
             self.modulus = coeffs
         self.minus_one = 1 if p == 2 else p - 1
         self._mod_int = _undigits(self.modulus, 2) if (p == 2 and e > 1) else 0
-        self._exp = None
-        self._log = None
-        self._add_flat = None
-        self._sub_flat = None
-        self._mul_flat = None
-        self._neg_list = None
-        self._inv_list = None
-        self._zech = None
+        self._exp = self._log = self._zech = self._neg_list = self._inv_list = None
+        self._add_flat = self._sub_flat = self._mul_flat = None
+        if e > 1:
+            self._build_exp_log()
         self._bind()
         if q <= FLAT_TABLE_CAP:
-            self.warm()
+            # filled through the kernels just bound, then bound in their place
             self._build_flat()
+            self._bind()
 
     # -- identity / plumbing ------------------------------------------------
 
@@ -244,9 +250,7 @@ class Field:
         return hash((self.p, self.e, self.modulus))
 
     def __reduce__(self):
-        # a warmed field unpickles warmed, so that worker processes search
-        # with the same kernels as the parent
-        return (_unpickle, (self.p, self.e, self.modulus, self._exp is not None))
+        return (field, (self.p, self.e, self.modulus))
 
     def elements(self) -> range:
         return range(self.q)
@@ -320,7 +324,7 @@ class Field:
             k >>= 1
         return r
 
-    # -- table management ----------------------------------------------------
+    # -- table construction --------------------------------------------------
 
     def _build_exp_log(self):
         q = self.q
@@ -337,17 +341,14 @@ class Field:
         if t > 1:
             fs.append(t)
         g = None
-        for cand in range(1, q):
+        # below p lies F_p, where no unit has order q - 1
+        for cand in range(self.p, q):
             if all(self._pow_raw(cand, span // f) != 1 for f in fs):
                 g = cand
                 break
         if g is None:
             raise ReducibleModulus(f"{self!r} has no primitive element")
-        exp = [0] * span
-        acc = 1
-        for i in range(span):
-            exp[i] = acc
-            acc = self._mul_raw(acc, g)
+        exp = self._powers(g)
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
@@ -367,20 +368,52 @@ class Field:
             self._zech = zech + zech
             self._neg_list = [0] + [exp[log[a] + half] for a in range(1, q)]
 
+    def _powers(self, g):
+        """[g^0, ..., g^(q - 2)] by the lookup walk of the module docstring."""
+        p, e, q = self.p, self.e, self.q
+        h = e // 2
+        P = p**h
+        lo_img = [0] + [self._mul_raw(lo, g) for lo in range(1, P)]
+        hi_img = [0] + [self._mul_raw(P * hi, g) for hi in range(1, q // P)]
+        out = [0] * (q - 1)
+        if p == 2:
+            mask = P - 1
+            acc = 1
+            for i in range(q - 1):
+                out[i] = acc
+                acc = lo_img[acc & mask] ^ hi_img[acc >> h]
+            return out
+        w = (2 * (p - 1)).bit_length()
+        shift = h * w
+        mask = (1 << shift) - 1
+        lo_img = [_slots(x, p, e, w) for x in lo_img]
+        hi_img = [_slots(x, p, e, w) for x in hi_img]
+        lo_of = _slot_sums(h, p, w)
+        hi_of = _slot_sums(e - h, p, w)
+        lo, hi = 1, 0
+        for i in range(q - 1):
+            out[i] = lo + P * hi
+            s = lo_img[lo] + hi_img[hi]
+            lo = lo_of[s & mask]
+            hi = hi_of[s >> shift]
+        return out
+
     def _build_flat(self):
         """Flat tables for q <= 256, filled through the bound kernels."""
-        els = range(self.q)
+        q = self.q
+        els = range(q)
         add, mul = self.add, self.mul
         neg = [self.neg(a) for a in els]
         self._add_flat = [add(a, b) for a in els for b in els]
-        self._sub_flat = [add(a, nb) for a in els for nb in neg]
+        # a - b = a + (-b), read off row a of the add table
+        rows = [self._add_flat[i : i + q] for i in range(0, q * q, q)]
+        self._sub_flat = [row[nb] for row in rows for nb in neg]
         self._mul_flat = [mul(a, b) for a in els for b in els]
         self._neg_list = neg
-        self._inv_list = [0] + [self.inv(a) for a in range(1, self.q)]
-        self._bind()
+        self._inv_list = [0] + [self.inv(a) for a in range(1, q)]
 
     def _bind(self):
-        """Store the add/sub/mul/neg/inv kernels of the current tables."""
+        """Store the add/sub/mul/neg/inv kernels of the built tables."""
         p, q = self.p, self.q
         if self._mul_flat is not None:
             add_t, sub_t, mul_t = self._add_flat, self._sub_flat, self._mul_flat
@@ -397,47 +430,31 @@ class Field:
             if p == 2:
                 add = sub = operator.xor
                 neg = operator.pos  # -a = a in characteristic 2
-            elif self._zech is None:
-                add, neg = self._add_raw, self._neg_raw
-                sub = lambda a, b: add(a, neg(b))
             else:
                 add, sub = _zech_add_sub(self._exp, self._log, self._zech, self._neg_list, (q - 1) // 2)
                 neg = self._neg_list.__getitem__
-            if self._exp is None:
-                mul = self._mul_raw
-            else:
-                exp, log = self._exp, self._log
-                mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+            exp, log = self._exp, self._log
+            mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
         self.add, self.sub, self.mul, self.neg = add, sub, mul, neg
 
         zero = f"zero has no inverse in {self!r}"
         inv_t = self._inv_list
-        if inv_t is not None:
-            def inv(a):
-                if not a:
-                    raise ZeroInverse(zero)
-                return inv_t[a]
-        elif self.e == 1:
+        if inv_t is None:  # a prime above 256
             def inv(a):
                 if not a:
                     raise ZeroInverse(zero)
                 return pow(a, -1, p)
         else:
-            pow_raw = self._pow_raw
-
             def inv(a):
                 if not a:
                     raise ZeroInverse(zero)
-                return pow_raw(a, q - 2)
+                return inv_t[a]
         self.inv = inv
 
     def warm(self):
-        """Build the exp/log tables of an extension field and rebind its
-        kernels (idempotent). Prime fields keep no such tables, and fields
-        with q <= 256 are warm from construction."""
-        if self.e > 1 and self._exp is None:
-            self._build_exp_log()
-            self._bind()
+        """Return the field unchanged. The constructor already builds every
+        table; this stays only because the benchmark harness in
+        `perfbench/` calls it."""
         return self
 
     def flat_ops(self):
@@ -456,9 +473,27 @@ class Field:
         return (1,) if self.p == 2 else (1, self.minus_one)
 
 
+def _slots(x: int, p: int, e: int, w: int) -> int:
+    """The e base-p digits of x, one per w-bit slot."""
+    return sum(d << (k * w) for k, d in enumerate(_digits(x, p, e)))
+
+
+def _slot_sums(n: int, p: int, w: int) -> list[int]:
+    """Lookup from n w-bit slots, each holding a digit sum in [0, 2p - 2],
+    to the canonical int of those digits reduced mod p."""
+    keys, vals = [0], [0]
+    for k in range(n):
+        keys = [key | d << (k * w) for d in range(2 * p - 1) for key in keys]
+        vals = [v + d % p * p**k for d in range(2 * p - 1) for v in vals]
+    out = [0] * (1 << (n * w))
+    for key, v in zip(keys, vals):
+        out[key] = v
+    return out
+
+
 def _zech_add_sub(exp, log, zech, neg, half):
-    """add and sub of a warmed odd-characteristic extension field, where
-    g^half = -1."""
+    """add and sub of an odd-characteristic extension field through Zech's
+    logarithms, where g^half = -1."""
 
     def add(a, b):
         if not a:
@@ -500,8 +535,3 @@ def field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> Field:
     else:
         mod = None
     return _field_cached(p, e, mod)
-
-
-def _unpickle(p: int, e: int, modulus, warm: bool) -> Field:
-    fld = field(p, e, modulus)
-    return fld.warm() if warm else fld

@@ -101,9 +101,6 @@ class Mat:
     def __reduce__(self):
         return (Mat, (self.field, self.rows, self.n))
 
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
-
     def cols(self) -> list[tuple]:
         return list(zip(*self.rows)) if self.k else [()] * self.n
 
@@ -250,18 +247,6 @@ def _eliminate(fld: Field, rows: list[list[int]], n: int):
 # row-space relations
 
 
-def rowspace_equal(a: Mat, b: Mat) -> bool:
-    """Whether the row spans coincide (RREF equality minus zero rows)."""
-    a._same_field(b)
-    if a.n != b.n:
-        raise DimMismatch(f"{a.n} vs {b.n} columns")
-    ra, rank_a, _ = a.rref()
-    rb, rank_b, _ = b.rref()
-    if rank_a != rank_b:
-        return False
-    return ra.rows[:rank_a] == rb.rows[:rank_b]
-
-
 def row_basis_transform(a: Mat, b: Mat) -> Optional[Mat]:
     """Invertible S with S * a = b for any equal-shape pair with equal row
     span (works at any rank); None when the spans differ.
@@ -332,15 +317,6 @@ class Perm:
     def identity(cls, n: int) -> "Perm":
         return cls(tuple(range(n)))
 
-    def is_identity(self) -> bool:
-        return all(s == i for i, s in enumerate(self.sigma))
-
-    def inverse(self) -> "Perm":
-        inv = [0] * self.n
-        for i, s in enumerate(self.sigma):
-            inv[s] = i
-        return Perm(tuple(inv))
-
     def to_mat(self, fld: Field) -> Mat:
         n = self.n
         rows = [[0] * n for _ in range(n)]
@@ -379,9 +355,6 @@ class Mono:
 
     def is_permutation(self) -> bool:
         return all(d == 1 for d in self.diag)
-
-    def is_signed(self) -> bool:
-        return all(self.field.is_sign(d) for d in self.diag)
 
     def to_mat(self) -> Mat:
         n = self.n

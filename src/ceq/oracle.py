@@ -558,9 +558,6 @@ def decide(inst: Instance, budget: Budget = Budget(), workers: int = 1) -> Decid
     if workers < 1:
         raise ValueError("workers must be at least 1")
     t0 = time.perf_counter()
-    # a parsed or fresh extension field above q = 256 would otherwise
-    # search with digit-wise arithmetic
-    inst.field.warm()
     if inst.G.rank() != inst.H.rank():
         return DecideResult(Status.NO, None, 0, time.perf_counter() - t0, "rank mismatch")
 

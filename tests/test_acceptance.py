@@ -233,10 +233,9 @@ def test_criterion_6_preprocessing_equivalence():
 def test_criterion_7_runtime_scaling():
     """Reduction wall-time grows mildly with the element encoding size:
     at fixed n = 6, k = 3 the ratio between q = 2^16 and q = 2 stays
-    under 4x (measured on warmed fields, best of several batches)."""
+    under 4x (best of several batches)."""
 
     def best_time(fld, reps=40, batches=5):
-        fld.warm()
         gen = generate(GenSpec(fld, 3, 6, Tag.PCE, Planted.YES, seed=1234))
         best = float("inf")
         for _ in range(batches):

@@ -1,6 +1,8 @@
 import pytest
 
-from ceq.errors import NotPrime, ReducibleModulus, UnsupportedSize, ZeroInverse
+from ceq import fileio
+from ceq.cli import main
+from ceq.errors import FormatError, NotPrime, ReducibleModulus, UnsupportedSize, ZeroInverse
 from ceq.field import Field, field, default_modulus, is_prime
 from ceq.rng import stream
 
@@ -32,6 +34,29 @@ def test_make_rejects_reducible_modulus():
         field(2, 2, (0, 1, 1))  # x^2 + x has root 0
     with pytest.raises(ReducibleModulus):
         field(2, 2, (1, 1))  # wrong degree
+
+
+@pytest.mark.parametrize("modulus", [(1, 1), (5, 7, 9)], ids=["1,1", "5,7,9"])
+@pytest.mark.parametrize("entry", ["Field", "field", "gen", "parse_instance"])
+def test_prime_field_takes_no_modulus(entry, modulus, tmp_path, capsys):
+    msg = "a prime field takes no modulus"
+    spec = ",".join(map(str, modulus))
+    if entry == "Field":
+        with pytest.raises(ReducibleModulus, match=msg):
+            Field(3, 1, modulus)
+    elif entry == "field":
+        with pytest.raises(ReducibleModulus, match=msg):
+            field(3, 1, modulus)
+    elif entry == "gen":
+        out = tmp_path / "x.ceq"
+        argv = ["gen", "--k", "1", "--n", "2", "--field", "3", "--modulus", spec,
+                "--tag", "PCE", "--planted", "yes", "--seed", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {msg}\n"
+        assert not out.exists()
+    else:
+        with pytest.raises(FormatError, match=msg):
+            fileio.parse_instance(f"%CEQ 1\nfield 3^1 mod {spec}\ntag PCE\nG 0 0\nH 0 0\n")
 
 
 def test_make_rejects_oversized_fields():
@@ -116,7 +141,6 @@ def test_field_axioms_exhaustive(f):
 )
 def test_field_axioms_sampled(f):
     rng = stream(20240815, "axioms", f.p, f.e)
-    f.warm()
     for _ in range(200):
         a, b, c = (rng.randrange(f.q) for _ in range(3))
         assert f.add(a, b) == f.add(b, a)
@@ -141,7 +165,6 @@ def test_inv_involution_and_sign_characterization(f):
 
 def test_tables_match_raw_arithmetic():
     for f in (field(5), field(2, 4), field(3, 2)):
-        f.warm()
         for a in f.elements():
             for b in f.elements():
                 assert f.mul(a, b) == f._mul_raw(a, b)
@@ -163,19 +186,21 @@ def _assert_kernels_match_raw(f, pairs):
         f.inv(0)
 
 
-def _assert_warmed_matches_digitwise(f, pairs):
-    f.warm()
+def _assert_matches_digitwise(f, pairs):
     for a in f.elements():
         assert f.neg(a) == f._neg_raw(a)
     _assert_kernels_match_raw(f, list(pairs))
 
 
 # one field per family on each side of the q = 256 flat-table cap
-@pytest.mark.parametrize("p, e", [(251, 1), (65521, 1), (2, 8), (2, 16), (3, 5), (5, 4)])
-def test_bound_kernels_match_raw_before_and_after_warm(p, e):
+@pytest.mark.parametrize(
+    "p, e", [(251, 1), (65521, 1), (2, 8), (2, 16), (3, 5), (5, 4), (3, 10), (251, 2)]
+)
+def test_bound_kernels_match_raw(p, e):
     import pickle
 
-    f = Field(p, e)  # not the cached field, so no other test has warmed it
+    f = Field(p, e)
+    assert f.warm() is f
     rng = stream(20261018, "kernels", p, e)
     pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
     special = (0, 1, f.minus_one, f.q - 1)
@@ -183,22 +208,31 @@ def test_bound_kernels_match_raw_before_and_after_warm(p, e):
     _assert_kernels_match_raw(f, pairs)
     for a in special[1:]:
         assert f.inv(a) == f._pow_raw(a, f.q - 2)
-    unwarmed = pickle.loads(pickle.dumps(f))
-    kernels = (f.add, f.sub, f.mul, f.neg, f.inv)
-    f.warm()
-    # fields up to the cap are built with their tables, and large primes
-    # keep none; only a large extension field switches kernels
-    switched = [old is not new for old, new in zip(kernels, (f.add, f.sub, f.mul, f.neg, f.inv))]
-    assert any(switched) == (e > 1 and f.q > 256)
-    _assert_kernels_match_raw(f, pairs)
-    for g in (unwarmed, pickle.loads(pickle.dumps(f))):
-        assert g == f
-        _assert_kernels_match_raw(g, pairs)
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f
+    _assert_kernels_match_raw(g, pairs)
+
+
+@pytest.mark.parametrize(
+    "p, e, modulus",
+    [(2, 16, None), (3, 10, None), (251, 2, None), (3, 2, (1, 0, 1)), (3, 6, (1, 1, 1, 0, 0, 0, 1))],
+    ids=["GF(2^16)", "GF(3^10)", "GF(251^2)", "GF(3^2) x^2+1", "GF(3^6) x^6+x^2+x+1"],
+)
+def test_exp_table_matches_a_digitwise_walk(p, e, modulus):
+    # the constructor steps by lookup images of multiply-by-g; stepping by
+    # the digit-wise product must visit the same powers in the same order
+    f = field(p, e, modulus)
+    g = f._exp[1]
+    walk = [1]
+    for _ in range(f.q - 2):
+        walk.append(f._mul_raw(walk[-1], g))
+    assert f._mul_raw(walk[-1], g) == 1 and len(set(walk)) == f.q - 1
+    assert f._exp == walk + walk
 
 
 @pytest.mark.parametrize("f", [field(3, 2), field(5, 2), field(7, 2), field(3, 3), field(3, 5)], ids=repr)
 def test_zech_kernel_matches_digitwise_all_pairs(f):
-    _assert_warmed_matches_digitwise(f, ((a, b) for a in f.elements() for b in f.elements()))
+    _assert_matches_digitwise(f, ((a, b) for a in f.elements() for b in f.elements()))
 
 
 @pytest.mark.parametrize("f", [field(3, 6), field(5, 4), field(3, 10), field(251, 2)], ids=repr)
@@ -208,7 +242,7 @@ def test_zech_kernel_matches_digitwise_sampled(f):
     # zero operands and b = -a take their own branches
     pairs += [(0, 0), (0, 1), (1, 0), (1, f.minus_one), (f.minus_one, 1), (f.q - 1, f.q - 1)]
     pairs += [(a, f._neg_raw(a)) for a, _ in pairs[:50]]
-    _assert_warmed_matches_digitwise(f, pairs)
+    _assert_matches_digitwise(f, pairs)
 
 
 @pytest.mark.parametrize(
@@ -223,7 +257,7 @@ def test_zech_kernel_with_non_primitive_modulus(p, e, modulus):
     assert f._pow_raw(x, (f.q - 1) // 2) == 1
     rng = stream(20261017, "zech-explicit", p, e)
     pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
-    _assert_warmed_matches_digitwise(f, pairs)
+    _assert_matches_digitwise(f, pairs)
 
 
 def test_field_unpickles_in_its_table_state_in_a_fresh_process():
@@ -235,28 +269,23 @@ def test_field_unpickles_in_its_table_state_in_a_fresh_process():
 
     import ceq
 
-    fields = (Field(5, 4), Field(5, 4).warm())
-    # one after the other: both unpickle to the process-cached GF(5^4)
+    f = Field(5, 4)
     code = (
         "import pickle, sys\n"
-        "for _ in range(2):\n"
-        "    f = pickle.load(sys.stdin.buffer)\n"
-        "    print(f._exp is not None, f.mul(2, 3), f.add(2, 3))"
+        "f = pickle.load(sys.stdin.buffer)\n"
+        "print(f.p, f.e, f.modulus, f._exp is not None and f._zech is not None, f.mul(2, 3), f.add(2, 3))"
     )
     src = os.path.dirname(os.path.dirname(ceq.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", code], input=b"".join(map(pickle.dumps, fields)), capture_output=True, env=env, check=True
+        [sys.executable, "-c", code], input=pickle.dumps(f), capture_output=True, env=env, check=True
     )
-    f = fields[0]
-    ops = f"{f._mul_raw(2, 3)} {f._add_raw(2, 3)}"
-    assert out.stdout.decode().splitlines() == [f"False {ops}", f"True {ops}"]
+    assert out.stdout.decode() == f"5 4 {f.modulus} True {f._mul_raw(2, 3)} {f._add_raw(2, 3)}\n"
 
 
 def test_large_field_exp_log_consistent_with_raw():
     f = field(2, 16)
     rng = stream(7, "explog")
-    f.warm()
     for _ in range(100):
         a, b = rng.randrange(f.q), rng.randrange(f.q)
         assert f.mul(a, b) == f._mul_raw(a, b)

@@ -1,5 +1,6 @@
 import pytest
 
+from ceq.core import Tag, diag_allowed
 from ceq.errors import DimMismatch, FieldMismatch, NotSquare, Singular
 from ceq.field import field
 from ceq.matrix import (
@@ -9,7 +10,6 @@ from ceq.matrix import (
     column_multiplicity_profile,
     max_column_multiplicity,
     row_basis_transform,
-    rowspace_equal,
     strip_zero_columns,
 )
 from ceq.rng import stream
@@ -69,8 +69,7 @@ def test_mono_swap_scale_example():
     a = Mat.identity(F3, 2)
     m = Mono(F3, Perm((1, 0)), (1, 2))
     out = a.apply_mono(m)
-    assert out.col(0) == (0, 2)
-    assert out.col(1) == (1, 0)
+    assert out.cols() == [(0, 2), (1, 0)]
     assert out == a.mul(m.to_mat())
 
 
@@ -81,7 +80,8 @@ def test_perm_convention_roundtrip():
     moved = a.apply_mono(Mono.from_perm(F5, p))
     assert moved.rows[0] == (3, 1, 2)
     assert moved == a.mul(p.to_mat(F5))
-    back = moved.apply_mono(Mono.from_perm(F5, p.inverse()))
+    inverse = Perm(tuple(p.sigma.index(i) for i in range(p.n)))
+    back = moved.apply_mono(Mono.from_perm(F5, inverse))
     assert back == a
 
 
@@ -118,19 +118,6 @@ def test_inverse_examples():
         Mat(F2, [[1, 1], [1, 1]]).inv()
     with pytest.raises(NotSquare):
         Mat(F2, [[1, 0]]).inv()
-
-
-def test_rowspace_equal_examples():
-    assert not rowspace_equal(Mat(F2, [[1, 0]]), Mat(F2, [[1, 1]]))
-    a = Mat(F5, [[1, 2, 3], [0, 1, 4]])
-    assert rowspace_equal(a, a)
-    rng = stream(3, "rowspace")
-    for _ in range(20):
-        s = rand_invertible(F5, 2, rng)
-        assert rowspace_equal(a, s.mul(a))
-    assert rowspace_equal(s.mul(a), a)  # symmetry
-    with pytest.raises(DimMismatch):
-        rowspace_equal(a, Mat(F5, [[1, 2]]))
 
 
 def test_row_basis_transform_examples():
@@ -202,10 +189,10 @@ def test_identical_columns_preserved_by_invertible_maps():
         k = rng.randrange(1, 4)
         a = rand_mat(fld, k, rng.randrange(1, 6), rng)
         s = rand_invertible(fld, k, rng)
-        sa = s.mul(a)
+        cols, s_cols = a.cols(), s.mul(a).cols()
         for i in range(a.n):
             for j in range(a.n):
-                assert (a.col(i) == a.col(j)) == (sa.col(i) == sa.col(j))
+                assert (cols[i] == cols[j]) == (s_cols[i] == s_cols[j])
 
 
 def test_column_profile_examples():
@@ -262,9 +249,9 @@ def test_perm_validation():
 def test_mono_class_predicates():
     m = Mono(F3, Perm((1, 0)), (1, 2))
     assert not m.is_permutation()
-    assert m.is_signed()
+    assert diag_allowed(F3, Tag.SPCE, m.diag)
     assert Mono.identity(F3, 2).is_permutation()
-    assert not Mono(F5, Perm((0,)), (3,)).is_signed()
+    assert not diag_allowed(F5, Tag.SPCE, Mono(F5, Perm((0,)), (3,)).diag)
 
 
 # ---------------------------------------------------------------------------
