@@ -216,7 +216,8 @@ class Field:
                 raise ReducibleModulus(f"modulus must be monic of degree {e}")
             if any(not (0 <= c < p) for c in coeffs):
                 raise ReducibleModulus("modulus coefficients must lie in [0, p)")
-            if not _irreducible(coeffs, p):
+            # the built-in modulus was found by this very test
+            if coeffs != default_modulus(p, e) and not _irreducible(coeffs, p):
                 raise ReducibleModulus(f"modulus {list(coeffs)} is reducible over F_{p}")
             self.modulus = coeffs
         self.minus_one = 1 if p == 2 else p - 1

@@ -25,11 +25,16 @@ Sections, in canonical order:
     removed-h [i1 ...]
     UG <k> <k> + k rows
     UH <k> <k> + k rows
+
+Cert sections are written by `serialize_cert` alone. Every line of a
+cert follows from the original instance and the target, so `parse_cert`
+checks a cert by recomputing it and comparing lines; it never parses a
+cert field by field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from pathlib import Path
 from typing import Optional, Union
 
@@ -37,32 +42,11 @@ from .core import Instance, RejectReason, Tag, Witness
 from .errors import FormatError
 from .field import Field, field
 from .matrix import Mat, Mono, Perm
+from .reduction import ReductionCert, reduction_cert
 
 MAGIC = "%CEQ 1"
 
 PathLike = Union[str, Path]
-
-
-@dataclass(frozen=True)
-class CertData:
-    """Raw cert-file contents; pair with the original instance to rebuild
-    a full ReductionCert (see reduction.rebuild_cert)."""
-
-    field: Field
-    target: Tag
-    n: int
-    k: int
-    m: int
-    rejected: bool = False
-    reject_reason: Optional[RejectReason] = None
-    degenerate: bool = False
-    journal_n: Optional[int] = None
-    journal_k: Optional[int] = None
-    journal_rank: Optional[int] = None
-    removed_g: Optional[tuple[int, ...]] = None
-    removed_h: Optional[tuple[int, ...]] = None
-    u_g: Optional[Mat] = None
-    u_h: Optional[Mat] = None
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +83,7 @@ def serialize_witness(fld: Field, w: Witness) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_cert(cert) -> str:
-    """Serialize a reduction.ReductionCert (duck-typed to avoid a cycle)."""
+def serialize_cert(cert: ReductionCert) -> str:
     lines = [MAGIC, _field_line(cert.field), f"target {cert.target.value}"]
     if cert.rejected:
         lines.append("cert rejected")
@@ -209,10 +192,10 @@ def _parse_matrix(r: _Reader, fld: Field, label: str) -> Mat:
         raise r.error(f"bad {label} entries: {exc}") from None
 
 
-def _parse_tag(r: _Reader, key: str = "tag") -> Tag:
+def _parse_tag(r: _Reader) -> Tag:
     parts = r.take().split()
-    if len(parts) != 2 or parts[0] != key:
-        raise r.error(f"expected '{key} <PCE|SPCE|LCE>'")
+    if len(parts) != 2 or parts[0] != "tag":
+        raise r.error("expected 'tag <PCE|SPCE|LCE>'")
     try:
         return Tag(parts[1])
     except ValueError:
@@ -268,72 +251,23 @@ def parse_witness(text: str, origin: str = "<witness>") -> tuple[Field, Witness]
         raise r.error(str(exc)) from None
 
 
-def parse_cert(text: str, origin: str = "<cert>") -> CertData:
-    r = _Reader(text, origin)
-    _parse_magic(r)
-    fld = _parse_field(r)
-    target = _parse_tag(r, "target")
-    parts = r.take().split()
-    if not parts or parts[0] != "cert":
-        raise r.error("expected a cert line")
-    if parts[1:] == ["rejected"]:
-        reason_parts = r.take().split()
-        if len(reason_parts) != 2 or reason_parts[0] != "reject-reason":
-            raise r.error("expected a reject-reason line")
-        try:
-            reason = RejectReason(reason_parts[1])
-        except ValueError:
-            raise r.error(f"unknown reject reason {reason_parts[1]!r}") from None
-        if not r.done():
-            raise r.error("trailing content after rejected cert")
-        return CertData(fld, target, 0, 0, 0, rejected=True, reject_reason=reason)
-    degenerate = False
-    if parts[1:] == ["degenerate"]:
-        degenerate = True
-        n = k = m = 0
-    else:
-        try:
-            n, k, m = (int(x) for x in parts[1:])
-        except ValueError:
-            raise r.error("expected 'cert <n> <k> <m>'") from None
-    head = r.take().split()
-    if len(head) != 4 or head[0] != "journal":
-        raise r.error("expected 'journal <n> <k> <rank>'")
-    try:
-        jn, jk, jrank = int(head[1]), int(head[2]), int(head[3])
-    except ValueError:
-        raise r.error("bad journal header") from None
+def parse_cert(text: str, original: Instance, origin: str = "<cert>") -> ReductionCert:
+    """Check a cert file against the PCE instance it was reduced from.
 
-    def removed(key: str) -> tuple[int, ...]:
-        parts = r.take().split()
-        if not parts or parts[0] != key:
-            raise r.error(f"expected a {key} line")
-        try:
-            return tuple(int(x) - 1 for x in parts[1:])
-        except ValueError:
-            raise r.error(f"bad {key} indices") from None
-
-    rg = removed("removed-g")
-    rh = removed("removed-h")
-    u_g = _parse_matrix(r, fld, "UG")
-    u_h = _parse_matrix(r, fld, "UH")
-    if not r.done():
-        raise r.error(f"trailing content {r.lines[r.pos]!r}")
-    return CertData(
-        fld,
-        target,
-        n,
-        k,
-        m,
-        degenerate=degenerate,
-        journal_n=jn,
-        journal_k=jk,
-        journal_rank=jrank,
-        removed_g=rg,
-        removed_h=rh,
-        u_g=u_g,
-        u_h=u_h,
-    )
+    Every cert line follows from the instance and the target, so the
+    cert is recomputed rather than read: the file is accepted only if it
+    is, line for line, what `reduce` writes for this instance and target.
+    """
+    if original.tag is not Tag.PCE:
+        raise FormatError(f"{origin}: a cert pairs only with a PCE instance, got {original.tag.value}")
+    lines = text.splitlines()
+    target = Tag.SPCE if lines[2:3] == ["target SPCE"] else Tag.LCE
+    cert = reduction_cert(original, target)
+    expected = serialize_cert(cert).splitlines()
+    for line, (got, want) in enumerate(itertools.zip_longest(lines, expected), 1):
+        if got != want:
+            raise FormatError(f"{origin}:{line}: cert does not match the instance")
+    return cert
 
 
 def read_instance(path: PathLike) -> tuple[Instance, Optional[RejectReason]]:
@@ -344,5 +278,5 @@ def read_witness(path: PathLike) -> tuple[Field, Witness]:
     return parse_witness(Path(path).read_text(encoding="utf-8"), str(path))
 
 
-def read_cert(path: PathLike) -> CertData:
-    return parse_cert(Path(path).read_text(encoding="utf-8"), str(path))
+def read_cert(path: PathLike, original: Instance) -> ReductionCert:
+    return parse_cert(Path(path).read_text(encoding="utf-8"), original, str(path))

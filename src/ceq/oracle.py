@@ -56,7 +56,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance, Tag, Witness, diag_allowed, verify_witness
+from .core import Instance, Tag, Witness, verify_witness
 from .errors import BudgetExceeded, WitnessInvalid
 from .field import Field
 from .matrix import Mat, Mono, Perm, _eliminate, row_basis_transform
@@ -470,15 +470,15 @@ class _Backtracker:
             rep = next((i for i in members if not self.used[i]), None)
             if rep is None:
                 continue
+            # value and x_req share a class key, so x_req = d * value with
+            # d allowed for the tag: the key is the column itself for PCE
+            # (d = 1), min(v, -v) for SPCE (d = +-1), and the column over
+            # its first non-zero entry for LCE (d a unit)
             if x_req == self.zero:
                 d = 1
             else:
                 nz = next(i for i, v in enumerate(value) if v)
                 d = fld.mul(x_req[nz], fld.inv(value[nz]))
-                if not diag_allowed(fld, self.tag, (d,)):
-                    continue
-                if tuple(fld.mul(d, v) for v in value) != x_req:
-                    continue
             self.used[rep] = True
             self.sigma[j] = rep
             self.diag[rep] = d

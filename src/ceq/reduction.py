@@ -115,6 +115,33 @@ def canonical_yes_instance(fld: Field, target: Tag) -> Instance:
     return Instance(fld, Mat(fld, [[1]]), Mat(fld, [[1]]), target)
 
 
+def reduction_cert(inst: Instance, target: Tag) -> ReductionCert:
+    """The bookkeeping of reducing a PCE instance to the target problem
+    (LCE or SPCE), without building the gadget pair.
+
+    Deterministic, so the cert file `reduce` writes is a function of the
+    instance and the target alone: preprocessing rejections give a
+    rejected cert, 0-width inputs a degenerate one, and otherwise the
+    normalized pair's shape, journal and shared duplication count.
+    """
+    if inst.tag is not Tag.PCE:
+        raise ValueError("reduction input must be a PCE instance")
+    if target not in (Tag.LCE, Tag.SPCE):
+        raise ValueError("reduction target must be LCE or SPCE")
+    outcome = preprocess(inst)
+    if isinstance(outcome, Rejection):
+        return ReductionCert(inst.field, target, 0, 0, 0, None, outcome.reason)
+    norm = outcome.instance
+    journal = outcome.journal
+    if norm.n == 0:
+        return ReductionCert(inst.field, target, 0, 0, 0, journal, None, True)
+    m_g = max_column_multiplicity(norm.G)
+    m_h = max_column_multiplicity(norm.H)
+    if m_g != m_h:
+        raise DimMismatch(f"column multiplicities {m_g} and {m_h} passed the profile check")
+    return ReductionCert(inst.field, target, norm.n, norm.k, m_g + 1, journal)
+
+
 def reduce_instance(inst: Instance, target: Tag) -> tuple[Instance, ReductionCert]:
     """Karp-reduce a PCE instance to the target problem (LCE or SPCE).
 
@@ -123,79 +150,18 @@ def reduce_instance(inst: Instance, target: Tag) -> tuple[Instance, ReductionCer
     canonical YES pair; otherwise both normalized matrices go through
     the gadget with a shared duplication count.
     """
-    if inst.tag is not Tag.PCE:
-        raise ValueError("reduction input must be a PCE instance")
-    if target not in (Tag.LCE, Tag.SPCE):
-        raise ValueError("reduction target must be LCE or SPCE")
-    outcome = preprocess(inst)
-    if isinstance(outcome, Rejection):
-        cert = ReductionCert(inst.field, target, 0, 0, 0, None, outcome.reason)
+    cert = reduction_cert(inst, target)
+    if cert.rejected:
         return canonical_no_instance(inst.field, target), cert
-    norm = outcome.instance
-    journal = outcome.journal
-    if norm.n == 0:
-        cert = ReductionCert(inst.field, target, 0, 0, 0, journal, None, True)
+    if cert.degenerate:
         return canonical_yes_instance(inst.field, target), cert
-    m_g = max_column_multiplicity(norm.G)
-    m_h = max_column_multiplicity(norm.H)
-    if m_g != m_h:
-        raise DimMismatch(f"column multiplicities {m_g} and {m_h} passed the profile check")
-    m = m_g + 1
-    g_prime = build_gadget(norm.G, m)
-    h_prime = build_gadget(norm.H, m)
-    cert = ReductionCert(inst.field, target, norm.n, norm.k, m, journal)
+    norm = cert.journal.normalized
+    g_prime = build_gadget(norm.G, cert.m)
+    h_prime = build_gadget(norm.H, cert.m)
     reduced = Instance(inst.field, g_prime, h_prime, target)
     if reduced.n != cert.n_prime or reduced.k != cert.k + 1:
         raise DimMismatch(f"reduced pair is {reduced.k}x{reduced.n}, cert says {cert.k + 1}x{cert.n_prime}")
     return reduced, cert
-
-
-def rebuild_cert(original: Instance, data) -> ReductionCert:
-    """Recombine a parsed cert file (fileio.CertData) with the original
-    instance it came from, re-deriving the journal and cross-checking the
-    recorded fields against a fresh preprocessing run."""
-    from .errors import FormatError
-
-    if data.rejected:
-        return ReductionCert(data.field, data.target, 0, 0, 0, None, data.reject_reason)
-    if original.field != data.field:
-        raise FormatError("cert field differs from the instance field")
-    if original.tag is not Tag.PCE:
-        raise FormatError("cert must pair with a PCE instance")
-    outcome = preprocess(original)
-    if isinstance(outcome, Rejection):
-        raise FormatError("instance rejects under preprocessing but cert does not")
-    j = outcome.journal
-    recorded = (
-        data.journal_n,
-        data.journal_k,
-        data.journal_rank,
-        data.removed_g,
-        data.removed_h,
-        data.u_g,
-        data.u_h,
-    )
-    derived = (
-        original.n,
-        original.k,
-        j.rank,
-        j.removed_g,
-        j.removed_h,
-        j.u_g,
-        j.u_h,
-    )
-    if recorded != derived:
-        raise FormatError("cert journal does not match the given instance")
-    if data.degenerate:
-        if outcome.instance.n != 0:
-            raise FormatError("cert marked degenerate but the instance is not 0-width")
-        return ReductionCert(data.field, data.target, 0, 0, 0, j, None, True)
-    norm = outcome.instance
-    if (norm.n, norm.k) != (data.n, data.k):
-        raise FormatError("cert dimensions do not match the normalized instance")
-    if max_column_multiplicity(norm.G) + 1 != data.m:
-        raise FormatError("cert duplication count does not match the instance")
-    return ReductionCert(data.field, data.target, data.n, data.k, data.m, j)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,12 @@ def test_full_pipeline_lift_and_extract(tmp_path):
     assert run(["lift", "--cert", cert, "--instance", inst,
                 "--witness", tmp_path / "i.ceq.wit", "--out", lifted]) == 0
     assert run(["verify", "--instance", red, "--witness", lifted]) == 0
+    # a CRLF copy of the cert is the same cert
+    crlf = tmp_path / "crlf.cert"
+    crlf.write_bytes(cert.read_bytes().replace(b"\n", b"\r\n"))
+    assert run(["lift", "--cert", crlf, "--instance", inst,
+                "--witness", tmp_path / "i.ceq.wit", "--out", tmp_path / "crlf.wit"]) == 0
+    assert (tmp_path / "crlf.wit").read_bytes() == lifted.read_bytes()
     solved = tmp_path / "solved.wit"
     assert run(["solve", "--in", red, "--mode", "backtracking",
                 "--witness-out", solved]) == 0
@@ -98,6 +104,59 @@ def test_full_pipeline_lift_and_extract(tmp_path):
     assert run(["extract", "--cert", cert, "--instance", inst,
                 "--witness", solved, "--out", extracted]) == 0
     assert run(["verify", "--instance", inst, "--witness", extracted]) == 0
+
+
+def _gen_pce(tmp_path, name, fld, seed, tag="PCE"):
+    inst = tmp_path / f"{name}.ceq"
+    assert run(["gen", "--k", 2, "--n", 4, "--field", fld, "--tag", tag,
+                "--planted", "yes", "--seed", seed, "--out", inst]) == 0
+    return inst
+
+
+def _reduce(tmp_path, inst):
+    cert = tmp_path / f"{inst.stem}.cert"
+    assert run(["reduce", "--in", inst, "--target", "lce",
+                "--out", tmp_path / f"{inst.stem}.red", "--cert-out", cert]) == 0
+    return cert
+
+
+def _rejected_gf2_cert(tmp_path):
+    inst = tmp_path / "rej.ceq"
+    inst.write_text("%CEQ 1\nfield 2\ntag PCE\nG 1 2\n1 0\nH 1 2\n1 1\n")
+    cert = _reduce(tmp_path, inst)
+    assert "cert rejected" in cert.read_text()
+    return cert
+
+
+def _mismatch_gf5_yes(tmp_path):
+    return _rejected_gf2_cert(tmp_path), _gen_pce(tmp_path, "yes5", 5, 3)
+
+
+def _mismatch_non_pce(tmp_path):
+    return _rejected_gf2_cert(tmp_path), _gen_pce(tmp_path, "lce2", 2, 3, tag="LCE")
+
+
+def _mismatch_same_shape(tmp_path):
+    other = _gen_pce(tmp_path, "other", 5, 6)
+    return _reduce(tmp_path, other), _gen_pce(tmp_path, "mine", 5, 5)
+
+
+@pytest.mark.parametrize("command", ["lift", "extract"])
+@pytest.mark.parametrize(
+    "make",
+    [_mismatch_gf5_yes, _mismatch_non_pce, _mismatch_same_shape],
+    ids=["rejected-gf2-cert-gf5-yes", "rejected-cert-non-pce", "cert-of-same-shape-instance"],
+)
+def test_cert_of_another_instance_is_malformed_input(tmp_path, capsys, command, make):
+    cert, inst = make(tmp_path)
+    out = tmp_path / "out.wit"
+    capsys.readouterr()
+    rc = run([command, "--cert", cert, "--instance", inst,
+              "--witness", str(inst) + ".wit", "--out", out])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_solve_no_and_exit_codes(tmp_path):

@@ -36,6 +36,28 @@ def test_make_rejects_reducible_modulus():
         field(2, 2, (1, 1))  # wrong degree
 
 
+def test_only_a_given_modulus_is_tested_for_irreducibility(monkeypatch):
+    import importlib
+
+    field_mod = importlib.import_module("ceq.field")  # the package binds ceq.field to field()
+    calls = []
+    real = field_mod._irreducible
+
+    def counted(coeffs, p):
+        calls.append(tuple(coeffs))
+        return real(coeffs, p)
+
+    for p, e in ((2, 16), (3, 2)):
+        default_modulus(p, e)  # resolve the built-in moduli before counting
+    monkeypatch.setattr(field_mod, "_irreducible", counted)
+    Field(2, 16)
+    assert calls == []
+    Field(3, 2, (2, 1, 1))  # x^2 + x + 2, irreducible but not the default
+    assert calls == [(2, 1, 1)]
+    with pytest.raises(ReducibleModulus):
+        Field(3, 2, (2, 0, 1))  # x^2 - 1
+
+
 @pytest.mark.parametrize("modulus", [(1, 1), (5, 7, 9)], ids=["1,1", "5,7,9"])
 @pytest.mark.parametrize("entry", ["Field", "field", "gen", "parse_instance"])
 def test_prime_field_takes_no_modulus(entry, modulus, tmp_path, capsys):

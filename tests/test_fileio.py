@@ -6,7 +6,7 @@ from ceq.errors import FormatError
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm
 from ceq.oracle import GenSpec, Planted, generate
-from ceq.reduction import rebuild_cert, reduce_instance
+from ceq.reduction import reduce_instance
 from ceq.rng import stream
 
 F2 = field(2)
@@ -58,8 +58,7 @@ def test_cert_roundtrip_through_rebuild():
     gen = generate(GenSpec(field(5), 2, 4, Tag.PCE, Planted.YES, seed=5))
     reduced, cert = reduce_instance(gen.instance, Tag.SPCE)
     text = fileio.serialize_cert(cert)
-    data = fileio.parse_cert(text)
-    rebuilt = rebuild_cert(gen.instance, data)
+    rebuilt = fileio.parse_cert(text, gen.instance)
     assert rebuilt == cert
     assert fileio.serialize_cert(rebuilt) == text
 
@@ -68,9 +67,8 @@ def test_cert_rejected_roundtrip():
     inst = Instance(F2, Mat(F2, [[1, 0]]), Mat(F2, [[1, 1]]), Tag.PCE)
     reduced, cert = reduce_instance(inst, Tag.LCE)
     text = fileio.serialize_cert(cert)
-    data = fileio.parse_cert(text)
-    assert data.rejected and data.reject_reason is RejectReason.ZERO_COLUMN_COUNT_MISMATCH
-    rebuilt = rebuild_cert(inst, data)
+    rebuilt = fileio.parse_cert(text, inst)
+    assert rebuilt.rejected and rebuilt.reject_reason is RejectReason.ZERO_COLUMN_COUNT_MISMATCH
     assert rebuilt.rejected and rebuilt.reject_reason == cert.reject_reason
 
 
@@ -79,7 +77,7 @@ def test_cert_degenerate_roundtrip():
     inst = Instance(F2, g, g, Tag.PCE)
     reduced, cert = reduce_instance(inst, Tag.LCE)
     text = fileio.serialize_cert(cert)
-    rebuilt = rebuild_cert(inst, fileio.parse_cert(text))
+    rebuilt = fileio.parse_cert(text, inst)
     assert rebuilt.degenerate
 
 
@@ -87,9 +85,9 @@ def test_rebuild_cert_cross_checks_instance():
     gen = generate(GenSpec(field(5), 2, 4, Tag.PCE, Planted.YES, seed=5))
     other = generate(GenSpec(field(5), 2, 4, Tag.PCE, Planted.YES, seed=6))
     _, cert = reduce_instance(gen.instance, Tag.LCE)
-    data = fileio.parse_cert(fileio.serialize_cert(cert))
+    text = fileio.serialize_cert(cert)
     with pytest.raises(FormatError):
-        rebuild_cert(other.instance, data)
+        fileio.parse_cert(text, other.instance)
 
 
 def test_unknown_version_rejected():
@@ -207,7 +205,7 @@ def test_parser_fuzz_raises_only_ceq_errors():
                 if fld == original.field:
                     verify_witness(original, w)
             else:
-                rebuild_cert(original, fileio.parse_cert(mutated))
+                fileio.parse_cert(mutated, original)
             outcomes["parsed"] += 1
         except CeqError:
             outcomes["rejected"] += 1
