@@ -16,7 +16,7 @@ from pathlib import Path
 from . import fileio
 from .core import Instance, Tag, Witness, map_witness_to_original, map_witness_to_normalized, verify_witness
 from .errors import BudgetExceeded, CeqError, FormatError, StructureViolation, WitnessInvalid
-from .field import Field, field, is_prime
+from .field import MAX_ORDER, Field, field, is_prime
 from .oracle import Budget, GenSpec, Mode, Planted, Status, decide, generate
 from .reduction import extract_witness, lift_witness, reduce_instance
 
@@ -50,7 +50,7 @@ def _parse_field_flag(spec: str, modulus: str | None) -> Field:
         return field(p, e, coeffs)
     except CeqError as exc:
         hint = ""
-        if e == 1 and p > 1 and not is_prime(p):
+        if e == 1 and 1 < p <= MAX_ORDER and not is_prime(p):
             hint = " (for prime powers use extension syntax, e.g. --field 2^2)"
         raise UsageError(f"{exc}{hint}") from None
 

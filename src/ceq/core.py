@@ -142,15 +142,6 @@ class Journal:
     u_g: Mat
     u_h: Mat
 
-    @property
-    def trivial(self) -> bool:
-        return (
-            not self.removed_g
-            and not self.removed_h
-            and self.rank == self.original.k
-            and self.original == self.normalized
-        )
-
 
 @dataclass(frozen=True)
 class Rejection:
@@ -211,8 +202,6 @@ def map_witness_to_normalized(journal: Journal, w: Witness) -> Witness:
     orig = journal.original
     if not verify_witness(orig, w):
         raise WitnessInvalid("witness does not verify on the original instance")
-    if journal.trivial:
-        return w
     fld = journal.original.field
     kept_g = _kept(orig.n, journal.removed_g)
     kept_h = _kept(orig.n, journal.removed_h)
@@ -243,8 +232,6 @@ def map_witness_to_original(journal: Journal, w: Witness) -> Witness:
     and S is padded with the identity on the discarded row complement."""
     if not verify_witness(journal.normalized, w):
         raise WitnessInvalid("witness does not verify on the normalized instance")
-    if journal.trivial:
-        return w
     orig = journal.original
     fld = orig.field
     k = orig.k

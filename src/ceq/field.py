@@ -13,7 +13,7 @@ field. The constructor builds every table the field uses and binds one
 kernel set (`Field._bind`); the field never changes after that, so a
 call pays for no dispatch:
 
-* q <= 256: flat q x q lookup tables;
+* q <= 256: flat q x q lookup tables in row-major order;
 * primes above 256: integer arithmetic mod p, with no tables at all;
 * 2^e above 256: XOR add/sub; mul and inv through log and exp tables
   (the exp table has 2(q - 1) entries, so a sum of two logs indexes it
@@ -22,6 +22,9 @@ call pays for no dispatch:
   through Zech's logarithms (K. Huber, "Some comments on Zech's
   logarithms", IEEE Trans. IT 36(4), 1990): with g primitive and
   Z(i) = log_g(1 + g^i), g^i + g^j = g^(i + Z(j - i)).
+
+The tables and their layout are private to this module; every other
+module calls the bound kernels.
 
 The exp table is the walk 1, g, g^2, ... with a lookup per step.
 Multiplication by g is F_p-linear: with a = lo + P*hi and P = p^(e//2),
@@ -70,12 +73,6 @@ def is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # polynomial helpers on little-endian coefficient lists over F_p
-
-
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
 
 
 def _poly_mod(num: list[int], den: Sequence[int], p: int) -> list[int]:
@@ -194,6 +191,10 @@ class Field:
     )
 
     def __init__(self, p: int, e: int = 1, modulus: Optional[Sequence[int]] = None):
+        # the caps come before is_prime and p**e, which an oversized
+        # spec would keep busy for minutes
+        if isinstance(p, int) and p > MAX_ORDER:
+            raise UnsupportedSize(f"characteristic {p} exceeds order cap {MAX_ORDER}")
         if not isinstance(p, int) or not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if not isinstance(e, int) or e < 1:
@@ -458,12 +459,6 @@ class Field:
         `perfbench/` calls it."""
         return self
 
-    def flat_ops(self):
-        """(add, sub, mul, neg, inv) flat tables for q <= 256, else None."""
-        if self._mul_flat is None:
-            return None
-        return (self._add_flat, self._sub_flat, self._mul_flat, self._neg_list, self._inv_list)
-
     # -- signs -----------------------------------------------------------------
 
     def is_sign(self, a: int) -> bool:
@@ -531,7 +526,7 @@ def field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> Field:
     """
     if modulus is not None:
         mod = tuple(int(c) for c in modulus)
-    elif e > 1 and is_prime(p) and p**e <= MAX_ORDER and e <= MAX_DEGREE:
+    elif 1 < e <= MAX_DEGREE and p <= MAX_ORDER and is_prime(p) and p**e <= MAX_ORDER:
         mod = default_modulus(p, e)
     else:
         mod = None

@@ -111,40 +111,25 @@ class Mat:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
 
     def mul(self, other: "Mat") -> "Mat":
+        """The product self * other. Like every matrix routine it calls the
+        field's bound `add` and `mul` kernels and never reads its tables."""
         self._same_field(other)
         if self.n != other.k:
             raise DimMismatch(f"{self.k}x{self.n} times {other.k}x{other.n}")
-        fld = self.field
-        flat = fld.flat_ops()
+        add, mul = self.field.add, self.field.mul
         bt = other.rows
         m = other.n
         out = []
-        if flat:
-            add_t, _, mul_t, _, _ = flat
-            q = fld.q
-            for arow in self.rows:
-                acc = [0] * m
-                for t, a in enumerate(arow):
-                    if a:
-                        brow = bt[t]
-                        base = a * q
-                        for j in range(m):
-                            b = brow[j]
-                            if b:
-                                acc[j] = add_t[acc[j] * q + mul_t[base + b]]
-                out.append(acc)
-        else:
-            add, mul = fld.add, fld.mul
-            for arow in self.rows:
-                acc = [0] * m
-                for t, a in enumerate(arow):
-                    if a:
-                        brow = bt[t]
-                        for j in range(m):
-                            b = brow[j]
-                            if b:
-                                acc[j] = add(acc[j], mul(a, b))
-                out.append(acc)
+        for arow in self.rows:
+            acc = [0] * m
+            for t, a in enumerate(arow):
+                if a:
+                    brow = bt[t]
+                    for j in range(m):
+                        b = brow[j]
+                        if b:
+                            acc[j] = add(acc[j], mul(a, b))
+            out.append(acc)
         return Mat._of(self.field, out, m)
 
     def scale(self, a: int) -> "Mat":

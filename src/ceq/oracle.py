@@ -264,9 +264,8 @@ class _Backtracker:
         self.k = inst.k
         self.n = inst.n
         self.ticker = ticker
-        # columns as tuples; a 0-row matrix still has n (empty) columns
-        self.gcols = list(zip(*inst.G.rows)) if self.k else [()] * self.n
-        self.hcols = list(zip(*inst.H.rows)) if self.k else [()] * self.n
+        self.gcols = inst.G.cols()
+        self.hcols = inst.H.cols()
         self.scalars = _scalars(self.fld, self.tag)
         self.zero = (0,) * self.k
 

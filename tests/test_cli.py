@@ -260,6 +260,24 @@ def test_module_entry_point_smoke(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("spec", ["1000000000000000003", "3^100000000"])
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_oversized_field_spec_exits_promptly(tmp_path, spec, source):
+    # a subprocess with a timeout, so a field check that runs is_prime or
+    # p**e on the raw spec fails the test instead of hanging the suite
+    if source == "file":
+        inst = tmp_path / "big.ceq"
+        inst.write_text(f"%CEQ 1\nfield {spec}\ntag PCE\nG 1 2\n1 1\nH 1 2\n1 1\n")
+        args = ["solve", "--in", str(inst)]
+    else:
+        args = ["gen", "--k", "1", "--n", "2", "--field", spec, "--tag", "PCE",
+                "--planted", "yes", "--seed", "0", "--out", str(tmp_path / "x.ceq")]
+    proc = subprocess.run([sys.executable, "-m", "ceq", *args], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_workers_flag_reproducible(tmp_path):
     inst = tmp_path / "i.ceq"
     run(["gen", "--k", 2, "--n", 4, "--field", 3, "--tag", "SPCE",

@@ -256,7 +256,8 @@ def test_preprocess_identity_on_clean_input():
     i2 = Mat.identity(F2, 2)
     out = preprocess(Instance(F2, i2, i2, Tag.PCE))
     assert isinstance(out, Normalized)
-    assert out.instance.G == i2 and out.journal.trivial
+    assert out.instance.G == i2
+    _assert_identity_journal(out.journal)
 
 
 def test_preprocess_passes_non_pce_through():
@@ -264,15 +265,39 @@ def test_preprocess_passes_non_pce_through():
     inst = Instance(F2, g, g, Tag.LCE)
     out = preprocess(inst)
     assert isinstance(out, Normalized)
-    assert out.instance is inst and out.journal.trivial
+    assert out.instance is inst
+    _assert_identity_journal(out.journal)
+
+
+def _assert_identity_journal(journal):
+    # nothing removed, full rank, identity transforms: the maps change no witness
+    k = journal.original.k
+    assert journal.removed_g == journal.removed_h == ()
+    assert journal.rank == k
+    assert journal.u_g == journal.u_h == Mat.identity(journal.original.field, k)
+    assert journal.normalized == journal.original
 
 
 def test_witness_map_trivial_journal_is_identity():
     rng = stream(2, "triv")
-    inst, w = planted(F3, 2, 3, Tag.PCE, rng)
-    out = preprocess(inst)
-    if isinstance(out, Normalized) and out.journal.trivial:
-        assert map_witness_to_normalized(out.journal, w) == w
+    for fld in (F2, F3, field(2, 2), F5, field(7), field(3, 2)):
+        for trial in range(4):
+            k = rng.randrange(1, 3)
+            n = rng.randrange(k, k + 3)
+            # a normalized PCE pair is already in RREF with no zero
+            # columns, so normalizing it again does no row operation
+            inst, w = planted(fld, k, n, Tag.PCE, rng)
+            first = preprocess(inst)
+            assert isinstance(first, Normalized)
+            pairs = [(first.instance, map_witness_to_normalized(first.journal, w))]
+            for tag in (Tag.SPCE, Tag.LCE):
+                pairs.append(planted(fld, k, n, tag, rng))
+            for inst, w in pairs:
+                out = preprocess(inst)
+                assert isinstance(out, Normalized)
+                _assert_identity_journal(out.journal)
+                assert map_witness_to_normalized(out.journal, w) == w
+                assert map_witness_to_original(out.journal, w) == w
 
 
 def test_witness_maps_roundtrip_with_zero_columns():

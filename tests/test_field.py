@@ -88,6 +88,11 @@ def test_make_rejects_oversized_fields():
         field(65537)
     with pytest.raises(UnsupportedSize):
         field(3, 11)  # 3^11 > 2^16
+    # the caps are checked before is_prime and p**e
+    with pytest.raises(UnsupportedSize):
+        field(10**18 + 3)
+    with pytest.raises(UnsupportedSize):
+        field(3, 10**8)
 
 
 def test_add_mul_examples():

@@ -36,9 +36,12 @@ def test_boundary_modules_use_the_validating_constructor():
 
 def test_only_the_field_module_reads_field_tables():
     # the table layout is private to field.py, and the constructor builds
-    # every table; other modules go through the bound kernels or
-    # Field.flat_ops() and never ask for tables to be built
-    private = {"_exp", "_log", "_zech", "_add_flat", "_sub_flat", "_mul_flat", "_neg_list", "_inv_list", "warm"}
+    # every table; other modules go through the bound kernels and never
+    # ask for tables to be built
+    private = {
+        "_exp", "_log", "_zech", "_add_flat", "_sub_flat", "_mul_flat", "_neg_list", "_inv_list",
+        "warm", "flat_ops",
+    }
     others = [p for p in SOURCES if p.name != "field.py"]
     assert len(others) == len(SOURCES) - 1
     found = [
@@ -68,4 +71,32 @@ def test_no_unused_imports_in_package():
                     imported[alias.asname or alias.name] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert found == []
+
+
+def test_no_unreferenced_private_names():
+    # a module-level _name that nothing in the package reads is dead code
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [
+                f"{name}:{node.lineno} {d}"
+                for d in defined
+                if d.startswith("_") and not d.startswith("__") and d not in read
+            ]
     assert found == []
