@@ -33,6 +33,14 @@ the r pinned pairs are the columns of the k x r matrices X and Y. When
 rank(G) = k, r = k and S is unique; when rank(G) < k, S is one of
 several valid choices.
 
+The gadget holds [a_j; 1] once, [a_j; 0] m times and e_{k+1} nm + 1
+times, so a gadget pair has at most 2d + 1 distinct column values for d
+distinct columns of A. The backtracker therefore computes class keys
+once per distinct column value, and a forced completion computes
+S^-1 * y, its class key and the scalars of the matching source values
+once per distinct target value y. It still ticks once per target
+column, so node counts are those of a per-column computation.
+
 Both deciders fix one scalar to 1. If (S, M) is a witness, so is
 (c*S, c^-1*M) for every unit c (LCE) or sign c (SPCE), so each class of
 witnesses under this global scalar has a member with that scalar equal
@@ -270,10 +278,12 @@ class _Backtracker:
         self.zero = (0,) * self.k
 
         fld, tag = self.fld, self.tag
+        # one class key per distinct column value (see the module docstring)
+        keys = {col: _class_key(fld, tag, col) for col in {*self.gcols, *self.hcols}}
         self.gclass: dict[tuple, list[int]] = {}
         for i, col in enumerate(self.gcols):
-            self.gclass.setdefault(_class_key(fld, tag, col), []).append(i)
-        self.hkeys = [_class_key(fld, tag, col) for col in self.hcols]
+            self.gclass.setdefault(keys[col], []).append(i)
+        self.hkeys = [keys[col] for col in self.hcols]
         self.hclass: dict[tuple, list[int]] = {}
         for j, key in enumerate(self.hkeys):
             self.hclass.setdefault(key, []).append(j)
@@ -323,18 +333,20 @@ class _Backtracker:
         grew in all three accumulators. False: consistent, no rank change."""
         dx = self.acc_x.insert(x)
         dy = self.acc_y.insert(y)
-        dxy = self.acc_xy.insert(x + y)
-        if dx == dy == dxy:
-            if dx:
-                self.basis_pairs.append((x, y))
-                return True
-            return False
+        # when the x and y ranks already disagree the pair is inconsistent,
+        # whatever the joint rank does
+        if dx == dy:
+            dxy = self.acc_xy.insert(x + y)
+            if dxy == dx:
+                if dx:
+                    self.basis_pairs.append((x, y))
+                return dx
+            if dxy:
+                self.acc_xy.pop()
         if dx:
             self.acc_x.pop()
         if dy:
             self.acc_y.pop()
-        if dxy:
-            self.acc_xy.pop()
         return None
 
     def _pop(self, grew: bool):
@@ -434,55 +446,56 @@ class _Backtracker:
 
     def _complete(self, t: int) -> Optional[Witness]:
         """With the change of basis pinned, the rest of the assignment is
-        forced; consume matching source columns or fail."""
-        fld = self.fld
-        s_inv_rows = self.s_inv_rows
+        forced; consume matching source columns or fail. The sources of a
+        target are worked out once per distinct target value; the loop
+        still ticks once per target column."""
+        used, sigma, diag = self.used, self.sigma, self.diag
+        sources: dict[tuple, list[tuple[list[int], int]]] = {}
         consumed = []
         ok = True
         for tt in range(t, len(self.targets)):
             self.ticker.tick()
             j = self.targets[tt]
             y = self.hcols[j]
-            x_req = tuple(_dot(fld, row, y) for row in s_inv_rows)
-            found = self._consume(j, x_req)
-            if found is None:
+            options = sources.get(y)
+            if options is None:
+                options = sources[y] = self._sources(y)
+            for members, d in options:
+                rep = next((i for i in members if not used[i]), None)
+                if rep is not None:
+                    break
+            else:
                 ok = False
                 break
-            consumed.append(found)
+            used[rep] = True
+            sigma[j] = rep
+            diag[rep] = d
+            consumed.append((j, rep))
         if ok:
             got = self._finish()
             if got is not None:
                 return got
         for j, rep in reversed(consumed):
-            self.used[rep] = False
-            self.sigma[j] = -1
-            self.diag[rep] = 1
+            used[rep] = False
+            sigma[j] = -1
+            diag[rep] = 1
         return None
 
-    def _consume(self, j: int, x_req: tuple):
+    def _sources(self, y: tuple) -> list[tuple[list[int], int]]:
+        """The G values that target y can take under the pinned S, in order:
+        each value's members and the scalar d with S^-1 * y = d * value."""
         fld = self.fld
-        key = _class_key(fld, self.tag, x_req)
-        by_val = self.gvalues.get(key)
-        if by_val is None:
-            return None
-        for value, members in by_val:
-            rep = next((i for i in members if not self.used[i]), None)
-            if rep is None:
-                continue
-            # value and x_req share a class key, so x_req = d * value with
-            # d allowed for the tag: the key is the column itself for PCE
-            # (d = 1), min(v, -v) for SPCE (d = +-1), and the column over
-            # its first non-zero entry for LCE (d a unit)
-            if x_req == self.zero:
-                d = 1
-            else:
-                nz = next(i for i, v in enumerate(value) if v)
-                d = fld.mul(x_req[nz], fld.inv(value[nz]))
-            self.used[rep] = True
-            self.sigma[j] = rep
-            self.diag[rep] = d
-            return (j, rep)
-        return None
+        x_req = tuple(_dot(fld, row, y) for row in self.s_inv_rows)
+        by_val = self.gvalues.get(_class_key(fld, self.tag, x_req), ())
+        if x_req == self.zero:
+            return [(members, 1) for _, members in by_val]
+        # each value shares x_req's class key, so x_req = d * value with d
+        # allowed for the tag: the key is the column itself for PCE
+        # (d = 1), min(v, -v) for SPCE (d = +-1), and the column over its
+        # first non-zero entry for LCE (d a unit)
+        nz = next(i for i, v in enumerate(x_req) if v)
+        c, inv, mul = x_req[nz], fld.inv, fld.mul
+        return [(members, mul(c, inv(value[nz]))) for value, members in by_val]
 
     def _finish(self) -> Optional[Witness]:
         fld, k = self.fld, self.k

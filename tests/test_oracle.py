@@ -312,22 +312,91 @@ _PINNED_SEARCH = {
             ),
             (1,) * 36,
         )),
+    ('LCE', (5, 1), 2, 6, 'yes', 2, (2, 2, 1, 1), 'gadget', Mode.BACKTRACKING):
+        ('YES', 172, (
+            ((1, 3, 0), (0, 1, 0), (0, 0, 1)),
+            (
+                0, 2, 3, 4, 1, 5, 6, 7, 8, 12, 13, 14, 9, 10, 11, 15, 16, 17, 18, 19,
+                20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39,
+                40, 41, 42,
+            ),
+            (1,) * 9 + (3,) * 3 + (1,) * 6 + (2,) * 3 + (1,) * 22,
+        )),
+    # hard NOs: certified-NO PCE pairs that pass preprocessing
+    ('LCE', (2, 2), 2, 5, 'no', 3, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING):
+        ('NO', 112, None),
+    ('LCE', (5, 1), 2, 6, 'no', 2, (2, 2, 1, 1), 'gadget', Mode.BACKTRACKING):
+        ('NO', 264, None),
+    ('SPCE', (7, 1), 2, 5, 'no', 0, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING):
+        ('NO', 67, None),
 }
 
 
-@pytest.mark.parametrize("case", list(_PINNED_SEARCH), ids=lambda c: "-".join(map(str, c)))
-def test_search_nodes_and_witnesses_pinned(case):
+def _pinned_instance(case):
     tag, (p, e), k, n, planted, seed, profile, source, mode = case
     fld = field(p, e)
     if source == "gadget":
         spec = GenSpec(fld, k, n, Tag.PCE, Planted(planted), seed, profile)
-        inst, _ = reduce_instance(generate(spec).instance, Tag[tag])
-    else:
-        inst = generate(GenSpec(fld, k, n, Tag[tag], Planted(planted), seed, profile)).instance
-    res = decide(inst, Budget(mode=mode))
+        inst, cert = reduce_instance(generate(spec).instance, Tag[tag])
+        assert not cert.rejected
+        return inst
+    return generate(GenSpec(fld, k, n, Tag[tag], Planted(planted), seed, profile)).instance
+
+
+_LCE_GADGET_YES = ('LCE', (5, 1), 2, 6, 'yes', 2, (2, 2, 1, 1), 'gadget', Mode.BACKTRACKING)
+_LCE_GADGET_NO = ('LCE', (5, 1), 2, 6, 'no', 2, (2, 2, 1, 1), 'gadget', Mode.BACKTRACKING)
+_SPCE_GADGET_NO = ('SPCE', (7, 1), 2, 5, 'no', 0, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING)
+
+
+@pytest.mark.parametrize("case", list(_PINNED_SEARCH), ids=lambda c: "-".join(map(str, c)))
+def test_search_nodes_and_witnesses_pinned(case):
+    res = decide(_pinned_instance(case), Budget(mode=case[-1]))
     w = res.witness
     got = (res.status.value, res.nodes, None if w is None else (w.S.rows, w.M.perm.sigma, w.M.diag))
     assert got == _PINNED_SEARCH[case]
+
+
+def test_backtracker_works_once_per_distinct_column_value(monkeypatch):
+    # a gadget pair repeats its columns: n' = 43 here, with few distinct
+    # values. Set-up computes one class key per distinct value of G and H,
+    # and a forced completion computes S^-1 * y (k dot products) and its
+    # class key once per distinct target value, not once per target column.
+    calls = {"key": 0, "dot": 0}
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(oracle, "_class_key", counting("key", oracle._class_key))
+    monkeypatch.setattr(oracle, "_dot", counting("dot", oracle._dot))
+    real_init, real_complete = oracle._Backtracker.__init__, oracle._Backtracker._complete
+    setups, completions = [], []
+
+    def init(bt, inst, ticker):
+        before = calls["key"]
+        real_init(bt, inst, ticker)
+        setups.append((calls["key"] - before, len({*bt.gcols, *bt.hcols}), bt.n))
+
+    def complete(bt, t):
+        before = dict(calls)
+        got = real_complete(bt, t)
+        targets = len(bt.targets) - t
+        distinct = len({bt.hcols[j] for j in bt.targets[t:]})
+        completions.append((calls["dot"] - before["dot"], calls["key"] - before["key"], bt.k, distinct, targets))
+        return got
+
+    monkeypatch.setattr(oracle._Backtracker, "__init__", init)
+    monkeypatch.setattr(oracle._Backtracker, "_complete", complete)
+    for case in (_LCE_GADGET_YES, _LCE_GADGET_NO):
+        assert decide(_pinned_instance(case), Budget(mode=Mode.BACKTRACKING)).nodes == _PINNED_SEARCH[case][1]
+    assert all(keys <= distinct < n for keys, distinct, n in setups)
+    assert all(dots <= k * distinct and keys <= distinct for dots, keys, k, distinct, _ in completions)
+    # the completions do reach targets that repeat a value
+    assert len(completions) > 10
+    assert sum(targets for *_, targets in completions) > 2 * sum(distinct for *_, distinct, _ in completions)
+
 
 def test_decider_invariant_under_representation_change():
     rng = stream(99, "rerandom")
@@ -361,15 +430,19 @@ def test_decider_invariant_under_representation_change():
 
 
 def test_workers_match_serial():
-    gen = generate(GenSpec(F3, 2, 4, Tag.SPCE, Planted.YES, seed=77))
-    serial = decide(gen.instance, Budget(mode=Mode.EXHAUSTIVE), workers=1)
-    parallel = decide(gen.instance, Budget(mode=Mode.EXHAUSTIVE), workers=3)
-    assert serial.status == parallel.status is Status.YES
-    assert serial.witness == parallel.witness
-    bt_serial = decide(gen.instance, Budget(mode=Mode.BACKTRACKING), workers=1)
-    bt_parallel = decide(gen.instance, Budget(mode=Mode.BACKTRACKING), workers=3)
-    assert bt_serial.status == bt_parallel.status is Status.YES
-    assert bt_serial.witness == bt_parallel.witness
+    raw = generate(GenSpec(F3, 2, 4, Tag.SPCE, Planted.YES, seed=77)).instance
+    # on gadget pairs too: _root_width builds a _Backtracker to slice the root
+    cases = (
+        (raw, Mode.EXHAUSTIVE, 3, Status.YES),
+        (raw, Mode.BACKTRACKING, 3, Status.YES),
+        (_pinned_instance(_LCE_GADGET_YES), Mode.BACKTRACKING, 2, Status.YES),
+        (_pinned_instance(_SPCE_GADGET_NO), Mode.BACKTRACKING, 2, Status.NO),
+    )
+    for inst, mode, workers, status in cases:
+        serial = decide(inst, Budget(mode=mode), workers=1)
+        parallel = decide(inst, Budget(mode=mode), workers=workers)
+        assert serial.status is parallel.status is status
+        assert serial.witness == parallel.witness
 
 
 def test_workers_no_instance():

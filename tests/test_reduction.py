@@ -432,6 +432,62 @@ def test_soundness_hard_no_through_gadget():
     # preprocessing must not quietly swallow the sweep (29 of 80 pairs today)
     assert reached >= 25
 
+def _subspaces(fld, k, n):
+    """Every k-dimensional subspace of F_q^n, as the RREF matrix of its basis."""
+    for pivots in itertools.combinations(range(n), k):
+        free = [(i, c) for i in range(k) for c in range(pivots[i] + 1, n) if c not in pivots]
+        for vals in itertools.product(range(fld.q), repeat=len(free)):
+            rows = [[0] * n for _ in range(k)]
+            for i, c in enumerate(pivots):
+                rows[i][c] = 1
+            for (i, c), v in zip(free, vals):
+                rows[i][c] = v
+            yield Mat(fld, rows, n)
+
+
+def _column_orbit_representatives(mats):
+    """The first matrix of each orbit under column permutation, the orbits
+    taken on RREFs."""
+    seen, reps = set(), []
+    for g in mats:
+        if g.rows in seen:
+            continue
+        reps.append(g)
+        for sigma in itertools.permutations(range(g.n)):
+            permuted = Mat(g.field, [[row[s] for s in sigma] for row in g.rows], g.n)
+            seen.add(permuted.rref()[0].rows)
+    return reps
+
+
+@pytest.mark.parametrize(
+    "p, k, n, subspaces, orbits, gadget_no_floor",
+    [(3, 2, 4, 130, 16, 600), (2, 3, 5, 155, 10, 225)],
+    ids=["GF3-k2-n4", "GF2-k3-n5"],
+)
+def test_karp_census(p, k, n, subspaces, orbits, gadget_no_floor):
+    """The Karp property on every PCE pair of one size, up to permuting G's
+    columns, which does not change PCE equivalence: the truth comes from
+    the exhaustive decider, and both gadgets, decided by backtracking, must
+    give the same answer."""
+    fld = field(p)
+    every_h = list(_subspaces(fld, k, n))
+    reps = _column_orbit_representatives(every_h)
+    assert (len(every_h), len(reps)) == (subspaces, orbits)
+    exhaustive, backtracking = Budget(mode=Mode.EXHAUSTIVE), Budget(mode=Mode.BACKTRACKING)
+    gadget_no = 0
+    for g in reps:
+        for h in every_h:
+            inst = Instance(fld, g, h, Tag.PCE)
+            truth = decide(inst, exhaustive).status
+            assert truth in (Status.YES, Status.NO)
+            for target in (Tag.LCE, Tag.SPCE):
+                red, cert = reduce_instance(inst, target)
+                assert decide(red, backtracking).status is truth, (g.rows, h.rows, target)
+                gadget_no += truth is Status.NO and not cert.rejected
+    # NOs that reach the gadget instead of a preprocessing rule
+    assert gadget_no >= gadget_no_floor
+
+
 def test_stripping_preserves_decision():
     rng = stream(47, "strip")
     budget = Budget(mode=Mode.EXHAUSTIVE)
