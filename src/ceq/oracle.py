@@ -4,18 +4,25 @@ The deciders are deliberately naive searches over the full matrix
 groups, meant to validate the reductions at desk scale rather than to
 compete with structural equivalence algorithms.
 
-EXHAUSTIVE iterates permutations in lexicographic order of sigma and,
+EXHAUSTIVE scans permutations in lexicographic order of sigma and,
 inside each, diagonal vectors in lexicographic order of the encoded
 field elements; a candidate action M is accepted when the row spaces of
 G*M and H coincide, at which point the change of basis is recovered by
 `row_basis_transform(G*M, H)`. The first verifying candidate in that
-order is the one returned. The row space test is a single early-exit
-span check: a vector v lies in the row space of H exactly when, at every
-non-pivot column f of R = rref(H), the residual
-v[f] - sum_i v[piv_i] * R[i][f] is zero. These checks are listed once
-per call; for each candidate only the entries of the scaled rows of
-rref(G) that a check reads are computed, and the test stops at the
-first non-zero residual.
+order is the one returned. A vector v lies in the row space of H exactly
+when, at every non-pivot column f of R = rref(H), the residual
+v[f] - sum_i v[piv_i] * R[i][f] is zero. For a row of rref(G) scaled by
+M that residual is a linear form in diag, one term per position it
+reads, and it is complete once sigma has placed position f (R's pivots
+in it lie left of f). The scan places sigma position by position and
+then diag source by source, in the same order, and checks each residual
+once per prefix instead of once per candidate: a complete form with a
+single non-zero term never vanishes, and with one scalar (PCE, SPCE in
+characteristic 2) a form is evaluated as soon as it is complete; other
+forms are evaluated once diag has assigned their largest source index.
+A prefix that breaks a residual is pruned, and every candidate below it
+is counted at once, so node counts are those of a scan that ticks each
+candidate; under a time limit they are still ticked one by one.
 
 BACKTRACKING assigns the permutation column by column. A partial
 assignment pins pairs (x, y) that the change of basis must map onto
@@ -123,7 +130,7 @@ class _Ticker:
 
     `tick` does one comparison per node. Without a time limit the check
     point is the node after the budget; with one, every node is checked
-    and reads the clock.
+    and reads the clock. `skip` counts a block of pruned candidates.
     """
 
     __slots__ = ("nodes", "max_nodes", "deadline", "_check_at")
@@ -138,6 +145,19 @@ class _Ticker:
         self.nodes += 1
         if self.nodes >= self._check_at:
             self._check()
+
+    def skip(self, count: int):
+        """Account for `count` candidates at once. Without a time limit they
+        are added in one step, capped at the node after the budget; with
+        one, each is ticked, so the clock is still read once per node."""
+        if self.deadline is not None:
+            for _ in range(count):
+                self.tick()
+            return
+        self.nodes += count
+        if self.nodes >= self._check_at:
+            self.nodes = self._check_at
+            raise _OutOfBudget
 
     def _check(self):
         if self.nodes > self.max_nodes or time.perf_counter() > self.deadline:
@@ -157,55 +177,145 @@ def _exhaustive(inst: Instance, first: Optional[int], ticker: _Ticker):
     rg, rank_g, _ = g.rref()
     rh, rank_h, piv_h = h.rref()
     reduced_rows = rg.rows[:rank_g]
-    # v lies in the row space of H iff at every non-pivot column f of
-    # R = rref(H) the residual v[f] - sum_i v[piv_i] * R[i][f] is zero
-    checks = [
-        (f, [(piv_h[i], rh.rows[i][f]) for i in range(rank_h) if rh.rows[i][f]])
-        for f in range(n)
-        if f not in piv_h
-    ]
-    sub, mul = fld.sub, fld.mul
+    add, sub, mul, neg = fld.add, fld.sub, fld.mul, fld.neg
 
-    def in_span(sigma, diag):
-        """Whether every scaled row [diag[s] * row[s] for s in sigma] of G
-        lies in the row space of H; computes only the entries a check reads."""
+    def accept(sigma, diag):
+        m = Mono(fld, Perm(tuple(sigma)), tuple(diag)) if n else Mono.identity(fld, 0)
+        s = row_basis_transform(g.apply_mono(m), h)
+        if s is None:
+            return None
+        w = Witness(s, m)
+        if not verify_witness(inst, w):
+            raise WitnessInvalid("exhaustive search recovered a non-verifying witness")
+        return w
+
+    if n == 0:
+        if first not in (None, 0):
+            return None
+        ticker.tick()
+        return accept((), ())
+
+    # the residual check at each non-pivot column f of rref(H), done when
+    # sigma places position f (module docstring)
+    check_at: list[Optional[list]] = [None] * n
+    for f in range(n):
+        if f not in piv_h:
+            check_at[f] = [(piv_h[i], rh.rows[i][f]) for i in range(rank_h) if rh.rows[i][f]]
+    single = len(scal) == 1
+    # candidates under a pruned prefix: (n-1-p)! * |scal|^(n-1) below
+    # sigma position p, |scal|^(n-1-s) below diag index s
+    below_diag = [len(scal) ** (n - 1 - s) for s in range(n)]
+    below_sigma = [below_diag[0]] * n
+    for p in range(n - 2, -1, -1):
+        below_sigma[p] = below_sigma[p + 1] * (n - 1 - p)
+
+    # sigma[p] is -1 while no value is placed at position p; diag[0] = 1
+    # since the global scalar is quotiented out (module docstring)
+    sigma = [-1] * n
+    used = [False] * n
+    diag = [1] * n
+    # residuals that sigma leaves to the diagonal: (largest source index,
+    # [(source s, c_s)]) for the form sum_s c_s * diag[s]; the forms of
+    # position p start at marks[p]
+    pending: list[tuple[int, list[tuple[int, int]]]] = []
+    marks = [0] * n
+
+    def residuals_vanish(p) -> bool:
+        """Whether every residual that position p completes can still
+        vanish; residuals that depend on the diagonal go to `pending`."""
+        terms = check_at[p]
+        if terms is None:
+            return True
+        sf = sigma[p]
         for row in reduced_rows:
-            for f, terms in checks:
-                s = sigma[f]
-                res = mul(diag[s], row[s])
+            if single:
+                res = row[sf]
                 for c, coef in terms:
-                    s = sigma[c]
-                    x = row[s]
+                    x = row[sigma[c]]
                     if x:
-                        res = sub(res, mul(coef, mul(diag[s], x)))
+                        res = sub(res, mul(coef, x))
                 if res:
                     return False
+                continue
+            form = [(sf, row[sf])] if row[sf] else []
+            for c, coef in terms:
+                s = sigma[c]
+                x = row[s]
+                if x:
+                    form.append((s, neg(mul(coef, x))))
+            if len(form) == 1:
+                # a single term times a unit never vanishes
+                return False
+            if form:
+                pending.append((max(s for s, _ in form), form))
         return True
 
-    if first is None:
-        perms = itertools.permutations(range(n))
-    elif n == 0:
-        perms = iter([()]) if first == 0 else iter(())
-    else:
-        rest = [i for i in range(n) if i != first]
-        perms = ((first,) + tail for tail in itertools.permutations(rest))
+    def vanishes(form) -> bool:
+        res = 0
+        for s, c in form:
+            res = add(res, mul(c, diag[s]))
+        return not res
 
-    # the global scalar is quotiented out: diag[0] = 1 (module docstring)
-    head = (1,) if n else ()
-    for sigma in perms:
-        for rest in itertools.product(scal, repeat=max(n - 1, 0)):
-            diag = head + rest
-            ticker.tick()
-            if not in_span(sigma, diag):
+    def scale():
+        """Scan the diagonals under the placed sigma, in order."""
+        forms_at: list[list] = [[] for _ in range(n)]
+        for s, form in pending:
+            forms_at[s].append(form)
+        pick = [-1] * n  # index into scal of diag[s], -1 before the first
+        s = 1
+        while s:
+            if s == n:
+                ticker.tick()
+                w = accept(sigma, diag)
+                if w is not None:
+                    return w
+                s -= 1
                 continue
-            m = Mono(fld, Perm(sigma), diag) if n else Mono.identity(fld, 0)
-            s = row_basis_transform(g.apply_mono(m), h)
-            if s is None:
+            i = pick[s] + 1
+            if i == len(scal):
+                pick[s] = -1
+                s -= 1
                 continue
-            w = Witness(s, m)
-            if not verify_witness(inst, w):
-                raise WitnessInvalid("exhaustive search recovered a non-verifying witness")
-            return w
+            pick[s] = i
+            diag[s] = scal[i]
+            for form in forms_at[s]:
+                if not vanishes(form):
+                    ticker.skip(below_diag[s])
+                    break
+            else:
+                s += 1
+        return None
+
+    # depth first over sigma, iteratively so that wide instances need no
+    # deep recursion; position 0 takes only `first` when it is given
+    p = 0
+    while p >= 0:
+        v = sigma[p]
+        if v >= 0:
+            # take back the value tried last at p
+            used[v] = False
+            del pending[marks[p]:]
+        if p == 0 and first is not None:
+            v = first if v < 0 else n
+        else:
+            v += 1
+            while v < n and used[v]:
+                v += 1
+        if v == n:
+            sigma[p] = -1
+            p -= 1
+            continue
+        sigma[p] = v
+        used[v] = True
+        marks[p] = len(pending)
+        if not residuals_vanish(p):
+            ticker.skip(below_sigma[p])
+        elif p + 1 < n:
+            p += 1
+        else:
+            w = scale()
+            if w is not None:
+                return w
     return None
 
 
@@ -366,8 +476,7 @@ class _Backtracker:
     # -- search ---------------------------------------------------------------
 
     def run(self, first: Optional[int] = None) -> Optional[Witness]:
-        if self.infeasible_by_counting():
-            return None
+        """Search; the caller has checked `infeasible_by_counting`."""
         if self.n == 0:
             return self._finish()
         return self._assign(0, first)
@@ -525,10 +634,6 @@ def _dot(fld: Field, row, vec) -> int:
     return acc
 
 
-def _backtracking(inst: Instance, first: Optional[int], ticker: _Ticker):
-    return _Backtracker(inst, ticker).run(first)
-
-
 # ---------------------------------------------------------------------------
 # public decide
 
@@ -546,17 +651,22 @@ def _root_width(inst: Instance, mode: Mode) -> int:
 
 
 def _run_slice(inst: Instance, budget: Budget, first: Optional[int]):
-    """(witness or None, nodes, completed) for one slice of the root."""
-    t0 = time.perf_counter()
-    ticker = _Ticker(budget, t0)
+    """(status, witness or None, nodes, detail) for one slice of the root;
+    detail says why a slice without a witness ended."""
+    ticker = _Ticker(budget, time.perf_counter())
     try:
         if budget.mode is Mode.EXHAUSTIVE:
             w = _exhaustive(inst, first, ticker)
         else:
-            w = _backtracking(inst, first, ticker)
-        return w, ticker.nodes, True
+            bt = _Backtracker(inst, ticker)
+            if bt.infeasible_by_counting():
+                return Status.NO, None, 0, "class counts"
+            w = bt.run(first)
     except _OutOfBudget:
-        return None, ticker.nodes, False
+        return Status.UNKNOWN, None, ticker.nodes, "budget exhausted"
+    if w is None:
+        return Status.NO, None, ticker.nodes, "search exhausted"
+    return Status.YES, w, ticker.nodes, ""
 
 
 def decide(inst: Instance, budget: Budget = Budget(), workers: int = 1) -> DecideResult:
@@ -565,7 +675,8 @@ def decide(inst: Instance, budget: Budget = Budget(), workers: int = 1) -> Decid
     YES always carries a verifying witness. With workers > 1 the root of
     the search fans out over disjoint slices; results reduce in slice
     order so the answer (and the returned witness) is independent of the
-    worker count. The node budget then applies per slice.
+    worker count. The node budget then applies per slice. A NO names why
+    it ended in `detail`: rank mismatch, class counts or search exhausted.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -574,38 +685,29 @@ def decide(inst: Instance, budget: Budget = Budget(), workers: int = 1) -> Decid
         return DecideResult(Status.NO, None, 0, time.perf_counter() - t0, "rank mismatch")
 
     if workers == 1:
-        w, nodes, completed = _run_slice(inst, budget, None)
-        elapsed = time.perf_counter() - t0
-        if w is not None:
-            return DecideResult(Status.YES, w, nodes, elapsed)
-        if completed:
-            return DecideResult(Status.NO, None, nodes, elapsed)
-        return DecideResult(Status.UNKNOWN, None, nodes, elapsed, "budget exhausted")
+        status, w, nodes, detail = _run_slice(inst, budget, None)
+        return DecideResult(status, w, nodes, time.perf_counter() - t0, detail)
 
     # imported here: concurrent.futures and multiprocessing are a large
     # share of start-up time for every command that never fans out
     from concurrent.futures import ProcessPoolExecutor
 
     width = _root_width(inst, budget.mode)
-    total_nodes = 0
-    outcome: Optional[DecideResult] = None
     with ProcessPoolExecutor(max_workers=min(workers, width)) as pool:
         futures = [pool.submit(_run_slice, inst, budget, s) for s in range(width)]
-        for fut in futures:
-            w, nodes, completed = fut.result()
-            total_nodes += nodes
-            if outcome is not None:
-                continue
-            if not completed:
-                outcome = DecideResult(
-                    Status.UNKNOWN, None, 0, 0.0, "budget exhausted in an early slice"
-                )
-            elif w is not None:
-                outcome = DecideResult(Status.YES, w, 0, 0.0)
+        slices = [fut.result() for fut in futures]
     elapsed = time.perf_counter() - t0
-    if outcome is None:
-        return DecideResult(Status.NO, None, total_nodes, elapsed)
-    return DecideResult(outcome.status, outcome.witness, total_nodes, elapsed, outcome.detail)
+    total_nodes = sum(nodes for _, _, nodes, _ in slices)
+    for status, w, _, _ in slices:
+        if status is Status.UNKNOWN:
+            return DecideResult(
+                Status.UNKNOWN, None, total_nodes, elapsed, "budget exhausted in an early slice"
+            )
+        if status is Status.YES:
+            return DecideResult(Status.YES, w, total_nodes, elapsed)
+    # class counts are a property of the whole instance: either every
+    # slice ended on them or every slice searched
+    return DecideResult(Status.NO, None, total_nodes, elapsed, slices[0][3])
 
 
 # ---------------------------------------------------------------------------

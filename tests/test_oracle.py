@@ -452,6 +452,27 @@ def test_workers_no_instance():
     assert serial.status is parallel.status is Status.NO
 
 
+def test_no_names_why_it_ended():
+    # class counts refute the raw LCE pair before any node; the other NOs
+    # come out of a search. The serial and the sliced path both say so.
+    class_counts = ('LCE', (2, 2), 2, 4, 'no', 6, None, 'raw', Mode.BACKTRACKING)
+    exhaustive_no = ('PCE', (7, 1), 3, 5, 'no', 1, (2, 1, 1, 1), 'raw', Mode.EXHAUSTIVE)
+    cases = (
+        (class_counts, "class counts"),
+        (exhaustive_no, "search exhausted"),
+        (_SPCE_GADGET_NO, "search exhausted"),
+    )
+    for case, detail in cases:
+        inst = _pinned_instance(case)
+        for workers in (1, 2):
+            res = decide(inst, Budget(mode=case[-1]), workers=workers)
+            assert (res.status, res.detail) == (Status.NO, detail), (case, workers)
+    rank_mismatch = Instance(F5, Mat(F5, [[1, 0], [0, 1]]), Mat(F5, [[1, 1], [2, 2]]), Tag.LCE)
+    for mode in Mode:
+        res = decide(rank_mismatch, Budget(mode=mode))
+        assert (res.status, res.nodes, res.detail) == (Status.NO, 0, "rank mismatch")
+
+
 # ---------------------------------------------------------------------------
 # generation
 

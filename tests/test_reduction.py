@@ -432,6 +432,30 @@ def test_soundness_hard_no_through_gadget():
     # preprocessing must not quietly swallow the sweep (29 of 80 pairs today)
     assert reached >= 25
 
+
+def test_soundness_hard_no_through_gadget_wide():
+    """The same sweep at n = 6, with two column profiles and the larger
+    fields q in {8, 9, 11, 13, 16}: every certified-NO PCE pair that gets
+    past preprocessing must reduce to a NO for both targets."""
+    budget = Budget(max_nodes=200_000, mode=Mode.BACKTRACKING)
+    reached = 0
+    for p, e in ((2, 3), (3, 2), (11, 1), (13, 1), (2, 4)):
+        for profile in ((2, 2, 1, 1), (3, 1, 1, 1)):
+            for seed in range(8):
+                spec = GenSpec(field(p, e), 2, 6, Tag.PCE, Planted.NO, seed, profile)
+                inst = generate(spec).instance
+                if isinstance(preprocess(inst), Rejection):
+                    continue
+                reached += 1
+                for target in (Tag.LCE, Tag.SPCE):
+                    red, cert = reduce_instance(inst, target)
+                    assert not cert.rejected
+                    res = decide(red, budget)
+                    assert res.status is Status.NO, (p, e, profile, seed, target, res.status)
+    # 63 of 80 pairs reach the gadget today
+    assert reached >= 55
+
+
 def _subspaces(fld, k, n):
     """Every k-dimensional subspace of F_q^n, as the RREF matrix of its basis."""
     for pivots in itertools.combinations(range(n), k):
