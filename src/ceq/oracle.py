@@ -29,14 +29,18 @@ assignment pins pairs (x, y) that the change of basis must map onto
 each other; the branch dies as soon as the x-side rank, the y-side
 rank, and the joint rank of those pairs disagree (an invertible map
 with the pinned behaviour then cannot exist), or when column
-multiplicity classes are incompatible. Once the x-side rank fills up,
-the change of basis is determined and the remainder of the assignment
-is forced by lookups instead of search. At that pin one Gauss-Jordan
-elimination of the k rows (y | x) turns the y half into the identity
-and leaves S^-1 * e_i in the x half of row i; each remaining target
-column y then needs the source column S^-1 * y. S itself is built once,
-for the witness that is returned, by `row_basis_transform(X, Y)`, where
-the r pinned pairs are the columns of the k x r matrices X and Y. When
+multiplicity classes are incompatible. The pairs that add rank live in
+two echelon accumulators: one of their x, and one of their rows (y | x)
+that pivots on the y half. A new pair reduces (y | x) once. If the y
+half vanishes, y lies in the span of the pinned y, and the pair is
+consistent exactly when the x half vanishes too; otherwise it is
+consistent, and adds rank, exactly when x adds x-side rank. Once the
+rank reaches k the change of basis is determined and the remainder of
+the assignment is forced by lookups instead of search: each remaining
+target column y needs the source column S^-1 * y, the negated x half of
+(y | 0) reduced against the pairs. S itself is built once, for the
+witness that is returned, by `row_basis_transform(X, Y)`, where the r
+pinned pairs are the columns of the k x r matrices X and Y. When
 rank(G) = k, r = k and S is unique; when rank(G) < k, S is one of
 several valid choices.
 
@@ -74,7 +78,7 @@ from typing import Optional
 from .core import Instance, Tag, Witness, verify_witness
 from .errors import BudgetExceeded, WitnessInvalid
 from .field import Field
-from .matrix import Mat, Mono, Perm, _eliminate, row_basis_transform
+from .matrix import Mat, Mono, Perm, row_basis_transform
 from .rng import stream
 
 
@@ -324,31 +328,41 @@ def _exhaustive(inst: Instance, first: Optional[int], ticker: _Ticker):
 
 
 class _Echelon:
-    """Incremental row echelon accumulator over a field."""
+    """Incremental row echelon accumulator over a field. Pivots lie in the
+    first `width` entries of a row; any entries after them ride along."""
 
-    __slots__ = ("fld", "rows", "pivots")
+    __slots__ = ("fld", "width", "rows", "pivots")
 
-    def __init__(self, fld: Field):
+    def __init__(self, fld: Field, width: int):
         self.fld = fld
+        self.width = width
         self.rows = []
         self.pivots = []
 
-    def insert(self, vec) -> bool:
-        """Reduce vec against the basis; extend and return True if it adds rank."""
-        fld = self.fld
-        sub, mul = fld.sub, fld.mul
+    def reduce(self, vec):
+        """vec minus the multiples of the rows that clear it at every pivot."""
+        sub, mul = self.fld.sub, self.fld.mul
         v = vec
         for piv, row in zip(self.pivots, self.rows):
             coef = v[piv]
             if coef:
                 v = [sub(a, mul(coef, b)) if b else a for a, b in zip(v, row)]
-        for j, x in enumerate(v):
-            if x:
-                inv = fld.inv(x)
-                self.rows.append([mul(inv, y) for y in v])
+        return v
+
+    def append(self, v) -> bool:
+        """Append a reduced row, scaled to pivot 1, and return True if it
+        has a pivot; return False, appending nothing, if it has none."""
+        for j in range(self.width):
+            if v[j]:
+                inv, mul = self.fld.inv(v[j]), self.fld.mul
+                self.rows.append([mul(inv, a) for a in v])
                 self.pivots.append(j)
                 return True
         return False
+
+    def insert(self, vec) -> bool:
+        """Reduce vec against the basis; extend and return True if it adds rank."""
+        return self.append(self.reduce(vec))
 
     def pop(self):
         self.rows.pop()
@@ -414,14 +428,13 @@ class _Backtracker:
         self.used = [False] * self.n
         self.lock: dict[tuple, tuple] = {}
         self.lock_rev: dict[tuple, tuple] = {}
-        self.acc_x = _Echelon(fld)
-        self.acc_y = _Echelon(fld)
-        self.acc_xy = _Echelon(fld)
+        # the pinned pairs S*x = y that add rank: their x, their rows
+        # (y | x) pivoting on y, and the pairs themselves for `_finish`
+        self.acc_x = _Echelon(fld, self.k)
+        self.pairs = _Echelon(fld, self.k)
         self.basis_pairs: list[tuple[tuple, tuple]] = []
         self.sigma = [-1] * self.n
         self.diag = [1] * self.n
-        # rows of S^-1 once the change of basis is pinned, else None
-        self.s_inv_rows: Optional[list[tuple]] = None
 
         # targets ordered by class (small, distinctive classes first)
         order = sorted(self.hclass.items(), key=lambda kv: (len(kv[1]), kv[0]))
@@ -440,38 +453,23 @@ class _Backtracker:
 
     def _push(self, x: tuple, y: tuple) -> Optional[bool]:
         """None: inconsistent (nothing retained). True: consistent, rank
-        grew in all three accumulators. False: consistent, no rank change."""
-        dx = self.acc_x.insert(x)
-        dy = self.acc_y.insert(y)
-        # when the x and y ranks already disagree the pair is inconsistent,
-        # whatever the joint rank does
-        if dx == dy:
-            dxy = self.acc_xy.insert(x + y)
-            if dxy == dx:
-                if dx:
-                    self.basis_pairs.append((x, y))
-                return dx
-            if dxy:
-                self.acc_xy.pop()
-        if dx:
-            self.acc_x.pop()
-        if dy:
-            self.acc_y.pop()
-        return None
+        grew. False: consistent, no rank change. The same test as x-side
+        rank = y-side rank = joint rank of the pairs (module docstring)."""
+        v = self.pairs.reduce(y + x)
+        if not any(v[: self.k]):
+            # y lies in the pinned span: x must be the source the pairs give it
+            return None if any(v) else False
+        if not self.acc_x.insert(x):
+            return None
+        self.pairs.append(v)
+        self.basis_pairs.append((x, y))
+        return True
 
     def _pop(self, grew: bool):
         if grew:
             self.acc_x.pop()
-            self.acc_y.pop()
-            self.acc_xy.pop()
+            self.pairs.pop()
             self.basis_pairs.pop()
-
-    def _pin_basis(self):
-        """S^-1 from the k pinned pairs S*x = y: eliminating the rows (y | x)
-        turns the y half into I, leaving S^-1 * e_i in the x half of row i."""
-        k = self.k
-        rows, _, _ = _eliminate(self.fld, [list(y + x) for x, y in self.basis_pairs], k)
-        self.s_inv_rows = list(zip(*(row[k:] for row in rows)))
 
     # -- search ---------------------------------------------------------------
 
@@ -511,8 +509,6 @@ class _Backtracker:
     def _assign(self, t: int, first: Optional[int]) -> Optional[Witness]:
         if t == len(self.targets):
             return self._finish()
-        if self.s_inv_rows is not None:
-            return self._complete(t)
         j = self.targets[t]
         y = self.hcols[j]
         hkey = self.hkeys[j]
@@ -535,15 +531,12 @@ class _Backtracker:
             if did_lock:
                 self.lock[hkey] = gkey
                 self.lock_rev[gkey] = hkey
-            pinned = False
-            if self.acc_x.rank == self.k and self.s_inv_rows is None:
-                self._pin_basis()
-                pinned = True
-            got = self._assign(t + 1, None)
+            if self.acc_x.rank == self.k:
+                got = self._complete(t + 1)
+            else:
+                got = self._assign(t + 1, None)
             if got is not None:
                 return got
-            if pinned:
-                self.s_inv_rows = None
             if did_lock:
                 del self.lock[hkey]
                 del self.lock_rev[gkey]
@@ -593,8 +586,9 @@ class _Backtracker:
     def _sources(self, y: tuple) -> list[tuple[list[int], int]]:
         """The G values that target y can take under the pinned S, in order:
         each value's members and the scalar d with S^-1 * y = d * value."""
-        fld = self.fld
-        x_req = tuple(_dot(fld, row, y) for row in self.s_inv_rows)
+        fld, k = self.fld, self.k
+        # (y | 0) reduces to (0 | -S^-1 * y)
+        x_req = tuple(map(fld.neg, self.pairs.reduce(y + self.zero)[k:]))
         by_val = self.gvalues.get(_class_key(fld, self.tag, x_req), ())
         if x_req == self.zero:
             return [(members, 1) for _, members in by_val]
@@ -623,15 +617,6 @@ class _Backtracker:
         if not verify_witness(self.inst, w):
             raise WitnessInvalid("backtracking search completed a non-verifying witness")
         return w
-
-
-def _dot(fld: Field, row, vec) -> int:
-    acc = 0
-    add, mul = fld.add, fld.mul
-    for a, b in zip(row, vec):
-        if a and b:
-            acc = add(acc, mul(a, b))
-    return acc
 
 
 # ---------------------------------------------------------------------------

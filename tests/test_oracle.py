@@ -216,9 +216,10 @@ def test_modes_agree_on_large_fields():
 
 # (tag, (p, e), k, n, planted, seed, profile, source, mode) ->
 # (status, nodes, (S rows, sigma, diag) or None). "gadget" instances are
-# the named PCE pair reduced to tag. Pinned so that a change meant to make
-# nodes cheaper cannot move the search: a change that is meant to alter
-# node counts or witnesses updates these values and says so.
+# the named PCE pair reduced to tag; "stacked" instances repeat the first
+# row of G and of H under it, so that rank(G) < k. Pinned so that a change
+# meant to make nodes cheaper cannot move the search: a change that is
+# meant to alter node counts or witnesses updates these values and says so.
 _PINNED_SEARCH = {
     ('PCE', (2, 1), 2, 5, 'yes', 1, None, 'raw', Mode.EXHAUSTIVE):
         ('YES', 33, (
@@ -329,6 +330,16 @@ _PINNED_SEARCH = {
         ('NO', 264, None),
     ('SPCE', (7, 1), 2, 5, 'no', 0, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING):
         ('NO', 67, None),
+    # k = 0: the map has rank k before any pair is pinned
+    ('LCE', (5, 1), 0, 4, 'unlabeled', 2, None, 'raw', Mode.BACKTRACKING):
+        ('YES', 4, ((), (0, 1, 2, 3), (1,) * 4)),
+    # rank(G) = 2 < k = 3: S is one of several valid choices
+    ('LCE', (3, 1), 2, 5, 'unlabeled', 0, None, 'stacked', Mode.BACKTRACKING):
+        ('YES', 12, (
+            ((2, 0, 0), (0, 2, 0), (1, 0, 1)),
+            (2, 4, 1, 3, 0),
+            (1, 1, 2, 1, 1),
+        )),
 }
 
 
@@ -340,7 +351,11 @@ def _pinned_instance(case):
         inst, cert = reduce_instance(generate(spec).instance, Tag[tag])
         assert not cert.rejected
         return inst
-    return generate(GenSpec(fld, k, n, Tag[tag], Planted(planted), seed, profile)).instance
+    inst = generate(GenSpec(fld, k, n, Tag[tag], Planted(planted), seed, profile)).instance
+    if source == "stacked":
+        g, h = inst.G.rows, inst.H.rows
+        return Instance(fld, Mat(fld, g + g[:1], n), Mat(fld, h + h[:1], n), inst.tag)
+    return inst
 
 
 _LCE_GADGET_YES = ('LCE', (5, 1), 2, 6, 'yes', 2, (2, 2, 1, 1), 'gadget', Mode.BACKTRACKING)
@@ -359,9 +374,9 @@ def test_search_nodes_and_witnesses_pinned(case):
 def test_backtracker_works_once_per_distinct_column_value(monkeypatch):
     # a gadget pair repeats its columns: n' = 43 here, with few distinct
     # values. Set-up computes one class key per distinct value of G and H,
-    # and a forced completion computes S^-1 * y (k dot products) and its
+    # and a forced completion computes S^-1 * y (in `_sources`) and its
     # class key once per distinct target value, not once per target column.
-    calls = {"key": 0, "dot": 0}
+    calls = {"key": 0, "sources": 0}
 
     def counting(name, real):
         def wrapped(*args):
@@ -370,7 +385,7 @@ def test_backtracker_works_once_per_distinct_column_value(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(oracle, "_class_key", counting("key", oracle._class_key))
-    monkeypatch.setattr(oracle, "_dot", counting("dot", oracle._dot))
+    monkeypatch.setattr(oracle._Backtracker, "_sources", counting("sources", oracle._Backtracker._sources))
     real_init, real_complete = oracle._Backtracker.__init__, oracle._Backtracker._complete
     setups, completions = [], []
 
@@ -384,7 +399,7 @@ def test_backtracker_works_once_per_distinct_column_value(monkeypatch):
         got = real_complete(bt, t)
         targets = len(bt.targets) - t
         distinct = len({bt.hcols[j] for j in bt.targets[t:]})
-        completions.append((calls["dot"] - before["dot"], calls["key"] - before["key"], bt.k, distinct, targets))
+        completions.append((calls["sources"] - before["sources"], calls["key"] - before["key"], distinct, targets))
         return got
 
     monkeypatch.setattr(oracle._Backtracker, "__init__", init)
@@ -392,10 +407,95 @@ def test_backtracker_works_once_per_distinct_column_value(monkeypatch):
     for case in (_LCE_GADGET_YES, _LCE_GADGET_NO):
         assert decide(_pinned_instance(case), Budget(mode=Mode.BACKTRACKING)).nodes == _PINNED_SEARCH[case][1]
     assert all(keys <= distinct < n for keys, distinct, n in setups)
-    assert all(dots <= k * distinct and keys <= distinct for dots, keys, k, distinct, _ in completions)
+    assert all(sources <= distinct and keys <= distinct for sources, keys, distinct, _ in completions)
     # the completions do reach targets that repeat a value
     assert len(completions) > 10
     assert sum(targets for *_, targets in completions) > 2 * sum(distinct for *_, distinct, _ in completions)
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 6)])
+def test_push_and_pop_match_the_rank_triple(p, e):
+    # a pair (x, y) may join the pinned pairs S*x = y exactly when
+    # rank X = rank Y = rank [X | Y] still holds over every pair pushed so
+    # far; _push answers None when it does not, else whether rank X grew
+    fld = field(p, e)
+    add, mul = fld.add, fld.mul
+    rng = stream(14, "push-pop", p, e)
+
+    def vec(k):
+        return tuple(rng.randrange(fld.q) for _ in range(k))
+
+    def nonzero(k):
+        while True:
+            v = vec(k)
+            if any(v):
+                return v
+
+    def comb(vecs, k):
+        out = (0,) * k
+        for v in vecs:
+            c = rng.randrange(fld.q)
+            out = tuple(add(a, mul(c, b)) for a, b in zip(out, v))
+        return out
+
+    def apply(m, v):
+        return tuple(r[0] for r in m.mul(Mat(fld, [[c] for c in v], 1)).rows)
+
+    def rank(vecs, width):
+        return Mat(fld, vecs, width).rank()
+
+    seen = {"y only": 0, "x only": 0, "full rank": 0}
+    for k in range(5):
+        zero = (0,) * k
+        for _ in range(10):
+            while True:
+                s = Mat(fld, [vec(k) for _ in range(k)], k)
+                if s.is_invertible():
+                    break
+            # G holds S^-1 * y for three probe targets y, so that `_sources`
+            # can name them once the pairs pin S
+            probes = [vec(k) for _ in range(3)]
+            preimages = [apply(s.inv(), y) for y in probes]
+            g = Mat(fld, list(zip(*preimages)) if k else [], 3)
+            bt = oracle._Backtracker(Instance(fld, g, g, Tag.PCE), oracle._Ticker(Budget(), 0.0))
+            stack = []  # (x, y, what _push returned)
+            for _ in range(4 * k + 8):
+                if stack and rng.random() < 0.25:
+                    bt._pop(stack.pop()[2])
+                else:
+                    xs = [x for x, _, _ in stack]
+                    ys = [y for _, y, _ in stack]
+                    draw = rng.randrange(7) if k else 0
+                    if draw == 0:  # a pair of the planted S, zero included
+                        x = rng.choice([zero, vec(k), comb(xs, k)])
+                        y = apply(s, x)
+                    elif draw == 1:
+                        x, y = rng.choice([(zero, zero), (zero, nonzero(k)), (nonzero(k), zero)])
+                    elif draw == 2 and stack:  # a repeated pair
+                        x, y, _ = rng.choice(stack)
+                    elif draw == 3:  # x dependent, y most likely not
+                        x, y = comb(xs, k), vec(k)
+                    elif draw == 4:  # y dependent, x most likely not
+                        x, y = vec(k), comb(ys, k)
+                    else:
+                        x, y = vec(k), vec(k)
+                    rx, ry = rank(xs + [x], k), rank(ys + [y], k)
+                    rxy = rank([a + b for a, b in zip(xs + [x], ys + [y])], 2 * k)
+                    before = rank(xs, k)
+                    seen["y only"] += ry > rx == before
+                    seen["x only"] += rx > ry == before
+                    expected = rx > before if rx == ry == rxy else None
+                    got = bt._push(x, y)
+                    assert got is expected, (k, x, y, stack)
+                    if got is not None:
+                        stack.append((x, y, got))
+                r = rank([x for x, _, _ in stack], k)
+                assert bt.acc_x.rank == bt.pairs.rank == len(bt.basis_pairs) == r
+                if r == k and all(apply(s, x) == y for x, y, _ in stack):
+                    for y, want in zip(probes, preimages):
+                        assert {bt.gcols[i] for members, _ in bt._sources(y) for i in members} == {want}
+                    seen["full rank"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_decider_invariant_under_representation_change():

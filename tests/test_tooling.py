@@ -100,3 +100,17 @@ def test_no_unreferenced_private_names():
                 if d.startswith("_") and not d.startswith("__") and d not in read
             ]
     assert found == []
+
+
+def test_no_private_imports_across_modules():
+    # a module's _names are its own; one that another module needs is
+    # part of its interface and drops the underscore
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert found == []
