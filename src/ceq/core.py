@@ -11,12 +11,14 @@ their RREF (full row rank), and rejects early when a cheap invariant
 already refutes equivalence (zero-column counts, ranks, or column
 multiplicity profiles differing). The returned journal carries enough
 to map witnesses across the normalization in both directions.
+
+Instances, witnesses, journals and preprocessing outcomes are immutable
+`Record`s (see `record.py`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import DimMismatch, FieldMismatch, WitnessInvalid
@@ -28,6 +30,7 @@ from .matrix import (
     column_multiplicity_profile,
     strip_zero_columns,
 )
+from .record import Record
 
 
 class Tag(enum.Enum):
@@ -42,22 +45,20 @@ class RejectReason(enum.Enum):
     PROFILE_MISMATCH = "ProfileMismatch"
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """A pair (G, H) of k x n generator matrices plus the problem tag."""
 
-    field: Field
-    G: Mat
-    H: Mat
-    tag: Tag
+    __slots__ = ("field", "G", "H", "tag")
 
-    def __post_init__(self):
-        if self.G.field != self.field or self.H.field != self.field:
+    def __init__(self, field: Field, G: Mat, H: Mat, tag: Tag):
+        if G.field != field or H.field != field:
             raise FieldMismatch("matrices must live in the instance field")
-        if (self.G.k, self.G.n) != (self.H.k, self.H.n):
-            raise DimMismatch(
-                f"G is {self.G.k}x{self.G.n} but H is {self.H.k}x{self.H.n}"
-            )
+        if (G.k, G.n) != (H.k, H.n):
+            raise DimMismatch(f"G is {G.k}x{G.n} but H is {H.k}x{H.n}")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "tag", tag)
 
     @property
     def k(self) -> int:
@@ -68,12 +69,14 @@ class Instance:
         return self.G.n
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """(S, M) with S a k x k change of basis and M a monomial action."""
 
-    S: Mat
-    M: Mono
+    __slots__ = ("S", "M")
+
+    def __init__(self, S: Mat, M: Mono):
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "M", M)
 
 
 def diag_allowed(fld: Field, tag: Tag, diag) -> bool:
@@ -123,8 +126,7 @@ def verify_witness(inst: Instance, w: Witness) -> bool:
 # preprocessing
 
 
-@dataclass(frozen=True)
-class Journal:
+class Journal(Record):
     """Record of one normalization run, enough to move witnesses across it.
 
     removed_g / removed_h are the dropped zero-column indices (0-based,
@@ -134,24 +136,32 @@ class Journal:
     those RREFs.
     """
 
-    original: Instance
-    normalized: Instance
-    removed_g: tuple[int, ...]
-    removed_h: tuple[int, ...]
-    rank: int
-    u_g: Mat
-    u_h: Mat
+    __slots__ = ("original", "normalized", "removed_g", "removed_h", "rank", "u_g", "u_h")
+
+    def __init__(self, original: Instance, normalized: Instance, removed_g: tuple[int, ...],
+                 removed_h: tuple[int, ...], rank: int, u_g: Mat, u_h: Mat):
+        object.__setattr__(self, "original", original)
+        object.__setattr__(self, "normalized", normalized)
+        object.__setattr__(self, "removed_g", removed_g)
+        object.__setattr__(self, "removed_h", removed_h)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "u_g", u_g)
+        object.__setattr__(self, "u_h", u_h)
 
 
-@dataclass(frozen=True)
-class Rejection:
-    reason: RejectReason
+class Rejection(Record):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: RejectReason):
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class Normalized:
-    instance: Instance
-    journal: Journal
+class Normalized(Record):
+    __slots__ = ("instance", "journal")
+
+    def __init__(self, instance: Instance, journal: Journal):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "journal", journal)
 
 
 PreprocessOutcome = Union[Rejection, Normalized]

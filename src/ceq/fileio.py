@@ -29,7 +29,8 @@ Sections, in canonical order:
 Cert sections are written by `serialize_cert` alone. Every line of a
 cert follows from the original instance and the target, so `parse_cert`
 checks a cert by recomputing it and comparing lines; it never parses a
-cert field by field.
+cert field by field. The `read_*` functions raise `FormatError`, naming
+the path, for a file that is not UTF-8 text.
 """
 
 from __future__ import annotations
@@ -270,13 +271,20 @@ def parse_cert(text: str, original: Instance, origin: str = "<cert>") -> Reducti
     return cert
 
 
+def _read_text(path: PathLike) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def read_instance(path: PathLike) -> tuple[Instance, Optional[RejectReason]]:
-    return parse_instance(Path(path).read_text(encoding="utf-8"), str(path))
+    return parse_instance(_read_text(path), str(path))
 
 
 def read_witness(path: PathLike) -> tuple[Field, Witness]:
-    return parse_witness(Path(path).read_text(encoding="utf-8"), str(path))
+    return parse_witness(_read_text(path), str(path))
 
 
 def read_cert(path: PathLike, original: Instance) -> ReductionCert:
-    return parse_cert(Path(path).read_text(encoding="utf-8"), original, str(path))
+    return parse_cert(_read_text(path), original, str(path))

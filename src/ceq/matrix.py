@@ -18,16 +18,17 @@ that it is a canonical element of the field. Rows the package computes
 itself (products, scalings, monomial actions, eliminations, column
 selections, the gadget and preprocessing's normalized matrices) are
 canonical by construction and go through the trusted `Mat._of`, which
-only freezes them.
+only freezes them. `Perm` and `Mono` are immutable `Record`s whose
+constructors check that sigma is a bijection and the diagonal non-zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DimMismatch, FieldMismatch, NotSquare, Singular
 from .field import Field
+from .record import Record
 
 
 class Mat:
@@ -283,16 +284,16 @@ def strip_zero_columns(a: Mat) -> tuple[Mat, tuple[int, ...]]:
 # permutation and monomial actions
 
 
-@dataclass(frozen=True)
-class Perm:
+class Perm(Record):
     """Column permutation in the (A*P)[i] = A[sigma(i)] convention."""
 
-    sigma: tuple[int, ...]
+    __slots__ = ("sigma",)
 
-    def __post_init__(self):
-        n = len(self.sigma)
-        if sorted(self.sigma) != list(range(n)):
+    def __init__(self, sigma: tuple[int, ...]):
+        n = len(sigma)
+        if sorted(sigma) != list(range(n)):
             raise DimMismatch(f"not a bijection on [0,{n})")
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def n(self) -> int:
@@ -310,21 +311,21 @@ class Perm:
         return Mat(fld, rows, n)
 
 
-@dataclass(frozen=True)
-class Mono:
+class Mono(Record):
     """Monomial action M = D * P; diag holds D's diagonal (source-indexed)."""
 
-    field: Field
-    perm: Perm
-    diag: tuple[int, ...]
+    __slots__ = ("field", "perm", "diag")
 
-    def __post_init__(self):
-        if len(self.diag) != self.perm.n:
+    def __init__(self, field: Field, perm: Perm, diag: tuple[int, ...]):
+        if len(diag) != perm.n:
             raise DimMismatch("diagonal length differs from permutation size")
-        q = self.field.q
-        for d in self.diag:
+        q = field.q
+        for d in diag:
             if not (1 <= d < q):
                 raise ValueError(f"diagonal entry {d} must be a non-zero element")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "diag", diag)
 
     @property
     def n(self) -> int:

@@ -65,6 +65,8 @@ searched first, so again the witness is the same. Only node counts
 fall; PCE, whose only scalar is 1, is unaffected.
 
 Both modes return identical YES/NO answers; witnesses may differ.
+Budgets, results and generator specs are immutable `Record`s, which
+pickle for `decide(workers > 1)`.
 """
 
 from __future__ import annotations
@@ -72,13 +74,13 @@ from __future__ import annotations
 import enum
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import Instance, Tag, Witness, verify_witness
 from .errors import BudgetExceeded, WitnessInvalid
 from .field import Field
 from .matrix import Mat, Mono, Perm, row_basis_transform
+from .record import Record
 from .rng import stream
 
 
@@ -93,28 +95,32 @@ class Status(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class Budget:
-    max_nodes: int = 100_000_000
-    time_limit: Optional[float] = None
-    mode: Mode = Mode.EXHAUSTIVE
+class Budget(Record):
+    __slots__ = ("max_nodes", "time_limit", "mode")
 
-    def __post_init__(self):
-        if self.max_nodes < 1:
+    def __init__(self, max_nodes: int = 100_000_000, time_limit: Optional[float] = None,
+                 mode: Mode = Mode.EXHAUSTIVE):
+        if max_nodes < 1:
             raise ValueError("max_nodes must be at least 1")
         # `not >= 0` also catches NaN, which every comparison would
         # otherwise treat as "no deadline yet"
-        if self.time_limit is not None and not self.time_limit >= 0:
+        if time_limit is not None and not time_limit >= 0:
             raise ValueError("time_limit must be a non-negative number")
+        object.__setattr__(self, "max_nodes", max_nodes)
+        object.__setattr__(self, "time_limit", time_limit)
+        object.__setattr__(self, "mode", mode)
 
 
-@dataclass(frozen=True)
-class DecideResult:
-    status: Status
-    witness: Optional[Witness]
-    nodes: int
-    elapsed: float
-    detail: str = ""
+class DecideResult(Record):
+    __slots__ = ("status", "witness", "nodes", "elapsed", "detail")
+
+    def __init__(self, status: Status, witness: Optional[Witness], nodes: int, elapsed: float,
+                 detail: str = ""):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "elapsed", elapsed)
+        object.__setattr__(self, "detail", detail)
 
 
 def _scalars(fld: Field, tag: Tag) -> tuple[int, ...]:
@@ -714,37 +720,40 @@ NO_CERT_CAPS = {
 }
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    field: Field
-    k: int
-    n: int
-    tag: Tag
-    planted: Planted
-    seed: int
-    profile: Optional[tuple[int, ...]] = None
+class GenSpec(Record):
+    __slots__ = ("field", "k", "n", "tag", "planted", "seed", "profile")
 
-    def __post_init__(self):
-        if self.k < 0 or self.n < 0:
+    def __init__(self, field: Field, k: int, n: int, tag: Tag, planted: Planted, seed: int,
+                 profile: Optional[tuple[int, ...]] = None):
+        if k < 0 or n < 0:
             raise ValueError("dimensions must be non-negative")
-        if self.planted is not Planted.UNLABELED and self.k > self.n:
+        if planted is not Planted.UNLABELED and k > n:
             raise ValueError("planted instances need k <= n for full row rank")
-        if self.profile is not None:
-            if sum(self.profile) != self.n:
+        if profile is not None:
+            if sum(profile) != n:
                 raise ValueError("multiplicity profile must sum to n")
-            if any(c < 1 for c in self.profile):
+            if any(c < 1 for c in profile):
                 raise ValueError("multiplicity counts must be positive")
-            if len(self.profile) < self.k:
+            if len(profile) < k:
                 raise ValueError(
                     "full row rank needs at least k distinct columns; "
                     "the profile has too few parts"
                 )
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "planted", planted)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "profile", profile)
 
 
-@dataclass(frozen=True)
-class Generated:
-    instance: Instance
-    witness: Optional[Witness] = None
+class Generated(Record):
+    __slots__ = ("instance", "witness")
+
+    def __init__(self, instance: Instance, witness: Optional[Witness] = None):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "witness", witness)
 
 
 _MAX_SAMPLE_TRIES = 2000

@@ -13,12 +13,12 @@ than the largest column multiplicity) and the last block has nm + 1
 columns. The duplication counts and the marker row force any monomial
 equivalence of a gadget pair to respect the block boundaries and to use
 one global scalar on the first block, which is what makes witness
-extraction possible.
+extraction possible. The bookkeeping a reduction run leaves is an
+immutable `ReductionCert` record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -34,14 +34,14 @@ from .core import (
 from .errors import DimMismatch, StructureViolation, WitnessInvalid
 from .field import Field
 from .matrix import Mat, Mono, Perm, max_column_multiplicity
+from .record import Record
 
 CHECK_BLOCKS = "permutation crosses gadget block boundaries"
 CHECK_BASIS = "change of basis couples the marker row with the code rows"
 CHECK_SCALAR = "first-block scaling is not a single global scalar"
 
 
-@dataclass(frozen=True)
-class ReductionCert:
+class ReductionCert(Record):
     """Bookkeeping for one reduction run, needed to lift or extract.
 
     n, k, m describe the matrices the gadget was applied to (after
@@ -51,19 +51,21 @@ class ReductionCert:
     YES pair with degenerate set.
     """
 
-    field: Field
-    target: Tag
-    n: int
-    k: int
-    m: int
-    journal: Optional[Journal] = None
-    reject_reason: Optional[RejectReason] = None
-    degenerate: bool = False
+    __slots__ = ("field", "target", "n", "k", "m", "journal", "reject_reason", "degenerate")
 
-    def __post_init__(self):
-        if self.reject_reason is None and not self.degenerate:
-            if self.n >= 1 and self.m < 2:
-                raise ValueError("duplication count must be at least 2")
+    def __init__(self, field: Field, target: Tag, n: int, k: int, m: int,
+                 journal: Optional[Journal] = None, reject_reason: Optional[RejectReason] = None,
+                 degenerate: bool = False):
+        if reject_reason is None and not degenerate and n >= 1 and m < 2:
+            raise ValueError("duplication count must be at least 2")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "journal", journal)
+        object.__setattr__(self, "reject_reason", reject_reason)
+        object.__setattr__(self, "degenerate", degenerate)
 
     @property
     def rejected(self) -> bool:

@@ -248,6 +248,35 @@ def test_malformed_file_exit(tmp_path):
     assert run(["solve", "--in", bad]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, bad",
+    [("verify", "--instance"), ("verify", "--witness"), ("solve", "--in"), ("reduce", "--in"),
+     ("lift", "--cert"), ("extract", "--witness")],
+)
+def test_non_utf8_input_is_malformed_input(tmp_path, capsys, command, bad):
+    inst = _gen_pce(tmp_path, "i", 3, 4)
+    wit = str(inst) + ".wit"
+    cert = _reduce(tmp_path, inst)
+    out = tmp_path / "out"
+    argv = {
+        "verify": ["--instance", inst, "--witness", wit],
+        "solve": ["--in", inst],
+        "reduce": ["--in", inst, "--target", "lce", "--out", out, "--cert-out", tmp_path / "r.cert"],
+        "lift": ["--cert", cert, "--instance", inst, "--witness", wit, "--out", out],
+        "extract": ["--cert", cert, "--instance", inst, "--witness", wit, "--out", out],
+    }[command]
+    garbled = tmp_path / "garbled"
+    garbled.write_bytes(b"\xff\xfe%CEQ 1\n")
+    argv[argv.index(bad) + 1] = garbled
+    capsys.readouterr()
+    rc = run([command, *argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {garbled}: not UTF-8 text")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_module_entry_point_smoke(tmp_path):
     out = tmp_path / "m.ceq"
     proc = subprocess.run(

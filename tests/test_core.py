@@ -16,6 +16,7 @@ from ceq.core import (
 from ceq.errors import DimMismatch, WitnessInvalid
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm
+from ceq.oracle import Budget, DecideResult, Mode, Status
 from ceq.rng import stream
 
 F2 = field(2)
@@ -400,3 +401,7 @@ def test_pickle_roundtrip_of_worker_payloads_drops_memoized_rref():
     for m in (inst2.G, inst2.H, mat2):
         assert m._rref is None and m._rref_t is None
     assert verify_witness(inst2, Witness(w.S, mono2))
+    budget = Budget(max_nodes=500, time_limit=1.5, mode=Mode.BACKTRACKING)
+    res = DecideResult(Status.YES, w, 12, 0.5, "found")
+    budget2, res2 = pickle.loads(pickle.dumps((budget, res)))
+    assert budget2 == budget and res2 == res and res2.witness.M.field is fld

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ceq
@@ -114,3 +117,39 @@ def test_no_private_imports_across_modules():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert found == []
+
+
+# both cost every CLI command several ms of import time; see record.py
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+def test_no_slow_stdlib_imports_in_package():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in SLOW_IMPORTS]
+    assert found == []
+
+
+def test_cli_import_loads_no_slow_stdlib_modules():
+    # compared with a bare interpreter in the same environment, whose
+    # site hooks may load modules of their own
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(ceq.__file__).parent.parent),
+                                                      env.get("PYTHONPATH")]))
+
+    def modules(code):
+        proc = subprocess.run([sys.executable, "-c", code + "import sys; print(' '.join(sys.modules))"],
+                              env=env, capture_output=True, text=True, timeout=60, check=True)
+        return set(proc.stdout.split())
+
+    bare = modules("")
+    loaded = modules("import ceq.cli; ")
+    assert "ceq.cli" in loaded
+    assert (loaded - bare) & SLOW_IMPORTS == set()
