@@ -125,10 +125,8 @@ def cmd_solve(args) -> int:
         budget = Budget(max_nodes=args.max_nodes, time_limit=args.time_limit, mode=mode)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.workers < 1:
-        raise UsageError("--workers must be at least 1")
     inst = _load_instance(getattr(args, "in"))
-    res = decide(inst, budget, workers=args.workers)
+    res = decide(inst, budget)
     print(
         f"solve: {res.status.value} ({inst.tag.value} {inst.k}x{inst.n} over {inst.field!r}, "
         f"{mode.value}, nodes={res.nodes}, {res.elapsed:.3f}s)"
@@ -138,7 +136,7 @@ def cmd_solve(args) -> int:
         fileio.write_text(args.witness_out, fileio.serialize_witness(inst.field, res.witness))
         print(f"solve: wrote witness to {args.witness_out}")
     if args.stats:
-        _append_stats(args.stats, getattr(args, "in"), inst, mode, args.workers, res)
+        _append_stats(args.stats, getattr(args, "in"), inst, mode, res)
     if res.status is Status.YES:
         return EXIT_OK
     if res.status is Status.NO:
@@ -146,7 +144,7 @@ def cmd_solve(args) -> int:
     return EXIT_BUDGET
 
 
-def _append_stats(path: str, instance_path: str, inst: Instance, mode: Mode, workers: int, res) -> None:
+def _append_stats(path: str, instance_path: str, inst: Instance, mode: Mode, res) -> None:
     p = Path(path)
     new = not p.exists()
     with p.open("a", newline="", encoding="utf-8") as fh:
@@ -163,7 +161,7 @@ def _append_stats(path: str, instance_path: str, inst: Instance, mode: Mode, wor
                 inst.k,
                 inst.n,
                 mode.value,
-                workers,
+                1,  # the workers column, kept so that the layout does not move
                 res.status.value,
                 res.nodes,
                 f"{res.elapsed:.6f}",
@@ -249,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", choices=["exhaustive", "backtracking"], default="exhaustive")
     s.add_argument("--max-nodes", type=int, default=100_000_000)
     s.add_argument("--time-limit", type=float)
-    s.add_argument("--workers", type=int, default=1)
     s.add_argument("--witness-out")
     s.add_argument("--stats", help="append a CSV summary row to this path")
     s.set_defaults(func=cmd_solve)

@@ -268,15 +268,6 @@ class Field:
             raise ValueError("coefficients must lie in [0, p)")
         return _undigits(coeffs, self.p)
 
-    def decode(self, a: int) -> tuple[int, ...]:
-        """Little-endian coefficient vector of a canonical element int."""
-        self._check(a)
-        return tuple(_digits(a, self.p, self.e))
-
-    def _check(self, a: int):
-        if not (0 <= a < self.q):
-            raise ValueError(f"{a} is not an element of {self!r}")
-
     # -- raw arithmetic (no tables) ------------------------------------------
 
     def _add_raw(self, a, b):

@@ -76,10 +76,6 @@ class Mat:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zeros(cls, fld: Field, k: int, n: int) -> "Mat":
-        return cls(fld, tuple((0,) * n for _ in range(k)), n)
-
-    @classmethod
     def identity(cls, fld: Field, k: int) -> "Mat":
         return cls(fld, tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)), k)
 
@@ -303,13 +299,6 @@ class Perm(Record):
     def identity(cls, n: int) -> "Perm":
         return cls(tuple(range(n)))
 
-    def to_mat(self, fld: Field) -> Mat:
-        n = self.n
-        rows = [[0] * n for _ in range(n)]
-        for c, s in enumerate(self.sigma):
-            rows[s][c] = 1
-        return Mat(fld, rows, n)
-
 
 class Mono(Record):
     """Monomial action M = D * P; diag holds D's diagonal (source-indexed)."""
@@ -341,10 +330,3 @@ class Mono(Record):
 
     def is_permutation(self) -> bool:
         return all(d == 1 for d in self.diag)
-
-    def to_mat(self) -> Mat:
-        n = self.n
-        rows = [[0] * n for _ in range(n)]
-        for c, s in enumerate(self.perm.sigma):
-            rows[s][c] = self.diag[s]
-        return Mat(self.field, rows, n)

@@ -65,14 +65,12 @@ searched first, so again the witness is the same. Only node counts
 fall; PCE, whose only scalar is 1, is unaffected.
 
 Both modes return identical YES/NO answers; witnesses may differ.
-Budgets, results and generator specs are immutable `Record`s, which
-pickle for `decide(workers > 1)`.
+Budgets, results and generator specs are immutable `Record`s.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import time
 from typing import Optional
 
@@ -178,9 +176,8 @@ class _Ticker:
 # exhaustive search
 
 
-def _exhaustive(inst: Instance, first: Optional[int], ticker: _Ticker):
-    """Scan candidates; optionally restrict to sigma[0] == first. Returns a
-    witness or None after scanning the whole (sub)space."""
+def _exhaustive(inst: Instance, ticker: _Ticker):
+    """Scan candidates. Returns a witness or None after scanning them all."""
     fld, g, h = inst.field, inst.G, inst.H
     n = g.n
     scal = _scalars(fld, inst.tag)
@@ -200,8 +197,6 @@ def _exhaustive(inst: Instance, first: Optional[int], ticker: _Ticker):
         return w
 
     if n == 0:
-        if first not in (None, 0):
-            return None
         ticker.tick()
         return accept((), ())
 
@@ -297,7 +292,7 @@ def _exhaustive(inst: Instance, first: Optional[int], ticker: _Ticker):
         return None
 
     # depth first over sigma, iteratively so that wide instances need no
-    # deep recursion; position 0 takes only `first` when it is given
+    # deep recursion
     p = 0
     while p >= 0:
         v = sigma[p]
@@ -305,12 +300,9 @@ def _exhaustive(inst: Instance, first: Optional[int], ticker: _Ticker):
             # take back the value tried last at p
             used[v] = False
             del pending[marks[p]:]
-        if p == 0 and first is not None:
-            v = first if v < 0 else n
-        else:
+        v += 1
+        while v < n and used[v]:
             v += 1
-            while v < n and used[v]:
-                v += 1
         if v == n:
             sigma[p] = -1
             p -= 1
@@ -479,11 +471,10 @@ class _Backtracker:
 
     # -- search ---------------------------------------------------------------
 
-    def run(self, first: Optional[int] = None) -> Optional[Witness]:
-        """Search; the caller has checked `infeasible_by_counting`."""
-        if self.n == 0:
-            return self._finish()
-        return self._assign(0, first)
+    def run(self) -> Optional[Witness]:
+        """Search; the caller has checked `infeasible_by_counting`. With
+        n = 0 there are no targets, and `_assign` finishes at once."""
+        return self._assign(0)
 
     def _candidates(self, hkey: tuple, locked: Optional[tuple]):
         """Candidates for a target column of class hkey, in a fixed order and
@@ -512,19 +503,15 @@ class _Backtracker:
                     for d in self.scalars:
                         yield gkey, value, rep, d
 
-    def _assign(self, t: int, first: Optional[int]) -> Optional[Witness]:
+    def _assign(self, t: int) -> Optional[Witness]:
         if t == len(self.targets):
             return self._finish()
         j = self.targets[t]
         y = self.hcols[j]
         hkey = self.hkeys[j]
         locked = self.lock.get(hkey)
-        cands = self._candidates(hkey, locked)
-        if first is not None:
-            cands = itertools.islice(cands, first, first + 1)
-        fld = self.fld
-        mul = fld.mul
-        for gkey, value, rep, d in cands:
+        mul = self.fld.mul
+        for gkey, value, rep, d in self._candidates(hkey, locked):
             self.ticker.tick()
             x = tuple(mul(d, v) for v in value)
             grew = self._push(x, y)
@@ -540,7 +527,7 @@ class _Backtracker:
             if self.acc_x.rank == self.k:
                 got = self._complete(t + 1)
             else:
-                got = self._assign(t + 1, None)
+                got = self._assign(t + 1)
             if got is not None:
                 return got
             if did_lock:
@@ -629,76 +616,29 @@ class _Backtracker:
 # public decide
 
 
-def _root_width(inst: Instance, mode: Mode) -> int:
-    if inst.n == 0:
-        return 1
-    if mode is Mode.EXHAUSTIVE:
-        return inst.n
-    bt = _Backtracker(inst, _Ticker(Budget(), time.perf_counter()))
-    if bt.infeasible_by_counting():
-        return 1
-    cands = bt._candidates(bt.hkeys[bt.targets[0]], None)
-    return max(1, sum(1 for _ in cands))
-
-
-def _run_slice(inst: Instance, budget: Budget, first: Optional[int]):
-    """(status, witness or None, nodes, detail) for one slice of the root;
-    detail says why a slice without a witness ended."""
-    ticker = _Ticker(budget, time.perf_counter())
-    try:
-        if budget.mode is Mode.EXHAUSTIVE:
-            w = _exhaustive(inst, first, ticker)
-        else:
-            bt = _Backtracker(inst, ticker)
-            if bt.infeasible_by_counting():
-                return Status.NO, None, 0, "class counts"
-            w = bt.run(first)
-    except _OutOfBudget:
-        return Status.UNKNOWN, None, ticker.nodes, "budget exhausted"
-    if w is None:
-        return Status.NO, None, ticker.nodes, "search exhausted"
-    return Status.YES, w, ticker.nodes, ""
-
-
-def decide(inst: Instance, budget: Budget = Budget(), workers: int = 1) -> DecideResult:
+def decide(inst: Instance, budget: Budget = Budget()) -> DecideResult:
     """Decide an instance by brute force under the given budget.
 
-    YES always carries a verifying witness. With workers > 1 the root of
-    the search fans out over disjoint slices; results reduce in slice
-    order so the answer (and the returned witness) is independent of the
-    worker count. The node budget then applies per slice. A NO names why
-    it ended in `detail`: rank mismatch, class counts or search exhausted.
+    YES always carries a verifying witness. A NO names why it ended in
+    `detail`: rank mismatch, class counts or search exhausted.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     t0 = time.perf_counter()
     if inst.G.rank() != inst.H.rank():
         return DecideResult(Status.NO, None, 0, time.perf_counter() - t0, "rank mismatch")
-
-    if workers == 1:
-        status, w, nodes, detail = _run_slice(inst, budget, None)
-        return DecideResult(status, w, nodes, time.perf_counter() - t0, detail)
-
-    # imported here: concurrent.futures and multiprocessing are a large
-    # share of start-up time for every command that never fans out
-    from concurrent.futures import ProcessPoolExecutor
-
-    width = _root_width(inst, budget.mode)
-    with ProcessPoolExecutor(max_workers=min(workers, width)) as pool:
-        futures = [pool.submit(_run_slice, inst, budget, s) for s in range(width)]
-        slices = [fut.result() for fut in futures]
-    elapsed = time.perf_counter() - t0
-    total_nodes = sum(nodes for _, _, nodes, _ in slices)
-    for status, w, _, _ in slices:
-        if status is Status.UNKNOWN:
-            return DecideResult(
-                Status.UNKNOWN, None, total_nodes, elapsed, "budget exhausted in an early slice"
-            )
-        if status is Status.YES:
-            return DecideResult(Status.YES, w, total_nodes, elapsed)
-    # class counts are a property of the whole instance: either every
-    # slice ended on them or every slice searched
-    return DecideResult(Status.NO, None, total_nodes, elapsed, slices[0][3])
+    ticker = _Ticker(budget, t0)
+    try:
+        if budget.mode is Mode.EXHAUSTIVE:
+            w = _exhaustive(inst, ticker)
+        else:
+            bt = _Backtracker(inst, ticker)
+            if bt.infeasible_by_counting():
+                return DecideResult(Status.NO, None, 0, time.perf_counter() - t0, "class counts")
+            w = bt.run()
+    except _OutOfBudget:
+        return DecideResult(Status.UNKNOWN, None, ticker.nodes, time.perf_counter() - t0, "budget exhausted")
+    if w is None:
+        return DecideResult(Status.NO, None, ticker.nodes, time.perf_counter() - t0, "search exhausted")
+    return DecideResult(Status.YES, w, ticker.nodes, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from ceq.matrix import Mat, Mono, Perm
 from ceq.oracle import Budget, DecideResult, Mode, Status
 from ceq.rng import stream
 
+from helpers import zeros
+
 F2 = field(2)
 F3 = field(3)
 F5 = field(5)
@@ -94,7 +96,7 @@ def test_verify_rejects_tag_violations():
 def test_verify_rejects_singular_s():
     g = Mat(F2, [[1, 0], [1, 0]])
     w = Witness(Mat(F2, [[1, 1], [1, 1]]), Mono.identity(F2, 2))
-    assert not verify_witness(Instance(F2, g, Mat.zeros(F2, 2, 2), Tag.PCE), w)
+    assert not verify_witness(Instance(F2, g, zeros(F2, 2, 2), Tag.PCE), w)
 
 
 def test_verify_is_exact():
@@ -384,7 +386,8 @@ def test_zero_column_pairing_maps_across_positions():
 
 
 def test_pickle_roundtrip_of_worker_payloads_drops_memoized_rref():
-    # decide(workers > 1) ships these objects to worker processes
+    # instances, witnesses and decide's records pickle by value; a pickled
+    # matrix carries no memoized RREF
     import pickle
 
     fld = field(3, 6)

@@ -9,6 +9,8 @@ from ceq.oracle import GenSpec, Planted, generate
 from ceq.reduction import reduce_instance
 from ceq.rng import stream
 
+from helpers import zeros
+
 F2 = field(2)
 F9 = field(3, 2)
 
@@ -73,7 +75,7 @@ def test_cert_rejected_roundtrip():
 
 
 def test_cert_degenerate_roundtrip():
-    g = Mat.zeros(F2, 2, 0)
+    g = zeros(F2, 2, 0)
     inst = Instance(F2, g, g, Tag.PCE)
     reduced, cert = reduce_instance(inst, Tag.LCE)
     text = fileio.serialize_cert(cert)
@@ -111,7 +113,7 @@ def test_malformed_inputs_rejected():
 
 def test_degenerate_shapes_roundtrip():
     for k, n in ((0, 3), (2, 0), (0, 0)):
-        g = Mat.zeros(F2, k, n)
+        g = zeros(F2, k, n)
         inst = Instance(F2, g, g, Tag.PCE)
         text = fileio.serialize_instance(inst)
         parsed, _ = fileio.parse_instance(text)
@@ -146,7 +148,7 @@ def _fuzz_corpus():
         files.append(("cert", fileio.serialize_cert(cert), inst))
     rejected = Instance(F2, Mat(F2, [[1, 0]]), Mat(F2, [[1, 1]]), Tag.PCE)
     files.append(("cert", fileio.serialize_cert(reduce_instance(rejected, Tag.LCE)[1]), rejected))
-    empty = Instance(F2, Mat.zeros(F2, 2, 0), Mat.zeros(F2, 2, 0), Tag.PCE)
+    empty = Instance(F2, zeros(F2, 2, 0), zeros(F2, 2, 0), Tag.PCE)
     files.append(("cert", fileio.serialize_cert(reduce_instance(empty, Tag.LCE)[1]), empty))
     return files
 

@@ -17,6 +17,8 @@ from ceq.oracle import (
 )
 from ceq.rng import stream
 
+from helpers import zeros
+
 F2 = field(2)
 F3 = field(3)
 F5 = field(5)
@@ -66,14 +68,14 @@ def test_decide_rejects_rank_mismatch_fast():
 
 
 def test_decide_zero_width():
-    g = Mat.zeros(F3, 2, 0)
+    g = zeros(F3, 2, 0)
     res = decide(Instance(F3, g, g, Tag.PCE))
     assert res.status is Status.YES
     assert verify_witness(Instance(F3, g, g, Tag.PCE), res.witness)
 
 
 def test_decide_zero_matrices():
-    z = Mat.zeros(F2, 2, 3)
+    z = zeros(F2, 2, 3)
     for mode in Mode:
         res = decide(Instance(F2, z, z, Tag.LCE), Budget(mode=mode))
         assert res.status is Status.YES
@@ -530,31 +532,36 @@ def test_decider_invariant_under_representation_change():
 
 
 def test_workers_match_serial():
+    # decide runs one serial search: a repeated call returns the same
+    # answer, nodes and witness, on raw instances and on gadget pairs
     raw = generate(GenSpec(F3, 2, 4, Tag.SPCE, Planted.YES, seed=77)).instance
-    # on gadget pairs too: _root_width builds a _Backtracker to slice the root
     cases = (
-        (raw, Mode.EXHAUSTIVE, 3, Status.YES),
-        (raw, Mode.BACKTRACKING, 3, Status.YES),
-        (_pinned_instance(_LCE_GADGET_YES), Mode.BACKTRACKING, 2, Status.YES),
-        (_pinned_instance(_SPCE_GADGET_NO), Mode.BACKTRACKING, 2, Status.NO),
+        (raw, Mode.EXHAUSTIVE, Status.YES),
+        (raw, Mode.BACKTRACKING, Status.YES),
+        (_pinned_instance(_LCE_GADGET_YES), Mode.BACKTRACKING, Status.YES),
+        (_pinned_instance(_SPCE_GADGET_NO), Mode.BACKTRACKING, Status.NO),
     )
-    for inst, mode, workers, status in cases:
-        serial = decide(inst, Budget(mode=mode), workers=1)
-        parallel = decide(inst, Budget(mode=mode), workers=workers)
-        assert serial.status is parallel.status is status
-        assert serial.witness == parallel.witness
+    for inst, mode, status in cases:
+        res = decide(inst, Budget(mode=mode))
+        again = decide(inst, Budget(mode=mode))
+        assert res.status is again.status is status
+        assert (res.nodes, res.witness) == (again.nodes, again.witness)
+        if status is Status.YES:
+            assert verify_witness(inst, res.witness)
+        else:
+            assert res.witness is None
 
 
 def test_workers_no_instance():
     gen = generate(GenSpec(F2, 1, 2, Tag.PCE, Planted.NO, seed=4))
-    serial = decide(gen.instance, Budget(mode=Mode.EXHAUSTIVE), workers=1)
-    parallel = decide(gen.instance, Budget(mode=Mode.EXHAUSTIVE), workers=2)
-    assert serial.status is parallel.status is Status.NO
+    res = decide(gen.instance, Budget(mode=Mode.EXHAUSTIVE))
+    assert res.status is Status.NO
+    assert res.witness is None
 
 
 def test_no_names_why_it_ended():
     # class counts refute the raw LCE pair before any node; the other NOs
-    # come out of a search. The serial and the sliced path both say so.
+    # come out of a search
     class_counts = ('LCE', (2, 2), 2, 4, 'no', 6, None, 'raw', Mode.BACKTRACKING)
     exhaustive_no = ('PCE', (7, 1), 3, 5, 'no', 1, (2, 1, 1, 1), 'raw', Mode.EXHAUSTIVE)
     cases = (
@@ -563,10 +570,8 @@ def test_no_names_why_it_ended():
         (_SPCE_GADGET_NO, "search exhausted"),
     )
     for case, detail in cases:
-        inst = _pinned_instance(case)
-        for workers in (1, 2):
-            res = decide(inst, Budget(mode=case[-1]), workers=workers)
-            assert (res.status, res.detail) == (Status.NO, detail), (case, workers)
+        res = decide(_pinned_instance(case), Budget(mode=case[-1]))
+        assert (res.status, res.detail) == (Status.NO, detail), case
     rank_mismatch = Instance(F5, Mat(F5, [[1, 0], [0, 1]]), Mat(F5, [[1, 1], [2, 2]]), Tag.LCE)
     for mode in Mode:
         res = decide(rank_mismatch, Budget(mode=mode))

@@ -19,6 +19,8 @@ from ceq.reduction import (
 )
 from ceq.rng import stream
 
+from helpers import zeros
+
 F2 = field(2)
 F3 = field(3)
 F5 = field(5)
@@ -124,13 +126,13 @@ def test_gadget_rank_from_distinct_columns_matches_full_rref():
     # degenerate shapes: no rows, all-zero inputs, a single column, m = 1
     # (an input without columns has no gadget, see test_gadget_needs_columns)
     for k, n in ((0, 3), (2, 3), (0, 1), (3, 1)):
-        out = build_gadget(Mat.zeros(F3, k, n), 1)
+        out = build_gadget(zeros(F3, k, n), 1)
         assert Mat(F3, out.rows, out.n).rank() == 1
 
 
 def test_gadget_needs_columns():
     with pytest.raises(DimMismatch):
-        build_gadget(Mat.zeros(F2, 2, 0), 2)
+        build_gadget(zeros(F2, 2, 0), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +174,7 @@ def test_canonical_no_pair_is_no_over_many_fields():
 
 
 def test_reduce_degenerate_zero_width():
-    g = Mat.zeros(F2, 2, 0)
+    g = zeros(F2, 2, 0)
     red, cert = reduce_instance(Instance(F2, g, g, Tag.PCE), Tag.SPCE)
     assert cert.degenerate
     assert red.G.rows == ((1,),) and red.H.rows == ((1,),)

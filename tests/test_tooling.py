@@ -123,7 +123,9 @@ def test_no_private_imports_across_modules():
 SLOW_IMPORTS = {"dataclasses", "inspect"}
 
 
-def test_no_slow_stdlib_imports_in_package():
+def _absolute_imports_of(top_level):
+    """"module:line name" for every absolute import in the package, at any
+    depth, of a module whose top-level package is in top_level."""
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -133,8 +135,17 @@ def test_no_slow_stdlib_imports_in_package():
                 names = [node.module]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in SLOW_IMPORTS]
-    assert found == []
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in top_level]
+    return found
+
+
+def test_no_slow_stdlib_imports_in_package():
+    assert _absolute_imports_of(SLOW_IMPORTS) == []
+
+
+def test_no_process_pools_in_package():
+    # decide runs one serial search; no module starts worker processes
+    assert _absolute_imports_of({"concurrent", "multiprocessing"}) == []
 
 
 def test_cli_import_loads_no_slow_stdlib_modules():
