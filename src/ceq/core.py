@@ -81,10 +81,10 @@ class Witness(Record):
 
 def diag_allowed(fld: Field, tag: Tag, diag) -> bool:
     if tag is Tag.PCE:
-        return all(d == 1 for d in diag)
+        return set(diag) <= {1}
     if tag is Tag.SPCE:
-        return all(fld.is_sign(d) for d in diag)
-    return all(d != 0 for d in diag)
+        return set(diag) <= set(fld.signs())
+    return 0 not in diag
 
 
 def verify_witness(inst: Instance, w: Witness) -> bool:
@@ -93,7 +93,9 @@ def verify_witness(inst: Instance, w: Witness) -> bool:
     Column j of S*G*M is d[sigma(j)] * (S*G)[sigma(j)], so S*G is formed
     once per distinct column of G (a gadget repeats each column of the
     source pair) and every column of H is compared with the scaled image
-    of its source; the scaling is skipped where d = 1.
+    of its source; the scaling is skipped where d = 1. G's distinct
+    columns and H's columns are memoized on the matrices; the product
+    with S is formed anew on every call.
     """
     if w.S.field != inst.field or w.M.field != inst.field:
         raise FieldMismatch("witness field differs from instance field")
@@ -105,18 +107,15 @@ def verify_witness(inst: Instance, w: Witness) -> bool:
         return False
     if not w.S.is_invertible():
         return False
-    g_cols = inst.G.cols()
-    distinct = list(dict.fromkeys(g_cols))
-    slot = {c: i for i, c in enumerate(distinct)}
-    rows = list(zip(*distinct)) if distinct else [()] * inst.k
-    images = w.S.mul(Mat._of(inst.field, rows, len(distinct))).cols()
-    mul = inst.field.mul
+    distinct, slots = inst.G.distinct_cols()
+    images = w.S.mul(distinct).cols()
+    scale = inst.field.scale
     diag = w.M.diag
     for s, h_col in zip(w.M.perm.sigma, inst.H.cols()):
-        img = images[slot[g_cols[s]]]
+        img = images[slots[s]]
         d = diag[s]
         if d != 1:
-            img = tuple([mul(d, x) for x in img])
+            img = tuple(scale(d, img))
         if img != h_col:
             return False
     return True

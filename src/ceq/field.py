@@ -9,9 +9,11 @@ Field orders are capped at 2^16 so every element fits comfortably in a
 machine word and small fields can be backed by flat lookup tables.
 
 `add`, `sub`, `mul`, `neg` and `inv` are plain callables stored on the
-field. The constructor builds every table the field uses and binds one
-kernel set (`Field._bind`); the field never changes after that, so a
-call pays for no dispatch:
+field, and so are the row kernels `axpy(x, c, y)`, the list x + c*y, and
+`scale(c, y)`, the list c*y, which do a whole row in one call. The
+constructor builds every table the field uses and binds one kernel set
+(`Field._bind`); the field never changes after that, so a call pays for
+no dispatch:
 
 * q <= 256: flat q x q lookup tables in row-major order;
 * primes above 256: integer arithmetic mod p, with no tables at all;
@@ -163,9 +165,9 @@ def default_modulus(p: int, e: int) -> tuple[int, ...]:
 class Field:
     """A field context GF(p^e); operations act on canonical element ints.
 
-    add(a, b), sub(a, b), mul(a, b), neg(a) and inv(a) are attributes
-    that the constructor binds, once, to the kernels of the tables it
-    builds; inv(0) raises ZeroInverse.
+    add(a, b), sub(a, b), mul(a, b), neg(a), inv(a), axpy(x, c, y) and
+    scale(c, y) are attributes that the constructor binds, once, to the
+    kernels of the tables it builds; inv(0) raises ZeroInverse.
     """
 
     __slots__ = (
@@ -188,6 +190,8 @@ class Field:
         "mul",
         "neg",
         "inv",
+        "axpy",
+        "scale",
     )
 
     def __init__(self, p: int, e: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -254,19 +258,8 @@ class Field:
     def __reduce__(self):
         return (field, (self.p, self.e, self.modulus))
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def units(self) -> range:
         return range(1, self.q)
-
-    def encode(self, coeffs: Sequence[int]) -> int:
-        """Pack a little-endian coefficient vector into a canonical int."""
-        if len(coeffs) > self.e:
-            raise ValueError("too many coefficients")
-        if any(not (0 <= c < self.p) for c in coeffs):
-            raise ValueError("coefficients must lie in [0, p)")
-        return _undigits(coeffs, self.p)
 
     # -- raw arithmetic (no tables) ------------------------------------------
 
@@ -406,7 +399,8 @@ class Field:
         self._inv_list = [0] + [self.inv(a) for a in range(1, q)]
 
     def _bind(self):
-        """Store the add/sub/mul/neg/inv kernels of the built tables."""
+        """Store the element kernels (add/sub/mul/neg/inv) and the row
+        kernels (axpy/scale) of the built tables."""
         p, q = self.p, self.q
         if self._mul_flat is not None:
             add_t, sub_t, mul_t = self._add_flat, self._sub_flat, self._mul_flat
@@ -414,21 +408,28 @@ class Field:
             sub = lambda a, b: sub_t[a * q + b]
             mul = lambda a, b: mul_t[a * q + b]
             neg = self._neg_list.__getitem__
+            axpy, scale = _flat_rows(add_t, mul_t, q, p == 2)
         elif self.e == 1:
             add = lambda a, b: (a + b) % p
             sub = lambda a, b: (a - b) % p
             mul = lambda a, b: a * b % p
             neg = lambda a: -a % p
+            axpy = lambda x, c, y: [(a + c * b) % p for a, b in zip(x, y)]
+            scale = lambda c, y: [c * b % p for b in y]
         else:
+            exp, log = self._exp, self._log
             if p == 2:
                 add = sub = operator.xor
                 neg = operator.pos  # -a = a in characteristic 2
+                axpy = _xor_axpy(exp, log)
             else:
-                add, sub = _zech_add_sub(self._exp, self._log, self._zech, self._neg_list, (q - 1) // 2)
+                add, sub = _zech_add_sub(exp, log, self._zech, self._neg_list, (q - 1) // 2)
                 neg = self._neg_list.__getitem__
-            exp, log = self._exp, self._log
+                axpy = _zech_axpy(exp, log, self._zech)
             mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+            scale = _log_scale(exp, log)
         self.add, self.sub, self.mul, self.neg = add, sub, mul, neg
+        self.axpy, self.scale = axpy, scale
 
         zero = f"zero has no inverse in {self!r}"
         inv_t = self._inv_list
@@ -452,11 +453,8 @@ class Field:
 
     # -- signs -----------------------------------------------------------------
 
-    def is_sign(self, a: int) -> bool:
-        """Whether a is 1 or -1 (these coincide in characteristic 2)."""
-        return a == 1 or a == self.minus_one
-
     def signs(self) -> tuple[int, ...]:
+        """1 and -1, which coincide in characteristic 2."""
         return (1,) if self.p == 2 else (1, self.minus_one)
 
 
@@ -502,6 +500,81 @@ def _zech_add_sub(exp, log, zech, neg, half):
         return exp[la + s] if s >= 0 else 0
 
     return add, sub
+
+
+# Row kernels. axpy(x, c, y) is the new list x + c*y and scale(c, y) the
+# new list c*y, for equal-length rows of canonical ints; both accept c = 0,
+# zero entries and x and y being one list. The flat kernels index row c of
+# the product table by the offset c*q and build no per-scalar rows.
+
+
+def _flat_rows(add_t, mul_t, q, char2):
+    """axpy and scale of a field with flat tables (q <= 256)."""
+    if char2:
+        def axpy(x, c, y):
+            o = c * q
+            return [a ^ mul_t[o + b] for a, b in zip(x, y)]
+    else:
+        def axpy(x, c, y):
+            o = c * q
+            return [add_t[a * q + mul_t[o + b]] for a, b in zip(x, y)]
+
+    def scale(c, y):
+        o = c * q
+        return [mul_t[o + b] for b in y]
+
+    return axpy, scale
+
+
+def _log_scale(exp, log):
+    """scale of a field with exp/log tables above 256."""
+
+    def scale(c, y):
+        if not c:
+            return [0] * len(y)
+        lc = log[c]
+        return [exp[lc + log[b]] if b else 0 for b in y]
+
+    return scale
+
+
+def _xor_axpy(exp, log):
+    """axpy of GF(2^e) above 256: XOR add, exp/log mul."""
+
+    def axpy(x, c, y):
+        if not c:
+            return list(x)
+        lc = log[c]
+        return [a ^ exp[lc + log[b]] if b else a for a, b in zip(x, y)]
+
+    return axpy
+
+
+def _zech_axpy(exp, log, zech):
+    """axpy of odd GF(p^e) above 256: exp/log mul, Zech add (see
+    `_zech_add_sub`). log(c*b) = lc + log b stays below 2(q - 1), so it
+    indexes the doubled exp table and, less log a, the doubled zech table
+    from either side."""
+
+    def axpy(x, c, y):
+        out = list(x)
+        if not c:
+            return out
+        lc = log[c]
+        i = 0
+        for b in y:
+            if b:
+                a = out[i]
+                if a:
+                    la = log[a]
+                    s = zech[lc + log[b] - la]
+                    out[i] = exp[la + s] if s >= 0 else 0
+                else:
+                    out[i] = exp[lc + log[b]]
+            i += 1
+        return out
+
+    return axpy
 
 
 @functools.lru_cache(maxsize=None)

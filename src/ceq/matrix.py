@@ -20,6 +20,13 @@ selections, the gadget and preprocessing's normalized matrices) are
 canonical by construction and go through the trusted `Mat._of`, which
 only freezes them. `Perm` and `Mono` are immutable `Record`s whose
 constructors check that sigma is a bijection and the diagonal non-zero.
+
+A `Mat` never changes, so what depends on its rows alone is computed
+once per matrix and kept in its memo: the RREF with and without the
+transform, the columns, the distinct-column view, and what other modules
+store through `Mat.memo` (the reduction keeps its gadgets there). Only
+this module touches the memo. Pickling and every constructor start with
+an empty one, and `==` and `hash` ignore it.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .record import Record
 class Mat:
     """Immutable k x n matrix; entries are canonical field ints."""
 
-    __slots__ = ("field", "k", "n", "rows", "_rref", "_rref_t")
+    __slots__ = ("field", "k", "n", "rows", "_memo")
 
     def __init__(self, fld: Field, rows, n: Optional[int] = None):
         rows = tuple(tuple(int(x) for x in r) for r in rows)
@@ -57,8 +64,7 @@ class Mat:
         self.k = k
         self.n = n
         self.rows = rows
-        self._rref = None
-        self._rref_t = None
+        self._memo = {}
 
     @classmethod
     def _of(cls, fld: Field, rows, n: int) -> "Mat":
@@ -69,8 +75,7 @@ class Mat:
         self.field = fld
         self.k = len(rows)
         self.n = n
-        self._rref = None
-        self._rref_t = None
+        self._memo = {}
         return self
 
     # -- constructors --------------------------------------------------------
@@ -98,8 +103,58 @@ class Mat:
     def __reduce__(self):
         return (Mat, (self.field, self.rows, self.n))
 
-    def cols(self) -> list[tuple]:
-        return list(zip(*self.rows)) if self.k else [()] * self.n
+    # -- memoized views --------------------------------------------------------
+
+    def memo(self, key, make):
+        """make(), computed at the first call with this key and kept: make
+        must depend on nothing but key and this matrix's rows."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
+
+    # the benchmark's tracer (perfbench/tracing.py) reads these two to
+    # count the RREF calls that find their result memoized
+    @property
+    def _rref(self):
+        return self._memo.get("rref")
+
+    @property
+    def _rref_t(self):
+        return self._memo.get("rref_t")
+
+    # the views here and the RREFs below read the memo inline rather than
+    # through `memo`: the deciders' inner loops call them on small
+    # matrices, where a method call per hit shows
+
+    # CPython builds tuple(iterator) of unknown length by resizing, so each
+    # such tuple is later freed into the free list of a size it was not
+    # taken from; over many matrices those free lists fill to their cap
+    # and hold memory. The views build a list first, so that a tuple goes
+    # back to the free list it came from.
+
+    def cols(self) -> tuple:
+        """The columns, as a tuple of tuples."""
+        memo = self._memo
+        if "cols" not in memo:
+            memo["cols"] = tuple([*zip(*self.rows)]) if self.k else ((),) * self.n
+        return memo["cols"]
+
+    def distinct_cols(self) -> tuple["Mat", tuple[int, ...]]:
+        """(D, slots): D holds the distinct columns in order of first
+        occurrence, and column j is column slots[j] of D."""
+        memo = self._memo
+        if "distinct_cols" not in memo:
+            cols = self.cols()
+            slot: dict[tuple, int] = {}
+            for c in cols:
+                slot.setdefault(c, len(slot))
+            rows = zip(*slot) if slot else [()] * self.k
+            memo["distinct_cols"] = (
+                Mat._of(self.field, rows, len(slot)),
+                tuple([slot[c] for c in cols]),
+            )
+        return memo["distinct_cols"]
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -108,32 +163,29 @@ class Mat:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
 
     def mul(self, other: "Mat") -> "Mat":
-        """The product self * other. Like every matrix routine it calls the
-        field's bound `add` and `mul` kernels and never reads its tables."""
+        """The product self * other, one row of other at a time. Like every
+        matrix routine it calls the field's bound kernels and never reads
+        its tables."""
         self._same_field(other)
         if self.n != other.k:
             raise DimMismatch(f"{self.k}x{self.n} times {other.k}x{other.n}")
-        add, mul = self.field.add, self.field.mul
+        axpy = self.field.axpy
         bt = other.rows
         m = other.n
         out = []
         for arow in self.rows:
             acc = [0] * m
-            for t, a in enumerate(arow):
+            for a, brow in zip(arow, bt):
                 if a:
-                    brow = bt[t]
-                    for j in range(m):
-                        b = brow[j]
-                        if b:
-                            acc[j] = add(acc[j], mul(a, b))
+                    acc = axpy(acc, a, brow)
             out.append(acc)
         return Mat._of(self.field, out, m)
 
     def scale(self, a: int) -> "Mat":
         if not (0 <= a < self.field.q):
             raise ValueError(f"scalar {a} not in {self.field!r}")
-        mul = self.field.mul
-        return Mat._of(self.field, [[mul(a, x) for x in r] for r in self.rows], self.n)
+        scale = self.field.scale
+        return Mat._of(self.field, [scale(a, r) for r in self.rows], self.n)
 
     def apply_mono(self, m: "Mono") -> "Mat":
         """A * M by column relocation and scaling; no dense n x n product."""
@@ -154,21 +206,23 @@ class Mat:
 
     def rref(self):
         """(R, rank, pivots): the unique reduced row echelon form."""
-        if self._rref is None:
-            rows, rank, piv = _eliminate(self.field, [list(r) for r in self.rows], self.n)
-            self._rref = (Mat._of(self.field, rows, self.n), rank, tuple(piv))
-        return self._rref
+        memo = self._memo
+        if "rref" not in memo:
+            rows, rank, piv = _eliminate(self.field, list(self.rows), self.n)
+            memo["rref"] = (Mat._of(self.field, rows, self.n), rank, tuple(piv))
+        return memo["rref"]
 
     def rref_with_transform(self):
         """(R, rank, pivots, U) with U invertible and U * self = R."""
-        if self._rref_t is None:
+        memo = self._memo
+        if "rref_t" not in memo:
             k, n = self.k, self.n
             aug = [list(r) + [1 if i == j else 0 for j in range(k)] for i, r in enumerate(self.rows)]
             rows, rank, piv = _eliminate(self.field, aug, n)
             r_mat = Mat._of(self.field, [row[:n] for row in rows], n)
             u_mat = Mat._of(self.field, [row[n:] for row in rows], k)
-            self._rref_t = (r_mat, rank, tuple(piv), u_mat)
-        return self._rref_t
+            memo["rref_t"] = (r_mat, rank, tuple(piv), u_mat)
+        return memo["rref_t"]
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -185,12 +239,14 @@ class Mat:
         return u
 
 
-def _eliminate(fld: Field, rows: list[list[int]], n: int):
+def _eliminate(fld: Field, rows: list, n: int):
     """Gauss-Jordan on the first n columns; pivots scan columns left to
-    right, first non-zero entry top to bottom. Extra columns ride along."""
+    right, first non-zero entry top to bottom. Extra columns ride along.
+    Rows are replaced, never written into, so they may be tuples. A pivot
+    row is zero left of its column, so the whole-row kernel calls change
+    no entry left of it."""
     k = len(rows)
-    inv, mul, sub = fld.inv, fld.mul, fld.sub
-    width = len(rows[0]) if rows else n
+    inv, neg, axpy, scale = fld.inv, fld.neg, fld.axpy, fld.scale
     piv_cols = []
     r = 0
     for c in range(n):
@@ -205,19 +261,13 @@ def _eliminate(fld: Field, rows: list[list[int]], n: int):
             rows[r], rows[pr] = rows[pr], rows[r]
         head = rows[r][c]
         if head != 1:
-            f = inv(head)
-            row = rows[r]
-            for j in range(c, width):
-                if row[j]:
-                    row[j] = mul(f, row[j])
+            rows[r] = scale(inv(head), rows[r])
         prow = rows[r]
         for i in range(k):
-            if i != r and rows[i][c]:
+            if i != r:
                 f = rows[i][c]
-                row = rows[i]
-                for j in range(c, width):
-                    if prow[j]:
-                        row[j] = sub(row[j], mul(f, prow[j]))
+                if f:
+                    rows[i] = axpy(rows[i], neg(f), prow)
         piv_cols.append(c)
         r += 1
         if r == k:

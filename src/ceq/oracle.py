@@ -339,12 +339,12 @@ class _Echelon:
 
     def reduce(self, vec):
         """vec minus the multiples of the rows that clear it at every pivot."""
-        sub, mul = self.fld.sub, self.fld.mul
+        neg, axpy = self.fld.neg, self.fld.axpy
         v = vec
         for piv, row in zip(self.pivots, self.rows):
             coef = v[piv]
             if coef:
-                v = [sub(a, mul(coef, b)) if b else a for a, b in zip(v, row)]
+                v = axpy(v, neg(coef), row)
         return v
 
     def append(self, v) -> bool:
@@ -352,8 +352,7 @@ class _Echelon:
         has a pivot; return False, appending nothing, if it has none."""
         for j in range(self.width):
             if v[j]:
-                inv, mul = self.fld.inv(v[j]), self.fld.mul
-                self.rows.append([mul(inv, a) for a in v])
+                self.rows.append(self.fld.scale(self.fld.inv(v[j]), v))
                 self.pivots.append(j)
                 return True
         return False
@@ -376,13 +375,10 @@ def _class_key(fld: Field, tag: Tag, col: tuple) -> tuple:
     if tag is Tag.PCE:
         return col
     if tag is Tag.SPCE:
-        neg = fld.neg
-        flipped = tuple(neg(x) for x in col)
-        return min(col, flipped)
+        return min(col, tuple(fld.scale(fld.minus_one, col)))
     for x in col:
         if x:
-            u = fld.inv(x)
-            return tuple(fld.mul(u, y) for y in col)
+            return tuple(fld.scale(fld.inv(x), col))
     return col
 
 
@@ -510,10 +506,10 @@ class _Backtracker:
         y = self.hcols[j]
         hkey = self.hkeys[j]
         locked = self.lock.get(hkey)
-        mul = self.fld.mul
+        scale = self.fld.scale
         for gkey, value, rep, d in self._candidates(hkey, locked):
             self.ticker.tick()
-            x = tuple(mul(d, v) for v in value)
+            x = tuple(scale(d, value))
             grew = self._push(x, y)
             if grew is None:
                 continue
@@ -701,8 +697,10 @@ _MAX_NO_TRIES = 256
 
 
 def _sample_full_rank(spec: GenSpec, rng) -> Mat:
+    """A k x n matrix of rank min(k, n); unlabeled specs allow k > n."""
     fld, k, n = spec.field, spec.k, spec.n
     q = fld.q
+    rank = min(k, n)
     for _ in range(_MAX_SAMPLE_TRIES):
         if spec.profile is None:
             rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
@@ -714,7 +712,7 @@ def _sample_full_rank(spec: GenSpec, rng) -> Mat:
                 cols.extend([col] * count)
             rng.shuffle(cols)
             mat = Mat(fld, [[col[i] for col in cols] for i in range(k)], n)
-        if mat.rank() == k:
+        if mat.rank() == rank:
             return mat
     raise BudgetExceeded(f"could not sample a full-rank {k}x{n} matrix over {fld!r}")
 

@@ -87,12 +87,18 @@ def build_gadget(a: Mat, m: int) -> Mat:
 
     The gadget's rank is always rank(a) + 1, because each first-block
     column is the sum of two other gadget columns, so a full-row-rank
-    input gives a full-row-rank gadget and nothing is checked.
+    input gives a full-row-rank gadget and nothing is checked. The
+    gadget is memoized on a, one per m, so that extracting on the pair a
+    reduction built reuses its gadgets and their memoized views.
     """
     if a.n < 1:
         raise DimMismatch("gadget needs at least one column")
     if m < 1:
         raise ValueError("duplication count must be at least 1")
+    return a.memo(("gadget", m), lambda: _gadget(a, m))
+
+
+def _gadget(a: Mat, m: int) -> Mat:
     n = a.n
     nm = n * m
     dup = [c for c in range(n) for _ in range(m)]

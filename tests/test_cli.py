@@ -40,6 +40,13 @@ def test_gen_same_seed_same_bytes(tmp_path):
     assert paths[0] == paths[1]
 
 
+def test_gen_unlabeled_with_k_above_n(tmp_path):
+    out = tmp_path / "u.inst"
+    assert run(["gen", "--k", 3, "--n", 2, "--field", 3, "--tag", "PCE",
+                "--planted", "unlabeled", "--seed", 1, "--out", out]) == 0
+    assert out.exists()
+
+
 def test_gen_budget_exit_code(tmp_path):
     rc = run(["gen", "--k", 1, "--n", 1, "--field", 2, "--tag", "PCE",
               "--planted", "no", "--seed", 1, "--out", tmp_path / "x.ceq"])

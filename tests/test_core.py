@@ -93,6 +93,21 @@ def test_verify_rejects_tag_violations():
     assert not verify_witness(Instance(F3, g, h, Tag.PCE), w)
 
 
+def test_verify_forms_the_product_for_every_witness():
+    # G's distinct columns are memoized, S*G is not: witnesses that differ
+    # only in S are each checked against their own product
+    fld = field(3, 2)
+    rng = stream(19, "verify-fresh-product")
+    for tag in Tag:
+        inst, w = planted(fld, 3, 7, tag, rng)
+        other = rand_invertible(fld, 3, rng)
+        while other == w.S:
+            other = rand_invertible(fld, 3, rng)
+        assert verify_witness(inst, w)
+        assert not verify_witness(inst, Witness(other, w.M))
+        assert verify_witness(inst, w)
+
+
 def test_verify_rejects_singular_s():
     g = Mat(F2, [[1, 0], [1, 0]])
     w = Witness(Mat(F2, [[1, 1], [1, 1]]), Mono.identity(F2, 2))
@@ -402,7 +417,7 @@ def test_pickle_roundtrip_of_worker_payloads_drops_memoized_rref():
     assert inst2 == inst and mono2 == w.M and mat2 == inst.G
     assert inst2.field is fld and mono2.field is fld
     for m in (inst2.G, inst2.H, mat2):
-        assert m._rref is None and m._rref_t is None
+        assert m._rref is None and m._rref_t is None and m._memo == {}
     assert verify_witness(inst2, Witness(w.S, mono2))
     budget = Budget(max_nodes=500, time_limit=1.5, mode=Mode.BACKTRACKING)
     res = DecideResult(Status.YES, w, 12, 0.5, "found")

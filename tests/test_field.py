@@ -6,6 +6,8 @@ from ceq.errors import FormatError, NotPrime, ReducibleModulus, UnsupportedSize,
 from ceq.field import Field, field, default_modulus, is_prime
 from ceq.rng import stream
 
+from helpers import encode
+
 
 def test_make_prime_field():
     f = field(2)
@@ -101,9 +103,9 @@ def test_add_mul_examples():
     f5 = field(5)
     assert f5.mul(2, 3) == 1
     f4 = field(2, 2)
-    x = f4.encode((0, 1))
+    x = encode(f4, (0, 1))
     assert x == 2
-    assert f4.mul(x, x) == f4.encode((1, 1))  # x^2 = x + 1
+    assert f4.mul(x, x) == encode(f4, (1, 1))  # x^2 = x + 1
 
 
 def test_inv_examples():
@@ -118,12 +120,12 @@ def test_inv_examples():
 def test_neg_and_sign_examples():
     f3 = field(3)
     assert f3.neg(1) == 2
-    assert f3.is_sign(2)  # 2 = -1 over F_3
+    assert 2 in f3.signs()  # 2 = -1 over F_3
     f5 = field(5)
-    assert not f5.is_sign(3)
-    assert f5.is_sign(4)
+    assert 3 not in f5.signs()
+    assert 4 in f5.signs()
     f2 = field(2)
-    assert f2.is_sign(1) and not f2.is_sign(0)
+    assert 1 in f2.signs() and 0 not in f2.signs()
     assert f2.signs() == (1,)
     assert field(9 // 3, 2).signs() == (1, 2)
 
@@ -144,7 +146,7 @@ SMALL_FIELDS = [
 
 @pytest.mark.parametrize("f", SMALL_FIELDS, ids=repr)
 def test_field_axioms_exhaustive(f):
-    els = list(f.elements())
+    els = list(range(f.q))
     for a in els:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
@@ -185,15 +187,15 @@ def test_inv_involution_and_sign_characterization(f):
     for a in f.units():
         assert f.inv(f.inv(a)) == a
         if f.p == 2:
-            assert f.is_sign(a) == (a == 1)
+            assert (a in f.signs()) == (a == 1)
         else:
-            assert f.is_sign(a) == (f.mul(a, a) == 1)
+            assert (a in f.signs()) == (f.mul(a, a) == 1)
 
 
 def test_tables_match_raw_arithmetic():
     for f in (field(5), field(2, 4), field(3, 2)):
-        for a in f.elements():
-            for b in f.elements():
+        for a in range(f.q):
+            for b in range(f.q):
                 assert f.mul(a, b) == f._mul_raw(a, b)
                 assert f.add(a, b) == f._add_raw(a, b)
 
@@ -214,7 +216,7 @@ def _assert_kernels_match_raw(f, pairs):
 
 
 def _assert_matches_digitwise(f, pairs):
-    for a in f.elements():
+    for a in range(f.q):
         assert f.neg(a) == f._neg_raw(a)
     _assert_kernels_match_raw(f, list(pairs))
 
@@ -240,6 +242,42 @@ def test_bound_kernels_match_raw(p, e):
     _assert_kernels_match_raw(g, pairs)
 
 
+# every row-kernel family: flat char 2 and odd (q <= 256), primes, 2^e
+# and odd p^e above 256
+@pytest.mark.parametrize(
+    "p, e", [(2, 1), (7, 1), (2, 8), (3, 5), (65521, 1), (2, 16), (3, 6), (5, 4)]
+)
+def test_row_kernels_match_element_kernels_and_raw(p, e):
+    f = field(p, e)
+    rng = stream(20261018, "row-kernels", p, e)
+
+    def row(width):
+        # about a third of the entries are zero
+        return [rng.randrange(f.q) if rng.randrange(3) else 0 for _ in range(width)]
+
+    cases = []
+    for width in (0, 1, 2, 5, 17):
+        for c in (0, 1, f.minus_one, rng.randrange(f.q), rng.randrange(1, f.q)):
+            cases.append((row(width), c, row(width)))
+        cases.append(([0] * width, rng.randrange(1, f.q), row(width)))
+        cases.append((row(width), rng.randrange(1, f.q), [0] * width))
+        # y = -x / c, so every entry of x + c*y cancels to zero
+        x, c = row(width), rng.randrange(1, f.q)
+        cases.append((x, c, [f._mul_raw(f.inv(c), f._neg_raw(a)) for a in x]))
+    for x, c, y in cases:
+        xs, ys = list(x), list(y)
+        want = [f._add_raw(a, f._mul_raw(c, b)) for a, b in zip(x, y)]
+        got = f.axpy(x, c, y)
+        assert got == [f.add(a, f.mul(c, b)) for a, b in zip(x, y)] == want
+        assert type(got) is list and got is not x
+        assert f.axpy(tuple(x), c, tuple(y)) == want
+        assert f.scale(c, y) == [f.mul(c, b) for b in y] == [f._mul_raw(c, b) for b in y]
+        assert f.scale(c, tuple(y)) == f.scale(c, y)
+        # x and y one list: x + c*x, with x left as it was
+        assert f.axpy(x, c, x) == [f._add_raw(a, f._mul_raw(c, a)) for a in xs]
+        assert (x, y) == (xs, ys)
+
+
 @pytest.mark.parametrize(
     "p, e, modulus",
     [(2, 16, None), (3, 10, None), (251, 2, None), (3, 2, (1, 0, 1)), (3, 6, (1, 1, 1, 0, 0, 0, 1))],
@@ -259,7 +297,7 @@ def test_exp_table_matches_a_digitwise_walk(p, e, modulus):
 
 @pytest.mark.parametrize("f", [field(3, 2), field(5, 2), field(7, 2), field(3, 3), field(3, 5)], ids=repr)
 def test_zech_kernel_matches_digitwise_all_pairs(f):
-    _assert_matches_digitwise(f, ((a, b) for a in f.elements() for b in f.elements()))
+    _assert_matches_digitwise(f, ((a, b) for a in range(f.q) for b in range(f.q)))
 
 
 @pytest.mark.parametrize("f", [field(3, 6), field(5, 4), field(3, 10), field(251, 2)], ids=repr)
@@ -280,7 +318,7 @@ def test_zech_kernel_matches_digitwise_sampled(f):
 def test_zech_kernel_with_non_primitive_modulus(p, e, modulus):
     # x is not a generator of the multiplicative group under these moduli
     f = Field(p, e, modulus)
-    x = f.encode((0, 1))
+    x = encode(f, (0, 1))
     assert f._pow_raw(x, (f.q - 1) // 2) == 1
     rng = stream(20261017, "zech-explicit", p, e)
     pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
@@ -320,11 +358,11 @@ def test_large_field_exp_log_consistent_with_raw():
 
 def test_encode_decode_roundtrip():
     f = field(3, 3)
-    for a in f.elements():
+    for a in range(f.q):
         # decode: the little-endian base-p digits of a
         coeffs = [a // f.p ** i % f.p for i in range(f.e)]
-        assert f.encode(coeffs) == a
-    assert f.encode((2, 1, 0)) == 5
+        assert encode(f, coeffs) == a
+    assert encode(f, (2, 1, 0)) == 5
 
 
 # Built-in moduli that files written so far depend on; changing any of

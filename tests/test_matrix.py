@@ -81,7 +81,7 @@ def test_mono_swap_scale_example():
     a = Mat.identity(F3, 2)
     m = Mono(F3, Perm((1, 0)), (1, 2))
     out = a.apply_mono(m)
-    assert out.cols() == [(0, 2), (1, 0)]
+    assert out.cols() == ((0, 2), (1, 0))
     assert out == a.mul(dense(m))
 
 
@@ -331,5 +331,85 @@ def test_trusted_mat_survives_pickle():
         m.rref()
         back = pickle.loads(pickle.dumps(m))
         assert back == m and hash(back) == hash(m)
-        assert back._rref is None
+        assert back._rref is None and back._memo == {}
         _assert_canonical(back)
+
+
+# ---------------------------------------------------------------------------
+# the per-matrix memo
+
+
+def _with_repeats(fld, k, n, rng):
+    """A k x n matrix whose columns are drawn from few values, so that
+    some repeat."""
+    pool = [tuple(rng.randrange(fld.q) for _ in range(k)) for _ in range(max(1, n // 2))]
+    cols = [rng.choice(pool) for _ in range(n)]
+    return Mat(fld, [[col[i] for col in cols] for i in range(k)], n)
+
+
+def test_memoized_views_equal_a_fresh_recomputation():
+    rng = stream(17, "memo-views")
+    for fld in (F2, F5, field(2, 16), field(3, 6)):
+        for k, n in ((0, 0), (0, 3), (3, 0), (1, 1), (3, 7), (4, 9)):
+            a = _with_repeats(fld, k, n, rng)
+            views = (a.rref(), a.rref_with_transform(), a.cols(), a.distinct_cols())
+            # a second call returns the memoized objects
+            again = (a.rref(), a.rref_with_transform(), a.cols(), a.distinct_cols())
+            assert all(x is y for x, y in zip(views, again))
+            fresh = Mat(fld, a.rows, n)
+            assert fresh._memo == {}
+            assert views[0] == fresh.rref() and views[1] == fresh.rref_with_transform()
+            r, _, _, u = views[1]
+            assert u.mul(a) == r == views[0][0]
+            cols = tuple(tuple(row[j] for row in a.rows) for j in range(n))
+            assert views[2] == cols
+            d, slots = views[3]
+            distinct = list(dict.fromkeys(cols))
+            assert (d.k, d.n) == (k, len(distinct)) and d.cols() == tuple(distinct)
+            assert slots == tuple(distinct.index(c) for c in cols)
+            # equality and hashing ignore the memo
+            assert a == fresh and hash(a) == hash(fresh)
+
+
+def test_cols_cannot_be_mutated():
+    a = Mat(F5, [[1, 2, 1], [3, 4, 3]])
+    cols = a.cols()
+    assert type(cols) is tuple and all(type(c) is tuple for c in cols)
+    with pytest.raises(TypeError):
+        cols[0] = (0, 0)
+    with pytest.raises(TypeError):
+        cols[0][0] = 0
+    d, slots = a.distinct_cols()
+    assert type(slots) is tuple and slots == (0, 1, 0)
+    with pytest.raises(TypeError):
+        slots[0] = 1
+    assert a.cols() == ((1, 3), (2, 4), (1, 3)) and d.cols() == ((1, 3), (2, 4))
+
+
+def test_memo_keeps_one_value_per_key():
+    a = Mat(F5, [[1, 2]])
+    calls = []
+
+    def make(tag):
+        def inner():
+            calls.append(tag)
+            return object()
+        return inner
+
+    x = a.memo(("k", 1), make(1))
+    assert a.memo(("k", 1), make(2)) is x
+    y = a.memo(("k", 2), make(3))
+    assert y is not x and calls == [1, 3]
+
+
+def test_pickle_drops_every_memoized_view():
+    import pickle
+
+    fld = field(3, 6)
+    a = _with_repeats(fld, 3, 8, stream(18, "memo-pickle"))
+    a.rref(), a.rref_with_transform(), a.cols(), a.distinct_cols(), a.memo("x", lambda: 1)
+    assert a._rref is not None and a._rref_t is not None and len(a._memo) == 5
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a)
+    assert back._memo == {} and back._rref is None and back._rref_t is None
+    assert back.distinct_cols()[1] == a.distinct_cols()[1]

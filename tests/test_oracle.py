@@ -622,6 +622,16 @@ def test_generate_planted_needs_k_le_n():
     GenSpec(F5, 3, 2, Tag.PCE, Planted.UNLABELED, seed=0)
 
 
+def test_generate_unlabeled_wider_than_tall_has_rank_n():
+    # with k > n no k x n matrix has rank k, so both sides are drawn to
+    # rank n
+    got = generate(GenSpec(F3, 3, 2, Tag.PCE, Planted.UNLABELED, seed=1))
+    g, h = got.instance.G, got.instance.H
+    assert (g.k, g.n) == (h.k, h.n) == (3, 2)
+    assert g.rank() == h.rank() == 2
+    assert got.witness is None
+
+
 def test_no_certification_caps_enforced():
     with pytest.raises(BudgetExceeded):
         generate(GenSpec(F2, 2, 7, Tag.PCE, Planted.NO, seed=0))

@@ -76,11 +76,11 @@ def test_gadget_identity_layout():
     assert (out.k, out.n) == (3, 11)
     # block 2 duplicates each source column twice, with a zero marker row
     cols = out.cols()
-    assert cols[2:6] == [(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0)]
+    assert cols[2:6] == ((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0))
     # block 3 is nm+1 = 5 copies of the last standard basis vector
-    assert cols[6:11] == [(0, 0, 1)] * 5
+    assert cols[6:11] == ((0, 0, 1),) * 5
     # block 1 carries the original columns over a ones marker row
-    assert cols[:2] == [(1, 0, 1), (0, 1, 1)]
+    assert cols[:2] == ((1, 0, 1), (0, 1, 1))
 
 
 def test_gadget_blowup_identity_and_rank():
@@ -133,6 +133,27 @@ def test_gadget_rank_from_distinct_columns_matches_full_rref():
 def test_gadget_needs_columns():
     with pytest.raises(DimMismatch):
         build_gadget(zeros(F2, 2, 0), 2)
+
+
+def test_gadget_is_memoized_per_duplication_count():
+    a = Mat(F3, [[1, 2, 0, 1], [0, 1, 1, 0]])
+    g2, g3 = build_gadget(a, 2), build_gadget(a, 3)
+    assert (g2.n, g3.n) == (4 + 16 + 1, 4 + 24 + 1) and g2 != g3
+    assert build_gadget(a, 2) is g2 and build_gadget(a, 3) is g3
+    # the same gadgets, built afresh on a matrix with an empty memo
+    fresh = Mat(F3, a.rows)
+    assert build_gadget(fresh, 3) == g3 and build_gadget(fresh, 2) == g2
+
+
+def test_extract_reuses_the_gadgets_of_the_reduction():
+    rng = stream(23, "gadget-memo")
+    inst, w = planted_pce(F5, 2, 5, rng)
+    red, cert = reduce_instance(inst, Tag.LCE)
+    norm = cert.journal.normalized
+    assert build_gadget(norm.G, cert.m) is red.G and build_gadget(norm.H, cert.m) is red.H
+    lifted = lift_witness(cert, map_witness_to_normalized(cert.journal, w))
+    back = extract_witness(cert, norm.G, norm.H, lifted)
+    assert verify_witness(norm, back)
 
 
 # ---------------------------------------------------------------------------

@@ -37,23 +37,40 @@ def test_boundary_modules_use_the_validating_constructor():
     assert found == []
 
 
+def _names_outside(owner, names):
+    """"module:line name" for every attribute access, and every string
+    constant such as a getattr argument, that names one of names in a
+    package module other than owner."""
+    others = [p for p in SOURCES if p.name != owner]
+    assert len(others) == len(SOURCES) - 1
+    found = []
+    for path in others:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name in names:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
 def test_only_the_field_module_reads_field_tables():
     # the table layout is private to field.py, and the constructor builds
-    # every table; other modules go through the bound kernels and never
-    # ask for tables to be built
+    # every table; other modules go through the bound element and row
+    # kernels and never ask for tables to be built
     private = {
         "_exp", "_log", "_zech", "_add_flat", "_sub_flat", "_mul_flat", "_neg_list", "_inv_list",
         "warm", "flat_ops",
     }
-    others = [p for p in SOURCES if p.name != "field.py"]
-    assert len(others) == len(SOURCES) - 1
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in others
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Attribute) and node.attr in private
-    ]
-    assert found == []
+    assert _names_outside("field.py", private) == []
+
+
+def test_only_the_matrix_module_touches_the_mat_memo():
+    # other modules reach the memo through Mat.memo and the view methods
+    assert _names_outside("matrix.py", {"_memo", "_rref", "_rref_t"}) == []
 
 
 def test_no_unused_imports_in_package():
