@@ -205,13 +205,32 @@ def _kept(n: int, removed: tuple[int, ...]) -> list[int]:
     return [j for j in range(n) if j not in dropped]
 
 
+def _pivot_images(g_norm: Mat, h_cols, sigma) -> list:
+    """Column piv_t of H * M^-1 for each pivot column piv_t of a normalized
+    G (each RREF row starts with its pivot's 1), where column j of H is
+    drawn from column sigma[j] of G. A journal that normalizes anything
+    is a PCE one, so M is a permutation and that column is the column of
+    H drawn from piv_t."""
+    drawn_by = {src: j for j, src in enumerate(sigma)}
+    return [h_cols[drawn_by[row.index(1)]] for row in g_norm.rows]
+
+
 def map_witness_to_normalized(journal: Journal, w: Witness) -> Witness:
     """Turn a witness for the original instance into one for the normalized
-    instance (forward through zero-column stripping and rank reduction)."""
+    instance (forward through zero-column stripping and rank reduction).
+
+    S acts on rows only, so stripping leaves it alone. The normalized S
+    solves S_norm * G_norm = H_norm * M_s^-1, and G_norm is in RREF with
+    full row rank, so its pivot column piv_t is e_t and column t of
+    S_norm is column piv_t of H_norm * M_s^-1: read off, with no product
+    and no inverse. A trivial journal returns its input."""
     orig = journal.original
     if not verify_witness(orig, w):
         raise WitnessInvalid("witness does not verify on the original instance")
-    fld = journal.original.field
+    norm = journal.normalized
+    if norm is orig:
+        return w
+    fld = orig.field
     kept_g = _kept(orig.n, journal.removed_g)
     kept_h = _kept(orig.n, journal.removed_h)
     pos_in_g = {j: t for t, j in enumerate(kept_g)}
@@ -224,13 +243,9 @@ def map_witness_to_normalized(journal: Journal, w: Witness) -> Witness:
         sigma_s.append(pos_in_g[src])
     diag_s = tuple(w.M.diag[j] for j in kept_g)
     m_s = Mono(fld, Perm(tuple(sigma_s)), diag_s)
-    # S acts on rows only, so stripping leaves it alone; the rank stage
-    # conjugates it by the recorded row transforms and keeps the leading block.
-    r = journal.rank
-    t_full = journal.u_h.mul(w.S).mul(journal.u_g.inv())
-    s_norm = Mat(fld, [row[:r] for row in t_full.rows[:r]], r)
-    out = Witness(s_norm, m_s)
-    if not verify_witness(journal.normalized, out):
+    s_cols = _pivot_images(norm.G, norm.H.cols(), sigma_s)
+    out = Witness(Mat._of(fld, zip(*s_cols), journal.rank), m_s)
+    if not verify_witness(norm, out):
         raise WitnessInvalid("witness does not survive normalization")
     return out
 
@@ -238,31 +253,39 @@ def map_witness_to_normalized(journal: Journal, w: Witness) -> Witness:
 def map_witness_to_original(journal: Journal, w: Witness) -> Witness:
     """Turn a witness for the normalized instance into one for the original:
     dropped zero columns are re-inserted (paired in ascending index order)
-    and S is padded with the identity on the discarded row complement."""
-    if not verify_witness(journal.normalized, w):
+    and S is padded with the identity on the discarded row complement.
+
+    The padded S is u_h^-1 * pad(S) * u_g = C * u_g, one product. With
+    R_g = u_g * G_s the RREF of stripped G, C * R_g = H_s * M^-1, and
+    column piv_t of R_g is e_t, so for t < r column t of C is column
+    piv_t of H_s * M^-1, read off the original H; for t >= r it is column
+    t of u_h^-1, the only inverse, needed only when the rank is short. A
+    trivial journal returns its input."""
+    norm = journal.normalized
+    if not verify_witness(norm, w):
         raise WitnessInvalid("witness does not verify on the normalized instance")
     orig = journal.original
+    if norm is orig:
+        return w
     fld = orig.field
     k = orig.k
     r = journal.rank
-    pad = [[0] * k for _ in range(k)]
-    for i in range(r):
-        for j in range(r):
-            pad[i][j] = w.S.rows[i][j]
-    for i in range(r, k):
-        pad[i][i] = 1
-    s_full = journal.u_h.inv().mul(Mat(fld, pad, k)).mul(journal.u_g)
-
     kept_g = _kept(orig.n, journal.removed_g)
     kept_h = _kept(orig.n, journal.removed_h)
+    sigma_w, diag_w = w.M.perm.sigma, w.M.diag
     sigma = [0] * orig.n
     diag = [1] * orig.n
     for t, j in enumerate(kept_h):
-        src = kept_g[w.M.perm.sigma[t]]
+        src = kept_g[sigma_w[t]]
         sigma[j] = src
-        diag[src] = w.M.diag[w.M.perm.sigma[t]]
+        diag[src] = diag_w[sigma_w[t]]
     for zh, zg in zip(journal.removed_h, journal.removed_g):
         sigma[zh] = zg
+    h_cols = orig.H.cols()
+    c_cols = _pivot_images(norm.G, [h_cols[j] for j in kept_h], sigma_w)
+    if r < k:
+        c_cols += journal.u_h.inv().cols()[r:]
+    s_full = Mat._of(fld, zip(*c_cols), k).mul(journal.u_g)
     out = Witness(s_full, Mono(fld, Perm(tuple(sigma)), tuple(diag)))
     if not verify_witness(orig, out):
         raise WitnessInvalid("reconstructed witness fails on the original instance")

@@ -31,7 +31,7 @@ from .core import (
     preprocess,
     verify_witness,
 )
-from .errors import DimMismatch, StructureViolation, WitnessInvalid
+from .errors import DimMismatch, FieldMismatch, StructureViolation, WitnessInvalid
 from .field import Field
 from .matrix import Mat, Mono, Perm, max_column_multiplicity
 from .record import Record
@@ -187,6 +187,8 @@ def lift_witness(cert: ReductionCert, w: Witness) -> Witness:
     if cert.rejected:
         raise WitnessInvalid("rejected reductions have no YES witnesses to lift")
     fld = cert.field
+    if w.S.field != fld or w.M.field != fld:
+        raise FieldMismatch("witness field differs from the reduction's field")
     if cert.degenerate:
         return Witness(Mat.identity(fld, 1), Mono.identity(fld, 1))
     n, k, m = cert.n, cert.k, cert.m
@@ -196,7 +198,7 @@ def lift_witness(cert: ReductionCert, w: Witness) -> Witness:
         raise WitnessInvalid("lift needs a pure permutation witness")
     s_rows = [list(r) + [0] for r in w.S.rows]
     s_rows.append([0] * k + [1])
-    s_prime = Mat(fld, s_rows, k + 1)
+    s_prime = Mat._of(fld, s_rows, k + 1)
     sigma = w.M.perm.sigma
     nm = n * m
     sigma_prime = list(range(cert.n_prime))
@@ -261,7 +263,7 @@ def extract_witness(cert: ReductionCert, g: Mat, h: Mat, w: Witness) -> Witness:
     if not verify_witness(Instance(fld, g_prime, h_prime, cert.target), w):
         raise WitnessInvalid("witness does not verify on the gadget pair")
 
-    s_block = Mat(fld, [row[:k] for row in s_rows[:k]], k)
+    s_block = Mat._of(fld, [row[:k] for row in s_rows[:k]], k)
     out = Witness(
         s_block.scale(a),
         Mono.from_perm(fld, Perm(tuple(sigma[c] for c in b1))),

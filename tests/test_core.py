@@ -108,6 +108,28 @@ def test_verify_forms_the_product_for_every_witness():
         assert verify_witness(inst, w)
 
 
+def test_transport_entries_reject_a_witness_that_does_not_verify():
+    # each bad witness shares M and the matrices with a good one
+    from ceq.reduction import extract_witness, lift_witness, reduce_instance
+
+    rng = stream(22, "entry-reject")
+    inst, w = planted(F5, 2, 4, Tag.PCE, rng, zero_cols=1)
+    reduced, cert = reduce_instance(inst, Tag.LCE)
+    journal = cert.journal
+    assert verify_witness(inst, w)
+    with pytest.raises(WitnessInvalid):
+        map_witness_to_normalized(journal, Witness(w.S.scale(2), w.M))
+    w_norm = map_witness_to_normalized(journal, w)
+    with pytest.raises(WitnessInvalid):
+        map_witness_to_original(journal, Witness(w_norm.S.scale(2), w_norm.M))
+    lifted = lift_witness(cert, w_norm)
+    assert verify_witness(reduced, lifted)
+    norm = journal.normalized
+    with pytest.raises(WitnessInvalid):
+        extract_witness(cert, norm.G, norm.H, Witness(lifted.S.scale(2), lifted.M))
+    assert verify_witness(inst, map_witness_to_original(journal, extract_witness(cert, norm.G, norm.H, lifted)))
+
+
 def test_verify_rejects_singular_s():
     g = Mat(F2, [[1, 0], [1, 0]])
     w = Witness(Mat(F2, [[1, 1], [1, 1]]), Mono.identity(F2, 2))

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from ceq.core import Instance, Rejection, Tag, Witness, diag_allowed, preprocess, map_witness_to_normalized, verify_witness
-from ceq.errors import DimMismatch, StructureViolation, WitnessInvalid
+from ceq.errors import DimMismatch, FieldMismatch, StructureViolation, WitnessInvalid
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm
 from ceq.oracle import Budget, GenSpec, Mode, Planted, Status, decide, generate
@@ -251,6 +251,18 @@ def test_lift_requires_pure_permutation():
     scaled = Witness(Mat.identity(F3, 1), Mono(F3, Perm((0, 1)), (2, 2)))
     with pytest.raises(WitnessInvalid):
         lift_witness(cert, scaled)
+
+
+def test_lift_rejects_a_witness_from_another_field():
+    i2 = Mat.identity(F5, 2)
+    red, cert = reduce_instance(Instance(F5, i2, i2, Tag.PCE), Tag.LCE)
+    for w in (
+        Witness(Mat.identity(F2, 2), Mono.identity(F2, 2)),
+        Witness(Mat.identity(F5, 2), Mono.identity(F2, 2)),
+        Witness(Mat.identity(F2, 2), Mono.identity(F5, 2)),
+    ):
+        with pytest.raises(FieldMismatch):
+            lift_witness(cert, w)
 
 
 def test_lift_on_rejected_cert_fails():

@@ -181,3 +181,47 @@ def test_cli_import_loads_no_slow_stdlib_modules():
     loaded = modules("import ceq.cli; ")
     assert "ceq.cli" in loaded
     assert (loaded - bare) & SLOW_IMPORTS == set()
+
+
+def test_readme_pipeline_work_counts(monkeypatch):
+    # the README walkthrough's pair, carried through reduce, lift and
+    # extract in-process; the counts are deterministic, so a change that
+    # brings back an inverse or a product shows here, while one that
+    # saves an elimination or a product still passes
+    from ceq import matrix
+    from ceq.core import Instance, Tag, Witness, map_witness_to_normalized, map_witness_to_original, verify_witness
+    from ceq.field import field
+    from ceq.matrix import Mat, Mono
+    from ceq.oracle import GenSpec, Planted, generate
+    from ceq.reduction import extract_witness, lift_witness, reduce_instance
+
+    fld = field(2)
+    got = generate(GenSpec(fld, 2, 3, Tag.PCE, Planted.YES, 1))
+    inst = Instance(fld, Mat(fld, got.instance.G.rows), Mat(fld, got.instance.H.rows), Tag.PCE)
+    w = Witness(Mat(fld, got.witness.S.rows), Mono(fld, got.witness.M.perm, got.witness.M.diag))
+    calls = {"_eliminate": 0, "mul": 0, "inv": 0}
+
+    def counting(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(matrix, "_eliminate")
+    counting(Mat, "mul")
+    counting(Mat, "inv")
+    reduced, cert = reduce_instance(inst, Tag.LCE)
+    assert cert.journal.rank == inst.k
+    w_norm = map_witness_to_normalized(cert.journal, w)
+    assert calls["inv"] == 0
+    lifted = lift_witness(cert, w_norm)
+    assert verify_witness(reduced, lifted)
+    norm = cert.journal.normalized
+    back = map_witness_to_original(cert.journal, extract_witness(cert, norm.G, norm.H, lifted))
+    assert back == w
+    assert calls["inv"] == 0
+    assert calls["_eliminate"] <= 7
+    assert calls["mul"] <= 8
