@@ -24,9 +24,11 @@ constructors check that sigma is a bijection and the diagonal non-zero.
 A `Mat` never changes, so what depends on its rows alone is computed
 once per matrix and kept in its memo: the RREF with and without the
 transform, the columns, the distinct-column view, and what other modules
-store through `Mat.memo` (the reduction keeps its gadgets there). Only
-this module touches the memo. Pickling and every constructor start with
-an empty one, and `==` and `hash` ignore it.
+store through `Mat.memo`: the reduction keeps its gadgets there, and
+preprocessing, the gadget and the planted generator record under "rank"
+the ranks they know by construction, so that `rank` finds them without
+an RREF. Only this module reads the memo directly. Pickling and every constructor start
+with an empty one, and `==` and `hash` ignore it.
 """
 
 from __future__ import annotations
@@ -225,7 +227,13 @@ class Mat:
         return memo["rref_t"]
 
     def rank(self) -> int:
-        return self.rref()[1]
+        """Read off a rank recorded through `memo` under "rank" or an RREF
+        already held, with or without the transform; else one RREF."""
+        memo = self._memo
+        if "rank" in memo:
+            return memo["rank"]
+        held = memo.get("rref") or memo.get("rref_t") or self.rref()
+        return held[1]
 
     def is_invertible(self) -> bool:
         return self.k == self.n and self.rank() == self.n
@@ -314,16 +322,15 @@ def max_column_multiplicity(a: Mat) -> int:
 
 
 def strip_zero_columns(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Drop every all-zero column, preserving order; report dropped indices."""
-    removed = []
-    kept = []
-    for j in range(a.n):
-        if any(r[j] for r in a.rows):
-            kept.append(j)
-        else:
-            removed.append(j)
+    """Drop every all-zero column, preserving order; report dropped indices.
+    With no zero column, a itself comes back, memoized views and all."""
+    cols = a.cols()
+    removed = tuple([j for j, c in enumerate(cols) if not any(c)])
+    if not removed:
+        return a, removed
+    kept = [j for j, c in enumerate(cols) if any(c)]
     rows = [[r[j] for j in kept] for r in a.rows]
-    return Mat._of(a.field, rows, len(kept)), tuple(removed)
+    return Mat._of(a.field, rows, len(kept)), removed
 
 
 # ---------------------------------------------------------------------------

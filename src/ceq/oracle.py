@@ -762,6 +762,8 @@ def generate(spec: GenSpec) -> Generated:
         s = _sample_invertible(fld, spec.k, rng)
         m = _sample_action(fld, spec.n, spec.tag, rng)
         h = s.mul(g).apply_mono(m)
+        # s is invertible and m monomial, so h has g's rank
+        h.memo("rank", g.rank)
         inst = Instance(fld, g, h, spec.tag)
         w = Witness(s, m)
         if not verify_witness(inst, w):

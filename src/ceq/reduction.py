@@ -87,9 +87,11 @@ def build_gadget(a: Mat, m: int) -> Mat:
 
     The gadget's rank is always rank(a) + 1, because each first-block
     column is the sum of two other gadget columns, so a full-row-rank
-    input gives a full-row-rank gadget and nothing is checked. The
-    gadget is memoized on a, one per m, so that extracting on the pair a
-    reduction built reuses its gadgets and their memoized views.
+    input gives a full-row-rank gadget and nothing is checked; that rank
+    is recorded on the gadget, so verifying a witness on it needs no
+    elimination. The gadget is memoized on a, one per m, so that
+    extracting on the pair a reduction built reuses its gadgets and
+    their memoized views.
     """
     if a.n < 1:
         raise DimMismatch("gadget needs at least one column")
@@ -110,7 +112,9 @@ def _gadget(a: Mat, m: int) -> Mat:
     # [a_j; 0] (A-hat) and e_{k+1} (last block), and each first-block
     # column [a_j; 1] is their sum, so the column space is that of [A; 0]
     # plus e_{k+1}
-    return Mat._of(a.field, rows, n + 2 * nm + 1)
+    out = Mat._of(a.field, rows, n + 2 * nm + 1)
+    out.memo("rank", lambda: a.rank() + 1)
+    return out
 
 
 def canonical_no_instance(fld: Field, target: Tag) -> Instance:

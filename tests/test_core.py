@@ -19,7 +19,7 @@ from ceq.matrix import Mat, Mono, Perm
 from ceq.oracle import Budget, DecideResult, Mode, Status
 from ceq.rng import stream
 
-from helpers import zeros
+from helpers import of_rank, zeros
 
 F2 = field(2)
 F3 = field(3)
@@ -145,8 +145,8 @@ def test_verify_is_exact():
 
 
 def _dense_verify(inst, w):
-    """Test-only reference: the verdict of verify_witness from the dense
-    product S*G*M over all n columns."""
+    """Test-only reference: the verdict of verify_witness from S's own
+    elimination and the dense product S*G*M over all n columns."""
     if not diag_allowed(inst.field, inst.tag, w.M.diag):
         return False
     if not w.S.is_invertible():
@@ -222,7 +222,8 @@ def _mutants(inst, w, rng):
         i, j = rng.randrange(k), rng.randrange(k)
         rows[i][j] = fld.add(rows[i][j], rng.randrange(1, fld.q))
         out.append(("S entry", Witness(Mat(fld, rows, k), w.M)))
-    banned = [d for d in fld.units() if d not in scal]
+    allowed = set(scal)
+    banned = [d for d in fld.units() if d not in allowed]
     if n and banned:
         dg = diag.copy()
         dg[rng.randrange(n)] = rng.choice(banned)
@@ -445,3 +446,84 @@ def test_pickle_roundtrip_of_worker_payloads_drops_memoized_rref():
     res = DecideResult(Status.YES, w, 12, 0.5, "found")
     budget2, res2 = pickle.loads(pickle.dumps((budget, res)))
     assert budget2 == budget and res2 == res and res2.witness.M.field is fld
+
+
+# the roundtrip benchmark's fields: prime, 2^e and odd p^e on both sides
+# of the q = 256 flat-table cap
+ROUNDTRIP_FIELDS = [(2, 1), (7, 1), (65521, 1), (2, 8), (2, 16), (3, 5), (3, 6), (5, 4)]
+
+
+def _singular(fld, k, rng):
+    """A random singular k x k matrix: its last row is a combination of
+    the others (zero when k = 1)."""
+    rows = [[rng.randrange(fld.q) for _ in range(k)] for _ in range(k - 1)]
+    last = Mat(fld, [[rng.randrange(fld.q) for _ in range(k - 1)]], k - 1).mul(Mat(fld, rows, k))
+    return Mat(fld, rows + list(last.rows), k)
+
+
+def _random_perm(n, rng):
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    return Perm(tuple(sigma))
+
+
+def test_verify_matches_the_reference_check():
+    from ceq.reduction import ReductionCert, build_gadget, lift_witness, reduce_instance
+
+    rng = stream(19, "verify-reference")
+    verdicts = {True: 0, False: 0}
+    singular_matches = 0
+
+    def agree(inst, w):
+        # the witness and its edits (swapped sources, a changed entry of
+        # S, a scalar the tag does not allow, ...); verify_witness runs
+        # first, so it finds no elimination of S left by the reference
+        nonlocal singular_matches
+        for cand in [w] + [m for _, m in _mutants(inst, w, rng)]:
+            got = verify_witness(inst, cand)
+            want = _dense_verify(inst, cand)
+            assert got == want, (inst, cand)
+            verdicts[want] += 1
+            if not want and not cand.S.is_invertible() and cand.S.mul(inst.G).apply_mono(cand.M) == inst.H:
+                singular_matches += 1
+
+    for pe in ROUNDTRIP_FIELDS:
+        fld = field(*pe)
+        for tag in Tag:
+            for k, n in ((1, 3), (2, 4), (3, 6)):
+                inst, w = planted(fld, k, n, tag, rng, zero_cols=rng.randrange(0, 2))
+                agree(inst, w)
+        # raw rank-deficient pairs: an invertible S and a singular one,
+        # both with S*G*M = H; checked before and after preprocessing
+        # records the pair's rank
+        for k, r, n in ((2, 1, 4), (3, 1, 5), (4, 2, 6), (3, 0, 3)):
+            g = of_rank(fld, k, r, n, rng)
+            m = Mono(fld, _random_perm(n, rng), (1,) * n)
+            for s in (rand_invertible(fld, k, rng), _singular(fld, k, rng)):
+                inst = Instance(fld, g, s.mul(g).apply_mono(m), Tag.PCE)
+                w = Witness(s, m)
+                agree(inst, w)
+                out = preprocess(inst)
+                agree(inst, w)
+                if isinstance(out, Normalized) and s.is_invertible():
+                    norm_w = map_witness_to_normalized(out.journal, w)
+                    agree(out.instance, norm_w)
+        # gadget pairs of full-rank normalized pairs, lifted witnesses
+        for target in (Tag.LCE, Tag.SPCE):
+            inst, w = planted(fld, 3, 5, Tag.PCE, rng, zero_cols=1)
+            reduced, cert = reduce_instance(inst, target)
+            lifted = lift_witness(cert, map_witness_to_normalized(cert.journal, w))
+            agree(reduced, lifted)
+        # gadgets of a rank-deficient a, with an invertible and a singular S
+        for k, r, n, m_dup in ((2, 1, 3, 2), (3, 2, 4, 3)):
+            a = of_rank(fld, k, r, n, rng)
+            perm = _random_perm(n, rng)
+            for s in (rand_invertible(fld, k, rng), _singular(fld, k, rng)):
+                h = s.mul(a).apply_mono(Mono.from_perm(fld, perm))
+                cert = ReductionCert(fld, Tag.LCE, n, k, m_dup)
+                lifted = lift_witness(cert, Witness(s, Mono.from_perm(fld, perm)))
+                gadget_pair = Instance(fld, build_gadget(a, m_dup), build_gadget(h, m_dup), Tag.LCE)
+                agree(gadget_pair, lifted)
+    assert verdicts[True] >= 300 and verdicts[False] >= 900
+    # the fallback's case: the columns all match and only S's rank refutes
+    assert singular_matches >= 150

@@ -14,7 +14,7 @@ from ceq.matrix import (
 )
 from ceq.rng import stream
 
-from helpers import zeros
+from helpers import with_zero_columns, zeros
 
 F2 = field(2)
 F3 = field(3)
@@ -237,6 +237,55 @@ def test_strip_zero_columns_examples():
     assert m == a and removed == ()
     m, removed = strip_zero_columns(zeros(F2, 2, 3))
     assert (m.k, m.n) == (2, 0) and removed == (0, 1, 2)
+
+
+def test_strip_zero_columns_returns_its_input_when_nothing_is_zero():
+    rng = stream(19, "strip")
+    for fld in (F2, F5, field(2, 8), field(65521)):
+        for k, n in ((0, 0), (1, 1), (2, 4), (3, 6)):
+            # no zero entry, so no zero column
+            a = Mat(fld, [[rng.randrange(1, fld.q) for _ in range(n)] for _ in range(k)], n)
+            m, removed = strip_zero_columns(a)
+            assert m is a and removed == ()
+            b = with_zero_columns(a, rng.randrange(1, 3), rng)
+            want_removed = tuple(j for j, c in enumerate(b.cols()) if not any(c))
+            m, removed = strip_zero_columns(b)
+            assert removed == want_removed and len(removed) == b.n - a.n
+            assert m is not b and m == a
+    # with no rows every column is zero
+    m, removed = strip_zero_columns(zeros(F5, 0, 3))
+    assert (m.k, m.n) == (0, 0) and removed == (0, 1, 2)
+
+
+def test_rank_is_read_off_what_the_matrix_holds(monkeypatch):
+    import pickle
+
+    from ceq import matrix
+
+    eliminations = []
+    inner = matrix._eliminate
+    monkeypatch.setattr(matrix, "_eliminate", lambda *a: eliminations.append(1) or inner(*a))
+    rng = stream(19, "rank-memo")
+    for fld in (F2, F5, field(3, 6)):
+        for k, n in ((0, 0), (0, 3), (3, 0), (3, 5), (4, 4)):
+            want = Mat(fld, rand_mat(fld, k, n, rng).rows, n)
+            r = want.rank()
+            # a fresh matrix eliminates once, and rank keeps no key of its
+            # own next to the RREF
+            a = Mat(fld, want.rows, n)
+            del eliminations[:]
+            assert a.rank() == a.rank() == r and len(eliminations) == 1
+            assert set(a._memo) == {"rref"}
+            # an RREF with the transform already held is read, not redone
+            b = Mat(fld, want.rows, n)
+            b.rref_with_transform()
+            del eliminations[:]
+            assert b.rank() == r and eliminations == [] and set(b._memo) == {"rref_t"}
+            # a rank recorded through memo is read first; pickling drops it
+            c = Mat(fld, want.rows, n)
+            c.memo("rank", lambda: r)
+            assert c.rank() == r and eliminations == [] and set(c._memo) == {"rank"}
+            assert pickle.loads(pickle.dumps(c))._memo == {}
 
 
 def test_degenerate_shapes_are_legal():

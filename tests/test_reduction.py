@@ -19,7 +19,7 @@ from ceq.reduction import (
 )
 from ceq.rng import stream
 
-from helpers import zeros
+from helpers import of_rank, with_zero_columns, zeros
 
 F2 = field(2)
 F3 = field(3)
@@ -563,3 +563,47 @@ def test_stripping_preserves_decision():
             assert decide(out.instance, budget).status == truth.status
         else:
             assert truth.status is Status.NO
+
+
+def _assert_recorded_rank(x):
+    assert "rank" in x._memo
+    assert x.rank() == x._memo["rank"] == Mat(x.field, x.rows, x.n).rank()
+
+
+def test_recorded_ranks_equal_a_fresh_elimination():
+    # preprocessing records the rank of the original and the normalized
+    # pair, the gadget records rank(a) + 1 and a planted YES instance
+    # records rank(G) on H; each must be what a fresh copy's elimination
+    # finds
+    rng = stream(19, "recorded-ranks")
+    deficient = 0
+    for fld in (F2, F5, field(2, 8), field(3, 5), field(65521)):
+        for tag in Tag:
+            for k, n in ((0, 2), (1, 1), (2, 5), (3, 4)):
+                _assert_recorded_rank(generate(GenSpec(fld, k, n, tag, Planted.YES, rng.getrandbits(32))).instance.H)
+        for k, r, n, zero_cols in (
+            (3, 3, 5, 0), (3, 3, 5, 2), (4, 2, 6, 0), (4, 2, 6, 1),
+            (3, 0, 4, 1), (0, 0, 3, 0), (2, 0, 0, 0), (0, 0, 0, 0),
+        ):
+            g = with_zero_columns(of_rank(fld, k, r, n, rng), zero_cols, rng)
+            sigma = list(range(g.n))
+            rng.shuffle(sigma)
+            s = of_rank(fld, k, k, k, rng)
+            inst = Instance(fld, g, s.mul(g).apply_mono(Mono.from_perm(fld, Perm(tuple(sigma)))), Tag.PCE)
+            out = preprocess(inst)
+            norm = out.instance
+            for x in (inst.G, inst.H, norm.G, norm.H):
+                _assert_recorded_rank(x)
+            deficient += out.journal.rank < k
+            if norm.n:
+                for m in (1, 2, 3):
+                    for a in (norm.G, norm.H, Mat(fld, g.rows, g.n)):
+                        _assert_recorded_rank(build_gadget(a, m))
+                red, _ = reduce_instance(inst, Tag.LCE)
+                _assert_recorded_rank(red.G)
+                _assert_recorded_rank(red.H)
+    assert deficient >= 15
+    # gadgets of matrices with no rows, or with only zero rows
+    for k, n in ((0, 1), (0, 3), (2, 3)):
+        for m in (1, 2, 3):
+            _assert_recorded_rank(build_gadget(zeros(F3, k, n), m))
