@@ -10,10 +10,11 @@ machine word and small fields can be backed by flat lookup tables.
 
 `add`, `sub`, `mul`, `neg` and `inv` are plain callables stored on the
 field, and so are the row kernels `axpy(x, c, y)`, the list x + c*y, and
-`scale(c, y)`, the list c*y, which do a whole row in one call. The
-constructor builds every table the field uses and binds one kernel set
-(`Field._bind`); the field never changes after that, so a call pays for
-no dispatch:
+`scale(c, y)`, the list c*y, which do a whole row in one call, and the
+product kernel `matmul(a_rows, b_rows, m)`, the rows of A*B for a B of
+width m. The constructor builds every table the field uses and binds one
+kernel set (`Field._bind`); the field never changes after that, so a
+call pays for no dispatch:
 
 * q <= 256: flat q x q lookup tables in row-major order;
 * primes above 256: integer arithmetic mod p, with no tables at all;
@@ -27,6 +28,23 @@ no dispatch:
 
 The tables and their layout are private to this module; every other
 module calls the bound kernels.
+
+`matmul` packs whole rows into Python ints, so that one C-level big-int
+operation handles a row (Kronecker substitution; D. Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution",
+J. Symb. Comput. 44(10), 2009):
+
+* prime fields: each row of B becomes one int of w-bit slots, w the
+  smallest of 8, 16, 32, 64 with len(B)*(p - 1)^2 < 2^w. A row of A*B is
+  then sum_i a_i * B_i over ints, with no reduction inside the sum (the
+  delayed reduction of J.-G. Dumas, P. Giorgi, C. Pernet, "Dense linear
+  algebra over word-size prime fields: the FFLAS and FFPACK packages",
+  ACM TOMS 35(3), 2008), and is reduced once per slot at the end: by
+  `bytes.translate` through a mod-p table when w = 8, else slot by slot;
+* GF(2^e) with q <= 256: one byte per entry. c*row is a `bytes.translate`
+  through the 256-byte row c of the product table, and the sum is an XOR
+  of ints;
+* every other field: one `axpy` per non-zero entry of A.
 
 The exp table is the walk 1, g, g^2, ... with a lookup per step.
 Multiplication by g is F_p-linear: with a = lo + P*hi and P = p^(e//2),
@@ -44,6 +62,8 @@ from __future__ import annotations
 
 import functools
 import operator
+import sys
+from array import array
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -165,9 +185,10 @@ def default_modulus(p: int, e: int) -> tuple[int, ...]:
 class Field:
     """A field context GF(p^e); operations act on canonical element ints.
 
-    add(a, b), sub(a, b), mul(a, b), neg(a), inv(a), axpy(x, c, y) and
-    scale(c, y) are attributes that the constructor binds, once, to the
-    kernels of the tables it builds; inv(0) raises ZeroInverse.
+    add(a, b), sub(a, b), mul(a, b), neg(a), inv(a), axpy(x, c, y),
+    scale(c, y) and matmul(a_rows, b_rows, m) are attributes that the
+    constructor binds, once, to the kernels of the tables it builds;
+    inv(0) raises ZeroInverse.
     """
 
     __slots__ = (
@@ -185,6 +206,7 @@ class Field:
         "_neg_list",
         "_inv_list",
         "_zech",
+        "_mul_bytes",
         "add",
         "sub",
         "mul",
@@ -192,6 +214,7 @@ class Field:
         "inv",
         "axpy",
         "scale",
+        "matmul",
     )
 
     def __init__(self, p: int, e: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -228,7 +251,7 @@ class Field:
         self.minus_one = 1 if p == 2 else p - 1
         self._mod_int = _undigits(self.modulus, 2) if (p == 2 and e > 1) else 0
         self._exp = self._log = self._zech = self._neg_list = self._inv_list = None
-        self._add_flat = self._sub_flat = self._mul_flat = None
+        self._add_flat = self._sub_flat = self._mul_flat = self._mul_bytes = None
         if e > 1:
             self._build_exp_log()
         self._bind()
@@ -397,10 +420,16 @@ class Field:
         self._mul_flat = [mul(a, b) for a in els for b in els]
         self._neg_list = neg
         self._inv_list = [0] + [self.inv(a) for a in range(1, q)]
+        if self.p == 2 and self.e > 1:
+            # row c of the product table as a bytes.translate table
+            pad = bytes(256 - q)
+            mul_t = self._mul_flat
+            self._mul_bytes = [bytes(mul_t[o : o + q]) + pad for o in range(0, q * q, q)]
 
     def _bind(self):
-        """Store the element kernels (add/sub/mul/neg/inv) and the row
-        kernels (axpy/scale) of the built tables."""
+        """Store the element kernels (add/sub/mul/neg/inv), the row
+        kernels (axpy/scale) and the product kernel (matmul) of the built
+        tables."""
         p, q = self.p, self.q
         if self._mul_flat is not None:
             add_t, sub_t, mul_t = self._add_flat, self._sub_flat, self._mul_flat
@@ -428,8 +457,14 @@ class Field:
                 axpy = _zech_axpy(exp, log, self._zech)
             mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
             scale = _log_scale(exp, log)
+        if self.e == 1:
+            matmul = _packed_matmul(p)
+        elif self._mul_bytes is not None:
+            matmul = _translate_matmul(self._mul_bytes)
+        else:
+            matmul = _axpy_matmul(axpy)
         self.add, self.sub, self.mul, self.neg = add, sub, mul, neg
-        self.axpy, self.scale = axpy, scale
+        self.axpy, self.scale, self.matmul = axpy, scale, matmul
 
         zero = f"zero has no inverse in {self!r}"
         inv_t = self._inv_list
@@ -575,6 +610,77 @@ def _zech_axpy(exp, log, zech):
         return out
 
     return axpy
+
+
+# Product kernels. matmul(a_rows, b_rows, m) is the list of rows of A*B,
+# for A given by its rows, each as long as b_rows, and B by its rows of m
+# canonical ints; any shape may be empty.
+
+# array type code of each slot width in bits
+_SLOT_CODES = {array(code).itemsize * 8: code for code in "QLIHB"}
+
+
+def _packed_matmul(p):
+    """matmul of GF(p): rows of B packed into ints of w-bit slots (module
+    docstring), in native byte order, which `array` and `memoryview`
+    use."""
+    mod_t = bytes(i % p for i in range(256))
+    square = (p - 1) ** 2
+    order = sys.byteorder
+
+    def matmul(a_rows, b_rows, m):
+        bound = len(b_rows) * square
+        # (p - 1)^2 < 2^32, so w = 64 holds any B that fits in memory
+        w = next(w for w in (8, 16, 32, 64) if bound < 1 << w)
+        code = _SLOT_CODES[w]
+        # bytes(r) checks entries < 256 faster than array("B", r) does
+        slotted = map(bytes, b_rows) if w == 8 else [array(code, r) for r in b_rows]
+        packed = [int.from_bytes(r, order) for r in slotted]
+        size = m * w // 8
+        out = []
+        for arow in a_rows:
+            slots = sum(map(operator.mul, arow, packed)).to_bytes(size, order)
+            if w == 8:
+                out.append(tuple(slots.translate(mod_t)))
+            else:
+                out.append(tuple([x % p for x in memoryview(slots).cast(code)]))
+        return out
+
+    return matmul
+
+
+def _translate_matmul(mul_bytes):
+    """matmul of GF(2^e) with q <= 256: one byte per entry, c*row through
+    the translate table mul_bytes[c], sums by XOR."""
+
+    def matmul(a_rows, b_rows, m):
+        b_bytes = [bytes(r) for r in b_rows]
+        out = []
+        for arow in a_rows:
+            acc = 0
+            for c, brow in zip(arow, b_bytes):
+                if c:
+                    acc ^= int.from_bytes(brow.translate(mul_bytes[c]), "little")
+            out.append(tuple(acc.to_bytes(m, "little")))
+        return out
+
+    return matmul
+
+
+def _axpy_matmul(axpy):
+    """matmul through the row kernel: one axpy per non-zero entry of A."""
+
+    def matmul(a_rows, b_rows, m):
+        out = []
+        for arow in a_rows:
+            acc = [0] * m
+            for a, brow in zip(arow, b_rows):
+                if a:
+                    acc = axpy(acc, a, brow)
+            out.append(acc)
+        return out
+
+    return matmul
 
 
 @functools.lru_cache(maxsize=None)

@@ -165,23 +165,13 @@ class Mat:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
 
     def mul(self, other: "Mat") -> "Mat":
-        """The product self * other, one row of other at a time. Like every
-        matrix routine it calls the field's bound kernels and never reads
-        its tables."""
+        """The product self * other, by the field's bound `matmul` kernel,
+        which packs rows of small fields into ints. Like every matrix
+        routine it never reads the field's tables."""
         self._same_field(other)
         if self.n != other.k:
             raise DimMismatch(f"{self.k}x{self.n} times {other.k}x{other.n}")
-        axpy = self.field.axpy
-        bt = other.rows
-        m = other.n
-        out = []
-        for arow in self.rows:
-            acc = [0] * m
-            for a, brow in zip(arow, bt):
-                if a:
-                    acc = axpy(acc, a, brow)
-            out.append(acc)
-        return Mat._of(self.field, out, m)
+        return Mat._of(self.field, self.field.matmul(self.rows, other.rows, other.n), other.n)
 
     def scale(self, a: int) -> "Mat":
         if not (0 <= a < self.field.q):
@@ -292,16 +282,26 @@ def row_basis_transform(a: Mat, b: Mat) -> Optional[Mat]:
     span (works at any rank); None when the spans differ.
 
     From U_a * a = R = U_b * b, S = U_b^-1 * U_a. S is unique exactly when
-    a has full row rank. This is the package's only change-of-basis
-    routine: the deciders recover every witness's S through it."""
+    a has full row rank. When b has full row rank k, R's pivot columns
+    are the unit vectors, so column t of U_b^-1 is column piv_t of b: S
+    costs a's RREF with the transform, b's plain RREF (memoized like
+    every RREF) and one product. Only at short rank does b take the
+    transform and an inverse. This is the package's only change-of-basis routine:
+    the deciders recover every witness's S through it."""
     a._same_field(b)
     if a.k != b.k or a.n != b.n:
         raise DimMismatch(f"{a.k}x{a.n} vs {b.k}x{b.n}")
     ra, rank_a, _, ua = a.rref_with_transform()
-    rb, rank_b, _, ub = b.rref_with_transform()
+    # a short rank_a leaves None or the short-rank case, which needs b's
+    # transform; that elimination yields b's RREF as well
+    rb, rank_b, piv = (b.rref() if rank_a == b.k else b.rref_with_transform())[:3]
     if rank_a != rank_b or ra != rb:
         return None
-    return ub.inv().mul(ua)
+    if rank_b == b.k:
+        ub_inv = Mat._of(b.field, [[r[c] for c in piv] for r in b.rows], b.k)
+    else:
+        ub_inv = b.rref_with_transform()[3].inv()
+    return ub_inv.mul(ua)
 
 
 # ---------------------------------------------------------------------------

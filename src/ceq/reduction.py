@@ -19,6 +19,7 @@ immutable `ReductionCert` record.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 from .core import (
@@ -103,11 +104,12 @@ def build_gadget(a: Mat, m: int) -> Mat:
 def _gadget(a: Mat, m: int) -> Mat:
     n = a.n
     nm = n * m
-    dup = [c for c in range(n) for _ in range(m)]
-    rows = []
-    for r in a.rows:
-        rows.append(list(r) + [r[c] for c in dup] + [0] * (nm + 1))
-    rows.append([1] * n + [0] * nm + [1] * (nm + 1))
+    idx = [c for c in range(n) for _ in range(m)]
+    # itemgetter of one index returns the entry, not a tuple; then idx = [0]
+    dup = operator.itemgetter(*idx) if nm > 1 else lambda r: r[:1]
+    tail = (0,) * (nm + 1)
+    rows = [r + dup(r) + tail for r in a.rows]
+    rows.append((1,) * n + (0,) * nm + (1,) * (nm + 1))
     # rank(out) = rank(a) + 1: with n, m >= 1 the gadget has the columns
     # [a_j; 0] (A-hat) and e_{k+1} (last block), and each first-block
     # column [a_j; 1] is their sum, so the column space is that of [A; 0]

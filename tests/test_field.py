@@ -278,6 +278,48 @@ def test_row_kernels_match_element_kernels_and_raw(p, e):
         assert (x, y) == (xs, ys)
 
 
+# every product-kernel family: packed primes below and above the flat-table
+# cap and at each slot width, translated GF(2^e) <= 256, and the axpy loop
+# of odd p^e and of 2^16
+@pytest.mark.parametrize(
+    "p, e",
+    [(2, 1), (3, 1), (7, 1), (251, 1), (257, 1), (65521, 1), (2, 2), (2, 8), (3, 5), (3, 6), (2, 16)],
+)
+def test_matmul_matches_sums_of_raw_products(p, e):
+    f = field(p, e)
+    rng = stream(20261019, "matmul", p, e)
+    top = f.q - 1
+
+    def rows(k, m, fill=None):
+        # about a third of the random entries are zero
+        return [
+            tuple(fill if fill is not None else rng.randrange(f.q) if rng.randrange(3) else 0 for _ in range(m))
+            for _ in range(k)
+        ]
+
+    cases = [(rows(k, n), rows(n, m), m) for k, n, m in [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (2, 0, 0)]]
+    cases += [(rows(k, n), rows(n, m), m) for k, n, m in [(1, 1, 1), (3, 5, 2), (6, 6, 14), (7, 7, 40), (5, 9, 3)]]
+    # every entry q - 1, so that each slot of a packed sum holds
+    # len(B) * (p - 1)^2, for B of 1 to 9 rows: GF(7) needs w = 8 up to 7
+    # rows (7 * 36 = 252) and w = 16 from 8; GF(251) w = 16 at 1 row and
+    # 32 from 2; GF(65521) w = 32 at 1 row and 64 from 2
+    cases += [(rows(2, n, top), rows(n, 5, top), 5) for n in range(1, 10)]
+    for a, b, m in cases:
+        want = []
+        for arow in a:
+            out = []
+            for j in range(m):
+                acc = 0
+                for x, brow in zip(arow, b):
+                    acc = f._add_raw(acc, f._mul_raw(x, brow[j]))
+                out.append(acc)
+            want.append(out)
+        got = f.matmul(a, b, m)
+        assert [list(r) for r in got] == want
+        assert len(got) == len(a) and all(len(r) == m for r in got)
+        assert f.matmul([list(r) for r in a], [list(r) for r in b], m) == got
+
+
 @pytest.mark.parametrize(
     "p, e, modulus",
     [(2, 16, None), (3, 10, None), (251, 2, None), (3, 2, (1, 0, 1)), (3, 6, (1, 1, 1, 0, 0, 0, 1))],

@@ -14,7 +14,7 @@ from ceq.matrix import (
 )
 from ceq.rng import stream
 
-from helpers import with_zero_columns, zeros
+from helpers import of_rank, with_zero_columns, zeros
 
 F2 = field(2)
 F3 = field(3)
@@ -191,6 +191,45 @@ def test_row_basis_transform_any_rank():
                         assert t == s
                     shapes.add((fld.q, k, r))
     assert len(shapes) == len(fields) * 15
+
+
+def _transform_reference(a, b):
+    """S = U_b^-1 * U_a from both transformed RREFs, on fresh copies."""
+    ra, rank_a, _, ua = Mat(a.field, a.rows, a.n).rref_with_transform()
+    rb, rank_b, _, ub = Mat(b.field, b.rows, b.n).rref_with_transform()
+    if rank_a != rank_b or ra != rb:
+        return None
+    return ub.inv().mul(ua)
+
+
+def test_row_basis_transform_matches_the_reference():
+    # full-rank, short-rank and span-mismatch pairs; b fresh, or holding
+    # its plain RREF, or holding only the transformed one
+    fields = [F2, F3, field(2, 2), F5, field(2, 8), field(3, 5), field(65521)]
+    rng = stream(20261019, "rbt-reference")
+    kinds = {"full": 0, "short": 0, "mismatch": 0}
+    for fld in fields:
+        for k in range(5):
+            for n in range(k, k + 4):
+                for r in sorted({k, max(k - 1, 0), max(k - 2, 0)}):
+                    a = of_rank(fld, k, min(r, n), n, rng)
+                    pairs = [(a, rand_invertible(fld, k, rng).mul(a))]
+                    other = of_rank(fld, k, min(r, n), n, rng)
+                    if other.rref()[0] != a.rref()[0]:
+                        pairs.append((a, other))
+                    for x, y in pairs:
+                        want = _transform_reference(x, y)
+                        kind = "mismatch" if want is None else "full" if x.rank() == k else "short"
+                        kinds[kind] += 1
+                        for hold in (None, "rref", "rref_with_transform"):
+                            fresh_x, fresh_y = Mat(fld, x.rows, n), Mat(fld, y.rows, n)
+                            if hold:
+                                getattr(fresh_y, hold)()
+                            got = row_basis_transform(fresh_x, fresh_y)
+                            assert got == want
+                            if got is not None:
+                                assert got.mul(x) == y and got.is_invertible()
+    assert min(kinds.values()) >= 100, kinds
 
 
 def test_identical_columns_preserved_by_invertible_maps():

@@ -69,6 +69,22 @@ def test_gadget_1x1_layout():
     out = build_gadget(Mat(F2, [[1]]), 2)
     assert (out.k, out.n) == (2, 6)
     assert out.rows == ((1, 1, 1, 0, 0, 0), (1, 0, 0, 1, 1, 1))
+    # n * m = 1: a single duplicated column
+    out = build_gadget(Mat(F5, [[3], [4]]), 1)
+    assert out.rows == ((3, 3, 0, 0), (4, 4, 0, 0), (1, 0, 1, 1))
+
+
+def test_gadget_rows_match_the_block_layout():
+    # [a | each column of a m times | 0] over [1 | 0 | 1], built entry by entry
+    rng = stream(20261019, "gadget-layout")
+    for fld in (F2, F5, field(2, 8), field(3, 5)):
+        for k, n, m in ((0, 2, 3), (1, 1, 1), (2, 1, 3), (3, 4, 1), (4, 5, 2), (2, 6, 4)):
+            a = Mat(fld, [[rng.randrange(fld.q) for _ in range(n)] for _ in range(k)], n)
+            want = [list(r) + [r[c] for c in range(n) for _ in range(m)] + [0] * (n * m + 1) for r in a.rows]
+            want.append([1] * n + [0] * (n * m) + [1] * (n * m + 1))
+            out = build_gadget(a, m)
+            assert [list(r) for r in out.rows] == want
+            assert all(type(r) is tuple for r in out.rows) and out.n == n + 2 * n * m + 1
 
 
 def test_gadget_identity_layout():

@@ -63,7 +63,7 @@ def test_only_the_field_module_reads_field_tables():
     # kernels and never ask for tables to be built
     private = {
         "_exp", "_log", "_zech", "_add_flat", "_sub_flat", "_mul_flat", "_neg_list", "_inv_list",
-        "warm", "flat_ops",
+        "_mul_bytes", "warm", "flat_ops",
     }
     assert _names_outside("field.py", private) == []
 
@@ -227,3 +227,44 @@ def test_readme_pipeline_work_counts(monkeypatch):
     assert calls["inv"] == 0
     assert calls["_eliminate"] <= 2
     assert calls["mul"] <= 8
+
+
+def test_row_basis_transform_work_counts(monkeypatch):
+    # at full rank row_basis_transform reads U_b^-1 off b's pivot columns:
+    # a's RREF with the transform, b's plain RREF, one product, no inverse
+    from ceq import matrix
+    from ceq.field import field
+    from ceq.matrix import Mat, row_basis_transform
+
+    fld = field(7)
+    a = Mat(fld, [[1, 2, 0, 3], [0, 1, 4, 5], [2, 0, 1, 6]])
+    s = Mat(fld, [[2, 1, 0], [0, 3, 1], [1, 0, 2]])
+    b = s.mul(a)
+    calls = {"_eliminate": 0, "inv": 0}
+
+    def counting(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(matrix, "_eliminate")
+    counting(Mat, "inv")
+    assert row_basis_transform(a, b) == s
+    assert calls == {"_eliminate": 2, "inv": 0}
+    # a b that already holds its RREF costs one elimination
+    a2, b2 = Mat(fld, a.rows), Mat(fld, b.rows)
+    b2.rref()
+    calls.update(_eliminate=0)
+    assert row_basis_transform(a2, b2) == s
+    assert calls == {"_eliminate": 1, "inv": 0}
+    # short rank costs what U_b^-1 * U_a always cost: both transforms and
+    # the inverse of U_b, and no plain RREF of b besides
+    short = Mat(fld, a.rows[:2] + (a.rows[0],))
+    calls.update(_eliminate=0)
+    t = row_basis_transform(short, s.mul(short))
+    assert t.mul(short) == s.mul(short)
+    assert calls == {"_eliminate": 3, "inv": 1}
