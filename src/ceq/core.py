@@ -194,16 +194,29 @@ def preprocess(inst: Instance) -> PreprocessOutcome:
     inst.H.memo("rank", lambda: rank_h)
     if rank_g != rank_h:
         return Rejection(RejectReason.RANK_MISMATCH)
-    g_norm = Mat._of(inst.field, rg.rows[:rank_g], g_stripped.n)
-    h_norm = Mat._of(inst.field, rh.rows[:rank_h], h_stripped.n)
-    # the non-zero rows of an RREF are independent
-    g_norm.memo("rank", lambda: rank_g)
-    h_norm.memo("rank", lambda: rank_h)
+    g_norm = _normalized(g_stripped, rg, rank_g)
+    h_norm = _normalized(h_stripped, rh, rank_h)
     if column_multiplicity_profile(g_norm) != column_multiplicity_profile(h_norm):
         return Rejection(RejectReason.PROFILE_MISMATCH)
     norm_inst = Instance(inst.field, g_norm, h_norm, Tag.PCE)
     journal = Journal(inst, norm_inst, removed_g, removed_h, rank_g, u_g, u_h)
     return Normalized(norm_inst, journal)
+
+
+def _normalized(stripped: Mat, rref: Mat, rank: int) -> Mat:
+    """The first rank rows of stripped's RREF, with their rank and
+    distinct-column view recorded. Column j is the first rank entries of
+    u * (column j of stripped), an injective image (u is invertible and
+    the other rows of the RREF are zero), so the view has stripped's
+    slots and the columns at their first occurrences."""
+    norm = Mat._of(stripped.field, rref.rows[:rank], stripped.n)
+    # the non-zero rows of an RREF are independent
+    norm.memo("rank", lambda: rank)
+    stripped_distinct, slots = stripped.distinct_cols()
+    firsts = [slots.index(s) for s in range(stripped_distinct.n)]
+    distinct = Mat._of(norm.field, [[r[j] for j in firsts] for r in norm.rows], len(firsts))
+    norm.memo("distinct_cols", lambda: (distinct, slots))
+    return norm
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .core import Instance, RejectReason, Tag, Witness
-from .errors import FormatError
+from .errors import DimMismatch, FormatError
 from .field import Field, field
 from .matrix import Mat, Mono, Perm
 from .reduction import ReductionCert, reduction_cert
@@ -118,8 +118,10 @@ class _Reader:
         self.pos = 0
         self.origin = origin
 
-    def error(self, msg: str) -> FormatError:
-        return FormatError(f"{self.origin}:{self.pos + 1}: {msg}")
+    def error(self, msg: str, line: Optional[int] = None) -> FormatError:
+        """A FormatError naming line (1-based), by default the line taken
+        last."""
+        return FormatError(f"{self.origin}:{self.pos if line is None else line}: {msg}")
 
     def done(self) -> bool:
         return self.pos >= len(self.lines)
@@ -131,7 +133,7 @@ class _Reader:
 
     def take(self) -> str:
         if self.done():
-            raise self.error("unexpected end of file")
+            raise self.error("unexpected end of file", self.pos + 1)
         line = self.lines[self.pos]
         self.pos += 1
         return line
@@ -189,8 +191,15 @@ def _parse_matrix(r: _Reader, fld: Field, label: str) -> Mat:
     rows = [r.take_ints(n) for _ in range(k)]
     try:
         return Mat(fld, rows, n)
-    except Exception as exc:
-        raise r.error(f"bad {label} entries: {exc}") from None
+    except ValueError as exc:
+        # name the row holding the first entry out of range
+        bad = next(i for i, row in enumerate(rows) if not all(0 <= x < fld.q for x in row))
+        raise r.error(f"bad {label} entries: {exc}", r.pos - k + bad + 1) from None
+
+
+def _parse_end(r: _Reader):
+    if not r.done():
+        raise r.error(f"trailing content {r.lines[r.pos]!r}", r.pos + 1)
 
 
 def _parse_tag(r: _Reader) -> Tag:
@@ -216,13 +225,13 @@ def parse_instance(text: str, origin: str = "<instance>") -> tuple[Instance, Opt
         except (IndexError, ValueError):
             raise r.error("bad reject-reason") from None
     g = _parse_matrix(r, fld, "G")
+    h_line = r.pos + 1
     h = _parse_matrix(r, fld, "H")
-    if not r.done():
-        raise r.error(f"trailing content {r.lines[r.pos]!r}")
+    _parse_end(r)
     try:
         return Instance(fld, g, h, tag), reject
-    except Exception as exc:
-        raise r.error(str(exc)) from None
+    except DimMismatch as exc:
+        raise r.error(str(exc), h_line) from None
 
 
 def parse_witness(text: str, origin: str = "<witness>") -> tuple[Field, Witness]:
@@ -233,6 +242,7 @@ def parse_witness(text: str, origin: str = "<witness>") -> tuple[Field, Witness]
     parts = r.take().split()
     if not parts or parts[0] != "perm":
         raise r.error("expected a perm line")
+    perm_line = r.pos
     try:
         sigma = tuple(int(x) - 1 for x in parts[1:])
     except ValueError:
@@ -244,12 +254,15 @@ def parse_witness(text: str, origin: str = "<witness>") -> tuple[Field, Witness]
         diag = tuple(int(x) for x in parts[1:])
     except ValueError:
         raise r.error("bad diagonal entries") from None
-    if not r.done():
-        raise r.error(f"trailing content {r.lines[r.pos]!r}")
+    _parse_end(r)
     try:
-        return fld, Witness(s, Mono(fld, Perm(sigma), diag))
-    except Exception as exc:
-        raise r.error(str(exc)) from None
+        perm = Perm(sigma)
+    except DimMismatch as exc:
+        raise r.error(str(exc), perm_line) from None
+    try:
+        return fld, Witness(s, Mono(fld, perm, diag))
+    except (DimMismatch, ValueError) as exc:
+        raise r.error(str(exc), perm_line + 1) from None
 
 
 def parse_cert(text: str, original: Instance, origin: str = "<cert>") -> ReductionCert:

@@ -13,13 +13,17 @@ with the diagonal indexed by *source* column. Degenerate shapes (zero
 rows or zero columns) are legal in every operation.
 
 Validation happens at the boundary: the public constructor `Mat(...)`,
-unpickling and the file parser turn every entry into an int and check
-that it is a canonical element of the field. Rows the package computes
+unpickling and the file parser take every entry as an integer (a float
+or a string is refused, not truncated or parsed) and check that it is a
+canonical element of the field. Rows the package computes
 itself (products, scalings, monomial actions, eliminations, column
 selections, the gadget and preprocessing's normalized matrices) are
 canonical by construction and go through the trusted `Mat._of`, which
 only freezes them. `Perm` and `Mono` are immutable `Record`s whose
-constructors check that sigma is a bijection and the diagonal non-zero.
+constructors store sigma and the diagonal as tuples of ints and check
+that sigma is a bijection and the diagonal non-zero; the trusted
+`Perm._of` and `Mono._of` take tuples the package built as such itself
+(the reduction's lifted and extracted actions) and check nothing.
 
 A `Mat` never changes, so what depends on its rows alone is computed
 once per matrix and kept in its memo: the RREF with and without the
@@ -27,12 +31,16 @@ transform, the columns, the distinct-column view, and what other modules
 store through `Mat.memo`: the reduction keeps its gadgets there, and
 preprocessing, the gadget and the planted generator record under "rank"
 the ranks they know by construction, so that `rank` finds them without
-an RREF. Only this module reads the memo directly. Pickling and every constructor start
-with an empty one, and `==` and `hash` ignore it.
+an RREF. Preprocessing and the gadget likewise record the
+distinct-column view of the matrices they build under "distinct_cols",
+derived from their input's view, so that no pass over the columns is
+needed. Only this module reads the memo directly. Pickling and every
+constructor start with an empty one, and `==` and `hash` ignore it.
 """
 
 from __future__ import annotations
 
+from operator import index
 from typing import Optional
 
 from .errors import DimMismatch, FieldMismatch, NotSquare, Singular
@@ -46,7 +54,11 @@ class Mat:
     __slots__ = ("field", "k", "n", "rows", "_memo")
 
     def __init__(self, fld: Field, rows, n: Optional[int] = None):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        try:
+            # lists first: see the note above `cols` on tuples of unknown length
+            rows = tuple([tuple([*map(index, r)]) for r in rows])
+        except TypeError as exc:
+            raise ValueError(f"matrix entries must be integers: {exc}") from None
         k = len(rows)
         if k:
             width = len(rows[0])
@@ -73,7 +85,7 @@ class Mat:
         """Trusted constructor for rows the package computed itself: each
         row has n canonical field ints. Freezes the rows, checks nothing."""
         self = object.__new__(cls)
-        self.rows = rows = tuple(map(tuple, rows))
+        self.rows = rows = tuple([*map(tuple, rows)])
         self.field = fld
         self.k = len(rows)
         self.n = n
@@ -132,8 +144,9 @@ class Mat:
     # CPython builds tuple(iterator) of unknown length by resizing, so each
     # such tuple is later freed into the free list of a size it was not
     # taken from; over many matrices those free lists fill to their cap
-    # and hold memory. The views build a list first, so that a tuple goes
-    # back to the free list it came from.
+    # and hold memory. The views, both constructors of Mat and the
+    # validating ones of Perm and Mono build a list first, so that a tuple
+    # goes back to the free list it came from.
 
     def cols(self) -> tuple:
         """The columns, as a tuple of tuples."""
@@ -309,11 +322,13 @@ def row_basis_transform(a: Mat, b: Mat) -> Optional[Mat]:
 
 
 def column_multiplicity_profile(a: Mat) -> tuple[int, ...]:
-    """Sorted multiset of occurrence counts of the distinct column values."""
-    counts: dict[tuple, int] = {}
-    for col in a.cols():
-        counts[col] = counts.get(col, 0) + 1
-    return tuple(sorted(counts.values()))
+    """Sorted multiset of occurrence counts of the distinct column values,
+    counted off the slots of the distinct-column view."""
+    distinct, slots = a.distinct_cols()
+    counts = [0] * distinct.n
+    for s in slots:
+        counts[s] += 1
+    return tuple(sorted(counts))
 
 
 def max_column_multiplicity(a: Mat) -> int:
@@ -338,15 +353,28 @@ def strip_zero_columns(a: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 
 class Perm(Record):
-    """Column permutation in the (A*P)[i] = A[sigma(i)] convention."""
+    """Column permutation in the (A*P)[i] = A[sigma(i)] convention; sigma
+    is stored as a tuple of ints."""
 
     __slots__ = ("sigma",)
 
     def __init__(self, sigma: tuple[int, ...]):
+        try:
+            sigma = tuple([*map(index, sigma)])
+        except TypeError:
+            raise DimMismatch("permutation entries must be integers") from None
         n = len(sigma)
         if sorted(sigma) != list(range(n)):
             raise DimMismatch(f"not a bijection on [0,{n})")
         object.__setattr__(self, "sigma", sigma)
+
+    @classmethod
+    def _of(cls, sigma: tuple[int, ...]) -> "Perm":
+        """Trusted constructor for a tuple the package built as a bijection
+        on [0, n) itself. Checks nothing."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "sigma", sigma)
+        return self
 
     @property
     def n(self) -> int:
@@ -363,6 +391,10 @@ class Mono(Record):
     __slots__ = ("field", "perm", "diag")
 
     def __init__(self, field: Field, perm: Perm, diag: tuple[int, ...]):
+        try:
+            diag = tuple([*map(index, diag)])
+        except TypeError:
+            raise ValueError("diagonal entries must be integers") from None
         if len(diag) != perm.n:
             raise DimMismatch("diagonal length differs from permutation size")
         q = field.q
@@ -372,6 +404,16 @@ class Mono(Record):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "diag", diag)
+
+    @classmethod
+    def _of(cls, field: Field, perm: Perm, diag: tuple[int, ...]) -> "Mono":
+        """Trusted constructor for a tuple of non-zero field ints, one per
+        column of perm, that the package built itself. Checks nothing."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "diag", diag)
+        return self
 
     @property
     def n(self) -> int:

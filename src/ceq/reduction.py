@@ -90,7 +90,9 @@ def build_gadget(a: Mat, m: int) -> Mat:
     column is the sum of two other gadget columns, so a full-row-rank
     input gives a full-row-rank gadget and nothing is checked; that rank
     is recorded on the gadget, so verifying a witness on it needs no
-    elimination. The gadget is memoized on a, one per m, so that
+    elimination. Its distinct-column view is recorded too, derived from
+    a's (at most 2d + 1 columns for a's d), so no pass over its n + 2nm +
+    1 columns is made. The gadget is memoized on a, one per m, so that
     extracting on the pair a reduction built reuses its gadgets and
     their memoized views.
     """
@@ -116,7 +118,27 @@ def _gadget(a: Mat, m: int) -> Mat:
     # plus e_{k+1}
     out = Mat._of(a.field, rows, n + 2 * nm + 1)
     out.memo("rank", lambda: a.rank() + 1)
+    out.memo("distinct_cols", lambda: _gadget_view(a, dup, nm))
     return out
+
+
+def _gadget_view(a: Mat, dup, nm: int) -> tuple[Mat, tuple[int, ...]]:
+    """The gadget's distinct-column view, from a's view (D, slots) with d
+    columns: the [D_s; 1] of block 1 take slots 0..d-1 in a's order, the
+    [D_s; 0] of block 2 slots d..2d-1, and e_{k+1} of block 3 slot 2d,
+    unless a has a zero column at slot z, whose [0; 1] is e_{k+1} and
+    gives block 3 slot z (every column is zero when k = 0)."""
+    distinct, slots = a.distinct_cols()
+    d, cols, zero = distinct.n, distinct.cols(), (0,) * distinct.k
+    last, tail = (cols.index(zero), ()) if zero in cols else (2 * d, (0,))
+    # rows spliced into lists: a temporary r + r has 2d entries, and
+    # CPython 3.11 keeps every freed 20-entry tuple on a free list it never
+    # allocates from
+    rows = [[*r, *r, *tail] for r in distinct.rows]
+    rows.append([1] * d + [0] * d + [1] * len(tail))
+    view = Mat._of(a.field, rows, 2 * d + len(tail))
+    shifted = [d + s for s in slots]
+    return view, (*slots, *dup(shifted), *(last,) * (nm + 1))
 
 
 def canonical_no_instance(fld: Field, target: Tag) -> Instance:
@@ -206,14 +228,11 @@ def lift_witness(cert: ReductionCert, w: Witness) -> Witness:
     s_rows.append([0] * k + [1])
     s_prime = Mat._of(fld, s_rows, k + 1)
     sigma = w.M.perm.sigma
-    nm = n * m
-    sigma_prime = list(range(cert.n_prime))
-    for x in range(n):
-        sigma_prime[x] = sigma[x]
-    for x in range(n, n + nm):
-        i, j = divmod(x - n, m)
-        sigma_prime[x] = n + m * sigma[i] + j
-    return Witness(s_prime, Mono.from_perm(fld, Perm(tuple(sigma_prime))))
+    n_prime, nm = cert.n_prime, n * m
+    # block 2 column n + m*i + j is drawn from n + m*sigma[i] + j, and block
+    # 3 is fixed: a bijection by construction, so the trusted constructors
+    sigma_prime = (*sigma, *[n + m * s + j for s in sigma for j in range(m)], *range(n + nm, n_prime))
+    return Witness(s_prime, Mono._of(fld, Perm._of(sigma_prime), (1,) * n_prime))
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +263,14 @@ def extract_witness(cert: ReductionCert, g: Mat, h: Mat, w: Witness) -> Witness:
             f"witness shaped for {w.S.k}x{w.M.n}, expected {k + 1}x{n_prime}"
         )
 
-    b1, b2, b3 = cert.blocks
     sigma = w.M.perm.sigma
-    for block in (b1, b2, b3):
-        for c in block:
-            if sigma[c] not in block:
-                raise StructureViolation(
-                    CHECK_BLOCKS, f"column {c + 1} drawn from column {sigma[c] + 1}"
-                )
+    for block in cert.blocks:
+        part = sigma[block.start:block.stop]
+        if part and (min(part) < block.start or max(part) >= block.stop):
+            c = next(c for c in block if sigma[c] not in block)
+            raise StructureViolation(
+                CHECK_BLOCKS, f"column {c + 1} drawn from column {sigma[c] + 1}"
+            )
 
     s_rows = w.S.rows
     bad_col = any(s_rows[i][k] != 0 for i in range(k))
@@ -259,7 +278,7 @@ def extract_witness(cert: ReductionCert, g: Mat, h: Mat, w: Witness) -> Witness:
     if bad_col or bad_row or s_rows[k][k] == 0:
         raise StructureViolation(CHECK_BASIS)
 
-    scalars = {w.M.diag[sigma[c]] for c in b1}
+    scalars = {w.M.diag[s] for s in sigma[:n]}
     if len(scalars) > 1:
         raise StructureViolation(CHECK_SCALAR, f"saw scalars {sorted(scalars)}")
     a = scalars.pop() if scalars else 1
@@ -270,10 +289,8 @@ def extract_witness(cert: ReductionCert, g: Mat, h: Mat, w: Witness) -> Witness:
         raise WitnessInvalid("witness does not verify on the gadget pair")
 
     s_block = Mat._of(fld, [row[:k] for row in s_rows[:k]], k)
-    out = Witness(
-        s_block.scale(a),
-        Mono.from_perm(fld, Perm(tuple(sigma[c] for c in b1))),
-    )
+    # the block check made sigma[:n] a bijection on block 1
+    out = Witness(s_block.scale(a), Mono._of(fld, Perm._of(sigma[:n]), (1,) * n))
     if not verify_witness(Instance(fld, g, h, Tag.PCE), out):
         raise WitnessInvalid("extracted witness does not verify on the original pair")
     return out

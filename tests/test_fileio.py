@@ -111,6 +111,48 @@ def test_malformed_inputs_rejected():
         fileio.parse_witness("%CEQ 1\nfield 2\nS 1 1\n1\nperm 1 1\ndiag 1 1\n")
 
 
+def _error_line(parse, text):
+    with pytest.raises(FormatError) as exc:
+        parse(text, "f")
+    head, line, _ = str(exc.value).split(":", 2)
+    assert head == "f"
+    return int(line)
+
+
+def _replace_line(text, number, line):
+    lines = text.split("\n")
+    lines[number - 1] = line
+    return "\n".join(lines)
+
+
+def test_format_errors_name_the_line_at_fault():
+    inst = fileio.serialize_instance(sample_instance())
+    # 1 magic, 2 field, 3 tag, 4 "G 2 3", 5-6 G rows, 7 "H 2 3", 8-9 H rows
+    assert _error_line(fileio.parse_instance, _replace_line(inst, 1, "%CEQ 2")) == 1
+    assert _error_line(fileio.parse_instance, _replace_line(inst, 2, "field 4")) == 2
+    assert _error_line(fileio.parse_instance, _replace_line(inst, 3, "tag WAT")) == 3
+    assert _error_line(fileio.parse_instance, _replace_line(inst, 4, "G 2")) == 4
+    assert _error_line(fileio.parse_instance, _replace_line(inst, 6, "0 4 x")) == 6
+    # an entry out of range names the row that holds it
+    assert _error_line(fileio.parse_instance, _replace_line(inst, 5, "1 2 9")) == 5
+    assert _error_line(fileio.parse_instance, _replace_line(inst, 9, "9 0 7")) == 9
+    assert _error_line(fileio.parse_instance, inst + "extra junk\n") == 10
+    assert _error_line(fileio.parse_instance, inst.rsplit("\n", 2)[0] + "\n") == 9
+    # G and H shaped differently: the H header
+    assert _error_line(fileio.parse_instance, "%CEQ 1\nfield 2\ntag PCE\nG 1 2\n1 0\nH 1 1\n1\n") == 6
+
+    w = Witness(Mat(F9, [[1, 2], [0, 1]]), Mono(F9, Perm((1, 0)), (1, 2)))
+    wit = fileio.serialize_witness(F9, w)
+    # 1 magic, 2 field, 3 "S 2 2", 4-5 S rows, 6 perm, 7 diag
+    assert len(wit.splitlines()) == 7
+    assert _error_line(fileio.parse_witness, _replace_line(wit, 5, "0 9")) == 5
+    assert _error_line(fileio.parse_witness, _replace_line(wit, 6, "perm 1 1")) == 6
+    assert _error_line(fileio.parse_witness, _replace_line(wit, 6, "perm 1 x")) == 6
+    assert _error_line(fileio.parse_witness, _replace_line(wit, 7, "diag 1 0")) == 7
+    assert _error_line(fileio.parse_witness, _replace_line(wit, 7, "diag 1")) == 7
+    assert _error_line(fileio.parse_witness, _replace_line(wit, 7, "dag 1 1")) == 7
+
+
 def test_degenerate_shapes_roundtrip():
     for k, n in ((0, 3), (2, 0), (0, 0)):
         g = zeros(F2, k, n)

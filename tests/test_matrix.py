@@ -346,6 +346,32 @@ def test_perm_validation():
         Mono(F3, Perm((0, 1)), (1, 0))
 
 
+def test_perm_and_mono_store_tuples_of_ints():
+    # a caller's list, floats or bools become a hashable tuple of plain
+    # ints, or are refused
+    p = Perm([1, 0])
+    assert p.sigma == (1, 0) and type(p.sigma) is tuple
+    assert hash(p) == hash(Perm((1, 0)))
+    m = Mono(F3, Perm([0, True]), [1, True])
+    assert m.perm.sigma == (0, 1) and m.diag == (1, 1)
+    assert all(type(x) is int for x in m.perm.sigma + m.diag)
+    assert hash(m) == hash(Mono.identity(F3, 2))
+    for sigma in ((0, 1.0), (0, "1"), (0, None)):
+        with pytest.raises(DimMismatch):
+            Perm(sigma)
+    for diag in ((1, 2.0), (1, "2"), (1, None)):
+        with pytest.raises(ValueError):
+            Mono(F3, Perm((0, 1)), diag)
+
+
+def test_mat_rejects_non_integer_entries():
+    for rows in ([[1.5, 2]], [[2.0, 2]], [["3", 2]], [[1, None]]):
+        with pytest.raises(ValueError):
+            Mat(F5, rows)
+    a = Mat(F5, [[True, 2]])
+    assert a.rows == ((1, 2),) and type(a.rows[0][0]) is int
+
+
 def test_mono_class_predicates():
     m = Mono(F3, Perm((1, 0)), (1, 2))
     assert not m.is_permutation()

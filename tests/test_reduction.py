@@ -623,3 +623,102 @@ def test_recorded_ranks_equal_a_fresh_elimination():
     for k, n in ((0, 1), (0, 3), (2, 3)):
         for m in (1, 2, 3):
             _assert_recorded_rank(build_gadget(zeros(F3, k, n), m))
+
+
+def _assert_recorded_view(x):
+    assert "distinct_cols" in x._memo
+    distinct, slots = x._memo["distinct_cols"]
+    fresh, fresh_slots = Mat(x.field, x.rows, x.n).distinct_cols()
+    assert type(slots) is tuple and slots == fresh_slots
+    assert distinct == fresh and (distinct.k, distinct.n) == (fresh.k, fresh.n)
+
+
+def test_recorded_views_equal_a_fresh_computation():
+    # preprocessing records the normalized pair's distinct-column view from
+    # the stripped input's, and the gadget records its view from a's; each
+    # must be what a fresh copy computes
+    rng = stream(23, "recorded-views")
+    deficient = zero_gadgets = 0
+    for fld in (F2, F5, field(2, 8), field(3, 5), field(65521)):
+        for k, r, n, zero_cols in (
+            (3, 3, 5, 0), (3, 3, 5, 2), (4, 2, 6, 0), (4, 2, 6, 1),
+            (3, 0, 4, 1), (0, 0, 3, 0), (2, 0, 0, 0), (0, 0, 0, 0),
+        ):
+            base = of_rank(fld, k, r, n, rng)
+            if n >= 3:
+                # repeat columns, so that slots are shared
+                rows = [[row[j] for j in (0, 1, 0, 2, 1) + tuple(range(3, n))] for row in base.rows]
+                base = Mat(fld, rows, n + 2)
+            g = with_zero_columns(base, zero_cols, rng)
+            sigma = list(range(g.n))
+            rng.shuffle(sigma)
+            s = of_rank(fld, k, k, k, rng)
+            inst = Instance(fld, g, s.mul(g).apply_mono(Mono.from_perm(fld, Perm(tuple(sigma)))), Tag.PCE)
+            out = preprocess(inst)
+            norm = out.instance
+            _assert_recorded_view(norm.G)
+            _assert_recorded_view(norm.H)
+            deficient += out.journal.rank < k
+            if norm.n:
+                for m in (1, 2, 3):
+                    for a in (norm.G, norm.H, Mat(fld, g.rows, g.n)):
+                        _assert_recorded_view(build_gadget(a, m))
+                        zero_gadgets += any(not any(c) for c in a.cols())
+                red, _ = reduce_instance(inst, Tag.LCE)
+                _assert_recorded_view(red.G)
+                _assert_recorded_view(red.H)
+    assert deficient >= 15 and zero_gadgets >= 30
+    # gadgets of matrices with no rows, or with only zero rows
+    for k, n in ((0, 1), (0, 3), (2, 3)):
+        for m in (1, 2, 3):
+            _assert_recorded_view(build_gadget(zeros(F3, k, n), m))
+
+
+def test_trusted_actions_pass_the_validating_constructors():
+    # lift_witness and extract_witness build their actions with Perm._of
+    # and Mono._of; each must be one the checking constructors accept
+    rng = stream(29, "trusted-actions")
+    built = 0
+    for fld in (F2, F3, F5, field(2, 2), field(3, 2)):
+        for _ in range(12):
+            k = rng.randrange(1, 4)
+            n = rng.randrange(k, 7)
+            inst, w = planted_pce(fld, k, n, rng, zero_cols=rng.randrange(2), dup_col=rng.random() < 0.5)
+            for target in (Tag.LCE, Tag.SPCE):
+                red, cert = reduce_instance(inst, target)
+                lifted = lift_witness(cert, map_witness_to_normalized(cert.journal, w))
+                # a verifying witness of the gadget pair scaled by a global unit
+                c = rng.choice(fld.signs() if target is Tag.SPCE else range(1, fld.q))
+                scaled = Witness(lifted.S.scale(fld.inv(c)), Mono(fld, lifted.M.perm, (c,) * lifted.M.n))
+                assert verify_witness(red, scaled)
+                norm = cert.journal.normalized
+                for m in (lifted.M, extract_witness(cert, norm.G, norm.H, scaled).M):
+                    assert m == Mono(fld, Perm(m.perm.sigma), m.diag)
+                    assert all(type(x) is int for x in m.perm.sigma + m.diag)
+                    built += 1
+    assert built >= 200
+
+
+def test_block_violation_names_the_first_column_that_crosses():
+    # the per-column reference: blocks in order, first column whose source
+    # lies outside its block
+    rng = stream(31, "block-violation")
+    inst, w = planted_pce(F5, 2, 4, rng, dup_col=True)
+    red, cert = reduce_instance(inst, Tag.LCE)
+    lifted = lift_witness(cert, map_witness_to_normalized(cert.journal, w))
+    norm = cert.journal.normalized
+    crossed = 0
+    for _ in range(120):
+        sigma = list(lifted.M.perm.sigma)
+        for _ in range(rng.randrange(1, 4)):
+            i, j = rng.sample(range(cert.n_prime), 2)
+            sigma[i], sigma[j] = sigma[j], sigma[i]
+        first = next((c for b in cert.blocks for c in b if sigma[c] not in b), None)
+        if first is None:
+            continue
+        crossed += 1
+        with pytest.raises(StructureViolation) as exc:
+            extract_witness(cert, norm.G, norm.H, Witness(lifted.S, Mono.from_perm(F5, Perm(tuple(sigma)))))
+        assert exc.value.check == CHECK_BLOCKS
+        assert exc.value.detail == f"column {first + 1} drawn from column {sigma[first] + 1}"
+    assert crossed >= 80

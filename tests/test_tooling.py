@@ -24,8 +24,80 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+_UNDER_O = """
+import sys
+from pathlib import Path
+from ceq import fileio
+from ceq.core import Tag, Witness, map_witness_to_normalized, verify_witness
+from ceq.errors import FormatError, StructureViolation, WitnessInvalid
+from ceq.field import field
+from ceq.matrix import Mat, Mono, Perm
+from ceq.oracle import GenSpec, Planted, generate
+from ceq.reduction import extract_witness, lift_witness, reduce_instance
+
+
+def fail(what):
+    raise SystemExit("under -O: " + what)
+
+
+if sys.flags.optimize != 1:
+    fail("assertions are on")
+work = Path(sys.argv[1])
+# the README walkthrough's pair: gen, reduce to LCE, lift, verify
+fld = field(2)
+got = generate(GenSpec(fld, 2, 3, Tag.PCE, Planted.YES, 1))
+reduced, cert = reduce_instance(got.instance, Tag.LCE)
+lifted = lift_witness(cert, map_witness_to_normalized(cert.journal, got.witness))
+fileio.write_text(work / "lifted.wit", fileio.serialize_witness(fld, lifted))
+_, lifted = fileio.read_witness(work / "lifted.wit")
+if not verify_witness(reduced, lifted):
+    fail("the lifted witness does not verify")
+norm = cert.journal.normalized
+rows = [list(r) for r in lifted.S.rows]
+rows[0][0] ^= 1
+sigma = list(lifted.M.perm.sigma)
+sigma[0], sigma[-1] = sigma[-1], sigma[0]
+tampered = (
+    Witness(Mat(fld, rows), lifted.M),
+    Witness(lifted.S, Mono.from_perm(fld, Perm(sigma))),
+)
+for w in tampered:
+    if verify_witness(reduced, w):
+        fail("a tampered witness verifies")
+    try:
+        extract_witness(cert, norm.G, norm.H, w)
+    except (StructureViolation, WitnessInvalid):
+        pass
+    else:
+        fail("a tampered witness was extracted")
+text = fileio.serialize_witness(fld, lifted)
+perm = next(line for line in text.splitlines() if line.startswith("perm "))
+for bad in (text.replace(perm, "perm" + " 1" * lifted.M.n), text.replace("S 3 3", "S 3 3 3")):
+    (work / "bad.wit").write_text(bad)
+    try:
+        fileio.read_witness(work / "bad.wit")
+    except FormatError:
+        pass
+    else:
+        fail("a malformed witness file was read")
+print("ok")
+"""
+
+
+def test_checks_hold_under_python_O(tmp_path):
+    # python -O strips assert statements: verification, extraction's
+    # structure checks and the parser must still reject bad input
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(ceq.__file__).parent.parent),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _UNDER_O, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "ok", "")
+
+
 def test_boundary_modules_use_the_validating_constructor():
-    # fileio and cli read untrusted rows; Mat._of skips every entry check
+    # fileio and cli read untrusted rows and actions; Mat._of, Perm._of
+    # and Mono._of skip every check
     boundary = [p for p in SOURCES if p.name in ("fileio.py", "cli.py")]
     assert len(boundary) == 2
     found = [
