@@ -13,12 +13,10 @@ import csv
 import sys
 from pathlib import Path
 
-from . import fileio
+from . import fileio, oracle, reduction
 from .core import Instance, Tag, Witness, map_witness_to_original, map_witness_to_normalized, verify_witness
 from .errors import BudgetExceeded, CeqError, FormatError, StructureViolation, WitnessInvalid
 from .field import MAX_ORDER, Field, field, is_prime
-from .oracle import Budget, GenSpec, Mode, Planted, Status, decide, generate
-from .reduction import extract_witness, lift_witness, reduce_instance
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -77,7 +75,7 @@ def cmd_gen(args) -> int:
         tag = Tag(args.tag.upper())
     except ValueError:
         raise UsageError(f"unknown tag {args.tag!r}") from None
-    planted = Planted(args.planted)
+    planted = oracle.Planted(args.planted)
     profile = None
     if args.profile:
         try:
@@ -85,10 +83,10 @@ def cmd_gen(args) -> int:
         except ValueError:
             raise UsageError(f"bad --profile value {args.profile!r}") from None
     try:
-        spec = GenSpec(fld, args.k, args.n, tag, planted, args.seed, profile)
+        spec = oracle.GenSpec(fld, args.k, args.n, tag, planted, args.seed, profile)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    got = generate(spec)
+    got = oracle.generate(spec)
     fileio.write_text(args.out, fileio.serialize_instance(got.instance))
     print(f"gen: wrote {planted.value} {tag.value} instance ({args.k}x{args.n} over {fld!r}) to {args.out}")
     if got.witness is not None:
@@ -103,7 +101,7 @@ def cmd_reduce(args) -> int:
     if inst.tag is not Tag.PCE:
         raise UsageError(f"reduce expects a PCE instance, got {inst.tag.value}")
     target = Tag.LCE if args.target == "lce" else Tag.SPCE
-    reduced, cert = reduce_instance(inst, target)
+    reduced, cert = reduction.reduce_instance(inst, target)
     fileio.write_text(args.out, fileio.serialize_instance(reduced, cert.reject_reason))
     fileio.write_text(args.cert_out, fileio.serialize_cert(cert))
     if cert.rejected:
@@ -120,31 +118,31 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    mode = Mode(args.mode)
+    mode = oracle.Mode(args.mode)
     try:
-        budget = Budget(max_nodes=args.max_nodes, time_limit=args.time_limit, mode=mode)
+        budget = oracle.Budget(max_nodes=args.max_nodes, time_limit=args.time_limit, mode=mode)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     inst = _load_instance(getattr(args, "in"))
-    res = decide(inst, budget)
+    res = oracle.decide(inst, budget)
     print(
         f"solve: {res.status.value} ({inst.tag.value} {inst.k}x{inst.n} over {inst.field!r}, "
         f"{mode.value}, nodes={res.nodes}, {res.elapsed:.3f}s)"
         + (f" [{res.detail}]" if res.detail else "")
     )
-    if res.status is Status.YES and args.witness_out:
+    if res.status is oracle.Status.YES and args.witness_out:
         fileio.write_text(args.witness_out, fileio.serialize_witness(inst.field, res.witness))
         print(f"solve: wrote witness to {args.witness_out}")
     if args.stats:
         _append_stats(args.stats, getattr(args, "in"), inst, mode, res)
-    if res.status is Status.YES:
+    if res.status is oracle.Status.YES:
         return EXIT_OK
-    if res.status is Status.NO:
+    if res.status is oracle.Status.NO:
         return EXIT_NO
     return EXIT_BUDGET
 
 
-def _append_stats(path: str, instance_path: str, inst: Instance, mode: Mode, res) -> None:
+def _append_stats(path: str, instance_path: str, inst: Instance, mode: oracle.Mode, res) -> None:
     p = Path(path)
     new = not p.exists()
     with p.open("a", newline="", encoding="utf-8") as fh:
@@ -191,7 +189,7 @@ def cmd_lift(args) -> int:
     if cert.rejected:
         raise WitnessInvalid("cannot lift a witness through a rejected reduction")
     w_norm = map_witness_to_normalized(cert.journal, w)
-    lifted = lift_witness(cert, w_norm)
+    lifted = reduction.lift_witness(cert, w_norm)
     fileio.write_text(args.out, fileio.serialize_witness(original.field, lifted))
     print(f"lift: wrote witness for the reduced pair to {args.out}")
     return EXIT_OK
@@ -204,7 +202,7 @@ def cmd_extract(args) -> int:
     if cert.rejected:
         raise WitnessInvalid("cannot extract a witness from a rejected reduction")
     norm = cert.journal.normalized
-    extracted = extract_witness(cert, norm.G, norm.H, w)
+    extracted = reduction.extract_witness(cert, norm.G, norm.H, w)
     out = map_witness_to_original(cert.journal, extracted)
     fileio.write_text(args.out, fileio.serialize_witness(original.field, out))
     print(f"extract: wrote PCE witness for {args.instance} to {args.out}")

@@ -5,7 +5,8 @@ rejected. Lines are single-space separated, files end with one newline,
 and serialization is canonical so equal values produce byte-identical
 files. Matrix entries and diagonal values use the canonical integer
 element encoding (base-p coefficient packing). Permutations are written
-1-based in the column convention `(A*P)[i] = A[sigma(i)]`.
+1-based in the column convention `(A*P)[i] = A[sigma(i)]`. Every number
+is written, and read, in ASCII decimal digits.
 
 Sections, in canonical order:
 
@@ -39,11 +40,11 @@ import itertools
 from pathlib import Path
 from typing import Optional, Union
 
+from . import reduction
 from .core import Instance, RejectReason, Tag, Witness
 from .errors import DimMismatch, FormatError
 from .field import Field, field
 from .matrix import Mat, Mono, Perm
-from .reduction import ReductionCert, reduction_cert
 
 MAGIC = "%CEQ 1"
 
@@ -84,7 +85,7 @@ def serialize_witness(fld: Field, w: Witness) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_cert(cert: ReductionCert) -> str:
+def serialize_cert(cert: reduction.ReductionCert) -> str:
     lines = [MAGIC, _field_line(cert.field), f"target {cert.target.value}"]
     if cert.rejected:
         lines.append("cert rejected")
@@ -110,6 +111,24 @@ def write_text(path: PathLike, text: str):
 
 # ---------------------------------------------------------------------------
 # parsing
+
+
+def _decimal(token: str) -> Optional[int]:
+    """The number a token spells in ASCII decimal digits, or None.
+
+    A leading '-' is read on a non-zero value, so that a negative number
+    reaches the caller's range check and its message. int() alone would
+    also take numerals the writer never produces: '0_1', '+1', '-0' and
+    non-ASCII digits such as '١'.
+    """
+    negative = token.startswith("-")
+    digits = token[1:] if negative else token
+    if not (digits.isascii() and digits.isdigit()) or (negative and not digits.strip("0")):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 class _Reader:
@@ -138,12 +157,17 @@ class _Reader:
         self.pos += 1
         return line
 
+    def ints(self, tokens: list[str], msg: str) -> list[int]:
+        """The numbers of the line taken last (see `_decimal`), or a
+        FormatError that says msg."""
+        vals = [_decimal(x) for x in tokens]
+        if None in vals:
+            bad = tokens[vals.index(None)]
+            raise self.error(f"{msg} (not a decimal numeral: {bad!r})")
+        return vals
+
     def take_ints(self, expected: int) -> list[int]:
-        parts = self.take().split()
-        try:
-            vals = [int(x) for x in parts]
-        except ValueError:
-            raise self.error("expected integers") from None
+        vals = self.ints(self.take().split(), "expected integers")
         if len(vals) != expected:
             raise self.error(f"expected {expected} integers, got {len(vals)}")
         return vals
@@ -156,36 +180,27 @@ def _parse_magic(r: _Reader):
 
 
 def _parse_field(r: _Reader) -> Field:
-    line = r.take()
-    parts = line.split(" ")
+    parts = r.take().split(" ")
     if parts[0] != "field":
         raise r.error("expected a field line")
+    if len(parts) == 2:
+        coeffs = None
+    elif len(parts) == 4 and parts[2] == "mod" and "^" in parts[1]:
+        coeffs = tuple(r.ints(parts[3].split(","), "bad field modulus"))
+    else:
+        raise r.error("bad field line")
+    p_e = r.ints(parts[1].split("^", 1), "bad field spec")
     try:
-        if len(parts) == 2:
-            spec = parts[1]
-            if "^" in spec:
-                p_s, e_s = spec.split("^", 1)
-                return field(int(p_s), int(e_s))
-            return field(int(spec))
-        if len(parts) == 4 and parts[2] == "mod" and "^" in parts[1]:
-            p_s, e_s = parts[1].split("^", 1)
-            coeffs = tuple(int(c) for c in parts[3].split(","))
-            return field(int(p_s), int(e_s), coeffs)
-    except FormatError:
-        raise
+        return field(*p_e, modulus=coeffs)
     except Exception as exc:
         raise r.error(f"bad field spec: {exc}") from None
-    raise r.error("bad field line")
 
 
 def _parse_matrix(r: _Reader, fld: Field, label: str) -> Mat:
     head = r.take().split()
     if len(head) != 3 or head[0] != label:
         raise r.error(f"expected '{label} <k> <n>'")
-    try:
-        k, n = int(head[1]), int(head[2])
-    except ValueError:
-        raise r.error("bad matrix dimensions") from None
+    k, n = r.ints(head[1:], "bad matrix dimensions")
     if k < 0 or n < 0:
         raise r.error("negative matrix dimensions")
     rows = [r.take_ints(n) for _ in range(k)]
@@ -243,17 +258,11 @@ def parse_witness(text: str, origin: str = "<witness>") -> tuple[Field, Witness]
     if not parts or parts[0] != "perm":
         raise r.error("expected a perm line")
     perm_line = r.pos
-    try:
-        sigma = tuple(int(x) - 1 for x in parts[1:])
-    except ValueError:
-        raise r.error("bad permutation entries") from None
+    sigma = tuple(x - 1 for x in r.ints(parts[1:], "bad permutation entries"))
     parts = r.take().split()
     if not parts or parts[0] != "diag":
         raise r.error("expected a diag line")
-    try:
-        diag = tuple(int(x) for x in parts[1:])
-    except ValueError:
-        raise r.error("bad diagonal entries") from None
+    diag = tuple(r.ints(parts[1:], "bad diagonal entries"))
     _parse_end(r)
     try:
         perm = Perm(sigma)
@@ -265,7 +274,7 @@ def parse_witness(text: str, origin: str = "<witness>") -> tuple[Field, Witness]
         raise r.error(str(exc), perm_line + 1) from None
 
 
-def parse_cert(text: str, original: Instance, origin: str = "<cert>") -> ReductionCert:
+def parse_cert(text: str, original: Instance, origin: str = "<cert>") -> reduction.ReductionCert:
     """Check a cert file against the PCE instance it was reduced from.
 
     Every cert line follows from the instance and the target, so the
@@ -276,7 +285,7 @@ def parse_cert(text: str, original: Instance, origin: str = "<cert>") -> Reducti
         raise FormatError(f"{origin}: a cert pairs only with a PCE instance, got {original.tag.value}")
     lines = text.splitlines()
     target = Tag.SPCE if lines[2:3] == ["target SPCE"] else Tag.LCE
-    cert = reduction_cert(original, target)
+    cert = reduction.reduction_cert(original, target)
     expected = serialize_cert(cert).splitlines()
     for line, (got, want) in enumerate(itertools.zip_longest(lines, expected), 1):
         if got != want:
@@ -299,5 +308,5 @@ def read_witness(path: PathLike) -> tuple[Field, Witness]:
     return parse_witness(_read_text(path), str(path))
 
 
-def read_cert(path: PathLike, original: Instance) -> ReductionCert:
+def read_cert(path: PathLike, original: Instance) -> reduction.ReductionCert:
     return parse_cert(_read_text(path), original, str(path))

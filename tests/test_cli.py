@@ -260,6 +260,23 @@ def test_malformed_file_exit(tmp_path):
     assert run(["solve", "--in", bad]) == 2
 
 
+def test_non_decimal_numerals_are_malformed_input(tmp_path, capsys):
+    # int() reads "0_1" as 1 and "\u0661" (Arabic-Indic one) as 1; neither
+    # is a numeral the writer produces
+    inst = tmp_path / "i.ceq"
+    inst.write_text("%CEQ 1\nfield 2\ntag PCE\nG 1 2\n0 1\nH 1 2\n0 0_1\n")
+    assert run(["solve", "--in", inst]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {inst}:7: expected integers")
+    inst.write_text(inst.read_text().replace("0 0_1", "0 1"))
+    wit = tmp_path / "i.wit"
+    wit.write_text("%CEQ 1\nfield 2\nS 1 1\n1\nperm 1 2\ndiag 1 1\n")
+    assert run(["verify", "--instance", inst, "--witness", wit]) == 0
+    wit.write_text(wit.read_text().replace("perm 1 2", "perm \u0661 2"))
+    capsys.readouterr()
+    assert run(["verify", "--instance", inst, "--witness", wit]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {wit}:5: bad permutation entries")
+
+
 @pytest.mark.parametrize(
     "command, bad",
     [("verify", "--instance"), ("verify", "--witness"), ("solve", "--in"), ("reduce", "--in"),

@@ -153,6 +153,44 @@ def test_format_errors_name_the_line_at_fault():
     assert _error_line(fileio.parse_witness, _replace_line(wit, 7, "dag 1 1")) == 7
 
 
+@pytest.mark.parametrize("numeral", ["0_1", "+1", "\u0661", "\uff11", "-0", "1.0", "0x1"])
+def test_numbers_are_ascii_decimal_only(numeral):
+    # int() reads the first five as 1 or 0; the writer produces none of
+    # them, so each is a format error naming its line
+    inst = fileio.serialize_instance(sample_instance())
+    # 1 magic, 2 field, 3 tag, 4 "G 2 3", 5-6 G rows, 7 "H 2 3", 8-9 H rows
+    for line, text in ((2, f"field {numeral}^2 mod 1,0,1"), (2, f"field 3^{numeral} mod 1,0,1"),
+                       (2, f"field 3^2 mod 1,{numeral},1"), (4, f"G {numeral} 3"), (8, f"2 {numeral} 0")):
+        assert _error_line(fileio.parse_instance, _replace_line(inst, line, text)) == line
+    prime = "%CEQ 1\nfield 3\ntag PCE\nG 0 0\nH 0 0\n"
+    fileio.parse_instance(prime)
+    assert _error_line(fileio.parse_instance, prime.replace("field 3", f"field {numeral}")) == 2
+
+    w = Witness(Mat(F9, [[1, 2], [0, 1]]), Mono(F9, Perm((1, 0)), (1, 2)))
+    wit = fileio.serialize_witness(F9, w)
+    # 1 magic, 2 field, 3 "S 2 2", 4-5 S rows, 6 perm, 7 diag
+    assert _error_line(fileio.parse_witness, _replace_line(wit, 3, f"S 2 {numeral}")) == 3
+    assert _error_line(fileio.parse_witness, _replace_line(wit, 6, f"perm 2 {numeral}")) == 6
+    assert _error_line(fileio.parse_witness, _replace_line(wit, 7, f"diag {numeral} 2")) == 7
+
+
+def test_number_checks_keep_their_messages():
+    base = "%CEQ 1\nfield 3\ntag PCE\nG 1 2\n1 2\nH 1 2\n2 1\n"
+    cases = (
+        ("G 1 2", "G -1 2", "f:4: negative matrix dimensions"),
+        ("G 1 2", "G 1 x", "f:4: bad matrix dimensions (not a decimal numeral: 'x')"),
+        ("field 3", "field 0_3", "f:2: bad field spec (not a decimal numeral: '0_3')"),
+        ("field 3", "field 9", "f:2: bad field spec: "),
+        ("2 1\n", "-1 1\n", "f:7: bad H entries: entry -1 not in GF(3)"),
+    )
+    for old, new, message in cases:
+        with pytest.raises(FormatError) as exc:
+            fileio.parse_instance(base.replace(old, new, 1), "f")
+        assert str(exc.value).startswith(message)
+    # leading zeros are still ASCII decimal numerals
+    assert fileio.parse_instance(base.replace("2 1\n", "02 001\n"))[0] == fileio.parse_instance(base)[0]
+
+
 def test_degenerate_shapes_roundtrip():
     for k, n in ((0, 3), (2, 0), (0, 0)):
         g = zeros(F2, k, n)

@@ -4,9 +4,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ceq
 
 SOURCES = sorted(Path(ceq.__file__).parent.glob("*.py"))
+
+
+def _src_env():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(ceq.__file__).parent.parent),
+                                                      env.get("PYTHONPATH")]))
+    return env
 
 
 def test_package_sources_found():
@@ -87,9 +96,7 @@ print("ok")
 def test_checks_hold_under_python_O(tmp_path):
     # python -O strips assert statements: verification, extraction's
     # structure checks and the parser must still reject bad input
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(ceq.__file__).parent.parent),
-                                                      env.get("PYTHONPATH")]))
+    env = _src_env()
     proc = subprocess.run([sys.executable, "-O", "-c", _UNDER_O, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "ok", "")
@@ -240,9 +247,7 @@ def test_no_process_pools_in_package():
 def test_cli_import_loads_no_slow_stdlib_modules():
     # compared with a bare interpreter in the same environment, whose
     # site hooks may load modules of their own
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(ceq.__file__).parent.parent),
-                                                      env.get("PYTHONPATH")]))
+    env = _src_env()
 
     def modules(code):
         proc = subprocess.run([sys.executable, "-c", code + "import sys; print(' '.join(sys.modules))"],
@@ -340,3 +345,119 @@ def test_row_basis_transform_work_counts(monkeypatch):
     t = row_basis_transform(short, s.mul(short))
     assert t.mul(short) == s.mul(short)
     assert calls == {"_eliminate": 3, "inv": 1}
+
+
+def _fresh(code, *args, cwd=None):
+    """stdout of code run in a fresh interpreter that imports ceq from
+    this checkout and writes no bytecode."""
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=_src_env(), cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# a lazily registered module keeps its _LazyModule type until it executes;
+# type() reads no attribute, so it does not execute the module
+_EXECUTED = (
+    "[n for n in ('oracle', 'reduction') if type(sys.modules['ceq.' + n]) is types.ModuleType]"
+)
+
+_RUN_COMMAND = f"""
+import runpy, sys, types
+try:
+    runpy.run_module("ceq", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, *{_EXECUTED})
+"""
+
+
+def test_each_command_executes_only_the_modules_it_needs(tmp_path):
+    imported = _fresh(f"import sys, types; import ceq.cli; print(*{_EXECUTED}, 'ceq.rng' in sys.modules)")
+    assert imported.split() == ["False"]
+    steps = [
+        ("gen --k 2 --n 4 --field 3 --tag PCE --planted yes --seed 5 --out i --witness-out i.wit", "oracle"),
+        ("reduce --in i --target lce --out r --cert-out c", "reduction"),
+        ("lift --cert c --instance i --witness i.wit --out r.wit", "reduction"),
+        ("verify --instance r --witness r.wit", ""),
+        ("solve --in r --mode backtracking --witness-out s.wit", "oracle"),
+        ("extract --cert c --instance i --witness s.wit --out e.wit", "reduction"),
+        ("verify --instance i --witness e.wit", ""),
+    ]
+    for argv, executed in steps:
+        out = _fresh(_RUN_COMMAND, *argv.split(), cwd=tmp_path)
+        assert out.splitlines()[-1].split() == ["0", *executed.split()], argv
+
+
+def test_public_surface_is_the_defining_modules():
+    import importlib
+
+    for name in ceq.__all__:
+        obj = getattr(ceq, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    assert set(ceq.__all__) <= set(dir(ceq))
+    star = {}
+    exec("from ceq import *", star)
+    assert all(star[name] is getattr(ceq, name) for name in ceq.__all__)
+    # lazily resolved names are looked up at every access, never cached
+    assert {"decide", "reduce_instance"}.isdisjoint(vars(ceq))
+    with pytest.raises(AttributeError, match=r"^module 'ceq' has no attribute 'no_such_name'$"):
+        ceq.no_such_name
+
+
+_PICKLE_OUT = """
+import pickle, sys
+from ceq import Budget, GenSpec, Mode, Planted, Tag, decide, field, generate, reduce_instance
+spec = GenSpec(field(3), 2, 4, Tag.PCE, Planted.YES, 7)
+inst = generate(spec).instance
+values = [Budget(max_nodes=500, mode=Mode.BACKTRACKING), decide(inst, Budget(max_nodes=500)), spec,
+          reduce_instance(inst, Tag.LCE)[1]]
+with open(sys.argv[1], "wb") as fh:
+    pickle.dump(values, fh)
+print(repr(values))
+"""
+
+_PICKLE_IN = """
+import pickle, sys, types
+import pytest
+
+import ceq
+before = [n for n in ('oracle', 'reduction') if type(sys.modules['ceq.' + n]) is types.ModuleType]
+with open(sys.argv[1], "rb") as fh:
+    values = pickle.load(fh)
+print(before, [type(v).__module__ for v in values])
+print(repr(values))
+"""
+
+
+def test_values_pickled_in_one_interpreter_unpickle_in_another(tmp_path):
+    path = tmp_path / "values.pickle"
+    written = _fresh(_PICKLE_OUT, path)
+    modules, read = _fresh(_PICKLE_IN, path).split("\n", 1)
+    assert modules == "[] ['ceq.oracle', 'ceq.oracle', 'ceq.oracle', 'ceq.reduction']"
+    assert read == written
+
+
+_WALK = """
+import sys, types
+import pytest
+
+import ceq
+functions = set()
+for name, mod in list(sys.modules.items()):
+    if name.startswith("ceq."):
+        for attr, obj in vars(mod).items():
+            if isinstance(obj, types.FunctionType) and not attr.startswith("_") and obj.__module__ == name:
+                functions.add(name + "." + attr)
+print(*sorted(functions))
+"""
+
+
+def test_module_walkers_find_the_lazy_modules_functions():
+    # tracers install by walking vars() of every ceq.* module; a lazily
+    # registered module must execute at that touch and show its functions
+    found = set(_fresh(_WALK).split())
+    assert {"ceq.oracle.decide", "ceq.oracle.generate"} <= found
+    assert {
+        f"ceq.reduction.{name}"
+        for name in ("reduce_instance", "build_gadget", "lift_witness", "extract_witness", "reduction_cert")
+    } <= found
