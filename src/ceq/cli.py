@@ -4,6 +4,8 @@ Exit codes are stable: 0 ok/YES, 1 NO or failed verification, 2 usage or
 malformed input, 3 search/certification budget exhausted, 4 structural
 violation during witness extraction. stdout carries a human summary;
 machine-readable data goes to files (and to the optional solve CSV).
+Flags read numbers and field specs as files do, through
+`fileio.decimal` and `fileio.field_spec`: ASCII decimal digits only.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from pathlib import Path
 
 from . import fileio, oracle, reduction
 from .core import Instance, Tag, Witness, map_witness_to_original, map_witness_to_normalized, verify_witness
-from .errors import BudgetExceeded, CeqError, FormatError, StructureViolation, WitnessInvalid
-from .field import MAX_ORDER, Field, field, is_prime
+from .errors import BudgetExceeded, CeqError, FormatError, NotPrime, StructureViolation, WitnessInvalid
+from .field import Field
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -31,24 +33,10 @@ class UsageError(CeqError):
 
 def _parse_field_flag(spec: str, modulus: str | None) -> Field:
     try:
-        if "^" in spec:
-            p_s, e_s = spec.split("^", 1)
-            p, e = int(p_s), int(e_s)
-        else:
-            p, e = int(spec), 1
-    except ValueError:
-        raise UsageError(f"bad --field value {spec!r}") from None
-    coeffs = None
-    if modulus is not None:
-        try:
-            coeffs = tuple(int(c) for c in modulus.split(","))
-        except ValueError:
-            raise UsageError(f"bad --modulus value {modulus!r}") from None
-    try:
-        return field(p, e, coeffs)
-    except CeqError as exc:
+        return fileio.field_spec(spec, modulus)
+    except (ValueError, CeqError) as exc:
         hint = ""
-        if e == 1 and 1 < p <= MAX_ORDER and not is_prime(p):
+        if isinstance(exc, NotPrime) and "^" not in spec and fileio.decimal(spec) > 1:
             hint = " (for prime powers use extension syntax, e.g. --field 2^2)"
         raise UsageError(f"{exc}{hint}") from None
 
@@ -79,7 +67,7 @@ def cmd_gen(args) -> int:
     profile = None
     if args.profile:
         try:
-            profile = tuple(int(x) for x in args.profile.split(","))
+            profile = tuple(map(fileio.decimal, args.profile.split(",")))
         except ValueError:
             raise UsageError(f"bad --profile value {args.profile!r}") from None
     try:
@@ -221,13 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate an instance (and witness for planted YES)")
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--k", type=fileio.decimal, required=True)
+    g.add_argument("--n", type=fileio.decimal, required=True)
     g.add_argument("--field", required=True, help="p or p^e, e.g. 5 or 2^2")
     g.add_argument("--modulus", help="extension modulus c0,c1,...,1 (little-endian, monic)")
     g.add_argument("--tag", required=True, help="PCE, SPCE, or LCE")
     g.add_argument("--planted", choices=["yes", "no", "unlabeled"], required=True)
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=fileio.decimal, required=True)
     g.add_argument("--profile", help="column multiplicity hint, e.g. 2,1,1")
     g.add_argument("--out", required=True)
     g.add_argument("--witness-out")
@@ -243,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="decide an instance by brute force")
     s.add_argument("--in", required=True)
     s.add_argument("--mode", choices=["exhaustive", "backtracking"], default="exhaustive")
-    s.add_argument("--max-nodes", type=int, default=100_000_000)
+    s.add_argument("--max-nodes", type=fileio.decimal, default=100_000_000)
     s.add_argument("--time-limit", type=float)
     s.add_argument("--witness-out")
     s.add_argument("--stats", help="append a CSV summary row to this path")

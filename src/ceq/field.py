@@ -8,21 +8,21 @@ the on-disk encoding used by the file format.
 Field orders are capped at 2^16 so every element fits comfortably in a
 machine word and small fields can be backed by flat lookup tables.
 
-`add`, `sub`, `mul`, `neg` and `inv` are plain callables stored on the
-field, and so are the row kernels `axpy(x, c, y)`, the list x + c*y, and
-`scale(c, y)`, the list c*y, which do a whole row in one call, and the
-product kernel `matmul(a_rows, b_rows, m)`, the rows of A*B for a B of
-width m. The constructor builds every table the field uses and binds one
-kernel set (`Field._bind`); the field never changes after that, so a
-call pays for no dispatch:
+`add`, `mul`, `neg` and `inv` are plain callables stored on the field
+(a - b is add(a, neg(b))), and so are the row kernels `axpy(x, c, y)`,
+the list x + c*y, and `scale(c, y)`, the list c*y, which do a whole row
+in one call, and the product kernel `matmul(a_rows, b_rows, m)`, the
+rows of A*B for a B of width m. The constructor builds every table the
+field uses and binds one kernel set (`Field._bind`); the field never
+changes after that, so a call pays for no dispatch:
 
 * q <= 256: flat q x q lookup tables in row-major order;
 * primes above 256: integer arithmetic mod p, with no tables at all;
-* 2^e above 256: XOR add/sub; mul and inv through log and exp tables
+* 2^e above 256: XOR add; mul and inv through log and exp tables
   (the exp table has 2(q - 1) entries, so a sum of two logs indexes it
   without a reduction);
-* odd p^e above 256: the same exp/log mul and inv, and add and sub
-  through Zech's logarithms (K. Huber, "Some comments on Zech's
+* odd p^e above 256: the same exp/log mul and inv, and add through
+  Zech's logarithms (K. Huber, "Some comments on Zech's
   logarithms", IEEE Trans. IT 36(4), 1990): with g primitive and
   Z(i) = log_g(1 + g^i), g^i + g^j = g^(i + Z(j - i)).
 
@@ -185,10 +185,10 @@ def default_modulus(p: int, e: int) -> tuple[int, ...]:
 class Field:
     """A field context GF(p^e); operations act on canonical element ints.
 
-    add(a, b), sub(a, b), mul(a, b), neg(a), inv(a), axpy(x, c, y),
-    scale(c, y) and matmul(a_rows, b_rows, m) are attributes that the
-    constructor binds, once, to the kernels of the tables it builds;
-    inv(0) raises ZeroInverse.
+    add(a, b), mul(a, b), neg(a), inv(a), axpy(x, c, y), scale(c, y)
+    and matmul(a_rows, b_rows, m) are attributes that the constructor
+    binds, once, to the kernels of the tables it builds; inv(0) raises
+    ZeroInverse.
     """
 
     __slots__ = (
@@ -201,14 +201,12 @@ class Field:
         "_exp",
         "_log",
         "_add_flat",
-        "_sub_flat",
         "_mul_flat",
         "_neg_list",
         "_inv_list",
         "_zech",
         "_mul_bytes",
         "add",
-        "sub",
         "mul",
         "neg",
         "inv",
@@ -251,7 +249,7 @@ class Field:
         self.minus_one = 1 if p == 2 else p - 1
         self._mod_int = _undigits(self.modulus, 2) if (p == 2 and e > 1) else 0
         self._exp = self._log = self._zech = self._neg_list = self._inv_list = None
-        self._add_flat = self._sub_flat = self._mul_flat = self._mul_bytes = None
+        self._add_flat = self._mul_flat = self._mul_bytes = None
         if e > 1:
             self._build_exp_log()
         self._bind()
@@ -372,8 +370,8 @@ class Field:
             # 1 + x changes only coefficient 0 of x
             zech = [log[x - x % p + (x + 1) % p] for x in exp[:span]]
             zech[half] = -1  # g^half = -1, so 1 + g^half = 0 has no log
-            # doubled as well: an index log[b] - log[a] (+ half) then lands
-            # in it from either side
+            # doubled as well: an index log[b] - log[a] then lands in it
+            # from either side
             self._zech = zech + zech
             self._neg_list = [0] + [exp[log[a] + half] for a in range(1, q)]
 
@@ -412,13 +410,9 @@ class Field:
         q = self.q
         els = range(q)
         add, mul = self.add, self.mul
-        neg = [self.neg(a) for a in els]
         self._add_flat = [add(a, b) for a in els for b in els]
-        # a - b = a + (-b), read off row a of the add table
-        rows = [self._add_flat[i : i + q] for i in range(0, q * q, q)]
-        self._sub_flat = [row[nb] for row in rows for nb in neg]
         self._mul_flat = [mul(a, b) for a in els for b in els]
-        self._neg_list = neg
+        self._neg_list = [self.neg(a) for a in els]
         self._inv_list = [0] + [self.inv(a) for a in range(1, q)]
         if self.p == 2 and self.e > 1:
             # row c of the product table as a bytes.translate table
@@ -427,20 +421,18 @@ class Field:
             self._mul_bytes = [bytes(mul_t[o : o + q]) + pad for o in range(0, q * q, q)]
 
     def _bind(self):
-        """Store the element kernels (add/sub/mul/neg/inv), the row
+        """Store the element kernels (add/mul/neg/inv), the row
         kernels (axpy/scale) and the product kernel (matmul) of the built
         tables."""
         p, q = self.p, self.q
         if self._mul_flat is not None:
-            add_t, sub_t, mul_t = self._add_flat, self._sub_flat, self._mul_flat
+            add_t, mul_t = self._add_flat, self._mul_flat
             add = lambda a, b: add_t[a * q + b]
-            sub = lambda a, b: sub_t[a * q + b]
             mul = lambda a, b: mul_t[a * q + b]
             neg = self._neg_list.__getitem__
             axpy, scale = _flat_rows(add_t, mul_t, q, p == 2)
         elif self.e == 1:
             add = lambda a, b: (a + b) % p
-            sub = lambda a, b: (a - b) % p
             mul = lambda a, b: a * b % p
             neg = lambda a: -a % p
             axpy = lambda x, c, y: [(a + c * b) % p for a, b in zip(x, y)]
@@ -448,11 +440,11 @@ class Field:
         else:
             exp, log = self._exp, self._log
             if p == 2:
-                add = sub = operator.xor
+                add = operator.xor
                 neg = operator.pos  # -a = a in characteristic 2
                 axpy = _xor_axpy(exp, log)
             else:
-                add, sub = _zech_add_sub(exp, log, self._zech, self._neg_list, (q - 1) // 2)
+                add = _zech_add(exp, log, self._zech)
                 neg = self._neg_list.__getitem__
                 axpy = _zech_axpy(exp, log, self._zech)
             mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
@@ -463,7 +455,7 @@ class Field:
             matmul = _translate_matmul(self._mul_bytes)
         else:
             matmul = _axpy_matmul(axpy)
-        self.add, self.sub, self.mul, self.neg = add, sub, mul, neg
+        self.add, self.mul, self.neg = add, mul, neg
         self.axpy, self.scale, self.matmul = axpy, scale, matmul
 
         zero = f"zero has no inverse in {self!r}"
@@ -511,9 +503,9 @@ def _slot_sums(n: int, p: int, w: int) -> list[int]:
     return out
 
 
-def _zech_add_sub(exp, log, zech, neg, half):
-    """add and sub of an odd-characteristic extension field through Zech's
-    logarithms, where g^half = -1."""
+def _zech_add(exp, log, zech):
+    """add of an odd-characteristic extension field through Zech's
+    logarithms."""
 
     def add(a, b):
         if not a:
@@ -524,17 +516,7 @@ def _zech_add_sub(exp, log, zech, neg, half):
         s = zech[log[b] - la]
         return exp[la + s] if s >= 0 else 0
 
-    def sub(a, b):
-        if not b:
-            return a
-        if not a:
-            return neg[b]
-        la = log[a]
-        # -b = g^(log b + half)
-        s = zech[log[b] + half - la]
-        return exp[la + s] if s >= 0 else 0
-
-    return add, sub
+    return add
 
 
 # Row kernels. axpy(x, c, y) is the new list x + c*y and scale(c, y) the
@@ -587,7 +569,7 @@ def _xor_axpy(exp, log):
 
 def _zech_axpy(exp, log, zech):
     """axpy of odd GF(p^e) above 256: exp/log mul, Zech add (see
-    `_zech_add_sub`). log(c*b) = lc + log b stays below 2(q - 1), so it
+    `_zech_add`). log(c*b) = lc + log b stays below 2(q - 1), so it
     indexes the doubled exp table and, less log a, the doubled zech table
     from either side."""
 

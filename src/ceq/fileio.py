@@ -6,7 +6,9 @@ and serialization is canonical so equal values produce byte-identical
 files. Matrix entries and diagonal values use the canonical integer
 element encoding (base-p coefficient packing). Permutations are written
 1-based in the column convention `(A*P)[i] = A[sigma(i)]`. Every number
-is written, and read, in ASCII decimal digits.
+is written, and read, in ASCII decimal digits; `decimal` and
+`field_spec`, which read a number and a field spec, are public because
+the command-line flags read theirs through them too.
 
 Sections, in canonical order:
 
@@ -113,8 +115,9 @@ def write_text(path: PathLike, text: str):
 # parsing
 
 
-def _decimal(token: str) -> Optional[int]:
-    """The number a token spells in ASCII decimal digits, or None.
+def decimal(token: str) -> int:
+    """The number a token spells in ASCII decimal digits; ValueError for
+    any other token.
 
     A leading '-' is read on a non-zero value, so that a negative number
     reaches the caller's range check and its message. int() alone would
@@ -123,12 +126,26 @@ def _decimal(token: str) -> Optional[int]:
     """
     negative = token.startswith("-")
     digits = token[1:] if negative else token
-    if not (digits.isascii() and digits.isdigit()) or (negative and not digits.strip("0")):
-        return None
+    if digits.isascii() and digits.isdigit() and (digits.strip("0") or not negative):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ValueError(f"not a decimal numeral: {token!r}")
+
+
+def field_spec(spec: str, modulus: Optional[str] = None) -> Field:
+    """The field that spec, `p` or `p^e`, and modulus, `c0,c1,...,1` or
+    None, name. A ValueError names the part that is not `decimal`."""
     try:
-        return int(token)
-    except ValueError:  # more digits than int() converts
-        return None
+        coeffs = None if modulus is None else tuple(map(decimal, modulus.split(",")))
+    except ValueError as exc:
+        raise ValueError(f"bad field modulus ({exc})") from None
+    try:
+        p_e = [decimal(x) for x in spec.split("^", 1)]
+    except ValueError as exc:
+        raise ValueError(f"bad field spec ({exc})") from None
+    return field(*p_e, modulus=coeffs)
 
 
 class _Reader:
@@ -158,13 +175,12 @@ class _Reader:
         return line
 
     def ints(self, tokens: list[str], msg: str) -> list[int]:
-        """The numbers of the line taken last (see `_decimal`), or a
+        """The numbers of the line taken last (see `decimal`), or a
         FormatError that says msg."""
-        vals = [_decimal(x) for x in tokens]
-        if None in vals:
-            bad = tokens[vals.index(None)]
-            raise self.error(f"{msg} (not a decimal numeral: {bad!r})")
-        return vals
+        try:
+            return [decimal(x) for x in tokens]
+        except ValueError as exc:
+            raise self.error(f"{msg} ({exc})") from None
 
     def take_ints(self, expected: int) -> list[int]:
         vals = self.ints(self.take().split(), "expected integers")
@@ -184,14 +200,15 @@ def _parse_field(r: _Reader) -> Field:
     if parts[0] != "field":
         raise r.error("expected a field line")
     if len(parts) == 2:
-        coeffs = None
+        modulus = None
     elif len(parts) == 4 and parts[2] == "mod" and "^" in parts[1]:
-        coeffs = tuple(r.ints(parts[3].split(","), "bad field modulus"))
+        modulus = parts[3]
     else:
         raise r.error("bad field line")
-    p_e = r.ints(parts[1].split("^", 1), "bad field spec")
     try:
-        return field(*p_e, modulus=coeffs)
+        return field_spec(parts[1], modulus)
+    except ValueError as exc:
+        raise r.error(str(exc)) from None
     except Exception as exc:
         raise r.error(f"bad field spec: {exc}") from None
 

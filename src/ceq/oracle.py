@@ -182,9 +182,9 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
     n = g.n
     scal = _scalars(fld, inst.tag)
     rg, rank_g, _ = g.rref()
-    rh, rank_h, piv_h = h.rref()
+    rh, _, piv_h = h.rref()
     reduced_rows = rg.rows[:rank_g]
-    add, sub, mul, neg = fld.add, fld.sub, fld.mul, fld.neg
+    add, mul, neg = fld.add, fld.mul, fld.neg
 
     def accept(sigma, diag):
         m = Mono(fld, Perm(tuple(sigma)), tuple(diag)) if n else Mono.identity(fld, 0)
@@ -201,11 +201,11 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
         return accept((), ())
 
     # the residual check at each non-pivot column f of rref(H), done when
-    # sigma places position f (module docstring)
+    # sigma places position f (module docstring), with -R[i][f] stored
     check_at: list[Optional[list]] = [None] * n
     for f in range(n):
         if f not in piv_h:
-            check_at[f] = [(piv_h[i], rh.rows[i][f]) for i in range(rank_h) if rh.rows[i][f]]
+            check_at[f] = [(c, neg(row[f])) for c, row in zip(piv_h, rh.rows) if row[f]]
     single = len(scal) == 1
     # candidates under a pruned prefix: (n-1-p)! * |scal|^(n-1) below
     # sigma position p, |scal|^(n-1-s) below diag index s
@@ -238,7 +238,7 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
                 for c, coef in terms:
                     x = row[sigma[c]]
                     if x:
-                        res = sub(res, mul(coef, x))
+                        res = add(res, mul(coef, x))
                 if res:
                     return False
                 continue
@@ -247,7 +247,7 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
                 s = sigma[c]
                 x = row[s]
                 if x:
-                    form.append((s, neg(mul(coef, x))))
+                    form.append((s, mul(coef, x)))
             if len(form) == 1:
                 # a single term times a unit never vanishes
                 return False

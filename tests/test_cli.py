@@ -277,6 +277,45 @@ def test_non_decimal_numerals_are_malformed_input(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {wit}:5: bad permutation entries")
 
 
+# each flag value that holds a number, with {} where the numeral goes;
+# int() reads "0_2" as 2 and "+1", "١" (Arabic-Indic) and "１"
+# (fullwidth) as 1, so with int() the gen cases at 0_2 write a file
+_GEN_FLAGS = {"--k": "1", "--n": "2", "--field": "3", "--seed": "1"}
+_NUMBER_FLAGS = [
+    ("--k", "{}"), ("--n", "{}"), ("--seed", "{}"), ("--field", "{}^2"), ("--field", "3^{}"),
+    ("--modulus", "2,{},1"), ("--profile", "{},1"), ("--max-nodes", "{}"),
+]
+
+
+@pytest.mark.parametrize("numeral", ["0_2", "+1", "-0", "١", "１"])
+@pytest.mark.parametrize("flag, template", _NUMBER_FLAGS)
+def test_flags_read_numbers_as_ascii_decimal(tmp_path, capsys, flag, template, numeral):
+    out = tmp_path / "out"
+    value = template.format(numeral)
+    if flag == "--max-nodes":
+        inst = _gen_pce(tmp_path, "i", 3, 4)
+        argv = ["solve", "--in", inst, "--witness-out", out, flag, value]
+    else:
+        flags = dict(_GEN_FLAGS, **{flag: value})
+        if flag == "--modulus":
+            flags["--field"] = "3^2"
+        argv = ["gen", *(x for kv in flags.items() for x in kv), "--tag", "PCE",
+                "--planted", "yes", "--out", out]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+    assert not (tmp_path / "out.wit").exists()
+
+
+def test_negative_seed_is_still_a_number(tmp_path):
+    out = tmp_path / "x.ceq"
+    assert run(["gen", "--k", 1, "--n", 2, "--field", 3, "--tag", "PCE",
+                "--planted", "yes", "--seed", -3, "--out", out]) == 0
+    assert out.exists()
+
+
 @pytest.mark.parametrize(
     "command, bad",
     [("verify", "--instance"), ("verify", "--witness"), ("solve", "--in"), ("reduce", "--in"),

@@ -40,7 +40,7 @@ def reference_scan(inst, ticker):
         for f in range(n)
         if f not in piv_h
     ]
-    sub, mul = fld.sub, fld.mul
+    add, mul, neg = fld.add, fld.mul, fld.neg
 
     def in_span(sigma, diag):
         """Whether every scaled row [diag[s] * row[s] for s in sigma] of G
@@ -53,7 +53,7 @@ def reference_scan(inst, ticker):
                     s = sigma[c]
                     x = row[s]
                     if x:
-                        res = sub(res, mul(coef, mul(diag[s], x)))
+                        res = add(res, neg(mul(coef, mul(diag[s], x))))
                 if res:
                     return False
         return True

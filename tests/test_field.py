@@ -158,7 +158,6 @@ def test_field_axioms_exhaustive(f):
         for b in els:
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
-            assert f.sub(a, b) == f.add(a, f.neg(b))
             for c in els:
                 assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
                 assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
@@ -201,10 +200,9 @@ def test_tables_match_raw_arithmetic():
 
 
 def _assert_kernels_match_raw(f, pairs):
-    """The bound add/sub/mul/neg/inv against the table-free reference."""
+    """The bound add/mul/neg/inv against the table-free reference."""
     for a, b in pairs:
         assert f.add(a, b) == f._add_raw(a, b)
-        assert f.sub(a, b) == f._add_raw(a, f._neg_raw(b))
         assert f.mul(a, b) == f._mul_raw(a, b)
     for a in {x for pair in pairs for x in pair}:
         assert f.neg(a) == f._neg_raw(a)

@@ -147,6 +147,23 @@ def test_only_the_field_module_reads_field_tables():
     assert _names_outside("field.py", private) == []
 
 
+def test_every_public_field_slot_is_read_outside_the_field_module():
+    # a kernel or value the constructor binds but no other module reads
+    # is dead weight that every field pays for
+    from ceq.field import Field
+
+    public = {name for name in Field.__slots__ if not name.startswith("_")}
+    assert public >= {"add", "mul", "neg", "inv", "axpy", "scale", "matmul", "p", "e", "q"}
+    read = {
+        node.attr
+        for path in SOURCES
+        if path.name != "field.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(public - read) == []
+
+
 def test_only_the_matrix_module_touches_the_mat_memo():
     # other modules reach the memo through Mat.memo and the view methods
     assert _names_outside("matrix.py", {"_memo", "_rref", "_rref_t"}) == []
