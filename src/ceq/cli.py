@@ -5,7 +5,8 @@ malformed input, 3 search/certification budget exhausted, 4 structural
 violation during witness extraction. stdout carries a human summary;
 machine-readable data goes to files (and to the optional solve CSV).
 Flags read numbers and field specs as files do, through
-`fileio.decimal` and `fileio.field_spec`: ASCII decimal digits only.
+`fileio.decimal`, `fileio.seconds` and `fileio.field_spec`: ASCII
+decimal digits only.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def cmd_reduce(args) -> int:
 def cmd_solve(args) -> int:
     mode = oracle.Mode(args.mode)
     try:
-        budget = oracle.Budget(max_nodes=args.max_nodes, time_limit=args.time_limit, mode=mode)
+        time_limit = None if args.time_limit is None else fileio.seconds(args.time_limit)
+        budget = oracle.Budget(max_nodes=args.max_nodes, time_limit=time_limit, mode=mode)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     inst = _load_instance(getattr(args, "in"))
@@ -232,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--in", required=True)
     s.add_argument("--mode", choices=["exhaustive", "backtracking"], default="exhaustive")
     s.add_argument("--max-nodes", type=fileio.decimal, default=100_000_000)
-    s.add_argument("--time-limit", type=float)
+    s.add_argument("--time-limit", help="seconds, e.g. 2 or 0.5")
     s.add_argument("--witness-out")
     s.add_argument("--stats", help="append a CSV summary row to this path")
     s.set_defaults(func=cmd_solve)

@@ -6,7 +6,7 @@ fields simply the residue in [0, p)). This single integer form is also
 the on-disk encoding used by the file format.
 
 Field orders are capped at 2^16 so every element fits comfortably in a
-machine word and small fields can be backed by flat lookup tables.
+machine word and small fields can be backed by lookup tables.
 
 `add`, `mul`, `neg` and `inv` are plain callables stored on the field
 (a - b is add(a, neg(b))), and so are the row kernels `axpy(x, c, y)`,
@@ -16,15 +16,20 @@ rows of A*B for a B of width m. The constructor builds every table the
 field uses and binds one kernel set (`Field._bind`); the field never
 changes after that, so a call pays for no dispatch:
 
-* q <= 256: flat q x q lookup tables in row-major order;
-* primes above 256: integer arithmetic mod p, with no tables at all;
-* 2^e above 256: XOR add; mul and inv through log and exp tables
-  (the exp table has 2(q - 1) entries, so a sum of two logs indexes it
-  without a reduction);
-* odd p^e above 256: the same exp/log mul and inv, and add through
-  Zech's logarithms (K. Huber, "Some comments on Zech's
-  logarithms", IEEE Trans. IT 36(4), 1990): with g primitive and
-  Z(i) = log_g(1 + g^i), g^i + g^j = g^(i + Z(j - i)).
+* primes: integer arithmetic mod p, with XOR add for p = 2;
+* 2^e: XOR add; mul and inv through log and exp tables (the exp table
+  has 2(q - 1) entries, so a sum of two logs indexes it without a
+  reduction);
+* odd p^e: the same exp/log mul and inv, and add through Zech's
+  logarithms (K. Huber, "Some comments on Zech's logarithms", IEEE
+  Trans. IT 36(4), 1990): with g primitive and Z(i) = log_g(1 + g^i),
+  g^i + g^j = g^(i + Z(j - i)).
+
+A field with q <= 256 keeps one table per operation, filled from those
+kernels: q `bytes` rows of products, row a holding a*b at byte b, and
+in odd characteristic q rows of sums, each padded to 256 bytes so that
+row c is also the `bytes.translate` table of c*row; inv, and neg in odd
+characteristic, are lists. Primes above 256 keep no tables at all.
 
 The tables and their layout are private to this module; every other
 module calls the bound kernels.
@@ -42,8 +47,7 @@ J. Symb. Comput. 44(10), 2009):
   ACM TOMS 35(3), 2008), and is reduced once per slot at the end: by
   `bytes.translate` through a mod-p table when w = 8, else slot by slot;
 * GF(2^e) with q <= 256: one byte per entry. c*row is a `bytes.translate`
-  through the 256-byte row c of the product table, and the sum is an XOR
-  of ints;
+  through row c of the product table, and the sum is an XOR of ints;
 * every other field: one `axpy` per non-zero entry of A.
 
 The exp table is the walk 1, g, g^2, ... with a lookup per step.
@@ -192,27 +196,11 @@ class Field:
     """
 
     __slots__ = (
-        "p",
-        "e",
-        "q",
-        "modulus",
-        "minus_one",
-        "_mod_int",
-        "_exp",
-        "_log",
-        "_add_flat",
-        "_mul_flat",
-        "_neg_list",
-        "_inv_list",
-        "_zech",
-        "_mul_bytes",
-        "add",
-        "mul",
-        "neg",
-        "inv",
-        "axpy",
-        "scale",
-        "matmul",
+        "p", "e", "q", "modulus", "minus_one",
+        # the tables, private to this module
+        "_mod_int", "_exp", "_log", "_zech", "_add_rows", "_mul_rows", "_neg_list", "_inv_list",
+        # the bound kernels
+        "add", "mul", "neg", "inv", "axpy", "scale", "matmul",
     )
 
     def __init__(self, p: int, e: int = 1, modulus: Optional[Sequence[int]] = None):
@@ -248,15 +236,11 @@ class Field:
             self.modulus = coeffs
         self.minus_one = 1 if p == 2 else p - 1
         self._mod_int = _undigits(self.modulus, 2) if (p == 2 and e > 1) else 0
-        self._exp = self._log = self._zech = self._neg_list = self._inv_list = None
-        self._add_flat = self._mul_flat = self._mul_bytes = None
+        self._exp = self._log = self._zech = self._add_rows = self._mul_rows = None
+        self._neg_list = self._inv_list = None
         if e > 1:
             self._build_exp_log()
         self._bind()
-        if q <= FLAT_TABLE_CAP:
-            # filled through the kernels just bound, then bound in their place
-            self._build_flat()
-            self._bind()
 
     # -- identity / plumbing ------------------------------------------------
 
@@ -405,54 +389,52 @@ class Field:
             hi = hi_of[s >> shift]
         return out
 
-    def _build_flat(self):
-        """Flat tables for q <= 256, filled through the bound kernels."""
-        q = self.q
-        els = range(q)
-        add, mul = self.add, self.mul
-        self._add_flat = [add(a, b) for a in els for b in els]
-        self._mul_flat = [mul(a, b) for a in els for b in els]
-        self._neg_list = [self.neg(a) for a in els]
-        self._inv_list = [0] + [self.inv(a) for a in range(1, q)]
-        if self.p == 2 and self.e > 1:
-            # row c of the product table as a bytes.translate table
-            pad = bytes(256 - q)
-            mul_t = self._mul_flat
-            self._mul_bytes = [bytes(mul_t[o : o + q]) + pad for o in range(0, q * q, q)]
-
     def _bind(self):
         """Store the element kernels (add/mul/neg/inv), the row
-        kernels (axpy/scale) and the product kernel (matmul) of the built
-        tables."""
-        p, q = self.p, self.q
-        if self._mul_flat is not None:
-            add_t, mul_t = self._add_flat, self._mul_flat
-            add = lambda a, b: add_t[a * q + b]
-            mul = lambda a, b: mul_t[a * q + b]
-            neg = self._neg_list.__getitem__
-            axpy, scale = _flat_rows(add_t, mul_t, q, p == 2)
-        elif self.e == 1:
-            add = lambda a, b: (a + b) % p
+        kernels (axpy/scale) and the product kernel (matmul): those of the
+        field's family, or for q <= 256 those of the tables filled from
+        them."""
+        p, e, q = self.p, self.e, self.q
+        exp, log = self._exp, self._log
+        if e == 1:
             mul = lambda a, b: a * b % p
+        else:
+            mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+        if p == 2:
+            add = operator.xor
+            neg = operator.pos  # -a = a in characteristic 2
+        elif e == 1:
+            add = lambda a, b: (a + b) % p
             neg = lambda a: -a % p
+        else:
+            add = _zech_add(exp, log, self._zech)
+            neg = self._neg_list.__getitem__
+        if q <= FLAT_TABLE_CAP:
+            els = range(q)
+            pad = bytes(256 - q)
+            mul_rows = self._mul_rows = [bytes([mul(a, b) for b in els]) + pad for a in els]
+            mul = lambda a, b: mul_rows[a][b]
+            scale = lambda c, y: list(bytes(y).translate(mul_rows[c]))
+            if self._inv_list is None:  # a prime
+                self._inv_list = [0] + [pow(a, -1, p) for a in els[1:]]
+            if p == 2:
+                axpy = _xor_rows_axpy(mul_rows)
+            else:
+                add_rows = self._add_rows = [bytes([add(a, b) for b in els]) + pad for a in els]
+                add = lambda a, b: add_rows[a][b]
+                self._neg_list = [neg(a) for a in els]
+                neg = self._neg_list.__getitem__
+                axpy = _add_rows_axpy(add_rows, mul_rows)
+        elif e == 1:
             axpy = lambda x, c, y: [(a + c * b) % p for a, b in zip(x, y)]
             scale = lambda c, y: [c * b % p for b in y]
         else:
-            exp, log = self._exp, self._log
-            if p == 2:
-                add = operator.xor
-                neg = operator.pos  # -a = a in characteristic 2
-                axpy = _xor_axpy(exp, log)
-            else:
-                add = _zech_add(exp, log, self._zech)
-                neg = self._neg_list.__getitem__
-                axpy = _zech_axpy(exp, log, self._zech)
-            mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+            axpy = _xor_axpy(exp, log) if p == 2 else _zech_axpy(exp, log, self._zech)
             scale = _log_scale(exp, log)
-        if self.e == 1:
+        if e == 1:
             matmul = _packed_matmul(p)
-        elif self._mul_bytes is not None:
-            matmul = _translate_matmul(self._mul_bytes)
+        elif p == 2 and q <= FLAT_TABLE_CAP:
+            matmul = _translate_matmul(self._mul_rows)
         else:
             matmul = _axpy_matmul(axpy)
         self.add, self.mul, self.neg = add, mul, neg
@@ -521,26 +503,28 @@ def _zech_add(exp, log, zech):
 
 # Row kernels. axpy(x, c, y) is the new list x + c*y and scale(c, y) the
 # new list c*y, for equal-length rows of canonical ints; both accept c = 0,
-# zero entries and x and y being one list. The flat kernels index row c of
-# the product table by the offset c*q and build no per-scalar rows.
+# zero entries and x and y being one list. With q <= 256, c*b is byte b
+# of the product row c.
 
 
-def _flat_rows(add_t, mul_t, q, char2):
-    """axpy and scale of a field with flat tables (q <= 256)."""
-    if char2:
-        def axpy(x, c, y):
-            o = c * q
-            return [a ^ mul_t[o + b] for a, b in zip(x, y)]
-    else:
-        def axpy(x, c, y):
-            o = c * q
-            return [add_t[a * q + mul_t[o + b]] for a, b in zip(x, y)]
+def _xor_rows_axpy(mul_rows):
+    """axpy of characteristic 2 with q <= 256."""
 
-    def scale(c, y):
-        o = c * q
-        return [mul_t[o + b] for b in y]
+    def axpy(x, c, y):
+        row = mul_rows[c]
+        return [a ^ row[b] for a, b in zip(x, y)]
 
-    return axpy, scale
+    return axpy
+
+
+def _add_rows_axpy(add_rows, mul_rows):
+    """axpy of odd characteristic with q <= 256."""
+
+    def axpy(x, c, y):
+        row = mul_rows[c]
+        return [add_rows[a][row[b]] for a, b in zip(x, y)]
+
+    return axpy
 
 
 def _log_scale(exp, log):
@@ -631,9 +615,9 @@ def _packed_matmul(p):
     return matmul
 
 
-def _translate_matmul(mul_bytes):
+def _translate_matmul(mul_rows):
     """matmul of GF(2^e) with q <= 256: one byte per entry, c*row through
-    the translate table mul_bytes[c], sums by XOR."""
+    the translate table mul_rows[c], sums by XOR."""
 
     def matmul(a_rows, b_rows, m):
         b_bytes = [bytes(r) for r in b_rows]
@@ -642,7 +626,7 @@ def _translate_matmul(mul_bytes):
             acc = 0
             for c, brow in zip(arow, b_bytes):
                 if c:
-                    acc ^= int.from_bytes(brow.translate(mul_bytes[c]), "little")
+                    acc ^= int.from_bytes(brow.translate(mul_rows[c]), "little")
             out.append(tuple(acc.to_bytes(m, "little")))
         return out
 

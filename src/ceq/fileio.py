@@ -6,9 +6,9 @@ and serialization is canonical so equal values produce byte-identical
 files. Matrix entries and diagonal values use the canonical integer
 element encoding (base-p coefficient packing). Permutations are written
 1-based in the column convention `(A*P)[i] = A[sigma(i)]`. Every number
-is written, and read, in ASCII decimal digits; `decimal` and
-`field_spec`, which read a number and a field spec, are public because
-the command-line flags read theirs through them too.
+is written, and read, in ASCII decimal digits; `decimal`, `seconds`
+and `field_spec`, which read an integer, a time and a field spec, are
+public because the command-line flags read theirs through them too.
 
 Sections, in canonical order:
 
@@ -132,6 +132,17 @@ def decimal(token: str) -> int:
         except ValueError:  # more digits than int() converts
             pass
     raise ValueError(f"not a decimal numeral: {token!r}")
+
+
+def seconds(token: str) -> float:
+    """The finite number a token spells in ASCII decimal digits with an
+    optional '.digits' fraction; ValueError for any other token, such as
+    '1_0', '-1', 'inf', 'nan', '1e400' or '١'."""
+    whole, dot, frac = token.partition(".")
+    if (whole + frac).isascii() and whole.isdigit() and (frac.isdigit() or not dot):
+        if float(token) < float("inf"):  # float() reads 400 digits as inf
+            return float(token)
+    raise ValueError(f"not a number of seconds: {token!r}")
 
 
 def field_spec(spec: str, modulus: Optional[str] = None) -> Field:

@@ -189,7 +189,10 @@ def test_solve_unknown_budget_exit(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--max-nodes", "0"), ("--time-limit", "nan"), ("--time-limit", "-1")],
+    [("--max-nodes", "0"), ("--time-limit", "nan"), ("--time-limit", "-1"),
+     # float() reads these as 10, 1, inf, inf and inf
+     ("--time-limit", "1_0"), ("--time-limit", "١"), ("--time-limit", "inf"), ("--time-limit", "1e400"),
+     pytest.param("--time-limit", "1" + "0" * 400, id="--time-limit-400-digits")],
 )
 def test_solve_rejects_bad_budget_flags(tmp_path, capsys, flag, value):
     inst = tmp_path / "i.ceq"

@@ -191,12 +191,37 @@ def test_inv_involution_and_sign_characterization(f):
             assert (a in f.signs()) == (f.mul(a, a) == 1)
 
 
+# every kind of q <= 256 table: GF(2) and GF(2^e) keep product rows only
+# and add by XOR; GF(p) and odd GF(p^e) also keep sum rows
 def test_tables_match_raw_arithmetic():
-    for f in (field(5), field(2, 4), field(3, 2)):
+    for f in (field(2), field(2, 2), field(2, 4), field(5), field(3, 2), field(251)):
         for a in range(f.q):
+            assert f.neg(a) == f._neg_raw(a)
             for b in range(f.q):
                 assert f.mul(a, b) == f._mul_raw(a, b)
                 assert f.add(a, b) == f._add_raw(a, b)
+
+
+def test_small_field_tables_are_bytes_rows():
+    # one bytes row per element for each tabled operation, and no sum
+    # table in characteristic 2
+    for f in (Field(2), Field(2, 8), Field(3, 2), Field(3, 5), Field(251)):
+        assert (f.p == 2) == (f._add_rows is None)
+        for table in [f._mul_rows] if f.p == 2 else [f._mul_rows, f._add_rows]:
+            assert len(table) == f.q and all(type(r) is bytes and len(r) == 256 for r in table)
+
+
+def test_small_field_tables_hold_under_a_mebibyte():
+    # as q x q lists of ints, these three fields held 3.20 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fields = [Field(2, 8), Field(3, 5), Field(251)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(fields) == 3 and held < 1 << 20
 
 
 def _assert_kernels_match_raw(f, pairs):
