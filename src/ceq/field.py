@@ -10,11 +10,14 @@ machine word and small fields can be backed by lookup tables.
 
 `add`, `mul`, `neg` and `inv` are plain callables stored on the field
 (a - b is add(a, neg(b))), and so are the row kernels `axpy(x, c, y)`,
-the list x + c*y, and `scale(c, y)`, the list c*y, which do a whole row
+the row x + c*y, and `scale(c, y)`, the row c*y, which do a whole row
 in one call, and the product kernel `matmul(a_rows, b_rows, m)`, the
-rows of A*B for a B of width m. The constructor builds every table the
-field uses and binds one kernel set (`Field._bind`); the field never
-changes after that, so a call pays for no dispatch:
+rows of A*B for a B of width m. A row kernel takes any sequence of
+canonical ints (tuple, list or bytes) and returns a new sequence:
+`bytes` in characteristic 2 with q <= 256 and for primes p <= 127, a
+list otherwise. The constructor builds every table the field uses and
+binds one kernel set (`Field._bind`); the field never changes after
+that, so a call pays for no dispatch:
 
 * primes: integer arithmetic mod p, with XOR add for p = 2;
 * 2^e: XOR add; mul and inv through log and exp tables (the exp table
@@ -33,6 +36,13 @@ characteristic, are lists. Primes above 256 keep no tables at all.
 
 The tables and their layout are private to this module; every other
 module calls the bound kernels.
+
+The `bytes` row kernels hold one entry per byte: scale(c, y) is one
+`bytes.translate` through product row c, and axpy reads x and c*y as
+ints and combines them in one big-int operation. In characteristic 2
+that is XOR. For a prime with 2(p - 1) < 256 it is a sum, in which no
+byte carries into the next, reduced once by a translate through the
+mod-p table (the delayed reduction cited below).
 
 `matmul` packs whole rows into Python ints, so that one C-level big-int
 operation handles a row (Kronecker substitution; D. Harvey, "Faster
@@ -192,7 +202,9 @@ class Field:
     add(a, b), mul(a, b), neg(a), inv(a), axpy(x, c, y), scale(c, y)
     and matmul(a_rows, b_rows, m) are attributes that the constructor
     binds, once, to the kernels of the tables it builds; inv(0) raises
-    ZeroInverse.
+    ZeroInverse. The row kernels take rows as any sequence of canonical
+    ints and return new rows, as `bytes` for q <= 256 in characteristic 2
+    and for primes up to 127, else as lists.
     """
 
     __slots__ = (
@@ -409,21 +421,26 @@ class Field:
         else:
             add = _zech_add(exp, log, self._zech)
             neg = self._neg_list.__getitem__
+        # byte i holds i mod p: the reduction of the byte slots that the
+        # prime axpy and matmul sum into
+        mod_t = bytes([i % p for i in range(256)]) if e == 1 else None
         if q <= FLAT_TABLE_CAP:
             els = range(q)
             pad = bytes(256 - q)
             mul_rows = self._mul_rows = [bytes([mul(a, b) for b in els]) + pad for a in els]
             mul = lambda a, b: mul_rows[a][b]
-            scale = lambda c, y: list(bytes(y).translate(mul_rows[c]))
             if self._inv_list is None:  # a prime
                 self._inv_list = [0] + [pow(a, -1, p) for a in els[1:]]
-            if p == 2:
-                axpy = _xor_rows_axpy(mul_rows)
-            else:
+            if p != 2:
                 add_rows = self._add_rows = [bytes([add(a, b) for b in els]) + pad for a in els]
                 add = lambda a, b: add_rows[a][b]
                 self._neg_list = [neg(a) for a in els]
                 neg = self._neg_list.__getitem__
+            if p == 2 or 2 * (p - 1) < 256 and e == 1:
+                scale = lambda c, y: bytes(y).translate(mul_rows[c])
+                axpy = _xor_bytes_axpy(mul_rows) if p == 2 else _sum_bytes_axpy(mul_rows, mod_t)
+            else:
+                scale = lambda c, y: list(bytes(y).translate(mul_rows[c]))
                 axpy = _add_rows_axpy(add_rows, mul_rows)
         elif e == 1:
             axpy = lambda x, c, y: [(a + c * b) % p for a, b in zip(x, y)]
@@ -432,7 +449,7 @@ class Field:
             axpy = _xor_axpy(exp, log) if p == 2 else _zech_axpy(exp, log, self._zech)
             scale = _log_scale(exp, log)
         if e == 1:
-            matmul = _packed_matmul(p)
+            matmul = _packed_matmul(p, mod_t)
         elif p == 2 and q <= FLAT_TABLE_CAP:
             matmul = _translate_matmul(self._mul_rows)
         else:
@@ -501,18 +518,32 @@ def _zech_add(exp, log, zech):
     return add
 
 
-# Row kernels. axpy(x, c, y) is the new list x + c*y and scale(c, y) the
-# new list c*y, for equal-length rows of canonical ints; both accept c = 0,
-# zero entries and x and y being one list. With q <= 256, c*b is byte b
-# of the product row c.
+# Row kernels. axpy(x, c, y) is the new row x + c*y and scale(c, y) the
+# new row c*y, for equal-length sequences of canonical ints (tuples, lists
+# or bytes); both accept c = 0, zero entries and x and y being one row.
+# With q <= 256, c*b is byte b of the product row c. The byte-row kernels
+# return `bytes`, every other kernel a list.
 
 
-def _xor_rows_axpy(mul_rows):
-    """axpy of characteristic 2 with q <= 256."""
+def _xor_bytes_axpy(mul_rows):
+    """axpy of characteristic 2 with q <= 256: c*y by translate, the sum
+    as one XOR of the rows read as ints."""
 
     def axpy(x, c, y):
-        row = mul_rows[c]
-        return [a ^ row[b] for a, b in zip(x, y)]
+        cy = int.from_bytes(bytes(y).translate(mul_rows[c]), "little")
+        return (int.from_bytes(x, "little") ^ cy).to_bytes(len(x), "little")
+
+    return axpy
+
+
+def _sum_bytes_axpy(mul_rows, mod_t):
+    """axpy of a prime p with 2(p - 1) < 256: the rows read as ints add
+    without a carry out of any byte, and one translate through mod_t
+    reduces every byte mod p."""
+
+    def axpy(x, c, y):
+        cy = int.from_bytes(bytes(y).translate(mul_rows[c]), "little")
+        return (int.from_bytes(x, "little") + cy).to_bytes(len(x), "little").translate(mod_t)
 
     return axpy
 
@@ -586,11 +617,10 @@ def _zech_axpy(exp, log, zech):
 _SLOT_CODES = {array(code).itemsize * 8: code for code in "QLIHB"}
 
 
-def _packed_matmul(p):
+def _packed_matmul(p, mod_t):
     """matmul of GF(p): rows of B packed into ints of w-bit slots (module
     docstring), in native byte order, which `array` and `memoryview`
     use."""
-    mod_t = bytes(i % p for i in range(256))
     square = (p - 1) ** 2
     order = sys.byteorder
 

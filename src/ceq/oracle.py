@@ -49,8 +49,14 @@ times, so a gadget pair has at most 2d + 1 distinct column values for d
 distinct columns of A. The backtracker therefore computes class keys
 once per distinct column value, and a forced completion computes
 S^-1 * y, its class key and the scalars of the matching source values
-once per distinct target value y. It still ticks once per target
-column, so node counts are those of a per-column computation.
+once per distinct target value y. The completion consumes a run of
+equal consecutive target values at once: one column at a time would
+take, for each, the first unused member of the first source value that
+has one, and the members of distinct values are disjoint, so the run
+takes the first unused members across those values in order. It counts
+one node per column of the run, and on a failing run one per column
+taken plus one for the column that fails, so node counts are those of
+a per-column completion (one tick each under a time limit).
 
 Both deciders fix one scalar to 1. If (S, M) is a witness, so is
 (c*S, c^-1*M) for every unit c (LCE) or sign c (SPCE), so each class of
@@ -72,6 +78,7 @@ from __future__ import annotations
 
 import enum
 import time
+from itertools import islice
 from typing import Optional
 
 from .core import Instance, Tag, Witness, verify_witness
@@ -138,7 +145,8 @@ class _Ticker:
 
     `tick` does one comparison per node. Without a time limit the check
     point is the node after the budget; with one, every node is checked
-    and reads the clock. `skip` counts a block of pruned candidates.
+    and reads the clock. `skip` counts a block of nodes: pruned
+    candidates, or the columns of a forced run.
     """
 
     __slots__ = ("nodes", "max_nodes", "deadline", "_check_at")
@@ -155,7 +163,7 @@ class _Ticker:
             self._check()
 
     def skip(self, count: int):
-        """Account for `count` candidates at once. Without a time limit they
+        """Account for `count` nodes at once. Without a time limit they
         are added in one step, capped at the node after the budget; with
         one, each is ticked, so the clock is still read once per node."""
         if self.deadline is not None:
@@ -433,6 +441,13 @@ class _Backtracker:
         # targets ordered by class (small, distinctive classes first)
         order = sorted(self.hclass.items(), key=lambda kv: (len(kv[1]), kv[0]))
         self.targets = [j for _, members in order for j in members]
+        # run_end[t]: one past the last position of the run of equal
+        # consecutive target values that holds position t
+        values = [self.hcols[j] for j in self.targets]
+        self.run_end = run_end = list(range(1, len(values) + 1))
+        for t in range(len(values) - 2, -1, -1):
+            if values[t] == values[t + 1]:
+                run_end[t] = run_end[t + 1]
 
     def infeasible_by_counting(self) -> bool:
         gsizes = sorted(len(v) for v in self.gclass.values())
@@ -509,7 +524,7 @@ class _Backtracker:
         scale = self.fld.scale
         for gkey, value, rep, d in self._candidates(hkey, locked):
             self.ticker.tick()
-            x = tuple(scale(d, value))
+            x = value if d == 1 else tuple(scale(d, value))
             grew = self._push(x, y)
             if grew is None:
                 continue
@@ -538,30 +553,33 @@ class _Backtracker:
     def _complete(self, t: int) -> Optional[Witness]:
         """With the change of basis pinned, the rest of the assignment is
         forced; consume matching source columns or fail. The sources of a
-        target are worked out once per distinct target value; the loop
-        still ticks once per target column."""
+        target are worked out once per distinct target value, and a run of
+        equal targets is consumed at once (module docstring)."""
         used, sigma, diag = self.used, self.sigma, self.diag
+        targets, run_end, ticker = self.targets, self.run_end, self.ticker
         sources: dict[tuple, list[tuple[list[int], int]]] = {}
         consumed = []
         ok = True
-        for tt in range(t, len(self.targets)):
-            self.ticker.tick()
-            j = self.targets[tt]
-            y = self.hcols[j]
+        while t < len(targets):
+            end = run_end[t]
+            y = self.hcols[targets[t]]
             options = sources.get(y)
             if options is None:
                 options = sources[y] = self._sources(y)
-            for members, d in options:
-                rep = next((i for i in members if not used[i]), None)
-                if rep is not None:
-                    break
-            else:
+            need = end - t
+            picks = list(islice(((i, d) for members, d in options for i in members if not used[i]), need))
+            if len(picks) < need:
+                # the column after the last pick fails
+                ticker.skip(len(picks) + 1)
                 ok = False
                 break
-            used[rep] = True
-            sigma[j] = rep
-            diag[rep] = d
-            consumed.append((j, rep))
+            ticker.skip(need)
+            for j, (rep, d) in zip(targets[t:end], picks):
+                used[rep] = True
+                sigma[j] = rep
+                diag[rep] = d
+                consumed.append((j, rep))
+            t = end
         if ok:
             got = self._finish()
             if got is not None:

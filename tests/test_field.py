@@ -265,14 +265,19 @@ def test_bound_kernels_match_raw(p, e):
     _assert_kernels_match_raw(g, pairs)
 
 
-# every row-kernel family: flat char 2 and odd (q <= 256), primes, 2^e
-# and odd p^e above 256
+# every row-kernel family: byte rows (char 2 with q <= 256, primes with
+# 2(p - 1) < 256, so both sides of that switch at 127 and 131), the other
+# tabled fields (odd p^e and primes 131 to 251), primes, 2^e and odd p^e
+# above 256
 @pytest.mark.parametrize(
-    "p, e", [(2, 1), (7, 1), (2, 8), (3, 5), (65521, 1), (2, 16), (3, 6), (5, 4)]
+    "p, e",
+    [(2, 1), (7, 1), (127, 1), (131, 1), (251, 1), (2, 8), (3, 2), (3, 5), (65521, 1), (2, 16), (3, 6), (5, 4)],
 )
 def test_row_kernels_match_element_kernels_and_raw(p, e):
     f = field(p, e)
     rng = stream(20261018, "row-kernels", p, e)
+    byte_rows = p == 2 and f.q <= 256 or e == 1 and 2 * (p - 1) < 256
+    row_type = bytes if byte_rows else list
 
     def row(width):
         # about a third of the entries are zero
@@ -284,6 +289,8 @@ def test_row_kernels_match_element_kernels_and_raw(p, e):
             cases.append((row(width), c, row(width)))
         cases.append(([0] * width, rng.randrange(1, f.q), row(width)))
         cases.append((row(width), rng.randrange(1, f.q), [0] * width))
+        # every entry q - 1: the largest sum of two entries
+        cases.append(([f.q - 1] * width, f.q - 1, [f.q - 1] * width))
         # y = -x / c, so every entry of x + c*y cancels to zero
         x, c = row(width), rng.randrange(1, f.q)
         cases.append((x, c, [f._mul_raw(f.inv(c), f._neg_raw(a)) for a in x]))
@@ -291,13 +298,23 @@ def test_row_kernels_match_element_kernels_and_raw(p, e):
         xs, ys = list(x), list(y)
         want = [f._add_raw(a, f._mul_raw(c, b)) for a, b in zip(x, y)]
         got = f.axpy(x, c, y)
-        assert got == [f.add(a, f.mul(c, b)) for a, b in zip(x, y)] == want
-        assert type(got) is list and got is not x
-        assert f.axpy(tuple(x), c, tuple(y)) == want
-        assert f.scale(c, y) == [f.mul(c, b) for b in y] == [f._mul_raw(c, b) for b in y]
-        assert f.scale(c, tuple(y)) == f.scale(c, y)
-        # x and y one list: x + c*x, with x left as it was
-        assert f.axpy(x, c, x) == [f._add_raw(a, f._mul_raw(c, a)) for a in xs]
+        assert list(got) == [f.add(a, f.mul(c, b)) for a, b in zip(x, y)] == want
+        assert type(got) is row_type and got is not x
+        want_scale = [f._mul_raw(c, b) for b in y]
+        assert list(f.scale(c, y)) == [f.mul(c, b) for b in y] == want_scale
+        assert type(f.scale(c, y)) is row_type
+        # rows as tuple, list and, where every entry fits a byte, bytes
+        kinds = [tuple, list] + ([bytes] if f.q <= 256 else [])
+        for kx in kinds:
+            for ky in kinds:
+                got = f.axpy(kx(x), c, ky(y))
+                assert type(got) is row_type and list(got) == want
+            got = f.scale(c, kx(y))
+            assert type(got) is row_type and list(got) == want_scale
+        # x and y one row: x + c*x, with x left as it was
+        for kx in kinds:
+            same = kx(x)
+            assert list(f.axpy(same, c, same)) == [f._add_raw(a, f._mul_raw(c, a)) for a in xs]
         assert (x, y) == (xs, ys)
 
 
