@@ -423,9 +423,5 @@ class Mono(Record):
     def identity(cls, fld: Field, n: int) -> "Mono":
         return cls(fld, Perm.identity(n), (1,) * n)
 
-    @classmethod
-    def from_perm(cls, fld: Field, perm: Perm) -> "Mono":
-        return cls(fld, perm, (1,) * perm.n)
-
     def is_permutation(self) -> bool:
         return all(d == 1 for d in self.diag)

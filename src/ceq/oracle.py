@@ -46,17 +46,20 @@ several valid choices.
 
 The gadget holds [a_j; 1] once, [a_j; 0] m times and e_{k+1} nm + 1
 times, so a gadget pair has at most 2d + 1 distinct column values for d
-distinct columns of A. The backtracker therefore computes class keys
-once per distinct column value, and a forced completion computes
-S^-1 * y, its class key and the scalars of the matching source values
-once per distinct target value y. The completion consumes a run of
-equal consecutive target values at once: one column at a time would
-take, for each, the first unused member of the first source value that
-has one, and the members of distinct values are disjoint, so the run
-takes the first unused members across those values in order. It counts
-one node per column of the run, and on a failing run one per column
-taken plus one for the column that fails, so node counts are those of
-a per-column completion (one tick each under a time limit).
+distinct columns of A. The backtracker's set-up therefore groups each
+side's columns by value once, with members in index order, and computes
+one class key per distinct value; the classes, their sizes and the
+target order (H classes by size and key, each class's members in index
+order) come from those records. A forced completion computes S^-1 * y,
+its class key and the scalars of the matching source values once per
+distinct target value y. The completion consumes a run of equal
+consecutive target values at once: one column at a time would take, for
+each, the first unused member of the first source value that has one,
+and the members of distinct values are disjoint, so the run takes the
+first unused members across those values in order. It counts one node
+per column of the run, and on a failing run one per column taken plus
+one for the column that fails, so node counts are those of a per-column
+completion (one tick each under a time limit).
 
 Both deciders fix one scalar to 1. If (S, M) is a witness, so is
 (c*S, c^-1*M) for every unit c (LCE) or sign c (SPCE), so each class of
@@ -195,7 +198,7 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
     add, mul, neg = fld.add, fld.mul, fld.neg
 
     def accept(sigma, diag):
-        m = Mono(fld, Perm(tuple(sigma)), tuple(diag)) if n else Mono.identity(fld, 0)
+        m = Mono(fld, Perm(tuple(sigma)), tuple(diag))
         s = row_basis_transform(g.apply_mono(m), h)
         if s is None:
             return None
@@ -393,41 +396,40 @@ def _class_key(fld: Field, tag: Tag, col: tuple) -> tuple:
 class _Backtracker:
     def __init__(self, inst: Instance, ticker: _Ticker):
         self.inst = inst
-        self.fld = inst.field
-        self.tag = inst.tag
+        self.fld = fld = inst.field
+        self.tag = tag = inst.tag
         self.k = inst.k
-        self.n = inst.n
         self.ticker = ticker
-        self.gcols = inst.G.cols()
         self.hcols = inst.H.cols()
-        self.scalars = _scalars(self.fld, self.tag)
+        self.scalars = _scalars(fld, tag)
         self.zero = (0,) * self.k
 
-        fld, tag = self.fld, self.tag
-        # one class key per distinct column value (see the module docstring)
-        keys = {col: _class_key(fld, tag, col) for col in {*self.gcols, *self.hcols}}
-        self.gclass: dict[tuple, list[int]] = {}
-        for i, col in enumerate(self.gcols):
-            self.gclass.setdefault(keys[col], []).append(i)
+        # each side's columns grouped by value, members in index order, and
+        # one class key per distinct value (see the module docstring)
+        gvals: dict[tuple, list[int]] = {}
+        hvals: dict[tuple, list[int]] = {}
+        for cols, by_val in ((inst.G.cols(), gvals), (self.hcols, hvals)):
+            for i, col in enumerate(cols):
+                by_val.setdefault(col, []).append(i)
+        keys = {col: _class_key(fld, tag, col) for col in {*gvals, *hvals}}
         self.hkeys = [keys[col] for col in self.hcols]
-        self.hclass: dict[tuple, list[int]] = {}
-        for j, key in enumerate(self.hkeys):
-            self.hclass.setdefault(key, []).append(j)
 
-        # G class keys by class size, each list sorted
-        self.gkeys_by_size: dict[int, list[tuple]] = {}
-        for key in sorted(self.gclass):
-            self.gkeys_by_size.setdefault(len(self.gclass[key]), []).append(key)
-        # distinct exact values inside each G class in sorted order, each
-        # with its members
+        # the values inside each G class in sorted order, each with its
+        # members; the class sizes; G class keys by size, each list sorted
         self.gvalues: dict[tuple, list[tuple[tuple, list[int]]]] = {}
-        for key, members in self.gclass.items():
-            by_val: dict[tuple, list[int]] = {}
-            for i in members:
-                by_val.setdefault(self.gcols[i], []).append(i)
-            self.gvalues[key] = sorted(by_val.items())
+        for value, members in sorted(gvals.items()):
+            self.gvalues.setdefault(keys[value], []).append((value, members))
+        self.gsize = {key: sum(len(m) for _, m in vals) for key, vals in self.gvalues.items()}
+        self.gkeys_by_size: dict[int, list[tuple]] = {}
+        for key in sorted(self.gsize):
+            self.gkeys_by_size.setdefault(self.gsize[key], []).append(key)
+        hmembers: dict[tuple, list[int]] = {}
+        for value, members in hvals.items():
+            hmembers.setdefault(keys[value], []).extend(members)
+        self.hsize = {key: len(members) for key, members in hmembers.items()}
 
-        self.used = [False] * self.n
+        n = inst.n
+        self.used = [False] * n
         self.lock: dict[tuple, tuple] = {}
         self.lock_rev: dict[tuple, tuple] = {}
         # the pinned pairs S*x = y that add rank: their x, their rows
@@ -435,12 +437,13 @@ class _Backtracker:
         self.acc_x = _Echelon(fld, self.k)
         self.pairs = _Echelon(fld, self.k)
         self.basis_pairs: list[tuple[tuple, tuple]] = []
-        self.sigma = [-1] * self.n
-        self.diag = [1] * self.n
+        self.sigma = [-1] * n
+        self.diag = [1] * n
 
-        # targets ordered by class (small, distinctive classes first)
-        order = sorted(self.hclass.items(), key=lambda kv: (len(kv[1]), kv[0]))
-        self.targets = [j for _, members in order for j in members]
+        # targets ordered by class (small, distinctive classes first), each
+        # class's members in index order
+        order = sorted(hmembers, key=lambda key: (self.hsize[key], key))
+        self.targets = [j for key in order for j in sorted(hmembers[key])]
         # run_end[t]: one past the last position of the run of equal
         # consecutive target values that holds position t
         values = [self.hcols[j] for j in self.targets]
@@ -450,13 +453,9 @@ class _Backtracker:
                 run_end[t] = run_end[t + 1]
 
     def infeasible_by_counting(self) -> bool:
-        gsizes = sorted(len(v) for v in self.gclass.values())
-        hsizes = sorted(len(v) for v in self.hclass.values())
-        if gsizes != hsizes:
+        if sorted(self.gsize.values()) != sorted(self.hsize.values()):
             return True
-        zg = len(self.gclass.get(self.zero, []))
-        zh = len(self.hclass.get(self.zero, []))
-        return zg != zh
+        return self.gsize.get(self.zero, 0) != self.hsize.get(self.zero, 0)
 
     # -- constraint stack ----------------------------------------------------
 
@@ -482,11 +481,6 @@ class _Backtracker:
 
     # -- search ---------------------------------------------------------------
 
-    def run(self) -> Optional[Witness]:
-        """Search; the caller has checked `infeasible_by_counting`. With
-        n = 0 there are no targets, and `_assign` finishes at once."""
-        return self._assign(0)
-
     def _candidates(self, hkey: tuple, locked: Optional[tuple]):
         """Candidates for a target column of class hkey, in a fixed order and
         one at a time: (gkey, value, rep index, scalar). Duplicates collapse
@@ -497,7 +491,7 @@ class _Backtracker:
         if locked is not None:
             gkeys = [locked]
         else:
-            size = len(self.hclass[hkey])
+            size = self.hsize[hkey]
             gkeys = [
                 key
                 for key in self.gkeys_by_size.get(size, ())
@@ -515,6 +509,9 @@ class _Backtracker:
                         yield gkey, value, rep, d
 
     def _assign(self, t: int) -> Optional[Witness]:
+        """Search from target position t; `decide` starts at 0 once
+        `infeasible_by_counting` has passed. With n = 0 there are no
+        targets, and `_assign` finishes at once."""
         if t == len(self.targets):
             return self._finish()
         j = self.targets[t]
@@ -609,10 +606,7 @@ class _Backtracker:
 
     def _finish(self) -> Optional[Witness]:
         fld, k = self.fld, self.k
-        if self.n:
-            m = Mono(fld, Perm(tuple(self.sigma)), tuple(self.diag))
-        else:
-            m = Mono.identity(fld, 0)
+        m = Mono(fld, Perm(tuple(self.sigma)), tuple(self.diag))
         # the r pinned pairs as columns: two k x r matrices of full column
         # rank, so both RREFs are [I_r; 0] and S exists (unique when r = k)
         r = len(self.basis_pairs)
@@ -647,7 +641,7 @@ def decide(inst: Instance, budget: Budget = Budget()) -> DecideResult:
             bt = _Backtracker(inst, ticker)
             if bt.infeasible_by_counting():
                 return DecideResult(Status.NO, None, 0, time.perf_counter() - t0, "class counts")
-            w = bt.run()
+            w = bt._assign(0)
     except _OutOfBudget:
         return DecideResult(Status.UNKNOWN, None, ticker.nodes, time.perf_counter() - t0, "budget exhausted")
     if w is None:

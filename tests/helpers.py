@@ -1,6 +1,6 @@
 """Constructors that only the tests use."""
 
-from ceq.matrix import Mat
+from ceq.matrix import Mat, Mono
 
 
 def zeros(fld, k: int, n: int) -> Mat:
@@ -23,6 +23,11 @@ def of_rank(fld, k: int, r: int, n: int, rng) -> Mat:
     rows = list(base.rows) + list(extra)
     rng.shuffle(rows)
     return Mat(fld, rows, n)
+
+
+def mono_from_perm(fld, perm) -> Mono:
+    """The monomial action of perm with every scalar 1."""
+    return Mono(fld, perm, (1,) * perm.n)
 
 
 def with_zero_columns(a: Mat, count: int, rng) -> Mat:

@@ -19,7 +19,7 @@ from ceq.matrix import Mat, Mono, Perm
 from ceq.oracle import Budget, DecideResult, Mode, Status
 from ceq.rng import stream
 
-from helpers import of_rank, zeros
+from helpers import mono_from_perm, of_rank, zeros
 
 F2 = field(2)
 F3 = field(3)
@@ -519,9 +519,9 @@ def test_verify_matches_the_reference_check():
             a = of_rank(fld, k, r, n, rng)
             perm = _random_perm(n, rng)
             for s in (rand_invertible(fld, k, rng), _singular(fld, k, rng)):
-                h = s.mul(a).apply_mono(Mono.from_perm(fld, perm))
+                h = s.mul(a).apply_mono(mono_from_perm(fld, perm))
                 cert = ReductionCert(fld, Tag.LCE, n, k, m_dup)
-                lifted = lift_witness(cert, Witness(s, Mono.from_perm(fld, perm)))
+                lifted = lift_witness(cert, Witness(s, mono_from_perm(fld, perm)))
                 gadget_pair = Instance(fld, build_gadget(a, m_dup), build_gadget(h, m_dup), Tag.LCE)
                 agree(gadget_pair, lifted)
     assert verdicts[True] >= 300 and verdicts[False] >= 900

@@ -14,7 +14,7 @@ from ceq.matrix import (
 )
 from ceq.rng import stream
 
-from helpers import of_rank, with_zero_columns, zeros
+from helpers import mono_from_perm, of_rank, with_zero_columns, zeros
 
 F2 = field(2)
 F3 = field(3)
@@ -89,11 +89,11 @@ def test_perm_convention_roundtrip():
     # pins (A*P)[i] = A[sigma(i)]
     a = Mat(F5, [[1, 2, 3]])
     p = Perm((2, 0, 1))
-    moved = a.apply_mono(Mono.from_perm(F5, p))
+    moved = a.apply_mono(mono_from_perm(F5, p))
     assert moved.rows[0] == (3, 1, 2)
-    assert moved == a.mul(dense(Mono.from_perm(F5, p)))
+    assert moved == a.mul(dense(mono_from_perm(F5, p)))
     inverse = Perm(tuple(p.sigma.index(i) for i in range(p.n)))
-    back = moved.apply_mono(Mono.from_perm(F5, inverse))
+    back = moved.apply_mono(mono_from_perm(F5, inverse))
     assert back == a
 
 
@@ -264,7 +264,7 @@ def test_column_profile_invariant_under_permutation():
         a = rand_mat(fld, rng.randrange(1, 4), rng.randrange(1, 7), rng)
         sigma = list(range(a.n))
         rng.shuffle(sigma)
-        moved = a.apply_mono(Mono.from_perm(fld, Perm(tuple(sigma))))
+        moved = a.apply_mono(mono_from_perm(fld, Perm(tuple(sigma))))
         assert column_multiplicity_profile(moved) == column_multiplicity_profile(a)
 
 

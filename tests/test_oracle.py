@@ -394,7 +394,7 @@ def test_backtracker_works_once_per_distinct_column_value(monkeypatch):
     def init(bt, inst, ticker):
         before = calls["key"]
         real_init(bt, inst, ticker)
-        setups.append((calls["key"] - before, len({*bt.gcols, *bt.hcols}), bt.n))
+        setups.append((calls["key"] - before, len({*bt.inst.G.cols(), *bt.hcols}), bt.inst.n))
 
     def complete(bt, t):
         before = dict(calls)
@@ -495,7 +495,7 @@ def test_push_and_pop_match_the_rank_triple(p, e):
                 assert bt.acc_x.rank == bt.pairs.rank == len(bt.basis_pairs) == r
                 if r == k and all(apply(s, x) == y for x, y, _ in stack):
                     for y, want in zip(probes, preimages):
-                        assert {bt.gcols[i] for members, _ in bt._sources(y) for i in members} == {want}
+                        assert {bt.inst.G.cols()[i] for members, _ in bt._sources(y) for i in members} == {want}
                     seen["full rank"] += 1
     assert min(seen.values()) > 0, seen
 
@@ -572,6 +572,14 @@ def test_no_names_why_it_ended():
     for case, detail in cases:
         res = decide(_pinned_instance(case), Budget(mode=case[-1]))
         assert (res.status, res.detail) == (Status.NO, detail), case
+    # equal ranks and sorted class sizes [1, 2] on both sides, but one zero
+    # column against two: only the zero-class comparison refutes it
+    for tag in Tag:
+        zero_classes = Instance(F3, Mat(F3, [[0, 1, 1]]), Mat(F3, [[0, 0, 1]]), tag)
+        res = decide(zero_classes, Budget(mode=Mode.BACKTRACKING))
+        assert (res.status, res.nodes, res.detail) == (Status.NO, 0, "class counts"), tag
+        res = decide(zero_classes, Budget(mode=Mode.EXHAUSTIVE))
+        assert (res.status, res.detail) == (Status.NO, "search exhausted"), tag
     rank_mismatch = Instance(F5, Mat(F5, [[1, 0], [0, 1]]), Mat(F5, [[1, 1], [2, 2]]), Tag.LCE)
     for mode in Mode:
         res = decide(rank_mismatch, Budget(mode=mode))

@@ -19,7 +19,7 @@ from ceq.reduction import (
 )
 from ceq.rng import stream
 
-from helpers import of_rank, with_zero_columns, zeros
+from helpers import mono_from_perm, of_rank, with_zero_columns, zeros
 
 F2 = field(2)
 F3 = field(3)
@@ -56,7 +56,7 @@ def planted_pce(fld, k, n, rng, zero_cols=0, dup_col=False):
             break
     sigma = list(range(n_full))
     rng.shuffle(sigma)
-    m = Mono.from_perm(fld, Perm(tuple(sigma)))
+    m = mono_from_perm(fld, Perm(tuple(sigma)))
     h = s.mul(g).apply_mono(m)
     return Instance(fld, g, h, Tag.PCE), Witness(s, m)
 
@@ -250,7 +250,7 @@ def test_lift_swap_block_map():
     sw = Mat(F2, [[0, 1], [1, 0]])
     inst = Instance(F2, i2, sw, Tag.PCE)
     red, cert = reduce_instance(inst, Tag.LCE)
-    w = Witness(Mat.identity(F2, 2), Mono.from_perm(F2, Perm((1, 0))))
+    w = Witness(Mat.identity(F2, 2), mono_from_perm(F2, Perm((1, 0))))
     w_norm = map_witness_to_normalized(cert.journal, w)
     lifted = lift_witness(cert, w_norm)
     one_based = [s + 1 for s in lifted.M.perm.sigma]
@@ -357,11 +357,11 @@ def test_extract_block_violation():
     i2 = Mat.identity(F2, 2)
     sw = Mat(F2, [[0, 1], [1, 0]])
     red, cert = reduce_instance(Instance(F2, i2, sw, Tag.PCE), Tag.LCE)
-    w = Witness(Mat.identity(F2, 2), Mono.from_perm(F2, Perm((1, 0))))
+    w = Witness(Mat.identity(F2, 2), mono_from_perm(F2, Perm((1, 0))))
     lifted = lift_witness(cert, map_witness_to_normalized(cert.journal, w))
     sigma = list(lifted.M.perm.sigma)
     sigma[0], sigma[2] = sigma[2], sigma[0]
-    crossed = Witness(lifted.S, Mono.from_perm(F2, Perm(tuple(sigma))))
+    crossed = Witness(lifted.S, mono_from_perm(F2, Perm(tuple(sigma))))
     norm = cert.journal.normalized
     with pytest.raises(StructureViolation) as exc:
         extract_witness(cert, norm.G, norm.H, crossed)
@@ -400,7 +400,7 @@ def test_extract_rejects_non_verifying_witness():
     i2 = Mat.identity(F2, 2)
     sw = Mat(F2, [[0, 1], [1, 0]])
     red, cert = reduce_instance(Instance(F2, i2, sw, Tag.PCE), Tag.LCE)
-    w = Witness(Mat.identity(F2, 2), Mono.from_perm(F2, Perm((1, 0))))
+    w = Witness(Mat.identity(F2, 2), mono_from_perm(F2, Perm((1, 0))))
     lifted = lift_witness(cert, map_witness_to_normalized(cert.journal, w))
     wrong = Witness(Mat.identity(F2, 3), lifted.M)
     norm = cert.journal.normalized
@@ -605,7 +605,7 @@ def test_recorded_ranks_equal_a_fresh_elimination():
             sigma = list(range(g.n))
             rng.shuffle(sigma)
             s = of_rank(fld, k, k, k, rng)
-            inst = Instance(fld, g, s.mul(g).apply_mono(Mono.from_perm(fld, Perm(tuple(sigma)))), Tag.PCE)
+            inst = Instance(fld, g, s.mul(g).apply_mono(mono_from_perm(fld, Perm(tuple(sigma)))), Tag.PCE)
             out = preprocess(inst)
             norm = out.instance
             for x in (inst.G, inst.H, norm.G, norm.H):
@@ -653,7 +653,7 @@ def test_recorded_views_equal_a_fresh_computation():
             sigma = list(range(g.n))
             rng.shuffle(sigma)
             s = of_rank(fld, k, k, k, rng)
-            inst = Instance(fld, g, s.mul(g).apply_mono(Mono.from_perm(fld, Perm(tuple(sigma)))), Tag.PCE)
+            inst = Instance(fld, g, s.mul(g).apply_mono(mono_from_perm(fld, Perm(tuple(sigma)))), Tag.PCE)
             out = preprocess(inst)
             norm = out.instance
             _assert_recorded_view(norm.G)
@@ -718,7 +718,7 @@ def test_block_violation_names_the_first_column_that_crosses():
             continue
         crossed += 1
         with pytest.raises(StructureViolation) as exc:
-            extract_witness(cert, norm.G, norm.H, Witness(lifted.S, Mono.from_perm(F5, Perm(tuple(sigma)))))
+            extract_witness(cert, norm.G, norm.H, Witness(lifted.S, mono_from_perm(F5, Perm(tuple(sigma)))))
         assert exc.value.check == CHECK_BLOCKS
         assert exc.value.detail == f"column {first + 1} drawn from column {sigma[first] + 1}"
     assert crossed >= 80

@@ -68,7 +68,7 @@ sigma = list(lifted.M.perm.sigma)
 sigma[0], sigma[-1] = sigma[-1], sigma[0]
 tampered = (
     Witness(Mat(fld, rows), lifted.M),
-    Witness(lifted.S, Mono.from_perm(fld, Perm(sigma))),
+    Witness(lifted.S, Mono(fld, Perm(sigma), (1,) * len(sigma))),
 )
 for w in tampered:
     if verify_witness(reduced, w):
@@ -162,6 +162,31 @@ def test_every_public_field_slot_is_read_outside_the_field_module():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(public - read) == []
+
+
+def test_backtracker_state_is_read_outside_init():
+    # an attribute that a search class's __init__ stores but nothing else
+    # reads is a local kept alive for the whole search
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    loads = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    classes = [node for node in trees["oracle.py"].body
+               if isinstance(node, ast.ClassDef) and node.name in ("_Ticker", "_Echelon", "_Backtracker")]
+    assert len(classes) == 3
+    found = []
+    for cls in classes:
+        init = next(f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+        inside = {id(node) for node in ast.walk(init)}
+        stored = {
+            node.attr
+            for node in ast.walk(init)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+        }
+        assert stored
+        read = {node.attr for node in loads if id(node) not in inside}
+        found += [f"{cls.name}.{name}" for name in sorted(stored - read)]
+    assert found == []
 
 
 def test_only_the_matrix_module_touches_the_mat_memo():
