@@ -93,11 +93,11 @@ def cmd_reduce(args) -> int:
     reduced, cert = reduction.reduce_instance(inst, target)
     fileio.write_text(args.out, fileio.serialize_instance(reduced, cert.reject_reason))
     fileio.write_text(args.cert_out, fileio.serialize_cert(cert))
-    if cert.rejected:
-        print(
-            f"reduce: input refuted in preprocessing ({cert.reject_reason.value}); "
-            f"wrote canonical NO {target.value} instance to {args.out}"
-        )
+    if cert.rejected or cert.degenerate:
+        why = (f"refuted in preprocessing ({cert.reject_reason.value})" if cert.rejected
+               else "has no non-zero column (degenerate)")
+        answer = "NO" if cert.rejected else "YES"
+        print(f"reduce: input {why}; wrote canonical {answer} {target.value} instance to {args.out}")
     else:
         print(
             f"reduce: {inst.k}x{inst.n} PCE -> {reduced.k}x{reduced.n} {target.value} "

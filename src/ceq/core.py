@@ -223,6 +223,17 @@ def _normalized(stripped: Mat, rref: Mat, rank: int) -> Mat:
 # witness transport across the normalization
 
 
+def _require(inst: Instance, w: Witness, name: str) -> None:
+    """Raise WitnessInvalid unless w verifies on inst; a witness shaped
+    for another instance does not."""
+    try:
+        ok = verify_witness(inst, w)
+    except DimMismatch as exc:
+        raise WitnessInvalid(f"witness does not fit the {name} instance: {exc}") from None
+    if not ok:
+        raise WitnessInvalid(f"witness does not verify on the {name} instance")
+
+
 def _kept(n: int, removed: tuple[int, ...]) -> list[int]:
     dropped = set(removed)
     return [j for j in range(n) if j not in dropped]
@@ -248,8 +259,7 @@ def map_witness_to_normalized(journal: Journal, w: Witness) -> Witness:
     S_norm is column piv_t of H_norm * M_s^-1: read off, with no product
     and no inverse. A trivial journal returns its input."""
     orig = journal.original
-    if not verify_witness(orig, w):
-        raise WitnessInvalid("witness does not verify on the original instance")
+    _require(orig, w, "original")
     norm = journal.normalized
     if norm is orig:
         return w
@@ -285,8 +295,7 @@ def map_witness_to_original(journal: Journal, w: Witness) -> Witness:
     t of u_h^-1, the only inverse, needed only when the rank is short. A
     trivial journal returns its input."""
     norm = journal.normalized
-    if not verify_witness(norm, w):
-        raise WitnessInvalid("witness does not verify on the normalized instance")
+    _require(norm, w, "normalized")
     orig = journal.original
     if norm is orig:
         return w

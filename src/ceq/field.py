@@ -28,11 +28,13 @@ that, so a call pays for no dispatch:
   Trans. IT 36(4), 1990): with g primitive and Z(i) = log_g(1 + g^i),
   g^i + g^j = g^(i + Z(j - i)).
 
-A field with q <= 256 keeps one table per operation, filled from those
-kernels: q `bytes` rows of products, row a holding a*b at byte b, and
-in odd characteristic q rows of sums, each padded to 256 bytes so that
-row c is also the `bytes.translate` table of c*row; inv, and neg in odd
-characteristic, are lists. Primes above 256 keep no tables at all.
+The byte-row fields, characteristic 2 with q <= 256 and primes with
+2(p - 1) < 256 (p <= 127), also keep q `bytes` rows of products filled
+from those kernels, row a holding a*b at byte b and padded to 256 bytes
+so that row c is also the `bytes.translate` table of c*row; mul reads
+them, and for those primes inv and neg read lists. Every other field,
+whatever its order, keeps only its family's tables: none for a prime,
+exp and log for 2^e, and for odd p^e also Zech, neg and inv lists.
 
 The tables and their layout are private to this module; every other
 module calls the bound kernels.
@@ -201,16 +203,16 @@ class Field:
 
     add(a, b), mul(a, b), neg(a), inv(a), axpy(x, c, y), scale(c, y)
     and matmul(a_rows, b_rows, m) are attributes that the constructor
-    binds, once, to the kernels of the tables it builds; inv(0) raises
-    ZeroInverse. The row kernels take rows as any sequence of canonical
-    ints and return new rows, as `bytes` for q <= 256 in characteristic 2
-    and for primes up to 127, else as lists.
+    binds, once, to the kernels of its family; inv(0) raises ZeroInverse.
+    The row kernels take rows as any sequence of canonical ints and
+    return new rows, as `bytes` for the byte-row fields (q <= 256 in
+    characteristic 2, primes up to 127), else as lists.
     """
 
     __slots__ = (
         "p", "e", "q", "modulus", "minus_one",
         # the tables, private to this module
-        "_mod_int", "_exp", "_log", "_zech", "_add_rows", "_mul_rows", "_neg_list", "_inv_list",
+        "_mod_int", "_exp", "_log", "_zech", "_mul_rows", "_neg_list", "_inv_list",
         # the bound kernels
         "add", "mul", "neg", "inv", "axpy", "scale", "matmul",
     )
@@ -248,8 +250,7 @@ class Field:
             self.modulus = coeffs
         self.minus_one = 1 if p == 2 else p - 1
         self._mod_int = _undigits(self.modulus, 2) if (p == 2 and e > 1) else 0
-        self._exp = self._log = self._zech = self._add_rows = self._mul_rows = None
-        self._neg_list = self._inv_list = None
+        self._exp = self._log = self._zech = self._mul_rows = self._neg_list = self._inv_list = None
         if e > 1:
             self._build_exp_log()
         self._bind()
@@ -403,9 +404,9 @@ class Field:
 
     def _bind(self):
         """Store the element kernels (add/mul/neg/inv), the row
-        kernels (axpy/scale) and the product kernel (matmul): those of the
-        field's family, or for q <= 256 those of the tables filled from
-        them."""
+        kernels (axpy/scale) and the product kernel (matmul) of the
+        field's family; the byte-row fields look mul, inv and neg up in
+        tables filled from those kernels."""
         p, e, q = self.p, self.e, self.q
         exp, log = self._exp, self._log
         if e == 1:
@@ -424,24 +425,16 @@ class Field:
         # byte i holds i mod p: the reduction of the byte slots that the
         # prime axpy and matmul sum into
         mod_t = bytes([i % p for i in range(256)]) if e == 1 else None
-        if q <= FLAT_TABLE_CAP:
+        if p == 2 and q <= FLAT_TABLE_CAP or e == 1 and 2 * (p - 1) < 256:
             els = range(q)
-            pad = bytes(256 - q)
-            mul_rows = self._mul_rows = [bytes([mul(a, b) for b in els]) + pad for a in els]
+            mul_rows = self._mul_rows = [bytes([mul(a, b) for b in els]) + bytes(256 - q) for a in els]
             mul = lambda a, b: mul_rows[a][b]
-            if self._inv_list is None:  # a prime
+            if e == 1:
                 self._inv_list = [0] + [pow(a, -1, p) for a in els[1:]]
-            if p != 2:
-                add_rows = self._add_rows = [bytes([add(a, b) for b in els]) + pad for a in els]
-                add = lambda a, b: add_rows[a][b]
                 self._neg_list = [neg(a) for a in els]
                 neg = self._neg_list.__getitem__
-            if p == 2 or 2 * (p - 1) < 256 and e == 1:
-                scale = lambda c, y: bytes(y).translate(mul_rows[c])
-                axpy = _xor_bytes_axpy(mul_rows) if p == 2 else _sum_bytes_axpy(mul_rows, mod_t)
-            else:
-                scale = lambda c, y: list(bytes(y).translate(mul_rows[c]))
-                axpy = _add_rows_axpy(add_rows, mul_rows)
+            scale = lambda c, y: bytes(y).translate(mul_rows[c])
+            axpy = _xor_bytes_axpy(mul_rows) if p == 2 else _sum_bytes_axpy(mul_rows, mod_t)
         elif e == 1:
             axpy = lambda x, c, y: [(a + c * b) % p for a, b in zip(x, y)]
             scale = lambda c, y: [c * b % p for b in y]
@@ -459,7 +452,7 @@ class Field:
 
         zero = f"zero has no inverse in {self!r}"
         inv_t = self._inv_list
-        if inv_t is None:  # a prime above 256
+        if inv_t is None:  # a prime without byte rows
             def inv(a):
                 if not a:
                     raise ZeroInverse(zero)
@@ -521,8 +514,8 @@ def _zech_add(exp, log, zech):
 # Row kernels. axpy(x, c, y) is the new row x + c*y and scale(c, y) the
 # new row c*y, for equal-length sequences of canonical ints (tuples, lists
 # or bytes); both accept c = 0, zero entries and x and y being one row.
-# With q <= 256, c*b is byte b of the product row c. The byte-row kernels
-# return `bytes`, every other kernel a list.
+# In a byte-row field c*b is byte b of the product row c, and its kernels
+# return `bytes`; every other kernel returns a list.
 
 
 def _xor_bytes_axpy(mul_rows):
@@ -548,18 +541,8 @@ def _sum_bytes_axpy(mul_rows, mod_t):
     return axpy
 
 
-def _add_rows_axpy(add_rows, mul_rows):
-    """axpy of odd characteristic with q <= 256."""
-
-    def axpy(x, c, y):
-        row = mul_rows[c]
-        return [add_rows[a][row[b]] for a, b in zip(x, y)]
-
-    return axpy
-
-
 def _log_scale(exp, log):
-    """scale of a field with exp/log tables above 256."""
+    """scale of an extension field without byte rows: exp/log mul."""
 
     def scale(c, y):
         if not c:
@@ -583,7 +566,7 @@ def _xor_axpy(exp, log):
 
 
 def _zech_axpy(exp, log, zech):
-    """axpy of odd GF(p^e) above 256: exp/log mul, Zech add (see
+    """axpy of odd GF(p^e): exp/log mul, Zech add (see
     `_zech_add`). log(c*b) = lc + log b stays below 2(q - 1), so it
     indexes the doubled exp table and, less log a, the doubled zech table
     from either side."""

@@ -217,11 +217,12 @@ def lift_witness(cert: ReductionCert, w: Witness) -> Witness:
     fld = cert.field
     if w.S.field != fld or w.M.field != fld:
         raise FieldMismatch("witness field differs from the reduction's field")
-    if cert.degenerate:
-        return Witness(Mat.identity(fld, 1), Mono.identity(fld, 1))
     n, k, m = cert.n, cert.k, cert.m
     if w.S.k != k or w.S.n != k or w.M.n != n:
         raise WitnessInvalid(f"witness shaped for {w.S.k}x{w.M.n}, expected {k}x{n}")
+    if cert.degenerate:
+        # the only witness of the 0 x 0 normalized pair
+        return Witness(Mat.identity(fld, 1), Mono.identity(fld, 1))
     if not w.M.is_permutation():
         raise WitnessInvalid("lift needs a pure permutation witness")
     s_rows = [list(r) + [0] for r in w.S.rows]
@@ -252,8 +253,6 @@ def extract_witness(cert: ReductionCert, g: Mat, h: Mat, w: Witness) -> Witness:
     if cert.rejected:
         raise WitnessInvalid("rejected reductions have no witnesses to extract")
     fld = cert.field
-    if cert.degenerate:
-        return Witness(Mat.identity(fld, g.k), Mono.identity(fld, g.n))
     n, k, m = cert.n, cert.k, cert.m
     if (g.k, g.n) != (k, n) or (h.k, h.n) != (k, n):
         raise DimMismatch(f"expected {k}x{n} inputs for this cert")
@@ -262,6 +261,11 @@ def extract_witness(cert: ReductionCert, g: Mat, h: Mat, w: Witness) -> Witness:
         raise WitnessInvalid(
             f"witness shaped for {w.S.k}x{w.M.n}, expected {k + 1}x{n_prime}"
         )
+    if cert.degenerate:
+        # the reduced pair is the canonical YES pair, and (g, h) is 0 x 0
+        if not verify_witness(canonical_yes_instance(fld, cert.target), w):
+            raise WitnessInvalid("witness does not verify on the canonical YES pair")
+        return Witness(Mat.identity(fld, 0), Mono.identity(fld, 0))
 
     sigma = w.M.perm.sigma
     for block in cert.blocks:

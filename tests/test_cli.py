@@ -233,6 +233,60 @@ def test_verify_fail_exit(tmp_path):
     assert run(["verify", "--instance", inst, "--witness", str(other) + ".wit"]) == 1
 
 
+def test_witness_shaped_for_another_instance_exits_1(tmp_path, capsys):
+    # the lifted witness of a 2x3 instance has a 3x3 S and does not fit a
+    # 2x2 original, its cert or its reduced pair: every command reads it
+    # as a witness that does not verify
+    def pipeline(name, n, seed):
+        inst = tmp_path / f"{name}.ceq"
+        cert = tmp_path / f"{name}.cert"
+        assert run(["gen", "--k", 2, "--n", n, "--field", 5, "--tag", "PCE",
+                    "--planted", "yes", "--seed", seed, "--out", inst]) == 0
+        assert run(["reduce", "--in", inst, "--target", "lce",
+                    "--out", tmp_path / f"{name}.red", "--cert-out", cert]) == 0
+        lifted = tmp_path / f"{name}.lifted"
+        assert run(["lift", "--cert", cert, "--instance", inst,
+                    "--witness", str(inst) + ".wit", "--out", lifted]) == 0
+        return inst, cert, lifted
+
+    inst, cert, _ = pipeline("small", 2, 5)
+    _, _, lifted = pipeline("other", 3, 11)
+    capsys.readouterr()
+    assert run(["verify", "--instance", inst, "--witness", lifted]) == 1
+    for command in ("lift", "extract"):
+        out = tmp_path / f"{command}.wit"
+        assert run([command, "--cert", cert, "--instance", inst,
+                    "--witness", lifted, "--out", out]) == 1
+        assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "Traceback" not in err
+
+
+def test_degenerate_reduction_names_its_path_and_checks_witnesses(tmp_path, capsys):
+    # an all-zero pair reduces to the canonical YES pair; extract takes
+    # only a witness of that pair, not one shaped for the original
+    inst = tmp_path / "z.ceq"
+    inst.write_text("%CEQ 1\nfield 3\ntag PCE\nG 2 3\n0 0 0\n0 0 0\nH 2 3\n0 0 0\n0 0 0\n")
+    red, cert = tmp_path / "z.red", tmp_path / "z.cert"
+    capsys.readouterr()
+    assert run(["reduce", "--in", inst, "--target", "lce", "--out", red, "--cert-out", cert]) == 0
+    summary = capsys.readouterr().out
+    assert "degenerate" in summary and "canonical YES LCE" in summary and "m=" not in summary
+    assert "cert degenerate" in cert.read_text()
+    other = tmp_path / "o.ceq"
+    assert run(["gen", "--k", 2, "--n", 2, "--field", 3, "--tag", "PCE",
+                "--planted", "yes", "--seed", 1, "--out", other]) == 0
+    out = tmp_path / "x.wit"
+    assert run(["extract", "--cert", cert, "--instance", inst,
+                "--witness", str(other) + ".wit", "--out", out]) == 1
+    assert not out.exists()
+    solved = tmp_path / "solved.wit"
+    assert run(["solve", "--in", red, "--witness-out", solved]) == 0
+    assert run(["extract", "--cert", cert, "--instance", inst,
+                "--witness", solved, "--out", out]) == 0
+    assert run(["verify", "--instance", inst, "--witness", out]) == 0
+
+
 def test_extract_structure_violation_exit_code(tmp_path, capsys):
     inst = tmp_path / "i.ceq"
     red = tmp_path / "r.ceq"

@@ -130,6 +130,26 @@ def test_transport_entries_reject_a_witness_that_does_not_verify():
     assert verify_witness(inst, map_witness_to_original(journal, extract_witness(cert, norm.G, norm.H, lifted)))
 
 
+def test_transport_entries_reject_a_witness_shaped_for_another_instance():
+    # verify_witness raises DimMismatch on such a witness; both maps turn
+    # it into WitnessInvalid, the error of a witness that does not verify
+    from ceq.reduction import lift_witness, reduce_instance
+
+    rng = stream(22, "entry-shape")
+    inst, w = planted(F5, 2, 4, Tag.PCE, rng, zero_cols=1)
+    _, cert = reduce_instance(inst, Tag.LCE)
+    journal = cert.journal
+    w_norm = map_witness_to_normalized(journal, w)
+    lifted = lift_witness(cert, w_norm)
+    assert (inst.n, journal.normalized.n) == (5, 4)
+    for bad in (lifted, w_norm, Witness(Mat.identity(F5, 3), w.M)):
+        with pytest.raises(WitnessInvalid):
+            map_witness_to_normalized(journal, bad)
+    for bad in (lifted, w, Witness(Mat.identity(F5, 3), w_norm.M)):
+        with pytest.raises(WitnessInvalid):
+            map_witness_to_original(journal, bad)
+
+
 def test_verify_rejects_singular_s():
     g = Mat(F2, [[1, 0], [1, 0]])
     w = Witness(Mat(F2, [[1, 1], [1, 1]]), Mono.identity(F2, 2))
@@ -449,7 +469,7 @@ def test_pickle_roundtrip_of_worker_payloads_drops_memoized_rref():
 
 
 # the roundtrip benchmark's fields: prime, 2^e and odd p^e on both sides
-# of the q = 256 flat-table cap
+# of q = 256, below which GF(7) and GF(2^8) keep byte rows
 ROUNDTRIP_FIELDS = [(2, 1), (7, 1), (65521, 1), (2, 8), (2, 16), (3, 5), (3, 6), (5, 4)]
 
 

@@ -191,8 +191,9 @@ def test_inv_involution_and_sign_characterization(f):
             assert (a in f.signs()) == (f.mul(a, a) == 1)
 
 
-# every kind of q <= 256 table: GF(2) and GF(2^e) keep product rows only
-# and add by XOR; GF(p) and odd GF(p^e) also keep sum rows
+# all pairs of every kernel family below q = 256: the byte-row fields
+# (GF(2), GF(2^e), GF(5)) and the family kernels of odd GF(p^e) and of
+# primes from 131 to 251
 def test_tables_match_raw_arithmetic():
     for f in (field(2), field(2, 2), field(2, 4), field(5), field(3, 2), field(251)):
         for a in range(f.q):
@@ -203,12 +204,15 @@ def test_tables_match_raw_arithmetic():
 
 
 def test_small_field_tables_are_bytes_rows():
-    # one bytes row per element for each tabled operation, and no sum
-    # table in characteristic 2
-    for f in (Field(2), Field(2, 8), Field(3, 2), Field(3, 5), Field(251)):
-        assert (f.p == 2) == (f._add_rows is None)
-        for table in [f._mul_rows] if f.p == 2 else [f._mul_rows, f._add_rows]:
-            assert len(table) == f.q and all(type(r) is bytes and len(r) == 256 for r in table)
+    # the byte-row fields (characteristic 2 with q <= 256, primes with
+    # 2(p - 1) < 256) hold one bytes row of products per element; every
+    # other field computes as the fields above 256 do and holds none
+    for f in (Field(2), Field(2, 8), Field(5), Field(127)):
+        assert len(f._mul_rows) == f.q and all(type(r) is bytes and len(r) == 256 for r in f._mul_rows)
+    for f in (Field(3, 2), Field(3, 5), Field(131), Field(251)):
+        assert f._mul_rows is None
+    # primes without byte rows keep no inv or neg list either
+    assert all(f._inv_list is None and f._neg_list is None for f in (Field(131), Field(251)))
 
 
 def test_small_field_tables_hold_under_a_mebibyte():
@@ -244,7 +248,8 @@ def _assert_matches_digitwise(f, pairs):
     _assert_kernels_match_raw(f, list(pairs))
 
 
-# one field per family on each side of the q = 256 flat-table cap
+# one field per family on each side of q = 256; below it GF(251) and
+# GF(3^5) run the family kernels, GF(2^8) the byte rows
 @pytest.mark.parametrize(
     "p, e", [(251, 1), (65521, 1), (2, 8), (2, 16), (3, 5), (5, 4), (3, 10), (251, 2)]
 )
@@ -266,9 +271,9 @@ def test_bound_kernels_match_raw(p, e):
 
 
 # every row-kernel family: byte rows (char 2 with q <= 256, primes with
-# 2(p - 1) < 256, so both sides of that switch at 127 and 131), the other
-# tabled fields (odd p^e and primes 131 to 251), primes, 2^e and odd p^e
-# above 256
+# 2(p - 1) < 256, so both sides of that switch at 127 and 131), then the
+# family kernels of primes (131, 251, 65521), 2^e above 256 and odd p^e
+# (3^2 and 3^5 below 256, 3^6 and 5^4 above)
 @pytest.mark.parametrize(
     "p, e",
     [(2, 1), (7, 1), (127, 1), (131, 1), (251, 1), (2, 8), (3, 2), (3, 5), (65521, 1), (2, 16), (3, 6), (5, 4)],
@@ -318,9 +323,9 @@ def test_row_kernels_match_element_kernels_and_raw(p, e):
         assert (x, y) == (xs, ys)
 
 
-# every product-kernel family: packed primes below and above the flat-table
-# cap and at each slot width, translated GF(2^e) <= 256, and the axpy loop
-# of odd p^e and of 2^16
+# every product-kernel family: packed primes below and above q = 256 and
+# at each slot width, translated GF(2^e) <= 256, and the axpy loop of odd
+# p^e (3^5 below 256, 3^6 above) and of 2^16
 @pytest.mark.parametrize(
     "p, e",
     [(2, 1), (3, 1), (7, 1), (251, 1), (257, 1), (65521, 1), (2, 2), (2, 8), (3, 5), (3, 6), (2, 16)],

@@ -233,7 +233,11 @@ def _fuzz_corpus():
     return files
 
 
-_FUZZ_TOKENS = ("-1", "0", "1", "2", "3", "256", "65521", "x", "1.5", "", "^", ",", "9" * 25, "mod")
+# numerals that int() or float() read but the writer never produces
+_FOREIGN_NUMERALS = ("0_1", "+1", "-0", "\u0661", "\uff11", "1e3", "inf", "nan")
+_FUZZ_TOKENS = (
+    "-1", "0", "1", "2", "3", "256", "65521", "x", "1.5", "", "^", ",", "9" * 25, "mod",
+) + _FOREIGN_NUMERALS
 
 
 def _mutate(text: str, rng) -> str:
@@ -276,9 +280,13 @@ def test_parser_fuzz_raises_only_ceq_errors():
     corpus = _fuzz_corpus()
     outcomes = {"parsed": 0, "rejected": 0}
     crashes = []
+    # mutants that carry a foreign numeral, and those of them that parsed
+    carried, foreign = 0, []
     for _ in range(6000):
         kind, text, original = rng.choice(corpus)
         mutated = _mutate(text, rng)
+        tokens = [t for t in mutated.split() if t in _FOREIGN_NUMERALS]
+        carried += bool(tokens)
         try:
             if kind == "instance":
                 fileio.parse_instance(mutated)
@@ -289,9 +297,11 @@ def test_parser_fuzz_raises_only_ceq_errors():
             else:
                 fileio.parse_cert(mutated, original)
             outcomes["parsed"] += 1
+            foreign += [(kind, t) for t in tokens]
         except CeqError:
             outcomes["rejected"] += 1
         except Exception as exc:
             crashes.append((kind, mutated, repr(exc)))
     assert crashes == []
+    assert carried >= 100 and foreign == []
     assert outcomes["rejected"] >= 3000 and outcomes["parsed"] >= 100

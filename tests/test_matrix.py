@@ -398,7 +398,7 @@ def _assert_canonical(m):
 
 
 def test_computed_results_match_validating_constructor():
-    # prime, flat-table, 2^e beyond the flat tables and odd p^e fields
+    # byte-row primes and 2^e, a prime and 2^e above 256, odd p^e fields
     fields = [F2, F5, field(65521), field(2, 2), field(3, 2), field(2, 16), field(3, 5)]
     rng = stream(13, "trusted")
     for fld in fields:

@@ -198,8 +198,8 @@ def test_modes_agree_randomized():
 
 
 def test_modes_agree_on_large_fields():
-    """Fields above the flat-table cap (q > 256) run the same search code
-    as small ones; both deciders must still agree and every YES verify."""
+    """Fields above q = 256, which keep no byte rows, run the same search
+    code as small ones; both deciders must still agree and every YES verify."""
     for fld in (field(3, 6), field(65521)):
         for tag, n in ((Tag.PCE, 4), (Tag.PCE, 6), (Tag.SPCE, 3), (Tag.SPCE, 5)):
             for planted in (Planted.YES, Planted.UNLABELED):

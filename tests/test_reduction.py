@@ -2,7 +2,17 @@ import itertools
 
 import pytest
 
-from ceq.core import Instance, Rejection, Tag, Witness, diag_allowed, preprocess, map_witness_to_normalized, verify_witness
+from ceq.core import (
+    Instance,
+    Rejection,
+    Tag,
+    Witness,
+    diag_allowed,
+    map_witness_to_normalized,
+    map_witness_to_original,
+    preprocess,
+    verify_witness,
+)
 from ceq.errors import DimMismatch, FieldMismatch, StructureViolation, WitnessInvalid
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm
@@ -13,6 +23,7 @@ from ceq.reduction import (
     CHECK_SCALAR,
     build_gadget,
     canonical_no_instance,
+    canonical_yes_instance,
     extract_witness,
     lift_witness,
     reduce_instance,
@@ -217,6 +228,34 @@ def test_reduce_degenerate_zero_width():
     assert red.G.rows == ((1,),) and red.H.rows == ((1,),)
     lifted = lift_witness(cert, Witness(Mat.identity(F2, 0), Mono.identity(F2, 0)))
     assert verify_witness(red, lifted)
+
+
+def test_degenerate_cert_checks_the_witness_it_is_given():
+    # the all-zero 2 x 3 pair normalizes to 0 x 0 and reduces to the
+    # canonical YES pair: lift takes only the 0 x 0 witness, and extract
+    # only a witness that verifies on the canonical pair
+    zero = zeros(F3, 2, 3)
+    inst = Instance(F3, zero, zero, Tag.PCE)
+    empty = Witness(Mat.identity(F3, 0), Mono.identity(F3, 0))
+    one = Witness(Mat.identity(F3, 1), Mono.identity(F3, 1))
+    for target in (Tag.LCE, Tag.SPCE):
+        red, cert = reduce_instance(inst, target)
+        assert cert.degenerate and red == canonical_yes_instance(F3, target)
+        assert lift_witness(cert, empty) == one
+        for bad in (one, Witness(Mat.identity(F3, 2), Mono.identity(F3, 3))):
+            with pytest.raises(WitnessInvalid):
+                lift_witness(cert, bad)
+        norm = cert.journal.normalized
+        # 2 * 1 * 2 = 1, while 2 * 1 * 1 = 2
+        good = Witness(Mat(F3, [[2]]), Mono(F3, Perm((0,)), (2,)))
+        assert verify_witness(red, good)
+        unscaled = Witness(Mat(F3, [[2]]), Mono.identity(F3, 1))
+        for bad in (unscaled, Witness(Mat.identity(F3, 2), Mono.identity(F3, 3))):
+            with pytest.raises(WitnessInvalid):
+                extract_witness(cert, norm.G, norm.H, bad)
+        got = extract_witness(cert, norm.G, norm.H, good)
+        assert got == empty
+        assert verify_witness(inst, map_witness_to_original(cert.journal, got))
 
 
 def test_reduced_yes_pair_is_yes_for_both_targets():

@@ -20,7 +20,7 @@ from ceq.matrix import Mat, Mono, Perm
 from ceq.rng import stream
 
 # the roundtrip benchmark's fields: prime, 2^e and odd p^e on both sides
-# of the q = 256 flat-table cap
+# of q = 256, below which GF(7) and GF(2^8) keep byte rows
 FIELDS = [(2, 1), (7, 1), (65521, 1), (2, 8), (2, 16), (3, 5), (3, 6), (5, 4)]
 
 
