@@ -55,10 +55,7 @@ class Instance(Record):
             raise FieldMismatch("matrices must live in the instance field")
         if (G.k, G.n) != (H.k, H.n):
             raise DimMismatch(f"G is {G.k}x{G.n} but H is {H.k}x{H.n}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "tag", tag)
+        Record.__init__(self, field, G, H, tag)
 
     @property
     def k(self) -> int:
@@ -75,8 +72,7 @@ class Witness(Record):
     __slots__ = ("S", "M")
 
     def __init__(self, S: Mat, M: Mono):
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "M", M)
+        Record.__init__(self, S, M)
 
 
 def diag_allowed(fld: Field, tag: Tag, diag) -> bool:
@@ -143,28 +139,21 @@ class Journal(Record):
 
     def __init__(self, original: Instance, normalized: Instance, removed_g: tuple[int, ...],
                  removed_h: tuple[int, ...], rank: int, u_g: Mat, u_h: Mat):
-        object.__setattr__(self, "original", original)
-        object.__setattr__(self, "normalized", normalized)
-        object.__setattr__(self, "removed_g", removed_g)
-        object.__setattr__(self, "removed_h", removed_h)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "u_g", u_g)
-        object.__setattr__(self, "u_h", u_h)
+        Record.__init__(self, original, normalized, removed_g, removed_h, rank, u_g, u_h)
 
 
 class Rejection(Record):
     __slots__ = ("reason",)
 
     def __init__(self, reason: RejectReason):
-        object.__setattr__(self, "reason", reason)
+        Record.__init__(self, reason)
 
 
 class Normalized(Record):
     __slots__ = ("instance", "journal")
 
     def __init__(self, instance: Instance, journal: Journal):
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "journal", journal)
+        Record.__init__(self, instance, journal)
 
 
 PreprocessOutcome = Union[Rejection, Normalized]

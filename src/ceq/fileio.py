@@ -264,9 +264,10 @@ def parse_instance(text: str, origin: str = "<instance>") -> tuple[Instance, Opt
     if r.peek_key() == "reject-reason":
         parts = r.take().split()
         try:
-            reject = RejectReason(parts[1])
-        except (IndexError, ValueError):
-            raise r.error("bad reject-reason") from None
+            _, name = parts
+            reject = RejectReason(name)
+        except ValueError:
+            raise r.error("expected 'reject-reason <name>'") from None
     g = _parse_matrix(r, fld, "G")
     h_line = r.pos + 1
     h = _parse_matrix(r, fld, "H")
@@ -281,7 +282,10 @@ def parse_witness(text: str, origin: str = "<witness>") -> tuple[Field, Witness]
     r = _Reader(text, origin)
     _parse_magic(r)
     fld = _parse_field(r)
+    s_line = r.pos + 1
     s = _parse_matrix(r, fld, "S")
+    if s.k != s.n:
+        raise r.error(f"expected 'S <k> <k>', got a {s.k}x{s.n} S", s_line)
     parts = r.take().split()
     if not parts or parts[0] != "perm":
         raise r.error("expected a perm line")

@@ -22,8 +22,9 @@ canonical by construction and go through the trusted `Mat._of`, which
 only freezes them. `Perm` and `Mono` are immutable `Record`s whose
 constructors store sigma and the diagonal as tuples of ints and check
 that sigma is a bijection and the diagonal non-zero; the trusted
-`Perm._of` and `Mono._of` take tuples the package built as such itself
-(the reduction's lifted and extracted actions) and check nothing.
+`Record._of`, as `Perm._of` and `Mono._of`, takes tuples the package
+built as such itself (the reduction's lifted and extracted actions) and
+checks nothing.
 
 A `Mat` never changes, so what depends on its rows alone is computed
 once per matrix and kept in its memo: the RREF with and without the
@@ -366,15 +367,7 @@ class Perm(Record):
         n = len(sigma)
         if sorted(sigma) != list(range(n)):
             raise DimMismatch(f"not a bijection on [0,{n})")
-        object.__setattr__(self, "sigma", sigma)
-
-    @classmethod
-    def _of(cls, sigma: tuple[int, ...]) -> "Perm":
-        """Trusted constructor for a tuple the package built as a bijection
-        on [0, n) itself. Checks nothing."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "sigma", sigma)
-        return self
+        Record.__init__(self, sigma)
 
     @property
     def n(self) -> int:
@@ -401,19 +394,7 @@ class Mono(Record):
         for d in diag:
             if not (1 <= d < q):
                 raise ValueError(f"diagonal entry {d} must be a non-zero element")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "diag", diag)
-
-    @classmethod
-    def _of(cls, field: Field, perm: Perm, diag: tuple[int, ...]) -> "Mono":
-        """Trusted constructor for a tuple of non-zero field ints, one per
-        column of perm, that the package built itself. Checks nothing."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "diag", diag)
-        return self
+        Record.__init__(self, field, perm, diag)
 
     @property
     def n(self) -> int:

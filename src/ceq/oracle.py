@@ -82,6 +82,7 @@ from __future__ import annotations
 import enum
 import time
 from itertools import islice
+from operator import index
 from typing import Optional
 
 from .core import Instance, Tag, Witness, verify_witness
@@ -108,15 +109,17 @@ class Budget(Record):
 
     def __init__(self, max_nodes: int = 100_000_000, time_limit: Optional[float] = None,
                  mode: Mode = Mode.EXHAUSTIVE):
+        try:
+            max_nodes = index(max_nodes)
+        except TypeError:
+            raise ValueError(f"max_nodes must be an integer, got {max_nodes!r}") from None
         if max_nodes < 1:
             raise ValueError("max_nodes must be at least 1")
         # `not >= 0` also catches NaN, which every comparison would
         # otherwise treat as "no deadline yet"
         if time_limit is not None and not time_limit >= 0:
             raise ValueError("time_limit must be a non-negative number")
-        object.__setattr__(self, "max_nodes", max_nodes)
-        object.__setattr__(self, "time_limit", time_limit)
-        object.__setattr__(self, "mode", mode)
+        Record.__init__(self, max_nodes, time_limit, mode)
 
 
 class DecideResult(Record):
@@ -124,11 +127,7 @@ class DecideResult(Record):
 
     def __init__(self, status: Status, witness: Optional[Witness], nodes: int, elapsed: float,
                  detail: str = ""):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "elapsed", elapsed)
-        object.__setattr__(self, "detail", detail)
+        Record.__init__(self, status, witness, nodes, elapsed, detail)
 
 
 def _scalars(fld: Field, tag: Tag) -> tuple[int, ...]:
@@ -687,21 +686,14 @@ class GenSpec(Record):
                     "full row rank needs at least k distinct columns; "
                     "the profile has too few parts"
                 )
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "planted", planted)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "profile", profile)
+        Record.__init__(self, field, k, n, tag, planted, seed, profile)
 
 
 class Generated(Record):
     __slots__ = ("instance", "witness")
 
     def __init__(self, instance: Instance, witness: Optional[Witness] = None):
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "witness", witness)
+        Record.__init__(self, instance, witness)
 
 
 _MAX_SAMPLE_TRIES = 2000

@@ -1,8 +1,10 @@
 """Immutable slotted records, the package's value types.
 
-A subclass names its fields in `__slots__`, in constructor order, and its
-`__init__` validates the arguments and sets each field once through
-`object.__setattr__`. `Record` supplies what a frozen dataclass would:
+A subclass names its fields in `__slots__`, in constructor order; its
+`__init__` validates the arguments and ends with one `Record.__init__`
+call, the only place a field is set. `Record._of` is the trusted
+constructor for values the package built as valid itself: it skips the
+subclass's `__init__`. `Record` supplies what a frozen dataclass would:
 field-wise equality within one class, a hash over the fields, the
 `Name(f=v, ...)` repr, assignment and deletion that raise
 `AttributeError`, and pickling that rebuilds through the constructor.
@@ -16,6 +18,17 @@ pay before doing any work.
 
 class Record:
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, *values):
+        """Trusted constructor: the fields in `__slots__` order, unchecked."""
+        self = object.__new__(cls)
+        Record.__init__(self, *values)
+        return self
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -59,14 +59,7 @@ class ReductionCert(Record):
                  degenerate: bool = False):
         if reject_reason is None and not degenerate and n >= 1 and m < 2:
             raise ValueError("duplication count must be at least 2")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "journal", journal)
-        object.__setattr__(self, "reject_reason", reject_reason)
-        object.__setattr__(self, "degenerate", degenerate)
+        Record.__init__(self, field, target, n, k, m, journal, reject_reason, degenerate)
 
     @property
     def rejected(self) -> bool:

@@ -140,6 +140,11 @@ def test_format_errors_name_the_line_at_fault():
     assert _error_line(fileio.parse_instance, inst.rsplit("\n", 2)[0] + "\n") == 9
     # G and H shaped differently: the H header
     assert _error_line(fileio.parse_instance, "%CEQ 1\nfield 2\ntag PCE\nG 1 2\n1 0\nH 1 1\n1\n") == 6
+    # a reject-reason line takes exactly its name
+    rejected = _replace_line(inst, 3, "tag PCE\nreject-reason RankMismatch")
+    fileio.parse_instance(rejected)
+    assert _error_line(fileio.parse_instance, rejected.replace("RankMismatch", "RankMismatch junk")) == 4
+    assert _error_line(fileio.parse_instance, rejected.replace(" RankMismatch", "")) == 4
 
     w = Witness(Mat(F9, [[1, 2], [0, 1]]), Mono(F9, Perm((1, 0)), (1, 2)))
     wit = fileio.serialize_witness(F9, w)
@@ -151,6 +156,8 @@ def test_format_errors_name_the_line_at_fault():
     assert _error_line(fileio.parse_witness, _replace_line(wit, 7, "diag 1 0")) == 7
     assert _error_line(fileio.parse_witness, _replace_line(wit, 7, "diag 1")) == 7
     assert _error_line(fileio.parse_witness, _replace_line(wit, 7, "dag 1 1")) == 7
+    # S must be square: the S header, also when its rows parse
+    assert _error_line(fileio.parse_witness, "%CEQ 1\nfield 3\nS 1 2\n1 0\nperm 1 2\ndiag 1 1\n") == 3
 
 
 @pytest.mark.parametrize("numeral", ["0_1", "+1", "\u0661", "\uff11", "-0", "1.0", "0x1"])

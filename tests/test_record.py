@@ -156,6 +156,7 @@ def test_pickle_and_keyword_construction(name):
     cls = type(a)
     assert cls(**dict(zip(cls.__slots__, _values(a)))) == a
     assert cls(*_values(a)) == a
+    assert cls._of(*_values(a)) == a
 
 
 def test_defaults():
@@ -183,6 +184,9 @@ def test_validation_errors():
         Budget(time_limit=math.nan)
     with pytest.raises(ValueError, match="max_nodes must be at least 1"):
         Budget(0)
+    for bad in (math.nan, 2.5, math.inf):
+        with pytest.raises(ValueError, match="max_nodes must be an integer"):
+            Budget(max_nodes=bad)
     with pytest.raises(ValueError, match="multiplicity profile must sum to n"):
         GenSpec(F3, 2, 4, Tag.PCE, Planted.YES, 0, (2, 1))
     with pytest.raises(ValueError, match="multiplicity counts must be positive"):

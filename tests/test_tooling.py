@@ -103,8 +103,8 @@ def test_checks_hold_under_python_O(tmp_path):
 
 
 def test_boundary_modules_use_the_validating_constructor():
-    # fileio and cli read untrusted rows and actions; Mat._of, Perm._of
-    # and Mono._of skip every check
+    # fileio and cli read untrusted rows and actions; Mat._of and
+    # Record._of (as Perm._of, Mono._of, ...) skip every check
     boundary = [p for p in SOURCES if p.name in ("fileio.py", "cli.py")]
     assert len(boundary) == 2
     found = [
@@ -114,6 +114,19 @@ def test_boundary_modules_use_the_validating_constructor():
         if isinstance(node, ast.Attribute) and node.attr == "_of"
     ]
     assert found == []
+
+
+def test_only_the_record_module_sets_record_fields():
+    # a Record subclass validates and then calls Record.__init__, and
+    # Record._of calls it too, so record.py holds the one field setter
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ]
+    assert found and all(f.startswith("record.py:") for f in found)
 
 
 def _names_outside(owner, names):
