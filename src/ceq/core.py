@@ -51,6 +51,8 @@ class Instance(Record):
     __slots__ = ("field", "G", "H", "tag")
 
     def __init__(self, field: Field, G: Mat, H: Mat, tag: Tag):
+        if not isinstance(tag, Tag):
+            raise ValueError(f"tag must be a Tag, got {tag!r}")
         if G.field != field or H.field != field:
             raise FieldMismatch("matrices must live in the instance field")
         if (G.k, G.n) != (H.k, H.n):

@@ -22,7 +22,7 @@ Sections, in canonical order:
     perm <s1 ... sn>
     diag <d1 ... dn>
     target <PCE|SPCE|LCE>          cert files
-    cert <n> <k> <m>               or: cert rejected | cert degenerate
+    cert <n> <k> <m>               or: cert rejected | cert degenerate (n = 0)
     journal <n> <k> <rank>         cert files (non-reject path)
     removed-g [i1 ...]             1-based dropped zero-column indices
     removed-h [i1 ...]

@@ -58,8 +58,9 @@ class Mat:
         try:
             # lists first: see the note above `cols` on tuples of unknown length
             rows = tuple([tuple([*map(index, r)]) for r in rows])
+            n = n if n is None else index(n)
         except TypeError as exc:
-            raise ValueError(f"matrix entries must be integers: {exc}") from None
+            raise ValueError(f"matrix entries and width must be integers: {exc}") from None
         k = len(rows)
         if k:
             width = len(rows[0])
@@ -70,6 +71,8 @@ class Mat:
             n = width
         elif n is None:
             n = 0
+        elif n < 0:
+            raise ValueError(f"matrix width must be non-negative, got {n}")
         q = fld.q
         for r in rows:
             for x in r:

@@ -119,6 +119,8 @@ class Budget(Record):
         # otherwise treat as "no deadline yet"
         if time_limit is not None and not time_limit >= 0:
             raise ValueError("time_limit must be a non-negative number")
+        if not isinstance(mode, Mode):
+            raise ValueError(f"mode must be a Mode, got {mode!r}")
         Record.__init__(self, max_nodes, time_limit, mode)
 
 
@@ -672,6 +674,10 @@ class GenSpec(Record):
 
     def __init__(self, field: Field, k: int, n: int, tag: Tag, planted: Planted, seed: int,
                  profile: Optional[tuple[int, ...]] = None):
+        if not isinstance(tag, Tag):
+            raise ValueError(f"tag must be a Tag, got {tag!r}")
+        if not isinstance(planted, Planted):
+            raise ValueError(f"planted must be a Planted, got {planted!r}")
         if k < 0 or n < 0:
             raise ValueError("dimensions must be non-negative")
         if planted is not Planted.UNLABELED and k > n:

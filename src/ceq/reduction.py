@@ -13,8 +13,9 @@ than the largest column multiplicity) and the last block has nm + 1
 columns. The duplication counts and the marker row force any monomial
 equivalence of a gadget pair to respect the block boundaries and to use
 one global scalar on the first block, which is what makes witness
-extraction possible. The bookkeeping a reduction run leaves is an
-immutable `ReductionCert` record.
+extraction possible. A 0-width input needs no special case: its 0 x 0
+normalized pair gets m = 1 and the 1 x 1 gadget [1]. The bookkeeping a
+reduction run leaves is an immutable `ReductionCert` record.
 """
 
 from __future__ import annotations
@@ -48,22 +49,26 @@ class ReductionCert(Record):
     n, k, m describe the matrices the gadget was applied to (after
     normalization); journal maps between those and the raw input. On the
     reject path no gadget is built: the canonical NO pair is emitted and
-    reject_reason is set. A 0-width input short-circuits to the canonical
-    YES pair with degenerate set.
+    reject_reason is set. A 0-width input goes through the gadget like
+    any other, with m = 1, and gives the 1 x 1 pair [1], [1].
     """
 
-    __slots__ = ("field", "target", "n", "k", "m", "journal", "reject_reason", "degenerate")
+    __slots__ = ("field", "target", "n", "k", "m", "journal", "reject_reason")
 
     def __init__(self, field: Field, target: Tag, n: int, k: int, m: int,
-                 journal: Optional[Journal] = None, reject_reason: Optional[RejectReason] = None,
-                 degenerate: bool = False):
-        if reject_reason is None and not degenerate and n >= 1 and m < 2:
+                 journal: Optional[Journal] = None, reject_reason: Optional[RejectReason] = None):
+        if reject_reason is None and n >= 1 and m < 2:
             raise ValueError("duplication count must be at least 2")
-        Record.__init__(self, field, target, n, k, m, journal, reject_reason, degenerate)
+        Record.__init__(self, field, target, n, k, m, journal, reject_reason)
 
     @property
     def rejected(self) -> bool:
         return self.reject_reason is not None
+
+    @property
+    def degenerate(self) -> bool:
+        """No non-zero column in the input: the gadget pair is [1], [1]."""
+        return self.reject_reason is None and self.n == 0
 
     @property
     def n_prime(self) -> int:
@@ -89,8 +94,6 @@ def build_gadget(a: Mat, m: int) -> Mat:
     extracting on the pair a reduction built reuses its gadgets and
     their memoized views.
     """
-    if a.n < 1:
-        raise DimMismatch("gadget needs at least one column")
     if m < 1:
         raise ValueError("duplication count must be at least 1")
     return a.memo(("gadget", m), lambda: _gadget(a, m))
@@ -100,12 +103,12 @@ def _gadget(a: Mat, m: int) -> Mat:
     n = a.n
     nm = n * m
     idx = [c for c in range(n) for _ in range(m)]
-    # itemgetter of one index returns the entry, not a tuple; then idx = [0]
-    dup = operator.itemgetter(*idx) if nm > 1 else lambda r: r[:1]
+    # itemgetter of one index returns the entry, not a tuple, and of none raises
+    dup = operator.itemgetter(*idx) if nm > 1 else lambda r: r[:nm]
     tail = (0,) * (nm + 1)
     rows = [r + dup(r) + tail for r in a.rows]
     rows.append((1,) * n + (0,) * nm + (1,) * (nm + 1))
-    # rank(out) = rank(a) + 1: with n, m >= 1 the gadget has the columns
+    # rank(out) = rank(a) + 1: with m >= 1 the gadget has the columns
     # [a_j; 0] (A-hat) and e_{k+1} (last block), and each first-block
     # column [a_j; 1] is their sum, so the column space is that of [A; 0]
     # plus e_{k+1}
@@ -140,18 +143,14 @@ def canonical_no_instance(fld: Field, target: Tag) -> Instance:
     return Instance(fld, Mat(fld, [[1, 1]]), Mat(fld, [[1, 0]]), target)
 
 
-def canonical_yes_instance(fld: Field, target: Tag) -> Instance:
-    return Instance(fld, Mat(fld, [[1]]), Mat(fld, [[1]]), target)
-
-
 def reduction_cert(inst: Instance, target: Tag) -> ReductionCert:
     """The bookkeeping of reducing a PCE instance to the target problem
     (LCE or SPCE), without building the gadget pair.
 
     Deterministic, so the cert file `reduce` writes is a function of the
     instance and the target alone: preprocessing rejections give a
-    rejected cert, 0-width inputs a degenerate one, and otherwise the
-    normalized pair's shape, journal and shared duplication count.
+    rejected cert, and otherwise the normalized pair's shape, journal and
+    shared duplication count.
     """
     if inst.tag is not Tag.PCE:
         raise ValueError("reduction input must be a PCE instance")
@@ -161,29 +160,23 @@ def reduction_cert(inst: Instance, target: Tag) -> ReductionCert:
     if isinstance(outcome, Rejection):
         return ReductionCert(inst.field, target, 0, 0, 0, None, outcome.reason)
     norm = outcome.instance
-    journal = outcome.journal
-    if norm.n == 0:
-        return ReductionCert(inst.field, target, 0, 0, 0, journal, None, True)
     m_g = max_column_multiplicity(norm.G)
     m_h = max_column_multiplicity(norm.H)
     if m_g != m_h:
         raise DimMismatch(f"column multiplicities {m_g} and {m_h} passed the profile check")
-    return ReductionCert(inst.field, target, norm.n, norm.k, m_g + 1, journal)
+    return ReductionCert(inst.field, target, norm.n, norm.k, m_g + 1, outcome.journal)
 
 
 def reduce_instance(inst: Instance, target: Tag) -> tuple[Instance, ReductionCert]:
     """Karp-reduce a PCE instance to the target problem (LCE or SPCE).
 
     Deterministic; always emits an instance. Rejections from
-    preprocessing become the canonical NO pair, 0-width inputs the
-    canonical YES pair; otherwise both normalized matrices go through
-    the gadget with a shared duplication count.
+    preprocessing become the canonical NO pair; otherwise both normalized
+    matrices go through the gadget with a shared duplication count.
     """
     cert = reduction_cert(inst, target)
     if cert.rejected:
         return canonical_no_instance(inst.field, target), cert
-    if cert.degenerate:
-        return canonical_yes_instance(inst.field, target), cert
     norm = cert.journal.normalized
     g_prime = build_gadget(norm.G, cert.m)
     h_prime = build_gadget(norm.H, cert.m)
@@ -213,9 +206,6 @@ def lift_witness(cert: ReductionCert, w: Witness) -> Witness:
     n, k, m = cert.n, cert.k, cert.m
     if w.S.k != k or w.S.n != k or w.M.n != n:
         raise WitnessInvalid(f"witness shaped for {w.S.k}x{w.M.n}, expected {k}x{n}")
-    if cert.degenerate:
-        # the only witness of the 0 x 0 normalized pair
-        return Witness(Mat.identity(fld, 1), Mono.identity(fld, 1))
     if not w.M.is_permutation():
         raise WitnessInvalid("lift needs a pure permutation witness")
     s_rows = [list(r) + [0] for r in w.S.rows]
@@ -254,12 +244,6 @@ def extract_witness(cert: ReductionCert, g: Mat, h: Mat, w: Witness) -> Witness:
         raise WitnessInvalid(
             f"witness shaped for {w.S.k}x{w.M.n}, expected {k + 1}x{n_prime}"
         )
-    if cert.degenerate:
-        # the reduced pair is the canonical YES pair, and (g, h) is 0 x 0
-        if not verify_witness(canonical_yes_instance(fld, cert.target), w):
-            raise WitnessInvalid("witness does not verify on the canonical YES pair")
-        return Witness(Mat.identity(fld, 0), Mono.identity(fld, 0))
-
     sigma = w.M.perm.sigma
     for block in cert.blocks:
         part = sigma[block.start:block.stop]

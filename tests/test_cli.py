@@ -263,8 +263,9 @@ def test_witness_shaped_for_another_instance_exits_1(tmp_path, capsys):
 
 
 def test_degenerate_reduction_names_its_path_and_checks_witnesses(tmp_path, capsys):
-    # an all-zero pair reduces to the canonical YES pair; extract takes
-    # only a witness of that pair, not one shaped for the original
+    # an all-zero pair reduces to the canonical YES pair; lift takes the
+    # original's witness to that pair's, and extract takes only a witness
+    # of that pair, not one shaped for the original
     inst = tmp_path / "z.ceq"
     inst.write_text("%CEQ 1\nfield 3\ntag PCE\nG 2 3\n0 0 0\n0 0 0\nH 2 3\n0 0 0\n0 0 0\n")
     red, cert = tmp_path / "z.red", tmp_path / "z.cert"
@@ -273,6 +274,10 @@ def test_degenerate_reduction_names_its_path_and_checks_witnesses(tmp_path, caps
     summary = capsys.readouterr().out
     assert "degenerate" in summary and "canonical YES LCE" in summary and "m=" not in summary
     assert "cert degenerate" in cert.read_text()
+    ident, lifted = tmp_path / "i.wit", tmp_path / "l.wit"
+    ident.write_text("%CEQ 1\nfield 3\nS 2 2\n1 0\n0 1\nperm 1 2 3\ndiag 1 1 1\n")
+    assert run(["lift", "--cert", cert, "--instance", inst, "--witness", ident, "--out", lifted]) == 0
+    assert lifted.read_text() == "%CEQ 1\nfield 3\nS 1 1\n1\nperm 1\ndiag 1\n"
     other = tmp_path / "o.ceq"
     assert run(["gen", "--k", 2, "--n", 2, "--field", 3, "--tag", "PCE",
                 "--planted", "yes", "--seed", 1, "--out", other]) == 0

@@ -370,6 +370,15 @@ def test_mat_rejects_non_integer_entries():
             Mat(F5, rows)
     a = Mat(F5, [[True, 2]])
     assert a.rows == ((1, 2),) and type(a.rows[0][0]) is int
+    # a declared width is read like an entry, with or without rows
+    for rows, n in (([], 2.5), ([], "2"), ([[1, 2]], 2.0)):
+        with pytest.raises(ValueError, match="matrix entries and width must be integers"):
+            Mat(F5, rows, n)
+    for make in (lambda: Mat(F5, [], -3), lambda: Mat.identity(F5, -2)):
+        with pytest.raises(ValueError, match="matrix width must be non-negative"):
+            make()
+    width = Mat(F5, [], True).n
+    assert width == 1 and type(width) is int
 
 
 def test_mono_class_predicates():

@@ -95,7 +95,7 @@ SAMPLES = {
         lambda: ReductionCert(F3, Tag.LCE, 3, 2, 2, JOURNAL),
         lambda: ReductionCert(F3, Tag.LCE, 3, 2, 3, JOURNAL),
         f"ReductionCert(field=GF(3), target=<Tag.LCE: 'LCE'>, n=3, k=2, m=2, journal={JOURNAL_REPR}, "
-        "reject_reason=None, degenerate=False)",
+        "reject_reason=None)",
     ),
 }
 NAMES = sorted(SAMPLES)
@@ -169,7 +169,7 @@ def test_defaults():
     assert Generated(INST).witness is None
     assert GenSpec(F3, 1, 2, Tag.PCE, Planted.YES, 0).profile is None
     cert = ReductionCert(F3, Tag.LCE, 0, 0, 0)
-    assert (cert.journal, cert.reject_reason, cert.degenerate) == (None, None, False)
+    assert (cert.journal, cert.reject_reason) == (None, None)
     assert ReductionCert(F3, Tag.SPCE, 0, 0, 0, reject_reason=RejectReason.RANK_MISMATCH).rejected
 
 
@@ -197,3 +197,15 @@ def test_validation_errors():
         ReductionCert(F3, Tag.LCE, 3, 2, 1)
     with pytest.raises(DimMismatch, match=re.escape("G is 2x3 but H is 2x2")):
         Instance(F3, G, S, Tag.PCE)
+    # a tag, planting or mode spelt as its value is refused, not read as
+    # some other member
+    for bad in ("PCE", "LCE", None):
+        with pytest.raises(ValueError, match="tag must be a Tag"):
+            Instance(F3, G, G, bad)
+        with pytest.raises(ValueError, match="tag must be a Tag"):
+            GenSpec(F3, 2, 4, bad, Planted.YES, 0)
+    with pytest.raises(ValueError, match="planted must be a Planted"):
+        GenSpec(F3, 2, 4, Tag.PCE, "yes", 0)
+    for bad in ("exhaustive", "backtracking", None):
+        with pytest.raises(ValueError, match="mode must be a Mode"):
+            Budget(mode=bad)

@@ -13,7 +13,7 @@ from ceq.core import (
     preprocess,
     verify_witness,
 )
-from ceq.errors import DimMismatch, FieldMismatch, StructureViolation, WitnessInvalid
+from ceq.errors import FieldMismatch, StructureViolation, WitnessInvalid
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm
 from ceq.oracle import Budget, GenSpec, Mode, Planted, Status, decide, generate
@@ -23,7 +23,6 @@ from ceq.reduction import (
     CHECK_SCALAR,
     build_gadget,
     canonical_no_instance,
-    canonical_yes_instance,
     extract_witness,
     lift_witness,
     reduce_instance,
@@ -151,15 +150,21 @@ def test_gadget_rank_from_distinct_columns_matches_full_rref():
         deficient += a.rank() < k
     assert deficient >= 20
     # degenerate shapes: no rows, all-zero inputs, a single column, m = 1
-    # (an input without columns has no gadget, see test_gadget_needs_columns)
+    # (an input without columns, see test_gadget_of_no_columns_is_the_marker_column)
     for k, n in ((0, 3), (2, 3), (0, 1), (3, 1)):
         out = build_gadget(zeros(F3, k, n), 1)
         assert Mat(F3, out.rows, out.n).rank() == 1
 
 
-def test_gadget_needs_columns():
-    with pytest.raises(DimMismatch):
-        build_gadget(zeros(F2, 2, 0), 2)
+def test_gadget_of_no_columns_is_the_marker_column():
+    # a k x 0 input keeps only the last block, one column e_{k+1}; its
+    # recorded rank and distinct-column view are those of a fresh Mat
+    for k in (0, 2):
+        out = build_gadget(zeros(F2, k, 0), 2)
+        fresh = Mat(F2, [[0]] * k + [[1]])
+        assert out == fresh
+        assert out.rank() == fresh.rank() == 1
+        assert out.distinct_cols() == fresh.distinct_cols()
 
 
 def test_gadget_is_memoized_per_duplication_count():
@@ -224,23 +229,23 @@ def test_canonical_no_pair_is_no_over_many_fields():
 def test_reduce_degenerate_zero_width():
     g = zeros(F2, 2, 0)
     red, cert = reduce_instance(Instance(F2, g, g, Tag.PCE), Tag.SPCE)
-    assert cert.degenerate
+    assert cert.n == 0
     assert red.G.rows == ((1,),) and red.H.rows == ((1,),)
     lifted = lift_witness(cert, Witness(Mat.identity(F2, 0), Mono.identity(F2, 0)))
     assert verify_witness(red, lifted)
 
 
 def test_degenerate_cert_checks_the_witness_it_is_given():
-    # the all-zero 2 x 3 pair normalizes to 0 x 0 and reduces to the
-    # canonical YES pair: lift takes only the 0 x 0 witness, and extract
-    # only a witness that verifies on the canonical pair
+    # the all-zero 2 x 3 pair normalizes to 0 x 0 and its gadget pair is
+    # [1], [1]: lift takes only the 0 x 0 witness, and extract only a
+    # witness that verifies on that pair
     zero = zeros(F3, 2, 3)
     inst = Instance(F3, zero, zero, Tag.PCE)
     empty = Witness(Mat.identity(F3, 0), Mono.identity(F3, 0))
     one = Witness(Mat.identity(F3, 1), Mono.identity(F3, 1))
     for target in (Tag.LCE, Tag.SPCE):
         red, cert = reduce_instance(inst, target)
-        assert cert.degenerate and red == canonical_yes_instance(F3, target)
+        assert cert.n == 0 and red == Instance(F3, Mat(F3, [[1]]), Mat(F3, [[1]]), target)
         assert lift_witness(cert, empty) == one
         for bad in (one, Witness(Mat.identity(F3, 2), Mono.identity(F3, 3))):
             with pytest.raises(WitnessInvalid):
