@@ -98,6 +98,8 @@ def serialize_cert(cert: reduction.ReductionCert) -> str:
         else:
             lines.append(f"cert {cert.n} {cert.k} {cert.m}")
         j = cert.journal
+        if j is None:
+            raise ValueError("cert has no journal to write: only reduction_cert makes a complete cert")
         orig = j.original
         lines.append(f"journal {orig.n} {orig.k} {j.rank}")
         lines.append(("removed-g " + " ".join(str(i + 1) for i in j.removed_g)).rstrip())

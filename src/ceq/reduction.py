@@ -57,8 +57,10 @@ class ReductionCert(Record):
 
     def __init__(self, field: Field, target: Tag, n: int, k: int, m: int,
                  journal: Optional[Journal] = None, reject_reason: Optional[RejectReason] = None):
-        if reject_reason is None and n >= 1 and m < 2:
-            raise ValueError("duplication count must be at least 2")
+        # the gadget needs m >= 1, and m >= 2 once there is a column
+        least = 2 if n >= 1 else 1
+        if reject_reason is None and m < least:
+            raise ValueError(f"duplication count must be at least {least}")
         Record.__init__(self, field, target, n, k, m, journal, reject_reason)
 
     @property

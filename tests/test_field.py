@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 
 from ceq import fileio
@@ -115,6 +117,11 @@ def test_inv_examples():
     assert f4.inv(2) == 3  # x * (x+1) = 1
     with pytest.raises(ZeroInverse):
         field(7).inv(0)
+    # an array table holds 0 at index 0: the check, not the table, refuses
+    f16 = field(2, 16)
+    assert type(f16._inv_list) is array
+    with pytest.raises(ZeroInverse):
+        f16.inv(0)
 
 
 def test_neg_and_sign_examples():
@@ -215,6 +222,20 @@ def test_small_field_tables_are_bytes_rows():
     assert all(f._inv_list is None and f._neg_list is None for f in (Field(131), Field(251)))
 
 
+def test_exp_log_tables_are_arrays_above_2_to_the_13():
+    # up to q = 2^13 the exp/log fields keep lists; above it, arrays of
+    # unsigned 16-bit entries and a signed Zech array of at least 32 bits
+    for f in (Field(2, 13), Field(3, 8)):
+        tables = [f._exp, f._log, f._inv_list] + ([f._zech, f._neg_list] if f.p != 2 else [])
+        assert all(type(t) is list for t in tables)
+    for f in (Field(2, 14), Field(3, 9), Field(251, 2)):
+        tables = [f._exp, f._log, f._inv_list] + ([f._neg_list] if f.p != 2 else [])
+        assert all(type(t) is array and t.typecode == "H" for t in tables)
+        if f.p != 2:
+            assert type(f._zech) is array and f._zech.typecode == "i" and f._zech.itemsize >= 4
+            assert min(f._zech) == -1 and max(f._zech) == f.q - 2
+
+
 def test_small_field_tables_hold_under_a_mebibyte():
     # as q x q lists of ints, these three fields held 3.20 MiB
     import tracemalloc
@@ -226,6 +247,19 @@ def test_small_field_tables_hold_under_a_mebibyte():
     finally:
         tracemalloc.stop()
     assert len(fields) == 3 and held < 1 << 20
+
+
+def test_large_field_tables_hold_under_two_mebibytes():
+    # as lists of ints, these two fields held 12.3 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fields = [Field(2, 16), Field(3, 10)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(fields) == 2 and held < 2 << 20
 
 
 def _assert_kernels_match_raw(f, pairs):
@@ -272,11 +306,15 @@ def test_bound_kernels_match_raw(p, e):
 
 # every row-kernel family: byte rows (char 2 with q <= 256, primes with
 # 2(p - 1) < 256, so both sides of that switch at 127 and 131), then the
-# family kernels of primes (131, 251, 65521), 2^e above 256 and odd p^e
-# (3^2 and 3^5 below 256, 3^6 and 5^4 above)
+# family kernels of primes (131, 251, 65521), 2^e above 256 on list and
+# array tables (2^12, then 2^14 and 2^16) and odd p^e (3^2 and 3^5 below
+# 256, 3^6 and 5^4 above)
 @pytest.mark.parametrize(
     "p, e",
-    [(2, 1), (7, 1), (127, 1), (131, 1), (251, 1), (2, 8), (3, 2), (3, 5), (65521, 1), (2, 16), (3, 6), (5, 4)],
+    [
+        (2, 1), (7, 1), (127, 1), (131, 1), (251, 1), (2, 8), (3, 2), (3, 5), (65521, 1),
+        (2, 12), (2, 14), (2, 16), (3, 6), (5, 4),
+    ],
 )
 def test_row_kernels_match_element_kernels_and_raw(p, e):
     f = field(p, e)
@@ -325,10 +363,11 @@ def test_row_kernels_match_element_kernels_and_raw(p, e):
 
 # every product-kernel family: packed primes below and above q = 256 and
 # at each slot width, translated GF(2^e) <= 256, and the axpy loop of odd
-# p^e (3^5 below 256, 3^6 above) and of 2^16
+# p^e (3^5 below 256, 3^6 above) and of 2^e on list (2^12) and array
+# tables (2^14, 2^16)
 @pytest.mark.parametrize(
     "p, e",
-    [(2, 1), (3, 1), (7, 1), (251, 1), (257, 1), (65521, 1), (2, 2), (2, 8), (3, 5), (3, 6), (2, 16)],
+    [(2, 1), (3, 1), (7, 1), (251, 1), (257, 1), (65521, 1), (2, 2), (2, 8), (3, 5), (3, 6), (2, 12), (2, 14), (2, 16)],
 )
 def test_matmul_matches_sums_of_raw_products(p, e):
     f = field(p, e)
@@ -379,7 +418,7 @@ def test_exp_table_matches_a_digitwise_walk(p, e, modulus):
     for _ in range(f.q - 2):
         walk.append(f._mul_raw(walk[-1], g))
     assert f._mul_raw(walk[-1], g) == 1 and len(set(walk)) == f.q - 1
-    assert f._exp == walk + walk
+    assert list(f._exp) == walk + walk
 
 
 @pytest.mark.parametrize("f", [field(3, 2), field(5, 2), field(7, 2), field(3, 3), field(3, 5)], ids=repr)
@@ -387,7 +426,10 @@ def test_zech_kernel_matches_digitwise_all_pairs(f):
     _assert_matches_digitwise(f, ((a, b) for a in range(f.q) for b in range(f.q)))
 
 
-@pytest.mark.parametrize("f", [field(3, 6), field(5, 4), field(3, 10), field(251, 2)], ids=repr)
+# list tables (3^6, 5^4, 3^8) and array tables (7^5, 3^10, 251^2)
+@pytest.mark.parametrize(
+    "f", [field(3, 6), field(5, 4), field(3, 8), field(7, 5), field(3, 10), field(251, 2)], ids=repr
+)
 def test_zech_kernel_matches_digitwise_sampled(f):
     rng = stream(20261017, "zech", f.p, f.e)
     pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
@@ -421,18 +463,20 @@ def test_field_unpickles_in_its_table_state_in_a_fresh_process():
 
     import ceq
 
-    f = Field(5, 4)
     code = (
         "import pickle, sys\n"
         "f = pickle.load(sys.stdin.buffer)\n"
-        "print(f.p, f.e, f.modulus, f._exp is not None and f._zech is not None, f.mul(2, 3), f.add(2, 3))"
+        "print(f.p, f.e, f.modulus, type(f._exp).__name__, type(f._zech).__name__, f.mul(2, 3), f.add(2, 3))"
     )
     src = os.path.dirname(os.path.dirname(ceq.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], input=pickle.dumps(f), capture_output=True, env=env, check=True
-    )
-    assert out.stdout.decode() == f"5 4 {f.modulus} True {f._mul_raw(2, 3)} {f._add_raw(2, 3)}\n"
+    # list tables, then array tables
+    for f, kind in ((Field(5, 4), "list"), (Field(7, 5), "array")):
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps(f), capture_output=True, env=env, check=True
+        )
+        want = f"{f.p} {f.e} {f.modulus} {kind} {kind} {f._mul_raw(2, 3)} {f._add_raw(2, 3)}\n"
+        assert out.stdout.decode() == want
 
 
 def test_large_field_exp_log_consistent_with_raw():

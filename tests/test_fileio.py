@@ -6,7 +6,7 @@ from ceq.errors import FormatError
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm
 from ceq.oracle import GenSpec, Planted, generate
-from ceq.reduction import reduce_instance
+from ceq.reduction import ReductionCert, reduce_instance
 from ceq.rng import stream
 
 from helpers import zeros
@@ -81,6 +81,13 @@ def test_cert_degenerate_roundtrip():
     text = fileio.serialize_cert(cert)
     rebuilt = fileio.parse_cert(text, inst)
     assert rebuilt.n == 0
+
+
+def test_cert_without_journal_is_refused_by_name():
+    # a cert built by hand, not by reduction_cert, may lack its journal
+    for n, k, m in ((0, 0, 1), (3, 2, 2)):
+        with pytest.raises(ValueError, match="cert has no journal"):
+            fileio.serialize_cert(ReductionCert(F2, Tag.LCE, n, k, m))
 
 
 def test_rebuild_cert_cross_checks_instance():

@@ -168,7 +168,7 @@ def test_defaults():
     assert Generated(INST) == Generated(INST, None) == Generated(instance=INST)
     assert Generated(INST).witness is None
     assert GenSpec(F3, 1, 2, Tag.PCE, Planted.YES, 0).profile is None
-    cert = ReductionCert(F3, Tag.LCE, 0, 0, 0)
+    cert = ReductionCert(F3, Tag.LCE, 0, 0, 1)
     assert (cert.journal, cert.reject_reason) == (None, None)
     assert ReductionCert(F3, Tag.SPCE, 0, 0, 0, reject_reason=RejectReason.RANK_MISMATCH).rejected
 
@@ -195,6 +195,8 @@ def test_validation_errors():
         GenSpec(F3, 2, 4, Tag.PCE, Planted.YES, 0, (4,))
     with pytest.raises(ValueError, match="duplication count must be at least 2"):
         ReductionCert(F3, Tag.LCE, 3, 2, 1)
+    with pytest.raises(ValueError, match="duplication count must be at least 1"):
+        ReductionCert(F3, Tag.LCE, 0, 0, 0)
     with pytest.raises(DimMismatch, match=re.escape("G is 2x3 but H is 2x2")):
         Instance(F3, G, S, Tag.PCE)
     # a tag, planting or mode spelt as its value is refused, not read as
