@@ -22,25 +22,43 @@ characteristic 2) a form is evaluated as soon as it is complete; other
 forms are evaluated once diag has assigned their largest source index.
 A prefix that breaks a residual is pruned, and every candidate below it
 is counted at once, so node counts are those of a scan that ticks each
-candidate; under a time limit they are still ticked one by one.
+candidate.
 
-BACKTRACKING assigns the permutation column by column. A partial
-assignment pins pairs (x, y) that the change of basis must map onto
-each other; the branch dies as soon as the x-side rank, the y-side
-rank, and the joint rank of those pairs disagree (an invertible map
-with the pinned behaviour then cannot exist), or when column
-multiplicity classes are incompatible. The pairs that add rank live in
-two echelon accumulators: one of their x, and one of their rows (y | x)
-that pivots on the y half. A new pair reduces (y | x) once. If the y
-half vanishes, y lies in the span of the pinned y, and the pair is
-consistent exactly when the x half vanishes too; otherwise it is
-consistent, and adds rank, exactly when x adds x-side rank. Once the
-rank reaches k the change of basis is determined and the remainder of
-the assignment is forced by lookups instead of search: each remaining
-target column y needs the source column S^-1 * y, the negated x half of
-(y | 0) reduced against the pairs. S itself is built once, for the
-witness that is returned, by `row_basis_transform(X, Y)`, where the r
-pinned pairs are the columns of the k x r matrices X and Y. When
+BACKTRACKING assigns the permutation column by column and branches on
+source columns only. Pinning target y to a source value v states
+S * (d * v) = y with the scalar d unknown, since whether the pair adds
+rank does not depend on d. The pairs that add rank are the slots, held
+in two echelon accumulators, one of their values and one of their
+targets, each row carrying its coordinates over the slots. A target
+position reduces y once and each candidate v at most once. If exactly
+one of them leaves the pinned span, the branch dies: the x-side and
+y-side ranks would differ. If both do, the pair becomes a slot with a
+free scalar. If neither does, v = sum a_i v_i and y = sum b_i y_i over
+the slots, and S * (d * v) = y
+holds exactly when a and b have the same support and d / d_i = b_i / a_i
+on it. Each such ratio must be an allowed scalar (1 for PCE, +-1 for
+SPCE, a unit for LCE), and the ratios live in a union-find over the
+slots whose weights compose through the field's mul and inv: a pair that
+gives one component two different weights dies, and one that meets
+several components joins them. While one component holds every slot,
+S^-1 * y is known for each y in the slots' span, so such a pair needs no
+reduction of v, which must lie in the class of S^-1 * y. Once the slots
+have rank k and one component holds them all, S is fixed up to the
+global scalar below, and the rest of the assignment is forced by
+lookups instead of search: each remaining target column y needs the
+source column S^-1 * y. With one allowed scalar (PCE, LCE over GF(2),
+SPCE in characteristic 2) every slot joins the first one's component,
+so S is known up to the global scalar at every step, and node counts
+and witnesses are those of a search that pinned each column with
+scalar 1. With more, branching on
+columns goes on past rank k until the components join; a component that
+no pinned column ties keeps scalar 1 at its root, since every scalar of
+it gives a witness. Compared with branching on the scalar of every
+pinned column, node counts fall and answers stay the same; an LCE or
+SPCE witness may differ, as it is the first one found in column order.
+S itself is built once, for the witness that is returned, by
+`row_basis_transform(X, Y)`, where the r slots, their values scaled by
+their scalars, are the columns of the k x r matrices X and Y. When
 rank(G) = k, r = k and S is unique; when rank(G) < k, S is one of
 several valid choices.
 
@@ -59,7 +77,12 @@ and the members of distinct values are disjoint, so the run takes the
 first unused members across those values in order. It counts one node
 per column of the run, and on a failing run one per column taken plus
 one for the column that fails, so node counts are those of a per-column
-completion (one tick each under a time limit).
+completion.
+
+Under a time limit both deciders read the clock once per searched node
+and once per block of nodes counted at once (the candidates under a
+pruned prefix, the columns of a forced run), so a limit that does not
+bind gives the answer and node count of the run without it.
 
 Both deciders fix one scalar to 1. If (S, M) is a witness, so is
 (c*S, c^-1*M) for every unit c (LCE) or sign c (SPCE), so each class of
@@ -68,10 +91,9 @@ to 1. EXHAUSTIVE enumerates only diagonals with diag[0] = 1; since 1 is
 the first scalar and the accepted candidates are closed under scaling,
 the first accepted candidate already had diag[0] = 1, and the witness
 returned is the same as without the quotient. BACKTRACKING gives the
-first non-zero column it pins scalar 1 only; the subtree under scalar c
-holds a witness iff the subtree under scalar 1 does, and the latter was
-searched first, so again the witness is the same. Only node counts
-fall; PCE, whose only scalar is 1, is unaffected.
+root of each component of slots scalar 1; the first non-zero column it
+pins is slot 0, the root of its component, so that column's scalar is
+1. PCE, whose only scalar is 1, is unaffected.
 
 Both modes return identical YES/NO answers; witnesses may differ.
 Budgets, results and generator specs are immutable `Record`s.
@@ -147,10 +169,12 @@ class _OutOfBudget(Exception):
 class _Ticker:
     """Node counter with budget enforcement.
 
-    `tick` does one comparison per node. Without a time limit the check
-    point is the node after the budget; with one, every node is checked
-    and reads the clock. `skip` counts a block of nodes: pruned
-    candidates, or the columns of a forced run.
+    `tick` counts one searched node and `skip` a block of nodes at once:
+    pruned candidates, or the columns of a forced run. Without a time
+    limit the check point is the node after the budget, and a block that
+    crosses it stops at that node. A time limit adds one clock read per
+    `tick` and one per `skip` block, so a limit that does not bind leaves
+    the answer and the node count as they are without it.
     """
 
     __slots__ = ("nodes", "max_nodes", "deadline", "_check_at")
@@ -167,16 +191,13 @@ class _Ticker:
             self._check()
 
     def skip(self, count: int):
-        """Account for `count` nodes at once. Without a time limit they
-        are added in one step, capped at the node after the budget; with
-        one, each is ticked, so the clock is still read once per node."""
-        if self.deadline is not None:
-            for _ in range(count):
-                self.tick()
-            return
+        """Account for `count` nodes in one step, capped at the node after
+        the budget; under a time limit, read the clock once for the block."""
         self.nodes += count
-        if self.nodes >= self._check_at:
-            self.nodes = self._check_at
+        if self.nodes > self.max_nodes:
+            self.nodes = self.max_nodes + 1
+            raise _OutOfBudget
+        if self.deadline is not None and time.perf_counter() > self.deadline:
             raise _OutOfBudget
 
     def _check(self):
@@ -383,11 +404,12 @@ class _Echelon:
 
 
 def _class_key(fld: Field, tag: Tag, col: tuple) -> tuple:
-    """Canonical representative of a column under the tag's scalar action."""
-    if tag is Tag.PCE:
+    """Canonical representative of a column under the tag's scalar action:
+    the column itself where 1 is the only scalar."""
+    if tag is Tag.PCE or fld.q == 2:
         return col
     if tag is Tag.SPCE:
-        return min(col, tuple(fld.scale(fld.minus_one, col)))
+        return col if fld.p == 2 else min(col, tuple(fld.scale(fld.minus_one, col)))
     for x in col:
         if x:
             return tuple(fld.scale(fld.inv(x), col))
@@ -399,11 +421,16 @@ class _Backtracker:
         self.inst = inst
         self.fld = fld = inst.field
         self.tag = tag = inst.tag
-        self.k = inst.k
+        self.k = k = inst.k
         self.ticker = ticker
         self.hcols = inst.H.cols()
-        self.scalars = _scalars(fld, tag)
-        self.zero = (0,) * self.k
+        self.zero = (0,) * k
+        # the values a ratio of two scalars may take; None for LCE over a
+        # field with more than one unit, where every unit is allowed
+        self.ratios = None if tag is Tag.LCE and fld.q > 2 else frozenset(_scalars(fld, tag))
+        # with one scalar every slot's scalar is the root's: one component
+        # holds every slot, and the coordinates below have width 0
+        self.one_scalar = self.ratios == {1}
 
         # each side's columns grouped by value, members in index order, and
         # one class key per distinct value (see the module docstring)
@@ -433,11 +460,29 @@ class _Backtracker:
         self.used = [False] * n
         self.lock: dict[tuple, tuple] = {}
         self.lock_rev: dict[tuple, tuple] = {}
-        # the pinned pairs S*x = y that add rank: their x, their rows
-        # (y | x) pivoting on y, and the pairs themselves for `_finish`
-        self.acc_x = _Echelon(fld, self.k)
-        self.pairs = _Echelon(fld, self.k)
-        self.basis_pairs: list[tuple[tuple, tuple]] = []
+        # the pinned pairs that add rank, the slots: (value, y) with the
+        # value's scalar unknown. acc_x holds rows (u | c) and acc_y rows
+        # (u | c | x), u the sum of c_i times the value (the y) of slot i
+        # and x the sum of c_i d_i value_i, so that a vector in the pinned
+        # span reduces to (0 | minus its coordinates | minus the x of
+        # them). x is kept exact only while one component holds every
+        # slot, the only time it is read. A vector reduced while r slots
+        # are pinned carries tails[r] = e_r, so that it enters as slot r
+        self.acc_x = _Echelon(fld, k)
+        self.acc_y = _Echelon(fld, k)
+        self.slots: list[tuple[tuple, tuple]] = []
+        if self.one_scalar:
+            self.tails = [()] * (k + 1)
+        else:
+            self.tails = [(0,) * r + (1,) + (0,) * (k - 1 - r) for r in range(k)] + [self.zero]
+        # the scalar ratios, a union-find over the slots: d_i, the scalar of
+        # slot i, is weight[i] times that of its component's root root[i]
+        self.root: list[int] = []
+        self.weight: list[int] = []
+        self.comps = 0
+        # rep -> (slot, ratio) for each non-zero column that branching
+        # pinned: its scalar is ratio times that of the slot
+        self.ties: dict[int, tuple[int, int]] = {}
         self.sigma = [-1] * n
         self.diag = [1] * n
 
@@ -460,35 +505,122 @@ class _Backtracker:
 
     # -- constraint stack ----------------------------------------------------
 
-    def _push(self, x: tuple, y: tuple) -> Optional[bool]:
-        """None: inconsistent (nothing retained). True: consistent, rank
-        grew. False: consistent, no rank change. The same test as x-side
-        rank = y-side rank = joint rank of the pairs (module docstring)."""
-        v = self.pairs.reduce(y + x)
-        if not any(v[: self.k]):
-            # y lies in the pinned span: x must be the source the pairs give it
-            return None if any(v) else False
-        if not self.acc_x.insert(x):
-            return None
-        self.pairs.append(v)
-        self.basis_pairs.append((x, y))
-        return True
+    def _target(self, y: tuple) -> tuple:
+        """What `_push` needs of target y, worked out once per target
+        position: ry, that is y + tails[r] + 0 reduced against acc_y with r
+        slots pinned, and, if y lies in the pinned span and one component
+        holds every slot, S^-1 * y for root scalar 1 and its class key."""
+        k = self.k
+        ry = self.acc_y.reduce(y + self.tails[len(self.slots)] + self.zero)
+        if self.comps > 1 or any(ry[:k]):
+            return ry, None, None
+        x_req = tuple(map(self.fld.neg, ry[k + len(self.tails[k]):]))
+        return ry, x_req, _class_key(self.fld, self.tag, x_req)
 
-    def _pop(self, grew: bool):
+    def _push(self, value: tuple, gkey: tuple, y: tuple, target: tuple) -> Optional[tuple]:
+        """Pin S * (d * value) = y with the scalar d unknown; gkey is the
+        value's class key and target is `_target(y)`. None: inconsistent,
+        nothing retained. Otherwise (grew, tie, undo) for `_pop`: whether
+        the pair became a slot, and d as a (slot, ratio) tie, None for a
+        zero column. The test is the module docstring's."""
+        ry, x_req, x_key = target
+        if x_key is not None:
+            # d * value = S^-1 * y needs the same class
+            if gkey != x_key:
+                return None
+            if x_req == self.zero:
+                return False, None, None
+            if self.one_scalar:
+                return False, (0, 1), None
+            nz = next(i for i, v in enumerate(x_req) if v)
+            return False, (0, self.fld.mul(x_req[nz], self.fld.inv(value[nz]))), None
+        k = self.k
+        r = len(self.slots)
+        rv = self.acc_x.reduce(value + self.tails[r])
+        new_x, new_y = any(rv[:k]), any(ry[:k])
+        if new_x or new_y:
+            if not (new_x and new_y):
+                return None
+            self.acc_x.append(rv)
+            self.acc_y.append(self.fld.axpy(ry, 1, self.zero + self.tails[k] + value))
+            self.slots.append((value, y))
+            # with one scalar every ratio is 1: all slots share one component
+            root = 0 if r and self.one_scalar else r
+            self.comps += root == r
+            self.root.append(root)
+            self.weight.append(1)
+            return True, (r, 1), None
+        # value = sum a_i value_i and y = sum b_i y_i over the slots, with
+        # a_i = -rv[k + i] and b_i = -ry[k + i]; more than one component,
+        # so more than one scalar
+        mul, inv, ratios = self.fld.mul, self.fld.inv, self.ratios
+        root, weight = self.root, self.weight
+        # each component the support meets -> d over the scalar of its root
+        meets: dict[int, int] = {}
+        for i in range(r):
+            a, b = rv[k + i], ry[k + i]
+            if not (a and b):
+                if a or b:
+                    return None
+                continue
+            rho = mul(b, inv(a))  # d / d_i
+            if ratios is not None and rho not in ratios:
+                return None
+            t = mul(rho, weight[i])
+            if meets.setdefault(root[i], t) != t:
+                return None
+        if not meets:
+            return False, None, None
+        first = min(meets)
+        t_first = meets.pop(first)
+        if not meets:
+            return False, (first, t_first), None
+        # join the other components into first's
+        undo = (root[:], weight[:], self.comps, self.acc_y.rows)
+        for c, t in meets.items():
+            f = mul(t_first, inv(t))  # root c's scalar over root first's
+            for i in range(r):
+                if root[i] == c:
+                    root[i] = first
+                    weight[i] = mul(weight[i], f)
+        self.comps -= len(meets)
+        if self.comps == 1:
+            self._rebuild_x()
+        return False, (first, t_first), undo
+
+    def _rebuild_x(self):
+        """Recompute the x part of every acc_y row from its coordinates,
+        once the weights are those of a single component (only a tag with
+        more than one scalar joins components)."""
+        k, axpy, mul = self.k, self.fld.axpy, self.fld.mul
+        rows = []
+        for row in self.acc_y.rows:
+            x = self.zero
+            for c, w, (value, _) in zip(row[k:2 * k], self.weight, self.slots):
+                if c:
+                    x = axpy(x, mul(c, w), value)
+            rows.append(tuple(row[:2 * k]) + tuple(x))
+        self.acc_y.rows = rows
+
+    def _pop(self, pin: tuple):
+        grew, _, undo = pin
         if grew:
             self.acc_x.pop()
-            self.pairs.pop()
-            self.basis_pairs.pop()
+            self.acc_y.pop()
+            self.slots.pop()
+            self.weight.pop()
+            if self.root.pop() == len(self.slots):
+                self.comps -= 1
+        elif undo is not None:
+            self.root, self.weight, self.comps, self.acc_y.rows = undo
 
     # -- search ---------------------------------------------------------------
 
     def _candidates(self, hkey: tuple, locked: Optional[tuple]):
         """Candidates for a target column of class hkey, in a fixed order and
-        one at a time: (gkey, value, rep index, scalar). Duplicates collapse
-        to the smallest unused rep. Until a non-zero column is pinned, a
-        non-zero value takes scalar 1 only (the global scalar is quotiented
-        out, see the module docstring). Each draw reads the search state
-        afresh; `_assign` restores it before drawing the next candidate."""
+        one at a time: (gkey, value, rep index). Duplicates collapse to the
+        smallest unused rep. Each draw reads the search state afresh;
+        `_assign` restores it before drawing the next candidate."""
         if locked is not None:
             gkeys = [locked]
         else:
@@ -498,16 +630,13 @@ class _Backtracker:
                 for key in self.gkeys_by_size.get(size, ())
                 if key not in self.lock_rev
             ]
+        used = self.used
         for gkey in gkeys:
             for value, members in self.gvalues[gkey]:
-                rep = next((i for i in members if not self.used[i]), None)
-                if rep is None:
-                    continue
-                if value == self.zero or self.acc_x.rank == 0:
-                    yield gkey, value, rep, 1
-                else:
-                    for d in self.scalars:
-                        yield gkey, value, rep, d
+                for rep in members:
+                    if not used[rep]:
+                        yield gkey, value, rep
+                        break
 
     def _assign(self, t: int) -> Optional[Witness]:
         """Search from target position t; `decide` starts at 0 once
@@ -519,21 +648,24 @@ class _Backtracker:
         y = self.hcols[j]
         hkey = self.hkeys[j]
         locked = self.lock.get(hkey)
-        scale = self.fld.scale
-        for gkey, value, rep, d in self._candidates(hkey, locked):
+        target = None
+        for gkey, value, rep in self._candidates(hkey, locked):
             self.ticker.tick()
-            x = value if d == 1 else tuple(scale(d, value))
-            grew = self._push(x, y)
-            if grew is None:
+            if target is None:
+                target = self._target(y)
+            pin = self._push(value, gkey, y, target)
+            if pin is None:
                 continue
+            tie = pin[1]
             self.used[rep] = True
             self.sigma[j] = rep
-            self.diag[rep] = d
+            if tie is not None:
+                self.ties[rep] = tie
             did_lock = locked is None
             if did_lock:
                 self.lock[hkey] = gkey
                 self.lock_rev[gkey] = hkey
-            if self.acc_x.rank == self.k:
+            if len(self.slots) == self.k and self.comps <= 1:
                 got = self._complete(t + 1)
             else:
                 got = self._assign(t + 1)
@@ -544,8 +676,8 @@ class _Backtracker:
                 del self.lock_rev[gkey]
             self.used[rep] = False
             self.sigma[j] = -1
-            self.diag[rep] = 1
-            self._pop(grew)
+            self.ties.pop(rep, None)
+            self._pop(pin)
         return None
 
     def _complete(self, t: int) -> Optional[Witness]:
@@ -591,10 +723,8 @@ class _Backtracker:
     def _sources(self, y: tuple) -> list[tuple[list[int], int]]:
         """The G values that target y can take under the pinned S, in order:
         each value's members and the scalar d with S^-1 * y = d * value."""
-        fld, k = self.fld, self.k
-        # (y | 0) reduces to (0 | -S^-1 * y)
-        x_req = tuple(map(fld.neg, self.pairs.reduce(y + self.zero)[k:]))
-        by_val = self.gvalues.get(_class_key(fld, self.tag, x_req), ())
+        _, x_req, key = self._target(y)
+        by_val = self.gvalues.get(key, ())
         if x_req == self.zero:
             return [(members, 1) for _, members in by_val]
         # each value shares x_req's class key, so x_req = d * value with d
@@ -602,17 +732,24 @@ class _Backtracker:
         # (d = 1), min(v, -v) for SPCE (d = +-1), and the column over its
         # first non-zero entry for LCE (d a unit)
         nz = next(i for i, v in enumerate(x_req) if v)
-        c, inv, mul = x_req[nz], fld.inv, fld.mul
+        c, inv, mul = x_req[nz], self.fld.inv, self.fld.mul
         return [(members, mul(c, inv(value[nz]))) for value, members in by_val]
 
     def _finish(self) -> Optional[Witness]:
-        fld, k = self.fld, self.k
-        m = Mono(fld, Perm(tuple(self.sigma)), tuple(self.diag))
-        # the r pinned pairs as columns: two k x r matrices of full column
-        # rank, so both RREFs are [I_r; 0] and S exists (unique when r = k)
-        r = len(self.basis_pairs)
-        xs = [x for x, _ in self.basis_pairs]
-        ys = [y for _, y in self.basis_pairs]
+        """The witness of a complete assignment. The root of each component
+        of slots takes scalar 1, so slot i takes weight[i] (module
+        docstring)."""
+        fld, k, weight = self.fld, self.k, self.weight
+        diag = list(self.diag)
+        for rep, (slot, ratio) in self.ties.items():
+            diag[rep] = fld.mul(ratio, weight[slot])
+        m = Mono(fld, Perm(tuple(self.sigma)), tuple(diag))
+        # the r slots as columns S * (d_i * value_i) = y_i: two k x r
+        # matrices of full column rank, so both RREFs are [I_r; 0] and S
+        # exists (unique when r = k)
+        r = len(self.slots)
+        xs = [value if w == 1 else tuple(fld.scale(w, value)) for w, (value, _) in zip(weight, self.slots)]
+        ys = [y for _, y in self.slots]
         x_mat = Mat._of(fld, zip(*xs) if r else [()] * k, r)
         y_mat = Mat._of(fld, zip(*ys) if r else [()] * k, r)
         w = Witness(row_basis_transform(x_mat, y_mat), m)

@@ -5,8 +5,9 @@ consumed runs of equal target values at once: one target column at a
 time, each taking the first unused member of the first source value
 that has one, one tick each. The run-wise completion must pick the same
 columns and count the same nodes, so status, nodes, detail and witness
-must agree exactly, also under node budgets and time limits that end
-the search inside a run.
+must agree exactly, also under node budgets that end the search inside a
+run. Under a time limit the two read the clock at different points: the
+reference at every column, the run-wise completion once per run.
 
 The same corpus, cut to 96 decides, guards search determinism:
 its node total and a hash of every answer are literals, so a change
@@ -182,22 +183,51 @@ def test_node_budget_ending_inside_a_run(monkeypatch):
     assert swept > 20
 
 
+def _read_marks(inst, monkeypatch):
+    """The node count at each point where the run-wise search reads the
+    clock under a time limit: after every tick and after every block that
+    `skip` counts at once. The run itself has no limit."""
+    marks = []
+    real_tick, real_skip = oracle._Ticker.tick, oracle._Ticker.skip
+
+    def tick(ticker):
+        real_tick(ticker)
+        marks.append(ticker.nodes)
+
+    def skip(ticker, count):
+        real_skip(ticker, count)
+        marks.append(ticker.nodes)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle._Ticker, "tick", tick)
+        mp.setattr(oracle._Ticker, "skip", skip)
+        decide(_fresh(inst), Budget(mode=Mode.BACKTRACKING))
+    return marks
+
+
 def test_time_limit_ending_inside_a_run(monkeypatch):
-    # the fake clock moves one step per read, and under a time limit every
-    # node reads it once, so a limit of nodes - 1 steps ends the search at
-    # node `nodes`, a column that continues a run
+    # the fake clock moves one step per read. The reference reads it at
+    # every column, so a limit of i steps ends it at node i + 1; the
+    # run-wise completion reads it once per run of equal targets, so a
+    # deadline inside a run ends the search at that run's last column,
+    # the whole run counted
     fld = FIELDS[(5, 1)]
     inst = reduce_instance(_hard_no(fld, 2, 6, (2, 2, 1, 1), 2), Tag.LCE)[0]
-    nodes = _run_inside(inst, monkeypatch)[10]
-    budget = Budget(time_limit=(nodes - 1) * _StepClock.step, mode=Mode.BACKTRACKING)
+    marks = _read_marks(inst, monkeypatch)
+    runs = [i for i in range(1, len(marks)) if marks[i] - marks[i - 1] >= 2]
+    assert len(runs) >= 2
+    i = runs[1]
+    budget = Budget(time_limit=i * _StepClock.step, mode=Mode.BACKTRACKING)
     want, got = _both(inst, budget, monkeypatch, _StepClock)
-    assert got == want and want[:2] == ("UNKNOWN", nodes)
+    assert want[:2] == ("UNKNOWN", i + 1)
+    assert got[:2] == ("UNKNOWN", marks[i]) and marks[i] > i + 1
+    assert got[2:] == want[2:]
 
 
 # node total and sha256 of the answers of `corpus(2)`, 96 decides, as the
 # per-column completion computed them
-DETERMINISM_NODES = 3103
-DETERMINISM_SHA256 = "e3b382be7b25241822036516dcc9980686e6387c31aa70b335afaaa82680edb2"
+DETERMINISM_NODES = 1457
+DETERMINISM_SHA256 = "0bebc95021b44b0bcb847cc9d526052b509d66e895b31aa5fbb7c697f6b85e26"
 
 
 def test_search_answers_are_pinned():

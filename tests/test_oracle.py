@@ -107,26 +107,48 @@ class _StepClock:
 
 def test_time_limit_stops_search_at_first_node_past_deadline(monkeypatch):
     # the search on this 7 x 61 gadget pair needs far more nodes than the
-    # limit allows in either mode. decide and its search each read the
-    # clock once before the first node, and decide once more after the last.
+    # limit allows in either mode. decide reads the clock once before the
+    # first node and once after the last; the search reads it once per
+    # ticked node and once per block of nodes counted at once.
     step = _StepClock.step
     limit = 50 * step
     fld = field(2, 8)
     gen = generate(GenSpec(fld, 6, 12, Tag.PCE, Planted.YES, seed=7))
     red, _ = reduce_instance(gen.instance, Tag.LCE)
-    for mode in (Mode.BACKTRACKING, Mode.EXHAUSTIVE):
-        monkeypatch.setattr(oracle, "time", _StepClock())
-        res = decide(red, Budget(time_limit=limit, mode=mode))
-        assert res.status is Status.UNKNOWN and res.witness is None
-        assert limit < res.elapsed <= limit + 3 * step
-        assert res.nodes == 51
+    monkeypatch.setattr(oracle, "time", _StepClock())
+    res = decide(red, Budget(time_limit=limit, mode=Mode.BACKTRACKING))
+    assert res.status is Status.UNKNOWN and res.witness is None
+    assert limit < res.elapsed <= limit + 3 * step
+    assert res.nodes == 51
+    # the exhaustive scan's first pruned prefix already counts more
+    # candidates than the node budget, so the budget ends it there, as it
+    # does without a limit, before the clock is read again
+    monkeypatch.setattr(oracle, "time", _StepClock())
+    res = decide(red, Budget(time_limit=limit, mode=Mode.EXHAUSTIVE))
+    assert res.status is Status.UNKNOWN and res.witness is None
+    assert res.elapsed == step
+    assert res.nodes == Budget().max_nodes + 1
+
+
+def test_time_limit_that_does_not_bind_keeps_the_answer():
+    # a seeded exhaustive NO: most of its 737,280 nodes are counted in
+    # blocks of pruned candidates, with one clock read per block under a
+    # limit. A scan that read the clock once per counted node took about
+    # 100 times its unlimited time and answered UNKNOWN here.
+    inst = generate(GenSpec(F5, 3, 6, Tag.LCE, Planted.UNLABELED, 11)).instance
+    for mode in Mode:
+        free = decide(inst, Budget(mode=mode))
+        assert free.status is Status.NO
+        limited = decide(inst, Budget(time_limit=50 * free.elapsed + 0.05, mode=mode))
+        assert (limited.status, limited.nodes) == (free.status, free.nodes), mode
+    assert free.nodes < 737_280 == decide(inst, Budget(mode=Mode.EXHAUSTIVE)).nodes
 
 
 def test_backtracker_draws_one_scalar_per_node(monkeypatch):
-    # LCE over GF(65521) has 65,520 scalars. Candidates are drawn one at a
-    # time, so a node does bounded work before its tick and a limit stops
-    # the search within a node; listing every scalar of a value before the
-    # first tick would draw about q - 1 of them.
+    # LCE over GF(65521) has 65,520 scalars. Listing every scalar of a
+    # value before the first tick would draw about q - 1 of them; the
+    # search draws none, so a node does bounded work before its tick and a
+    # limit stops the search within a node.
     step = _StepClock.step
     limit = 50 * step
 
@@ -157,9 +179,10 @@ def test_backtracker_draws_one_scalar_per_node(monkeypatch):
     res = decide(red, Budget(time_limit=limit, mode=Mode.BACKTRACKING))
     assert res.status is Status.UNKNOWN and res.nodes == 51
     assert limit < res.elapsed <= limit + 3 * step
-    assert len(gaps) == 51 and max(gaps) <= 1
-    # past the first pinned column the branching does draw scalars
-    assert CountingScalars.drawn > 0
+    # a pinned column's scalar is an unknown that later columns fix, so
+    # the search draws no scalar at all, before any tick or after it
+    assert gaps and max(gaps) == 0
+    assert CountingScalars.drawn == 0
 
 
 def test_unknown_on_tiny_budget():
@@ -175,14 +198,15 @@ def test_unknown_on_tiny_budget():
 
 def test_modes_agree_randomized():
     rng = stream(2024, "agree")
-    fields = [F2, F3, field(2, 2), F5]
+    fields = [F2, F3, field(2, 2), F5, field(7), field(2, 3)]
     for trial in range(150):
         fld = rng.choice(fields)
         n = rng.randrange(1, 7)
         k = rng.randrange(1, min(n, 3) + 1)
         tag = rng.choice(list(Tag))
+        # keeps the exhaustive sweep desk-scale
         if tag is Tag.LCE and fld.q > 3:
-            n = min(n, 5)  # keeps the exhaustive sweep desk-scale
+            n = min(n, 5 if fld.q <= 5 else 4)
         planted = rng.choice([Planted.YES, Planted.UNLABELED, Planted.UNLABELED])
         gen = generate(GenSpec(fld, k, n, tag, planted, seed=trial))
         a = decide(gen.instance, Budget(mode=Mode.EXHAUSTIVE))
@@ -258,7 +282,7 @@ _PINNED_SEARCH = {
             (1, 6, 6, 6),
         )),
     ('SPCE', (7, 1), 2, 4, 'yes', 4, None, 'raw', Mode.BACKTRACKING):
-        ('YES', 4, (
+        ('YES', 5, (
             ((1, 0), (2, 6)),
             (1, 2, 3, 0),
             (1, 6, 6, 1),
@@ -270,7 +294,7 @@ _PINNED_SEARCH = {
             (1, 2, 1, 4),
         )),
     ('LCE', (5, 1), 2, 4, 'yes', 5, None, 'raw', Mode.BACKTRACKING):
-        ('YES', 10, (
+        ('YES', 4, (
             ((2, 3), (0, 2)),
             (0, 1, 2, 3),
             (1, 2, 1, 4),
@@ -280,7 +304,7 @@ _PINNED_SEARCH = {
     ('LCE', (2, 2), 2, 4, 'no', 6, None, 'raw', Mode.BACKTRACKING):
         ('NO', 0, None),
     ('LCE', (3, 1), 2, 5, 'yes', 2, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING):
-        ('YES', 66, (
+        ('YES', 52, (
             ((1, 1, 0), (0, 2, 0), (0, 0, 1)),
             (
                 0, 2, 3, 1, 4, 5, 6, 7, 11, 12, 13, 14, 15, 16, 8, 9, 10, 17, 18, 19,
@@ -289,7 +313,7 @@ _PINNED_SEARCH = {
             (1,) * 36,
         )),
     ('SPCE', (5, 1), 2, 5, 'yes', 1, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING):
-        ('YES', 88, (
+        ('YES', 53, (
             ((2, 0, 0), (3, 1, 0), (0, 0, 1)),
             (
                 4, 1, 3, 2, 0, 11, 12, 13, 8, 9, 10, 14, 15, 16, 17, 18, 19, 5, 6, 7,
@@ -298,7 +322,7 @@ _PINNED_SEARCH = {
             (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 4, 4, 4, 1, 1, 1, 4, 4, 4, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
         )),
     ('SPCE', (7, 1), 2, 5, 'yes', 0, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING):
-        ('YES', 88, (
+        ('YES', 55, (
             ((4, 4, 0), (5, 4, 0), (0, 0, 1)),
             (
                 2, 3, 1, 0, 4, 11, 12, 13, 14, 15, 16, 8, 9, 10, 5, 6, 7, 17, 18, 19,
@@ -316,7 +340,7 @@ _PINNED_SEARCH = {
             (1,) * 36,
         )),
     ('LCE', (5, 1), 2, 6, 'yes', 2, (2, 2, 1, 1), 'gadget', Mode.BACKTRACKING):
-        ('YES', 172, (
+        ('YES', 60, (
             ((1, 3, 0), (0, 1, 0), (0, 0, 1)),
             (
                 0, 2, 3, 4, 1, 5, 6, 7, 8, 12, 13, 14, 9, 10, 11, 15, 16, 17, 18, 19,
@@ -327,17 +351,17 @@ _PINNED_SEARCH = {
         )),
     # hard NOs: certified-NO PCE pairs that pass preprocessing
     ('LCE', (2, 2), 2, 5, 'no', 3, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING):
-        ('NO', 112, None),
+        ('NO', 26, None),
     ('LCE', (5, 1), 2, 6, 'no', 2, (2, 2, 1, 1), 'gadget', Mode.BACKTRACKING):
-        ('NO', 264, None),
+        ('NO', 31, None),
     ('SPCE', (7, 1), 2, 5, 'no', 0, (2, 1, 1, 1), 'gadget', Mode.BACKTRACKING):
-        ('NO', 67, None),
+        ('NO', 21, None),
     # k = 0: the map has rank k before any pair is pinned
     ('LCE', (5, 1), 0, 4, 'unlabeled', 2, None, 'raw', Mode.BACKTRACKING):
         ('YES', 4, ((), (0, 1, 2, 3), (1,) * 4)),
     # rank(G) = 2 < k = 3: S is one of several valid choices
     ('LCE', (3, 1), 2, 5, 'unlabeled', 0, None, 'stacked', Mode.BACKTRACKING):
-        ('YES', 12, (
+        ('YES', 5, (
             ((2, 0, 0), (0, 2, 0), (1, 0, 1)),
             (2, 4, 1, 3, 0),
             (1, 1, 2, 1, 1),
@@ -406,7 +430,7 @@ def test_backtracker_works_once_per_distinct_column_value(monkeypatch):
 
     monkeypatch.setattr(oracle._Backtracker, "__init__", init)
     monkeypatch.setattr(oracle._Backtracker, "_complete", complete)
-    for case in (_LCE_GADGET_YES, _LCE_GADGET_NO):
+    for case in [case for case in _PINNED_SEARCH if case[-2] == "gadget"]:
         assert decide(_pinned_instance(case), Budget(mode=Mode.BACKTRACKING)).nodes == _PINNED_SEARCH[case][1]
     assert all(keys <= distinct < n for keys, distinct, n in setups)
     assert all(sources <= distinct and keys <= distinct for sources, keys, distinct, _ in completions)
@@ -419,7 +443,9 @@ def test_backtracker_works_once_per_distinct_column_value(monkeypatch):
 def test_push_and_pop_match_the_rank_triple(p, e):
     # a pair (x, y) may join the pinned pairs S*x = y exactly when
     # rank X = rank Y = rank [X | Y] still holds over every pair pushed so
-    # far; _push answers None when it does not, else whether rank X grew
+    # far; _push answers None when it does not, else a pin whose first
+    # entry says whether rank X grew. PCE has one scalar, 1, and its class
+    # key of a column is the column itself
     fld = field(p, e)
     add, mul = fld.add, fld.mul
     rng = stream(14, "push-pop", p, e)
@@ -487,12 +513,12 @@ def test_push_and_pop_match_the_rank_triple(p, e):
                     seen["y only"] += ry > rx == before
                     seen["x only"] += rx > ry == before
                     expected = rx > before if rx == ry == rxy else None
-                    got = bt._push(x, y)
-                    assert got is expected, (k, x, y, stack)
+                    got = bt._push(x, x, y, bt._target(y))
+                    assert (None if got is None else got[0]) is expected, (k, x, y, stack)
                     if got is not None:
                         stack.append((x, y, got))
                 r = rank([x for x, _, _ in stack], k)
-                assert bt.acc_x.rank == bt.pairs.rank == len(bt.basis_pairs) == r
+                assert bt.acc_x.rank == bt.acc_y.rank == len(bt.slots) == r
                 if r == k and all(apply(s, x) == y for x, y, _ in stack):
                     for y, want in zip(probes, preimages):
                         assert {bt.inst.G.cols()[i] for members, _ in bt._sources(y) for i in members} == {want}

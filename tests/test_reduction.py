@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import pytest
 
@@ -578,17 +579,47 @@ def _column_orbit_representatives(mats):
     return reps
 
 
+# the n = 4 censuses over GF(4) and GF(5) take seconds to a minute; they
+# run when this environment variable is set to 1
+LONG_CENSUS = os.environ.get("CEQ_LONG_CENSUS") == "1"
+_long = pytest.mark.skipif(not LONG_CENSUS, reason="set CEQ_LONG_CENSUS=1 to run")
+
+
 @pytest.mark.parametrize(
-    "p, k, n, subspaces, orbits, gadget_no_floor",
-    [(3, 2, 4, 130, 16, 600), (2, 3, 5, 155, 10, 225)],
-    ids=["GF3-k2-n4", "GF2-k3-n5"],
+    "p, e, k, n, subspaces, orbits, gadget_no_floor",
+    [
+        (3, 1, 2, 4, 130, 16, 600),
+        (2, 1, 3, 5, 155, 10, 225),
+        (2, 2, 2, 3, 21, 7, 108),
+        (5, 1, 2, 3, 31, 9, 270),
+        (7, 1, 2, 3, 57, 15, 1100),
+        pytest.param(2, 2, 2, 4, 357, 31, 5600, marks=_long),
+        pytest.param(5, 1, 2, 4, 806, 56, 32500, marks=_long),
+    ],
+    ids=["GF3-k2-n4", "GF2-k3-n5", "GF4-k2-n3", "GF5-k2-n3", "GF7-k2-n3", "GF4-k2-n4", "GF5-k2-n4"],
 )
-def test_karp_census(p, k, n, subspaces, orbits, gadget_no_floor):
+def test_karp_census(p, e, k, n, subspaces, orbits, gadget_no_floor):
     """The Karp property on every PCE pair of one size, up to permuting G's
     columns, which does not change PCE equivalence: the truth comes from
     the exhaustive decider, and both gadgets, decided by backtracking, must
-    give the same answer."""
-    fld = field(p)
+    give the same answer.
+
+    Over GF(2) and GF(3) every LCE scalar is a sign; from GF(4) on, LCE has
+    scalars other than +-1, which the gadget's third block (the nm + 1
+    columns e_{k+1}) exists for. Mutants of the gadget checked against the
+    census, each with `reduce_instance`'s shape check and the gadget's
+    recorded column view switched off:
+
+    - without the third block, LCE answers go wrong at n = 3: 6 over
+      GF(4), 4 over GF(5) and 10 over GF(7). The GF(2) and GF(3) cases,
+      and both hard-NO sweeps, pass on that mutant;
+    - a third block of one column instead of nm + 1 passes every case at
+      n = 3, and gives 40 wrong LCE answers over GF(4) and 24 over GF(5)
+      at n = 4, which only the CEQ_LONG_CENSUS cases run;
+    - one duplicate fewer per column (m - 1, with the cert's lower bound
+      on m relaxed) passes every case, up to GF(5) at n = 4.
+    """
+    fld = field(p, e)
     every_h = list(_subspaces(fld, k, n))
     reps = _column_orbit_representatives(every_h)
     assert (len(every_h), len(reps)) == (subspaces, orbits)
