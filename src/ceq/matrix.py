@@ -30,9 +30,9 @@ A `Mat` never changes, so what depends on its rows alone is computed
 once per matrix and kept in its memo: the RREF with and without the
 transform, the columns, the distinct-column view, and what other modules
 store through `Mat.memo`: the reduction keeps its gadgets there, and
-preprocessing, the gadget and the planted generator record under "rank"
-the ranks they know by construction, so that `rank` finds them without
-an RREF. Preprocessing and the gadget likewise record the
+preprocessing, the gadget, the planted generator and the backtracker's
+witness record under "rank" the ranks they know by construction, so
+that `rank` finds them without an RREF. Preprocessing and the gadget likewise record the
 distinct-column view of the matrices they build under "distinct_cols",
 derived from their input's view, so that no pass over the columns is
 needed. Only this module reads the memo directly. Pickling and every
@@ -298,16 +298,28 @@ def row_basis_transform(a: Mat, b: Mat) -> Optional[Mat]:
     """Invertible S with S * a = b for any equal-shape pair with equal row
     span (works at any rank); None when the spans differ.
 
-    From U_a * a = R = U_b * b, S = U_b^-1 * U_a. S is unique exactly when
-    a has full row rank. When b has full row rank k, R's pivot columns
-    are the unit vectors, so column t of U_b^-1 is column piv_t of b: S
-    costs a's RREF with the transform, b's plain RREF (memoized like
-    every RREF) and one product. Only at short rank does b take the
-    transform and an inverse. This is the package's only change-of-basis routine:
-    the deciders recover every witness's S through it."""
+    S is unique exactly when a has full row rank. When a is square and b
+    invertible (its rank read from the memo when recorded), S = b * a^-1,
+    so a^T * S^T = b^T and one elimination of the k x 2k rows
+    [a^T | b^T] gives [I | S^T]; a short rank on the left half means a
+    is singular, so the spans differ. Otherwise, from
+    U_a * a = R = U_b * b, S = U_b^-1 * U_a. When b has full row rank k,
+    R's pivot columns are the unit vectors, so column t of U_b^-1 is
+    column piv_t of b: S costs a's RREF with the transform, b's plain
+    RREF (memoized like every RREF) and one product. Only at short rank
+    does b take the transform and an inverse. This is the package's only
+    change-of-basis routine: the deciders recover every witness's S
+    through it."""
     a._same_field(b)
     if a.k != b.k or a.n != b.n:
         raise DimMismatch(f"{a.k}x{a.n} vs {b.k}x{b.n}")
+    k = a.k
+    if a.n == k and b.rank() == k:
+        aug = [ca + cb for ca, cb in zip(zip(*a.rows), zip(*b.rows))]
+        rows, rank, _ = _eliminate(a.field, aug, k)
+        if rank < k:
+            return None
+        return Mat._of(a.field, zip(*[row[k:] for row in rows]), k)
     ra, rank_a, _, ua = a.rref_with_transform()
     # a short rank_a leaves None or the short-rank case, which needs b's
     # transform; that elimination yields b's RREF as well

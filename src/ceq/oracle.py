@@ -58,9 +58,11 @@ pinned column, node counts fall and answers stay the same; an LCE or
 SPCE witness may differ, as it is the first one found in column order.
 S itself is built once, for the witness that is returned, by
 `row_basis_transform(X, Y)`, where the r slots, their values scaled by
-their scalars, are the columns of the k x r matrices X and Y. When
-rank(G) = k, r = k and S is unique; when rank(G) < k, S is one of
-several valid choices.
+their scalars, are the columns of the k x r matrices X and Y. Each slot
+adds rank on both sides, so Y has rank r by construction and records it.
+When rank(G) = k, r = k and S is unique: X and Y are square, Y is
+invertible, and S costs one elimination of [X^T | Y^T]. When
+rank(G) < k, S is one of several valid choices.
 
 The gadget holds [a_j; 1] once, [a_j; 0] m times and e_{k+1} nm + 1
 times, so a gadget pair has at most 2d + 1 distinct column values for d
@@ -746,12 +748,14 @@ class _Backtracker:
         m = Mono(fld, Perm(tuple(self.sigma)), tuple(diag))
         # the r slots as columns S * (d_i * value_i) = y_i: two k x r
         # matrices of full column rank, so both RREFs are [I_r; 0] and S
-        # exists (unique when r = k)
+        # exists (unique when r = k); Y's rank r is recorded, so at r = k
+        # S costs one elimination
         r = len(self.slots)
         xs = [value if w == 1 else tuple(fld.scale(w, value)) for w, (value, _) in zip(weight, self.slots)]
         ys = [y for _, y in self.slots]
         x_mat = Mat._of(fld, zip(*xs) if r else [()] * k, r)
         y_mat = Mat._of(fld, zip(*ys) if r else [()] * k, r)
+        y_mat.memo("rank", lambda: r)
         w = Witness(row_basis_transform(x_mat, y_mat), m)
         if not verify_witness(self.inst, w):
             raise WitnessInvalid("backtracking search completed a non-verifying witness")
@@ -815,6 +819,12 @@ class GenSpec(Record):
             raise ValueError(f"tag must be a Tag, got {tag!r}")
         if not isinstance(planted, Planted):
             raise ValueError(f"planted must be a Planted, got {planted!r}")
+        try:
+            k, n, seed = index(k), index(n), index(seed)
+            if profile is not None:
+                profile = tuple([*map(index, profile)])
+        except TypeError:
+            raise ValueError("k, n, seed and the profile counts must be integers") from None
         if k < 0 or n < 0:
             raise ValueError("dimensions must be non-negative")
         if planted is not Planted.UNLABELED and k > n:

@@ -203,11 +203,13 @@ def _transform_reference(a, b):
 
 
 def test_row_basis_transform_matches_the_reference():
-    # full-rank, short-rank and span-mismatch pairs; b fresh, or holding
-    # its plain RREF, or holding only the transformed one
+    # full-rank, short-rank and span-mismatch pairs, square ones among
+    # them, plus square pairs where exactly one side is singular; b fresh,
+    # or holding its plain RREF, or only the transformed one, or only its
+    # recorded rank
     fields = [F2, F3, field(2, 2), F5, field(2, 8), field(3, 5), field(65521)]
     rng = stream(20261019, "rbt-reference")
-    kinds = {"full": 0, "short": 0, "mismatch": 0}
+    kinds = {"full": 0, "short": 0, "mismatch": 0, "square singular a": 0, "square singular b": 0}
     for fld in fields:
         for k in range(5):
             for n in range(k, k + 4):
@@ -217,19 +219,29 @@ def test_row_basis_transform_matches_the_reference():
                     other = of_rank(fld, k, min(r, n), n, rng)
                     if other.rref()[0] != a.rref()[0]:
                         pairs.append((a, other))
+                    if n == k and r == k - 1:
+                        singular, invertible = a, rand_invertible(fld, k, rng)
+                        pairs += [(singular, invertible), (invertible, singular)]
                     for x, y in pairs:
                         want = _transform_reference(x, y)
-                        kind = "mismatch" if want is None else "full" if x.rank() == k else "short"
+                        if x.n == k and x.rank() != y.rank():
+                            kind = "square singular a" if x.rank() < k else "square singular b"
+                            assert want is None
+                        else:
+                            kind = "mismatch" if want is None else "full" if x.rank() == k else "short"
                         kinds[kind] += 1
-                        for hold in (None, "rref", "rref_with_transform"):
+                        for hold in (None, "rref", "rref_with_transform", "rank"):
                             fresh_x, fresh_y = Mat(fld, x.rows, n), Mat(fld, y.rows, n)
-                            if hold:
+                            if hold == "rank":
+                                fresh_y.memo("rank", y.rank)
+                            elif hold:
                                 getattr(fresh_y, hold)()
                             got = row_basis_transform(fresh_x, fresh_y)
                             assert got == want
                             if got is not None:
                                 assert got.mul(x) == y and got.is_invertible()
-    assert min(kinds.values()) >= 100, kinds
+    assert min(kinds.values()) >= 25, kinds
+    assert min(kinds["full"], kinds["short"], kinds["mismatch"]) >= 100, kinds
 
 
 def test_identical_columns_preserved_by_invertible_maps():

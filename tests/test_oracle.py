@@ -439,6 +439,45 @@ def test_backtracker_works_once_per_distinct_column_value(monkeypatch):
     assert sum(targets for *_, targets in completions) > 2 * sum(distinct for *_, distinct, _ in completions)
 
 
+def test_full_rank_witness_costs_one_elimination(monkeypatch):
+    # at full rank the slots make X and Y square, and Y records its rank,
+    # so `_finish` builds S with one elimination of [X^T | Y^T]: no RREF of
+    # either side, no inverse and no product (verify_witness reads H's
+    # memoized rank and row-reduces nothing)
+    from ceq import matrix
+
+    real_eliminate, real_finish = matrix._eliminate, oracle._Backtracker._finish
+    inside, per_finish = [], []
+
+    def eliminate(*args):
+        if inside:
+            per_finish[-1] += 1
+        return real_eliminate(*args)
+
+    def finish(bt):
+        inside.append(True)
+        per_finish.append(0)
+        try:
+            return real_finish(bt)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(matrix, "_eliminate", eliminate)
+    monkeypatch.setattr(oracle._Backtracker, "_finish", finish)
+    instances = [
+        generate(GenSpec(field(q), k, n, tag, Planted.YES, seed)).instance
+        for q, k, n in ((2, 3, 6), (5, 3, 5), (7, 2, 4))
+        for tag in Tag
+        for seed in (1, 2)
+    ]
+    instances += [reduce_instance(inst, Tag.LCE)[0] for inst in instances if inst.tag is Tag.PCE]
+    for inst in instances:
+        assert inst.G.rank() == inst.k
+        before = len(per_finish)
+        assert decide(inst, Budget(mode=Mode.BACKTRACKING)).status is Status.YES
+        assert per_finish[before:] == [1]
+
+
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 6)])
 def test_push_and_pop_match_the_rank_triple(p, e):
     # a pair (x, y) may join the pinned pairs S*x = y exactly when
@@ -648,6 +687,32 @@ def test_generate_profile_hint():
 def test_generate_profile_must_sum():
     with pytest.raises(ValueError):
         GenSpec(F5, 2, 5, Tag.PCE, Planted.YES, seed=3, profile=(3, 1))
+
+
+def test_genspec_takes_only_integer_sizes_seeds_and_counts():
+    # each of these ended in a raw TypeError, most of them inside `generate`
+    bad = [
+        dict(k=2.0),
+        dict(n=3.0),
+        dict(seed=1.5),
+        dict(seed="7"),
+        dict(profile=(1.0, 1, 1)),
+        dict(profile="111"),
+        dict(profile=3),
+    ]
+    for change in bad:
+        args = {"k": 2, "n": 3, "seed": 1, "profile": None, **change}
+        with pytest.raises(ValueError, match="must be integers"):
+            GenSpec(F3, args["k"], args["n"], Tag.PCE, Planted.YES, args["seed"], args["profile"])
+    # integer-like values are read through operator.index and stored as ints
+    class Two:
+        def __index__(self):
+            return 2
+
+    spec = GenSpec(F3, Two(), 3, Tag.PCE, Planted.YES, Two(), [Two(), 1])
+    assert (spec.k, spec.seed, spec.profile) == (2, 2, (2, 1))
+    assert type(spec.k) is int and type(spec.seed) is int
+    assert generate(spec) == generate(GenSpec(F3, 2, 3, Tag.PCE, Planted.YES, 2, (2, 1)))
 
 
 def test_generate_planted_needs_k_le_n():

@@ -363,7 +363,8 @@ def test_readme_pipeline_work_counts(monkeypatch):
 
 def test_row_basis_transform_work_counts(monkeypatch):
     # at full rank row_basis_transform reads U_b^-1 off b's pivot columns:
-    # a's RREF with the transform, b's plain RREF, one product, no inverse
+    # a's RREF with the transform, b's plain RREF, one product, no inverse;
+    # a square pair with b invertible takes one elimination instead
     from ceq import matrix
     from ceq.field import field
     from ceq.matrix import Mat, row_basis_transform
@@ -400,6 +401,20 @@ def test_row_basis_transform_work_counts(monkeypatch):
     t = row_basis_transform(short, s.mul(short))
     assert t.mul(short) == s.mul(short)
     assert calls == {"_eliminate": 3, "inv": 1}
+    # a square pair with b invertible: one elimination of [a^T | b^T],
+    # no inverse and no product when b's rank is recorded; a fresh b
+    # pays its RREF for the rank first
+    sq = Mat(fld, [[1, 2, 0], [0, 1, 4], [2, 0, 1]])
+    sq_b = s.mul(sq)
+    calls.update(_eliminate=0, inv=0, mul=0)
+    counting(Mat, "mul")
+    for recorded, eliminations in ((True, 1), (False, 2)):
+        a3, b3 = Mat(fld, sq.rows), Mat(fld, sq_b.rows)
+        if recorded:
+            b3.memo("rank", lambda: 3)
+        calls.update(_eliminate=0)
+        assert row_basis_transform(a3, b3) == s
+        assert calls == {"_eliminate": eliminations, "inv": 0, "mul": 0}
 
 
 def _fresh(code, *args, cwd=None):
