@@ -78,8 +78,10 @@ that sum is XOR. For odd p each image holds one w-bit slot per digit,
 w the bit length of 2(p - 1), so an int sum adds digits without carries
 and one lookup per half maps the slot sums back to digits mod p.
 
-The digit-wise `_add_raw`, `_neg_raw`, `_mul_raw` and `_pow_raw` are the
-reference that the tables are built from and tested against.
+The digit-wise `_mul_raw` and `_pow_raw` are the reference that the
+tables are built from and tested against. No table is built from a
+digit-wise sum or negation, so the reference for `add` and `neg` lives
+with the tests.
 """
 
 from __future__ import annotations
@@ -288,24 +290,6 @@ class Field:
         return range(1, self.q)
 
     # -- raw arithmetic (no tables) ------------------------------------------
-
-    def _add_raw(self, a, b):
-        p = self.p
-        if self.e == 1:
-            return (a + b) % p
-        if p == 2:
-            return a ^ b
-        return _undigits(
-            [(x + y) % p for x, y in zip(_digits(a, p, self.e), _digits(b, p, self.e))], p
-        )
-
-    def _neg_raw(self, a):
-        p = self.p
-        if self.e == 1:
-            return (-a) % p
-        if p == 2:
-            return a
-        return _undigits([(-x) % p for x in _digits(a, p, self.e)], p)
 
     def _mul_raw(self, a, b):
         p, e = self.p, self.e

@@ -32,11 +32,14 @@ transform, the columns, the distinct-column view, and what other modules
 store through `Mat.memo`: the reduction keeps its gadgets there, and
 preprocessing, the gadget, the planted generator and the backtracker's
 witness record under "rank" the ranks they know by construction, so
-that `rank` finds them without an RREF. Preprocessing and the gadget likewise record the
-distinct-column view of the matrices they build under "distinct_cols",
-derived from their input's view, so that no pass over the columns is
-needed. Only this module reads the memo directly. Pickling and every
-constructor start with an empty one, and `==` and `hash` ignore it.
+that `rank` and `row_basis_transform` find them without an RREF. The
+latter has two branches by b's rank: one elimination at full row rank,
+two transforms, an inverse and a product below it. Preprocessing and
+the gadget likewise record the distinct-column view of the matrices
+they build under "distinct_cols", derived from their input's view, so
+that no pass over the columns is needed. Only this module reads the
+memo directly. Pickling and every constructor start with an empty one,
+and `==` and `hash` ignore it.
 """
 
 from __future__ import annotations
@@ -298,39 +301,31 @@ def row_basis_transform(a: Mat, b: Mat) -> Optional[Mat]:
     """Invertible S with S * a = b for any equal-shape pair with equal row
     span (works at any rank); None when the spans differ.
 
-    S is unique exactly when a has full row rank. When a is square and b
-    invertible (its rank read from the memo when recorded), S = b * a^-1,
-    so a^T * S^T = b^T and one elimination of the k x 2k rows
-    [a^T | b^T] gives [I | S^T]; a short rank on the left half means a
-    is singular, so the spans differ. Otherwise, from
-    U_a * a = R = U_b * b, S = U_b^-1 * U_a. When b has full row rank k,
-    R's pivot columns are the unit vectors, so column t of U_b^-1 is
-    column piv_t of b: S costs a's RREF with the transform, b's plain
-    RREF (memoized like every RREF) and one product. Only at short rank
-    does b take the transform and an inverse. This is the package's only
-    change-of-basis routine: the deciders recover every witness's S
-    through it."""
+    b's rank is read from the memo or an RREF b holds; a fresh b takes its
+    RREF with the transform, which the short-rank case reuses. When b has
+    full row rank k, S is unique and S * a = b is a^T * S^T = b^T: one
+    elimination of the n rows [a^T | b^T] on their first k columns gives
+    [I | S^T] on the first k rows and [0 | 0] below them. A short rank on
+    the left, or a non-zero row below, means the spans differ. At short
+    rank S is not unique: from U_a * a = R = U_b * b, S = U_b^-1 * U_a.
+    This is the package's only change-of-basis routine: the deciders
+    recover every witness's S through it."""
     a._same_field(b)
     if a.k != b.k or a.n != b.n:
         raise DimMismatch(f"{a.k}x{a.n} vs {b.k}x{b.n}")
-    k = a.k
-    if a.n == k and b.rank() == k:
+    k, memo = a.k, b._memo
+    rank_b = memo["rank"] if "rank" in memo else (memo.get("rref") or b.rref_with_transform())[1]
+    if rank_b == k:
         aug = [ca + cb for ca, cb in zip(zip(*a.rows), zip(*b.rows))]
         rows, rank, _ = _eliminate(a.field, aug, k)
-        if rank < k:
+        if rank < k or any(map(any, rows[k:])):
             return None
-        return Mat._of(a.field, zip(*[row[k:] for row in rows]), k)
+        return Mat._of(a.field, zip(*[row[k:] for row in rows[:k]]), k)
     ra, rank_a, _, ua = a.rref_with_transform()
-    # a short rank_a leaves None or the short-rank case, which needs b's
-    # transform; that elimination yields b's RREF as well
-    rb, rank_b, piv = (b.rref() if rank_a == b.k else b.rref_with_transform())[:3]
+    rb, _, _, ub = b.rref_with_transform()
     if rank_a != rank_b or ra != rb:
         return None
-    if rank_b == b.k:
-        ub_inv = Mat._of(b.field, [[r[c] for c in piv] for r in b.rows], b.k)
-    else:
-        ub_inv = b.rref_with_transform()[3].inv()
-    return ub_inv.mul(ua)
+    return ub.inv().mul(ua)
 
 
 # ---------------------------------------------------------------------------

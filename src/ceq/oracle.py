@@ -60,9 +60,9 @@ S itself is built once, for the witness that is returned, by
 `row_basis_transform(X, Y)`, where the r slots, their values scaled by
 their scalars, are the columns of the k x r matrices X and Y. Each slot
 adds rank on both sides, so Y has rank r by construction and records it.
-When rank(G) = k, r = k and S is unique: X and Y are square, Y is
-invertible, and S costs one elimination of [X^T | Y^T]. When
-rank(G) < k, S is one of several valid choices.
+When rank(G) = k, r = k: Y has full row rank, S is unique and costs one
+elimination of [X^T | Y^T]. When rank(G) < k, S is one of several valid
+choices, U_Y^-1 * U_X.
 
 The gadget holds [a_j; 1] once, [a_j; 0] m times and e_{k+1} nm + 1
 times, so a gadget pair has at most 2d + 1 distinct column values for d
@@ -106,6 +106,7 @@ from __future__ import annotations
 import enum
 import time
 from itertools import islice
+from numbers import Real
 from operator import index
 from typing import Optional
 
@@ -141,8 +142,10 @@ class Budget(Record):
             raise ValueError("max_nodes must be at least 1")
         # `not >= 0` also catches NaN, which every comparison would
         # otherwise treat as "no deadline yet"
-        if time_limit is not None and not time_limit >= 0:
-            raise ValueError("time_limit must be a non-negative number")
+        if time_limit is not None and (
+            isinstance(time_limit, bool) or not isinstance(time_limit, Real) or not time_limit >= 0
+        ):
+            raise ValueError(f"time_limit must be a non-negative number, got {time_limit!r}")
         if not isinstance(mode, Mode):
             raise ValueError(f"mode must be a Mode, got {mode!r}")
         Record.__init__(self, max_nodes, time_limit, mode)
@@ -391,10 +394,6 @@ class _Echelon:
                 self.pivots.append(j)
                 return True
         return False
-
-    def insert(self, vec) -> bool:
-        """Reduce vec against the basis; extend and return True if it adds rank."""
-        return self.append(self.reduce(vec))
 
     def pop(self):
         self.rows.pop()
@@ -748,8 +747,8 @@ class _Backtracker:
         m = Mono(fld, Perm(tuple(self.sigma)), tuple(diag))
         # the r slots as columns S * (d_i * value_i) = y_i: two k x r
         # matrices of full column rank, so both RREFs are [I_r; 0] and S
-        # exists (unique when r = k); Y's rank r is recorded, so at r = k
-        # S costs one elimination
+        # exists (unique when r = k); Y's rank r is recorded, so
+        # row_basis_transform picks its branch without an RREF of Y
         r = len(self.slots)
         xs = [value if w == 1 else tuple(fld.scale(w, value)) for w, (value, _) in zip(weight, self.slots)]
         ys = [y for _, y in self.slots]
@@ -815,6 +814,8 @@ class GenSpec(Record):
 
     def __init__(self, field: Field, k: int, n: int, tag: Tag, planted: Planted, seed: int,
                  profile: Optional[tuple[int, ...]] = None):
+        if not isinstance(field, Field):
+            raise ValueError(f"field must be a Field, got {field!r}")
         if not isinstance(tag, Tag):
             raise ValueError(f"tag must be a Tag, got {tag!r}")
         if not isinstance(planted, Planted):

@@ -1,4 +1,4 @@
-"""Constructors that only the tests use."""
+"""Constructors and reference arithmetic that only the tests use."""
 
 from ceq.matrix import Mat, Mono
 
@@ -49,3 +49,26 @@ def encode(fld, coeffs) -> int:
     for c in reversed(coeffs):
         x = x * fld.p + c
     return x
+
+
+def add_raw(fld, a: int, b: int) -> int:
+    """a + b digit by digit over F_p, without the field's tables."""
+    p = fld.p
+    out, scale = 0, 1
+    for _ in range(fld.e):
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        out += (x + y) % p * scale
+        scale *= p
+    return out
+
+
+def neg_raw(fld, a: int) -> int:
+    """-a digit by digit over F_p, without the field's tables."""
+    p = fld.p
+    out, scale = 0, 1
+    for _ in range(fld.e):
+        a, x = divmod(a, p)
+        out += (-x) % p * scale
+        scale *= p
+    return out

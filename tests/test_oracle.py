@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from ceq.core import Instance, Tag, verify_witness
@@ -713,6 +715,23 @@ def test_genspec_takes_only_integer_sizes_seeds_and_counts():
     assert (spec.k, spec.seed, spec.profile) == (2, 2, (2, 1))
     assert type(spec.k) is int and type(spec.seed) is int
     assert generate(spec) == generate(GenSpec(F3, 2, 3, Tag.PCE, Planted.YES, 2, (2, 1)))
+
+
+def test_genspec_takes_only_a_field():
+    # a field named by its text, or by its order, reached `generate` and
+    # died there with an AttributeError
+    for fld in ("GF3", 3, None):
+        with pytest.raises(ValueError, match="must be a Field"):
+            GenSpec(fld, 2, 3, Tag.PCE, Planted.YES, 1)
+
+
+def test_budget_takes_only_a_real_time_limit():
+    # a string or a list ended in a raw TypeError, and True read as 1 s
+    for limit in ("5", [1], True, False, 1j, -1, float("nan")):
+        with pytest.raises(ValueError, match="time_limit"):
+            Budget(time_limit=limit)
+    for limit in (None, 0, 2, 0.5, Fraction(1, 4)):
+        assert Budget(time_limit=limit).time_limit == limit
 
 
 def test_generate_planted_needs_k_le_n():

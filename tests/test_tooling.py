@@ -256,6 +256,35 @@ def test_no_unreferenced_private_names():
     assert found == []
 
 
+# the benchmark's harness reads these from outside the package
+READ_BY_THE_BENCHMARK = {"warm", "_rref", "_rref_t"}
+
+
+def test_every_definition_is_read_or_exported():
+    # a function, method or class that nothing in the package reads and
+    # ceq.__all__ does not list is dead code; dunders are read implicitly
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    } - set(ceq.__all__)
+    dead = sorted(unread - READ_BY_THE_BENCHMARK)
+    assert dead == [], f"defined but never read: {', '.join(dead)}"
+    # a name the package comes to read leaves the list
+    assert READ_BY_THE_BENCHMARK <= unread
+
+
 def test_no_private_imports_across_modules():
     # a module's _names are its own; one that another module needs is
     # part of its interface and drops the underscore
@@ -362,9 +391,9 @@ def test_readme_pipeline_work_counts(monkeypatch):
 
 
 def test_row_basis_transform_work_counts(monkeypatch):
-    # at full rank row_basis_transform reads U_b^-1 off b's pivot columns:
-    # a's RREF with the transform, b's plain RREF, one product, no inverse;
-    # a square pair with b invertible takes one elimination instead
+    # at full rank row_basis_transform solves a^T * S^T = b^T in one
+    # elimination, with no product and no inverse; a fresh b pays its RREF
+    # with the transform for the rank first
     from ceq import matrix
     from ceq.field import field
     from ceq.matrix import Mat, row_basis_transform
@@ -415,6 +444,13 @@ def test_row_basis_transform_work_counts(monkeypatch):
         calls.update(_eliminate=0)
         assert row_basis_transform(a3, b3) == s
         assert calls == {"_eliminate": eliminations, "inv": 0, "mul": 0}
+    # a non-square full-rank pair whose b has only its rank recorded:
+    # one elimination of [a^T | b^T], no product and no inverse
+    a4, b4 = Mat(fld, a.rows), Mat(fld, b.rows)
+    b4.memo("rank", lambda: 3)
+    calls.update(_eliminate=0)
+    assert row_basis_transform(a4, b4) == s
+    assert calls == {"_eliminate": 1, "inv": 0, "mul": 0}
 
 
 def _fresh(code, *args, cwd=None):

@@ -14,27 +14,9 @@ def _load(name):
     return module
 
 
-def test_yes_probe_quick_prints_its_keys(capsys):
-    probe = _load("yes_probe")
-    assert probe.main(["--quick", "--rows"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert set(out) == {"runs", "max_nodes", "nodes", "unknown", "rows_sha256", "wall_s", "field_s", "rows"}
-    assert out["runs"] == len(out["rows"]) == 2 * len(probe.SEEDS) * len(probe.TAGS)
-    assert out["max_nodes"] == probe.QUICK_MAX_NODES
-    assert out["nodes"]["total"] == out["nodes"]["LCE"] + out["nodes"]["SPCE"] == sum(r[-1] for r in out["rows"])
-    assert out["unknown"] == sum(r[5] == "UNKNOWN" for r in out["rows"])
-    assert len(out["rows_sha256"]) == 64
-    assert set(out["field_s"]) == {"GF(2^2)", "GF(2^4)"}
-    # the deterministic keys repeat; wall time lives only in *_s keys
-    again, _ = probe.probe(quick=True)
-    assert {k: v for k, v in again.items() if not k.endswith("_s")} == {
-        k: v for k, v in out.items() if not k.endswith("_s") and k != "rows"
-    }
-
-
 def test_answers_quick_prints_its_keys(capsys):
     answers = _load("answers")
-    assert answers.main(["--quick", "--rows"]) == 0
+    assert answers.main(["--stratum", "search", "--quick", "--rows"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert set(out) == {"search"}
     search = out["search"]
@@ -57,4 +39,25 @@ def test_answers_quick_prints_its_keys(capsys):
     again, _ = answers.search(quick=True)
     assert {k: v for k, v in again.items() if not k.endswith("_s")} == {
         k: v for k, v in search.items() if not k.endswith("_s") and k != "rows"
+    }
+
+
+def test_answers_yes_probe_quick_prints_its_keys(capsys):
+    answers = _load("answers")
+    assert answers.main(["--stratum", "yes-probe", "--quick", "--rows"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"yes-probe"}
+    probe = out["yes-probe"]
+    assert set(probe) == {"count", "max_nodes", "nodes", "unknown", "answers_sha256", "wall_s", "field_s", "rows"}
+    rows = probe["rows"]
+    assert probe["count"] == len(rows) == 2 * len(answers.YES_SEEDS) * len(answers.YES_TAGS)
+    assert probe["max_nodes"] == answers.YES_QUICK_MAX_NODES
+    assert probe["nodes"]["total"] == probe["nodes"]["LCE"] + probe["nodes"]["SPCE"] == sum(r[-1] for r in rows)
+    assert probe["unknown"] == sum(r[5] == "UNKNOWN" for r in rows)
+    assert len(probe["answers_sha256"]) == 64
+    assert set(probe["field_s"]) == {"GF(2^2)", "GF(2^4)"}
+    # the deterministic keys repeat; wall time lives only in *_s keys
+    again, _ = answers.yes_probe(quick=True)
+    assert {k: v for k, v in again.items() if not k.endswith("_s")} == {
+        k: v for k, v in probe.items() if not k.endswith("_s") and k != "rows"
     }
