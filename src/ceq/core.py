@@ -77,12 +77,19 @@ class Witness(Record):
         Record.__init__(self, S, M)
 
 
-def diag_allowed(fld: Field, tag: Tag, diag) -> bool:
+def scalars(fld: Field, tag: Tag):
+    """The diagonal entries a witness of the tag may carry: 1 for PCE, the
+    signs for SPCE, every unit for LCE, as a range whose `in` costs O(1)."""
     if tag is Tag.PCE:
-        return set(diag) <= {1}
+        return (1,)
     if tag is Tag.SPCE:
-        return set(diag) <= set(fld.signs())
-    return 0 not in diag
+        return fld.signs()
+    return fld.units()
+
+
+def diag_allowed(fld: Field, tag: Tag, diag) -> bool:
+    allowed = scalars(fld, tag)
+    return 0 not in diag if len(allowed) == fld.q - 1 else set(diag).issubset(allowed)
 
 
 def verify_witness(inst: Instance, w: Witness) -> bool:

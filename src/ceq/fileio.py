@@ -1,7 +1,8 @@
 """Line-oriented text format for instances, witnesses, and reduction certs.
 
 Every file starts with the magic line `%CEQ 1`; unknown versions are
-rejected. Lines are single-space separated, files end with one newline,
+rejected. Tokens are single-space separated (read at runs of spaces and
+tabs), lines end with LF (read also at CRLF, and at nothing else),
 and serialization is canonical so equal values produce byte-identical
 files. Matrix entries and diagonal values use the canonical integer
 element encoding (base-p coefficient packing). Permutations are written
@@ -46,7 +47,7 @@ from . import reduction
 from .core import Instance, RejectReason, Tag, Witness
 from .errors import DimMismatch, FormatError
 from .field import Field, field
-from .matrix import Mat, Mono, Perm
+from .matrix import MAX_DIM, Mat, Mono, Perm
 
 MAGIC = "%CEQ 1"
 
@@ -161,9 +162,15 @@ def field_spec(spec: str, modulus: Optional[str] = None) -> Field:
     return field(*p_e, modulus=coeffs)
 
 
+def _tokens(line: str) -> list[str]:
+    """The runs of characters other than ASCII space and tab."""
+    return [t for t in line.replace("\t", " ").split(" ") if t]
+
+
 class _Reader:
     def __init__(self, text: str, origin: str):
-        self.lines = text.splitlines()
+        # lines break at '\n' or CRLF alone, unlike with str.splitlines
+        self.lines = text.replace("\r\n", "\n").removesuffix("\n").split("\n") if text else []
         self.pos = 0
         self.origin = origin
 
@@ -176,9 +183,7 @@ class _Reader:
         return self.pos >= len(self.lines)
 
     def peek_key(self) -> Optional[str]:
-        if self.done():
-            return None
-        return self.lines[self.pos].split(" ", 1)[0]
+        return None if self.done() else next(iter(_tokens(self.lines[self.pos])), "")
 
     def take(self) -> str:
         if self.done():
@@ -196,7 +201,7 @@ class _Reader:
             raise self.error(f"{msg} ({exc})") from None
 
     def take_ints(self, expected: int) -> list[int]:
-        vals = self.ints(self.take().split(), "expected integers")
+        vals = self.ints(_tokens(self.take()), "expected integers")
         if len(vals) != expected:
             raise self.error(f"expected {expected} integers, got {len(vals)}")
         return vals
@@ -209,8 +214,8 @@ def _parse_magic(r: _Reader):
 
 
 def _parse_field(r: _Reader) -> Field:
-    parts = r.take().split(" ")
-    if parts[0] != "field":
+    parts = _tokens(r.take())
+    if parts[:1] != ["field"]:
         raise r.error("expected a field line")
     if len(parts) == 2:
         modulus = None
@@ -227,12 +232,14 @@ def _parse_field(r: _Reader) -> Field:
 
 
 def _parse_matrix(r: _Reader, fld: Field, label: str) -> Mat:
-    head = r.take().split()
+    head = _tokens(r.take())
     if len(head) != 3 or head[0] != label:
         raise r.error(f"expected '{label} <k> <n>'")
     k, n = r.ints(head[1:], "bad matrix dimensions")
     if k < 0 or n < 0:
         raise r.error("negative matrix dimensions")
+    if k > MAX_DIM or n > MAX_DIM:
+        raise r.error(f"matrix dimensions above {MAX_DIM}")
     rows = [r.take_ints(n) for _ in range(k)]
     try:
         return Mat(fld, rows, n)
@@ -248,7 +255,7 @@ def _parse_end(r: _Reader):
 
 
 def _parse_tag(r: _Reader) -> Tag:
-    parts = r.take().split()
+    parts = _tokens(r.take())
     if len(parts) != 2 or parts[0] != "tag":
         raise r.error("expected 'tag <PCE|SPCE|LCE>'")
     try:
@@ -264,7 +271,7 @@ def parse_instance(text: str, origin: str = "<instance>") -> tuple[Instance, Opt
     tag = _parse_tag(r)
     reject = None
     if r.peek_key() == "reject-reason":
-        parts = r.take().split()
+        parts = _tokens(r.take())
         try:
             _, name = parts
             reject = RejectReason(name)
@@ -288,12 +295,12 @@ def parse_witness(text: str, origin: str = "<witness>") -> tuple[Field, Witness]
     s = _parse_matrix(r, fld, "S")
     if s.k != s.n:
         raise r.error(f"expected 'S <k> <k>', got a {s.k}x{s.n} S", s_line)
-    parts = r.take().split()
+    parts = _tokens(r.take())
     if not parts or parts[0] != "perm":
         raise r.error("expected a perm line")
     perm_line = r.pos
     sigma = tuple(x - 1 for x in r.ints(parts[1:], "bad permutation entries"))
-    parts = r.take().split()
+    parts = _tokens(r.take())
     if not parts or parts[0] != "diag":
         raise r.error("expected a diag line")
     diag = tuple(r.ints(parts[1:], "bad diagonal entries"))
@@ -317,7 +324,7 @@ def parse_cert(text: str, original: Instance, origin: str = "<cert>") -> reducti
     """
     if original.tag is not Tag.PCE:
         raise FormatError(f"{origin}: a cert pairs only with a PCE instance, got {original.tag.value}")
-    lines = text.splitlines()
+    lines = _Reader(text, origin).lines
     target = Tag.SPCE if lines[2:3] == ["target SPCE"] else Tag.LCE
     cert = reduction.reduction_cert(original, target)
     expected = serialize_cert(cert).splitlines()
@@ -328,8 +335,9 @@ def parse_cert(text: str, original: Instance, origin: str = "<cert>") -> reducti
 
 
 def _read_text(path: PathLike) -> str:
+    # text mode would turn a lone '\r' into a line break
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 

@@ -51,6 +51,10 @@ from .errors import DimMismatch, FieldMismatch, NotSquare, Singular
 from .field import Field
 from .record import Record
 
+# the largest dimension a matrix read from a file or asked of the generator
+# may declare: far above desk scale, and a rowless matrix's columns fit
+MAX_DIM = 1 << 20
+
 
 class Mat:
     """Immutable k x n matrix; entries are canonical field ints."""
@@ -268,6 +272,8 @@ def _eliminate(fld: Field, rows: list, n: int):
     piv_cols = []
     r = 0
     for c in range(n):
+        if r == k:
+            break
         pr = None
         for i in range(r, k):
             if rows[i][c]:
@@ -288,8 +294,6 @@ def _eliminate(fld: Field, rows: list, n: int):
                     rows[i] = axpy(rows[i], neg(f), prow)
         piv_cols.append(c)
         r += 1
-        if r == k:
-            break
     return rows, r, piv_cols
 
 

@@ -2,7 +2,9 @@
 
 The deciders are deliberately naive searches over the full matrix
 groups, meant to validate the reductions at desk scale rather than to
-compete with structural equivalence algorithms.
+compete with structural equivalence algorithms. Both read a tag's
+allowed diagonal entries, its scalars, from `core.scalars` alone: 1 for
+PCE, +-1 for SPCE, every unit for LCE.
 
 EXHAUSTIVE scans permutations in lexicographic order of sigma and,
 inside each, diagonal vectors in lexicographic order of the encoded
@@ -17,9 +19,9 @@ reads, and it is complete once sigma has placed position f (R's pivots
 in it lie left of f). The scan places sigma position by position and
 then diag source by source, in the same order, and checks each residual
 once per prefix instead of once per candidate: a complete form with a
-single non-zero term never vanishes, and with one scalar (PCE, SPCE in
-characteristic 2) a form is evaluated as soon as it is complete; other
-forms are evaluated once diag has assigned their largest source index.
+single non-zero term never vanishes, and with one scalar a form is
+evaluated as soon as it is complete; other forms are evaluated once
+diag has assigned their largest source index.
 A prefix that breaks a residual is pruned, and every candidate below it
 is counted at once, so node counts are those of a scan that ticks each
 candidate.
@@ -34,28 +36,26 @@ position reduces y once and each candidate v at most once. If exactly
 one of them leaves the pinned span, the branch dies: the x-side and
 y-side ranks would differ. If both do, the pair becomes a slot with a
 free scalar. If neither does, v = sum a_i v_i and y = sum b_i y_i over
-the slots, and S * (d * v) = y
-holds exactly when a and b have the same support and d / d_i = b_i / a_i
-on it. Each such ratio must be an allowed scalar (1 for PCE, +-1 for
-SPCE, a unit for LCE), and the ratios live in a union-find over the
-slots whose weights compose through the field's mul and inv: a pair that
-gives one component two different weights dies, and one that meets
-several components joins them. While one component holds every slot,
+the slots, and S * (d * v) = y holds exactly when a and b have the same
+support and d / d_i = b_i / a_i on it. Each such ratio must be an
+allowed scalar, and the ratios live in a union-find over the slots whose
+weights compose through the field's mul and inv: a pair that gives one
+component two different weights dies, and one that meets several
+components joins them. While one component holds every slot,
 S^-1 * y is known for each y in the slots' span, so such a pair needs no
 reduction of v, which must lie in the class of S^-1 * y. Once the slots
 have rank k and one component holds them all, S is fixed up to the
 global scalar below, and the rest of the assignment is forced by
 lookups instead of search: each remaining target column y needs the
-source column S^-1 * y. With one allowed scalar (PCE, LCE over GF(2),
-SPCE in characteristic 2) every slot joins the first one's component,
-so S is known up to the global scalar at every step, and node counts
-and witnesses are those of a search that pinned each column with
-scalar 1. With more, branching on
-columns goes on past rank k until the components join; a component that
-no pinned column ties keeps scalar 1 at its root, since every scalar of
-it gives a witness. Compared with branching on the scalar of every
-pinned column, node counts fall and answers stay the same; an LCE or
-SPCE witness may differ, as it is the first one found in column order.
+source column S^-1 * y. With one allowed scalar every slot joins the
+first one's component, so S is known up to the global scalar at every
+step, and node counts and witnesses are those of a search that pinned
+each column with scalar 1. With more, branching on columns goes on past
+rank k until the components join; a component that no pinned column
+ties keeps scalar 1 at its root, since every scalar of it gives a
+witness. Compared with branching on the scalar of every pinned column,
+node counts fall and answers stay the same; an LCE or SPCE witness may
+differ, as it is the first one found in column order.
 S itself is built once, for the witness that is returned, by
 `row_basis_transform(X, Y)`, where the r slots, their values scaled by
 their scalars, are the columns of the k x r matrices X and Y. Each slot
@@ -68,15 +68,17 @@ The gadget holds [a_j; 1] once, [a_j; 0] m times and e_{k+1} nm + 1
 times, so a gadget pair has at most 2d + 1 distinct column values for d
 distinct columns of A. The backtracker's set-up therefore groups each
 side's columns by value once, with members in index order, and computes
-one class key per distinct value; the classes, their sizes and the
-target order (H classes by size and key, each class's members in index
-order) come from those records. A forced completion computes S^-1 * y,
-its class key and the scalars of the matching source values once per
-distinct target value y. The completion consumes a run of equal
-consecutive target values at once: one column at a time would take, for
-each, the first unused member of the first source value that has one,
-and the members of distinct values are disjoint, so the run takes the
-first unused members across those values in order. It counts one node
+one class key per distinct value: the lexicographically least multiple
+of the value by an allowed scalar, so two values share a key exactly
+when one is an allowed multiple of the other. The classes, their sizes
+and the target order (H classes by size and key, each class's members
+in index order) come from those records. A forced completion computes
+S^-1 * y, its class key and the scalars of the matching source values
+once per distinct target value y. The completion consumes a run of
+equal consecutive target values at once: one column at a time would
+take, for each, the first unused member of the first source value that
+has one, and the members of distinct values are disjoint, so the run
+takes the first unused members across those values in order. It counts one node
 per column of the run, and on a failing run one per column taken plus
 one for the column that fails, so node counts are those of a per-column
 completion.
@@ -87,11 +89,11 @@ pruned prefix, the columns of a forced run), so a limit that does not
 bind gives the answer and node count of the run without it.
 
 Both deciders fix one scalar to 1. If (S, M) is a witness, so is
-(c*S, c^-1*M) for every unit c (LCE) or sign c (SPCE), so each class of
-witnesses under this global scalar has a member with that scalar equal
-to 1. EXHAUSTIVE enumerates only diagonals with diag[0] = 1; since 1 is
-the first scalar and the accepted candidates are closed under scaling,
-the first accepted candidate already had diag[0] = 1, and the witness
+(c*S, c^-1*M) for every allowed scalar c, so each class of witnesses
+under this global scalar has a member with that scalar equal to 1.
+EXHAUSTIVE enumerates only diagonals with diag[0] = 1; since 1 is the
+first scalar and the accepted candidates are closed under scaling, the
+first accepted candidate already had diag[0] = 1, and the witness
 returned is the same as without the quotient. BACKTRACKING gives the
 root of each component of slots scalar 1; the first non-zero column it
 pins is slot 0, the root of its component, so that column's scalar is
@@ -110,10 +112,10 @@ from numbers import Real
 from operator import index
 from typing import Optional
 
-from .core import Instance, Tag, Witness, verify_witness
+from .core import Instance, Tag, Witness, scalars, verify_witness
 from .errors import BudgetExceeded, WitnessInvalid
 from .field import Field
-from .matrix import Mat, Mono, Perm, row_basis_transform
+from .matrix import MAX_DIM, Mat, Mono, Perm, row_basis_transform
 from .record import Record
 from .rng import stream
 
@@ -157,14 +159,6 @@ class DecideResult(Record):
     def __init__(self, status: Status, witness: Optional[Witness], nodes: int, elapsed: float,
                  detail: str = ""):
         Record.__init__(self, status, witness, nodes, elapsed, detail)
-
-
-def _scalars(fld: Field, tag: Tag) -> tuple[int, ...]:
-    if tag is Tag.PCE:
-        return (1,)
-    if tag is Tag.SPCE:
-        return fld.signs()
-    return tuple(fld.units())
 
 
 class _OutOfBudget(Exception):
@@ -218,7 +212,8 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
     """Scan candidates. Returns a witness or None after scanning them all."""
     fld, g, h = inst.field, inst.G, inst.H
     n = g.n
-    scal = _scalars(fld, inst.tag)
+    # a tuple, as the scan indexes it once per candidate
+    scal = tuple(scalars(fld, inst.tag))
     rg, rank_g, _ = g.rref()
     rh, _, piv_h = h.rref()
     reduced_rows = rg.rows[:rank_g]
@@ -245,12 +240,16 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
         if f not in piv_h:
             check_at[f] = [(c, neg(row[f])) for c, row in zip(piv_h, rh.rows) if row[f]]
     single = len(scal) == 1
-    # candidates under a pruned prefix: (n-1-p)! * |scal|^(n-1) below
-    # sigma position p, |scal|^(n-1-s) below diag index s
-    below_diag = [len(scal) ** (n - 1 - s) for s in range(n)]
-    below_sigma = [below_diag[0]] * n
-    for p in range(n - 2, -1, -1):
-        below_sigma[p] = below_sigma[p + 1] * (n - 1 - p)
+    # candidates under a pruned prefix, counted up from a leaf: |scal|^i
+    # below diag index n-1-i, then (n-1-p)! * |scal|^(n-1) below sigma
+    # position p; each is capped where the budget ends the search anyway,
+    # so that no count grows to n digits
+    cap = ticker.max_nodes + 1
+    below = [1]
+    for f in [len(scal)] * (n - 1) + list(range(1, n)):
+        x = below[-1] * f
+        below.append(x if x < cap else cap)
+    below_diag, below_sigma = below[n - 1::-1], below[::-1][:n]
 
     # sigma[p] is -1 while no value is placed at position p; diag[0] = 1
     # since the global scalar is quotiented out (module docstring)
@@ -385,53 +384,45 @@ class _Echelon:
                 v = axpy(v, neg(coef), row)
         return v
 
-    def append(self, v) -> bool:
-        """Append a reduced row, scaled to pivot 1, and return True if it
-        has a pivot; return False, appending nothing, if it has none."""
+    def append(self, v):
+        """Append a reduced row that has a pivot, scaled to pivot 1."""
         for j in range(self.width):
             if v[j]:
-                self.rows.append(self.fld.scale(self.fld.inv(v[j]), v))
-                self.pivots.append(j)
-                return True
-        return False
+                break
+        self.rows.append(self.fld.scale(self.fld.inv(v[j]), v))
+        self.pivots.append(j)
 
     def pop(self):
         self.rows.pop()
         self.pivots.pop()
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
-
-def _class_key(fld: Field, tag: Tag, col: tuple) -> tuple:
-    """Canonical representative of a column under the tag's scalar action:
-    the column itself where 1 is the only scalar."""
-    if tag is Tag.PCE or fld.q == 2:
+def _class_key(fld: Field, scal, col: tuple) -> tuple:
+    """The lexicographically least multiple of a column by an allowed
+    scalar: the column itself where 1 is the only scalar, the column over
+    its first non-zero entry where every unit is, and min(col, -col) for
+    the signs otherwise. Over GF(3) the units are the signs, and the last
+    two rules agree."""
+    if len(scal) == 1:
         return col
-    if tag is Tag.SPCE:
-        return col if fld.p == 2 else min(col, tuple(fld.scale(fld.minus_one, col)))
-    for x in col:
-        if x:
-            return tuple(fld.scale(fld.inv(x), col))
-    return col
+    if len(scal) == fld.q - 1:
+        for x in col:
+            if x:
+                return tuple(fld.scale(fld.inv(x), col))
+        return col
+    return min(col, tuple(fld.scale(fld.minus_one, col)))
 
 
 class _Backtracker:
     def __init__(self, inst: Instance, ticker: _Ticker):
         self.inst = inst
         self.fld = fld = inst.field
-        self.tag = tag = inst.tag
         self.k = k = inst.k
         self.ticker = ticker
         self.hcols = inst.H.cols()
         self.zero = (0,) * k
-        # the values a ratio of two scalars may take; None for LCE over a
-        # field with more than one unit, where every unit is allowed
-        self.ratios = None if tag is Tag.LCE and fld.q > 2 else frozenset(_scalars(fld, tag))
-        # with one scalar every slot's scalar is the root's: one component
-        # holds every slot, and the coordinates below have width 0
-        self.one_scalar = self.ratios == {1}
+        # the allowed scalars, also the values a ratio of two of them takes
+        self.scal = scal = scalars(fld, inst.tag)
 
         # each side's columns grouped by value, members in index order, and
         # one class key per distinct value (see the module docstring)
@@ -440,7 +431,7 @@ class _Backtracker:
         for cols, by_val in ((inst.G.cols(), gvals), (self.hcols, hvals)):
             for i, col in enumerate(cols):
                 by_val.setdefault(col, []).append(i)
-        keys = {col: _class_key(fld, tag, col) for col in {*gvals, *hvals}}
+        keys = {col: _class_key(fld, scal, col) for col in {*gvals, *hvals}}
         self.hkeys = [keys[col] for col in self.hcols]
 
         # the values inside each G class in sorted order, each with its
@@ -472,10 +463,7 @@ class _Backtracker:
         self.acc_x = _Echelon(fld, k)
         self.acc_y = _Echelon(fld, k)
         self.slots: list[tuple[tuple, tuple]] = []
-        if self.one_scalar:
-            self.tails = [()] * (k + 1)
-        else:
-            self.tails = [(0,) * r + (1,) + (0,) * (k - 1 - r) for r in range(k)] + [self.zero]
+        self.tails = [(0,) * r + (1,) + (0,) * (k - 1 - r) for r in range(k)] + [self.zero]
         # the scalar ratios, a union-find over the slots: d_i, the scalar of
         # slot i, is weight[i] times that of its component's root root[i]
         self.root: list[int] = []
@@ -515,8 +503,8 @@ class _Backtracker:
         ry = self.acc_y.reduce(y + self.tails[len(self.slots)] + self.zero)
         if self.comps > 1 or any(ry[:k]):
             return ry, None, None
-        x_req = tuple(map(self.fld.neg, ry[k + len(self.tails[k]):]))
-        return ry, x_req, _class_key(self.fld, self.tag, x_req)
+        x_req = tuple(map(self.fld.neg, ry[2 * k:]))
+        return ry, x_req, _class_key(self.fld, self.scal, x_req)
 
     def _push(self, value: tuple, gkey: tuple, y: tuple, target: tuple) -> Optional[tuple]:
         """Pin S * (d * value) = y with the scalar d unknown; gkey is the
@@ -531,8 +519,6 @@ class _Backtracker:
                 return None
             if x_req == self.zero:
                 return False, None, None
-            if self.one_scalar:
-                return False, (0, 1), None
             nz = next(i for i, v in enumerate(x_req) if v)
             return False, (0, self.fld.mul(x_req[nz], self.fld.inv(value[nz]))), None
         k = self.k
@@ -546,7 +532,7 @@ class _Backtracker:
             self.acc_y.append(self.fld.axpy(ry, 1, self.zero + self.tails[k] + value))
             self.slots.append((value, y))
             # with one scalar every ratio is 1: all slots share one component
-            root = 0 if r and self.one_scalar else r
+            root = 0 if r and len(self.scal) == 1 else r
             self.comps += root == r
             self.root.append(root)
             self.weight.append(1)
@@ -554,7 +540,7 @@ class _Backtracker:
         # value = sum a_i value_i and y = sum b_i y_i over the slots, with
         # a_i = -rv[k + i] and b_i = -ry[k + i]; more than one component,
         # so more than one scalar
-        mul, inv, ratios = self.fld.mul, self.fld.inv, self.ratios
+        mul, inv, scal = self.fld.mul, self.fld.inv, self.scal
         root, weight = self.root, self.weight
         # each component the support meets -> d over the scalar of its root
         meets: dict[int, int] = {}
@@ -565,7 +551,7 @@ class _Backtracker:
                     return None
                 continue
             rho = mul(b, inv(a))  # d / d_i
-            if ratios is not None and rho not in ratios:
+            if rho not in scal:
                 return None
             t = mul(rho, weight[i])
             if meets.setdefault(root[i], t) != t:
@@ -728,10 +714,8 @@ class _Backtracker:
         by_val = self.gvalues.get(key, ())
         if x_req == self.zero:
             return [(members, 1) for _, members in by_val]
-        # each value shares x_req's class key, so x_req = d * value with d
-        # allowed for the tag: the key is the column itself for PCE
-        # (d = 1), min(v, -v) for SPCE (d = +-1), and the column over its
-        # first non-zero entry for LCE (d a unit)
+        # each value shares x_req's class key, its least multiple by an
+        # allowed scalar, so x_req = d * value with d allowed
         nz = next(i for i, v in enumerate(x_req) if v)
         c, inv, mul = x_req[nz], self.fld.inv, self.fld.mul
         return [(members, mul(c, inv(value[nz]))) for value, members in by_val]
@@ -826,8 +810,8 @@ class GenSpec(Record):
                 profile = tuple([*map(index, profile)])
         except TypeError:
             raise ValueError("k, n, seed and the profile counts must be integers") from None
-        if k < 0 or n < 0:
-            raise ValueError("dimensions must be non-negative")
+        if not (0 <= k <= MAX_DIM and 0 <= n <= MAX_DIM):
+            raise ValueError(f"dimensions must lie in [0, {MAX_DIM}]")
         if planted is not Planted.UNLABELED and k > n:
             raise ValueError("planted instances need k <= n for full row rank")
         if profile is not None:
@@ -887,13 +871,9 @@ def _sample_invertible(fld: Field, k: int, rng) -> Mat:
 def _sample_action(fld: Field, n: int, tag: Tag, rng) -> Mono:
     sigma = list(range(n))
     rng.shuffle(sigma)
-    if tag is Tag.PCE:
-        diag = (1,) * n
-    elif tag is Tag.SPCE:
-        signs = fld.signs()
-        diag = tuple(rng.choice(signs) for _ in range(n))
-    else:
-        diag = tuple(rng.randrange(1, fld.q) for _ in range(n))
+    scal = scalars(fld, tag)
+    # PCE draws nothing: a choice over its one scalar would still take bits
+    diag = (1,) * n if tag is Tag.PCE else tuple(rng.choice(scal) for _ in range(n))
     return Mono(fld, Perm(tuple(sigma)), diag)
 
 

@@ -437,6 +437,55 @@ def test_oversized_field_spec_exits_promptly(tmp_path, spec, source):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["reduce", "solve", "gen"])
+def test_oversized_dimensions_exit_promptly(tmp_path, command):
+    # a matrix with no rows has no entries to bound its width; a width of
+    # 10^30 is refused before anything is built or scanned for it
+    width = "1" + "0" * 30
+    inst = tmp_path / "wide.ceq"
+    inst.write_text(f"%CEQ 1\nfield 2\ntag PCE\nG 0 {width}\nH 0 {width}\n")
+    args = {
+        "reduce": ["reduce", "--in", inst, "--target", "lce", "--out", tmp_path / "r.ceq",
+                   "--cert-out", tmp_path / "r.cert"],
+        "solve": ["solve", "--in", inst],
+        "gen": ["gen", "--k", "0", "--n", width, "--field", "2", "--tag", "PCE",
+                "--planted", "unlabeled", "--seed", "0", "--out", tmp_path / "g.ceq"],
+    }[command]
+    proc = subprocess.run([sys.executable, "-m", "ceq", *map(str, args)],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("which, old, new", [
+    ("instance", "\n", "\u2028"),
+    ("instance", "\n", "\x85"),
+    ("instance", " ", "\u3000"),
+    ("witness", " ", "\u3000"),
+    ("witness", "\n", "\x0b"),
+])
+def test_verify_refuses_foreign_separators(tmp_path, capsys, which, old, new):
+    # str.splitlines and str.split take these, the writer writes none of
+    # them: a file that uses one is a format error, not a valid file. The
+    # instance's lines after the magic, or the witness's perm and diag
+    # lines, are rewritten
+    inst = tmp_path / "x.ceq"
+    wit = tmp_path / "x.wit"
+    assert run(["gen", "--k", 2, "--n", 4, "--field", 5, "--tag", "LCE",
+                "--planted", "yes", "--seed", 3, "--out", inst, "--witness-out", wit]) == 0
+    assert run(["verify", "--instance", inst, "--witness", wit]) == 0
+    path = {"instance": inst, "witness": wit}[which]
+    text = path.read_text()
+    cut = text.index("\n") + 1 if which == "instance" else text.index("perm")
+    path.write_text(text[:cut] + text[cut:-1].replace(old, new) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["verify", "--instance", inst, "--witness", wit]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:")
+    assert "Traceback" not in err
+
+
 def test_solve_has_no_workers_flag(tmp_path):
     inst = tmp_path / "x.ceq"
     wit = tmp_path / "x.wit"

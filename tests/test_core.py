@@ -11,6 +11,7 @@ from ceq.core import (
     map_witness_to_normalized,
     map_witness_to_original,
     preprocess,
+    scalars,
     verify_witness,
 )
 from ceq.errors import DimMismatch, WitnessInvalid
@@ -81,6 +82,25 @@ def test_verify_scaled_swap_example():
     assert verify_witness(Instance(F3, g, h, Tag.LCE), Witness(s, m))
     # diagonal is all ones, so the same witness is fine for PCE
     assert verify_witness(Instance(F3, g, h, Tag.PCE), Witness(s, m))
+
+
+def test_scalars_are_the_tags_diagonal_groups():
+    # 1 for PCE, the signs for SPCE ((1,) in characteristic 2, else
+    # (1, p - 1)), every unit for LCE; diag_allowed takes exactly these
+    table = {
+        (2, 1): ((1,), (1,), (1,)),
+        (3, 1): ((1,), (1, 2), (1, 2)),
+        (2, 2): ((1,), (1,), (1, 2, 3)),
+        (5, 1): ((1,), (1, 4), (1, 2, 3, 4)),
+        (3, 2): ((1,), (1, 2), (1, 2, 3, 4, 5, 6, 7, 8)),
+    }
+    for (p, e), row in table.items():
+        fld = field(p, e)
+        for tag, want in zip((Tag.PCE, Tag.SPCE, Tag.LCE), row):
+            assert tuple(scalars(fld, tag)) == want, (fld, tag)
+            assert [d for d in range(fld.q) if diag_allowed(fld, tag, (1, d))] == list(want)
+    # every unit as a range, so a membership test costs O(1)
+    assert scalars(field(65521), Tag.LCE) == range(1, 65521)
 
 
 def test_verify_rejects_tag_violations():
@@ -185,7 +205,7 @@ def _planted_repeated(fld, k, n_distinct, n, tag, rng):
     s = rand_invertible(fld, k, rng)
     sigma = list(range(n))
     rng.shuffle(sigma)
-    scal = {Tag.PCE: (1,), Tag.SPCE: fld.signs(), Tag.LCE: tuple(fld.units())}[tag]
+    scal = scalars(fld, tag)
     # equal columns often share a scalar, so some swaps of them stay valid
     by_col = {c: rng.choice(scal) for c in cols}
     diag = tuple(by_col[c] if rng.random() < 0.7 else rng.choice(scal) for c in cols)
@@ -215,7 +235,7 @@ def _mutants(inst, w, rng):
     fld, n, k = inst.field, inst.n, inst.k
     cols = inst.G.cols()
     sigma, diag = list(w.M.perm.sigma), list(w.M.diag)
-    scal = {Tag.PCE: (1,), Tag.SPCE: fld.signs(), Tag.LCE: tuple(fld.units())}[inst.tag]
+    scal = scalars(fld, inst.tag)
 
     def with_m(sig, dg):
         return Witness(w.S, Mono(fld, Perm(tuple(sig)), tuple(dg)))

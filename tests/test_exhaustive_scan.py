@@ -14,7 +14,7 @@ import time
 import pytest
 
 from ceq import oracle
-from ceq.core import Instance, Tag, Witness, diag_allowed, verify_witness
+from ceq.core import Instance, Tag, Witness, scalars, verify_witness
 from ceq.errors import WitnessInvalid
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm, row_basis_transform
@@ -29,7 +29,7 @@ MAX_CANDIDATES = 1500
 def reference_scan(inst, ticker):
     fld, g, h = inst.field, inst.G, inst.H
     n = g.n
-    scal = oracle._scalars(fld, inst.tag)
+    scal = scalars(fld, inst.tag)
     rg, rank_g, _ = g.rref()
     rh, rank_h, piv_h = h.rref()
     reduced_rows = rg.rows[:rank_g]
@@ -98,7 +98,7 @@ def _decide(inst, budget):
 
 
 def _candidates(fld, tag, n):
-    scal = oracle._scalars(fld, tag)
+    scal = scalars(fld, tag)
     return (len(scal) ** (n - 1) if n else 1) * len(list(itertools.permutations(range(n))))
 
 
@@ -121,7 +121,7 @@ def _planted(fld, g, tag, rng):
         s = Mat(fld, [[rng.randrange(fld.q) for _ in range(k)] for _ in range(k)], k)
         if s.is_invertible():
             break
-    allowed = [c for c in range(1, fld.q) if diag_allowed(fld, tag, (c,))]
+    allowed = scalars(fld, tag)
     sigma = list(range(n))
     rng.shuffle(sigma)
     m = Mono(fld, Perm(tuple(sigma)), tuple(rng.choice(allowed) for _ in range(n)))

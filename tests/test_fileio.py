@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ceq import fileio
@@ -167,6 +169,23 @@ def test_format_errors_name_the_line_at_fault():
     assert _error_line(fileio.parse_witness, "%CEQ 1\nfield 3\nS 1 2\n1 0\nperm 1 2\ndiag 1 1\n") == 3
 
 
+def test_lines_break_at_newline_and_tokens_at_spaces_and_tabs():
+    inst = fileio.serialize_instance(sample_instance())
+    want = fileio.parse_instance(inst)
+    # CRLF line ends, and runs of spaces and tabs after the magic line,
+    # read as the writer's text
+    assert fileio.parse_instance(inst.replace("\n", "\r\n")) == want
+    magic, body = inst.split("\n", 1)
+    assert fileio.parse_instance(magic + "\n" + body.replace(" ", " \t  ")) == want
+    # 1 magic, 2 field, 3 tag, 4 "G 2 3", 5-6 G rows, 7 "H 2 3", 8-9 H rows;
+    # any other line break or separator stays inside a token, which then
+    # does not read
+    for sep in ("\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000", "\xa0"):
+        assert _error_line(fileio.parse_instance, inst.replace("1 2 0\n0 4 7", f"1 2 0{sep}0 4 7")) == 5
+        assert _error_line(fileio.parse_instance, inst.replace("G 2 3", f"G{sep}2 3")) == 4
+        assert _error_line(fileio.parse_instance, inst.replace("tag LCE", f"tag{sep}LCE")) == 3
+
+
 @pytest.mark.parametrize("numeral", ["0_1", "+1", "\u0661", "\uff11", "-0", "1.0", "0x1"])
 def test_numbers_are_ascii_decimal_only(numeral):
     # int() reads the first five as 1 or 0; the writer produces none of
@@ -193,6 +212,7 @@ def test_number_checks_keep_their_messages():
     cases = (
         ("G 1 2", "G -1 2", "f:4: negative matrix dimensions"),
         ("G 1 2", "G 1 x", "f:4: bad matrix dimensions (not a decimal numeral: 'x')"),
+        ("G 1 2", "G 0 1048577", "f:4: matrix dimensions above 1048576"),
         ("field 3", "field 0_3", "f:2: bad field spec (not a decimal numeral: '0_3')"),
         ("field 3", "field 9", "f:2: bad field spec: "),
         ("2 1\n", "-1 1\n", "f:7: bad H entries: entry -1 not in GF(3)"),
@@ -220,6 +240,26 @@ def test_generated_files_are_byte_stable():
     b = fileio.serialize_instance(gen.instance)
     assert a == b
     assert a.endswith("\n") and "\t" not in a
+
+
+def test_generated_files_match_the_pinned_hash():
+    # gen's output is part of the file format's contract: a change to the
+    # sampler's draws (the matrices, the permutation or the diagonal) moves
+    # this hash, so it moves only when a change means it to
+    fields = (
+        F2, field(3), field(2, 2), field(7), F9, field(65521),
+        field(2, 8), field(2, 16), field(3, 6), field(5, 4),
+    )
+    digest = hashlib.sha256()
+    for fld in fields:
+        for tag in Tag:
+            for planted in (Planted.YES, Planted.UNLABELED):
+                for seed in range(3):
+                    gen = generate(GenSpec(fld, 3, 7, tag, planted, seed))
+                    digest.update(fileio.serialize_instance(gen.instance).encode())
+                    if planted is Planted.YES:
+                        digest.update(fileio.serialize_witness(fld, gen.witness).encode())
+    assert digest.hexdigest() == "a1b94ff990c0afaa4f24b400aab6ea29baa001a51d0949f8f056196cd4405a3a"
 
 
 def _fuzz_corpus():
@@ -252,6 +292,10 @@ _FOREIGN_NUMERALS = ("0_1", "+1", "-0", "\u0661", "\uff11", "1e3", "inf", "nan")
 _FUZZ_TOKENS = (
     "-1", "0", "1", "2", "3", "256", "65521", "x", "1.5", "", "^", ",", "9" * 25, "mod",
 ) + _FOREIGN_NUMERALS
+# line breaks and token separators that str.splitlines or str.split take
+# but the writer never produces, and NUL
+_FOREIGN_SEPARATORS = ("\x00", "\x0b", "\x1c", "\x85", "\u2028", "\u3000")
+_FUZZ_INSERTS = tuple(" \t-0123456789x,^\n") + _FOREIGN_SEPARATORS + ("9" * 400,)
 
 
 def _mutate(text: str, rng) -> str:
@@ -275,7 +319,7 @@ def _mutate(text: str, rng) -> str:
         return text[: rng.randrange(len(text))]
     elif kind == 5:
         pos = rng.randrange(len(text) + 1)
-        return text[:pos] + rng.choice(" \t-0123456789x,^\n") + text[pos:]
+        return text[:pos] + rng.choice(_FUZZ_INSERTS) + text[pos:]
     else:
         # drop one token of a line
         parts = lines[i].split(" ")
@@ -294,13 +338,17 @@ def test_parser_fuzz_raises_only_ceq_errors():
     corpus = _fuzz_corpus()
     outcomes = {"parsed": 0, "rejected": 0}
     crashes = []
-    # mutants that carry a foreign numeral, and those of them that parsed
+    # mutants that carry a foreign numeral, and those of them that parsed;
+    # the same for a foreign separator
     carried, foreign = 0, []
+    carried_sep, foreign_sep = 0, []
     for _ in range(6000):
         kind, text, original = rng.choice(corpus)
         mutated = _mutate(text, rng)
         tokens = [t for t in mutated.split() if t in _FOREIGN_NUMERALS]
         carried += bool(tokens)
+        separators = [s for s in _FOREIGN_SEPARATORS if s in mutated]
+        carried_sep += bool(separators)
         try:
             if kind == "instance":
                 fileio.parse_instance(mutated)
@@ -312,10 +360,12 @@ def test_parser_fuzz_raises_only_ceq_errors():
                 fileio.parse_cert(mutated, original)
             outcomes["parsed"] += 1
             foreign += [(kind, t) for t in tokens]
+            foreign_sep += [(kind, s) for s in separators]
         except CeqError:
             outcomes["rejected"] += 1
         except Exception as exc:
             crashes.append((kind, mutated, repr(exc)))
     assert crashes == []
     assert carried >= 100 and foreign == []
+    assert carried_sep >= 100 and foreign_sep == []
     assert outcomes["rejected"] >= 3000 and outcomes["parsed"] >= 100

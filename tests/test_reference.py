@@ -3,14 +3,14 @@
 The exhaustive decider and the backtracker each fix one scalar to 1,
 because (c*S, c^-1*M) is a witness whenever (S, M) is. The reference
 below shares none of that: it tries every permutation and every diagonal
-that `diag_allowed` accepts, and asks whether the row spaces of G*M and
+whose entries `scalars` allows, and asks whether the row spaces of G*M and
 H agree.
 """
 
 import itertools
 
 from ceq import oracle
-from ceq.core import Instance, Tag, diag_allowed
+from ceq.core import Instance, Tag, scalars
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm
 from ceq.oracle import Budget, GenSpec, Mode, Planted, Status, decide, generate
@@ -19,16 +19,12 @@ from ceq.rng import stream
 FIELDS = (field(2), field(3), field(2, 2), field(5))
 
 
-def _allowed(fld, tag):
-    return [c for c in range(1, fld.q) if diag_allowed(fld, tag, (c,))]
-
-
 def reference_equivalent(inst: Instance) -> bool:
     """Whether S*G*M = H for some invertible S and allowed monomial M:
     for equal shapes that holds iff G*M and H have the same RREF."""
     fld, g, h = inst.field, inst.G, inst.H
     target = h.rref()[0].rows
-    allowed = _allowed(fld, inst.tag)
+    allowed = scalars(fld, inst.tag)
     for sigma in itertools.permutations(range(g.n)):
         for diag in itertools.product(allowed, repeat=g.n):
             if g.apply_mono(Mono(fld, Perm(sigma), diag)).rref()[0].rows == target:
@@ -46,7 +42,7 @@ def _random_mat(fld, k, n, rng):
 
 
 def _random_action(fld, n, tag, rng):
-    allowed = _allowed(fld, tag)
+    allowed = scalars(fld, tag)
     sigma = list(range(n))
     rng.shuffle(sigma)
     return Mono(fld, Perm(tuple(sigma)), tuple(rng.choice(allowed) for _ in range(n)))

@@ -160,6 +160,13 @@ def test_only_the_field_module_reads_field_tables():
     assert _names_outside("field.py", private) == []
 
 
+def test_only_the_core_module_reads_a_fields_scalars():
+    # a tag's allowed diagonal entries are defined once, by core.scalars;
+    # every other module asks it instead of reading the field's signs or
+    # units itself
+    assert _names_outside("core.py", {"signs", "units"}) == []
+
+
 def test_every_public_field_slot_is_read_outside_the_field_module():
     # a kernel or value the constructor binds but no other module reads
     # is dead weight that every field pays for
