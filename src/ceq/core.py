@@ -87,9 +87,14 @@ def scalars(fld: Field, tag: Tag):
     return fld.units()
 
 
+def all_units(fld: Field, scal) -> bool:
+    """Whether a tag's scalars are every unit of the field."""
+    return len(scal) == fld.q - 1
+
+
 def diag_allowed(fld: Field, tag: Tag, diag) -> bool:
     allowed = scalars(fld, tag)
-    return 0 not in diag if len(allowed) == fld.q - 1 else set(diag).issubset(allowed)
+    return 0 not in diag if all_units(fld, allowed) else set(diag).issubset(allowed)
 
 
 def verify_witness(inst: Instance, w: Witness) -> bool:

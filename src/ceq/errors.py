@@ -14,7 +14,7 @@ class ReducibleModulus(CeqError):
 
 
 class UnsupportedSize(CeqError):
-    """Requested field order exceeds the supported machine-word range."""
+    """A requested field order or matrix width exceeds its supported cap."""
 
 
 class FieldMismatch(CeqError):

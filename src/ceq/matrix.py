@@ -51,9 +51,10 @@ from .errors import DimMismatch, FieldMismatch, NotSquare, Singular
 from .field import Field
 from .record import Record
 
-# the largest dimension a matrix read from a file or asked of the generator
-# may declare: far above desk scale, and a rowless matrix's columns fit
-MAX_DIM = 1 << 20
+# the largest dimension a file or the generator may declare: a wide margin
+# over the tests, tools and benchmarks (256 columns read, 1,200 built), and
+# a rowless pair this wide is read, reduced and decided within a second
+MAX_DIM = 1 << 16
 
 
 class Mat:

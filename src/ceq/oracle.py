@@ -112,7 +112,7 @@ from numbers import Real
 from operator import index
 from typing import Optional
 
-from .core import Instance, Tag, Witness, scalars, verify_witness
+from .core import Instance, Tag, Witness, all_units, scalars, verify_witness
 from .errors import BudgetExceeded, WitnessInvalid
 from .field import Field
 from .matrix import MAX_DIM, Mat, Mono, Perm, row_basis_transform
@@ -240,16 +240,17 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
         if f not in piv_h:
             check_at[f] = [(c, neg(row[f])) for c, row in zip(piv_h, rh.rows) if row[f]]
     single = len(scal) == 1
-    # candidates under a pruned prefix, counted up from a leaf: |scal|^i
-    # below diag index n-1-i, then (n-1-p)! * |scal|^(n-1) below sigma
-    # position p; each is capped where the budget ends the search anyway,
-    # so that no count grows to n digits
+    # candidates under a pruned prefix: (n-1-p)! * |scal|^(n-1) below
+    # sigma position p, |scal|^(n-1-s) below diag index s; each is capped
+    # where the budget ends the search anyway, so that no count grows to
+    # n digits
     cap = ticker.max_nodes + 1
-    below = [1]
-    for f in [len(scal)] * (n - 1) + list(range(1, n)):
-        x = below[-1] * f
-        below.append(x if x < cap else cap)
-    below_diag, below_sigma = below[n - 1::-1], below[::-1][:n]
+    below_diag = [1] * n
+    for s in range(n - 2, -1, -1):
+        below_diag[s] = min(below_diag[s + 1] * len(scal), cap)
+    below_sigma = [below_diag[0]] * n
+    for p in range(n - 2, -1, -1):
+        below_sigma[p] = min(below_sigma[p + 1] * (n - 1 - p), cap)
 
     # sigma[p] is -1 while no value is placed at position p; diag[0] = 1
     # since the global scalar is quotiented out (module docstring)
@@ -329,15 +330,20 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
         return None
 
     # depth first over sigma, iteratively so that wide instances need no
-    # deep recursion
-    p = 0
+    # deep recursion; every value below `free` is used, so a position
+    # entered afresh starts its scan there and a first descent is O(n)
+    p = free = 0
     while p >= 0:
         v = sigma[p]
         if v >= 0:
             # take back the value tried last at p
             used[v] = False
+            if v < free:
+                free = v
             del pending[marks[p]:]
-        v += 1
+            v += 1
+        else:
+            v = free
         while v < n and used[v]:
             v += 1
         if v == n:
@@ -346,6 +352,8 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
             continue
         sigma[p] = v
         used[v] = True
+        if v == free:
+            free += 1
         marks[p] = len(pending)
         if not residuals_vanish(p):
             ticker.skip(below_sigma[p])
@@ -405,7 +413,7 @@ def _class_key(fld: Field, scal, col: tuple) -> tuple:
     two rules agree."""
     if len(scal) == 1:
         return col
-    if len(scal) == fld.q - 1:
+    if all_units(fld, scal):
         for x in col:
             if x:
                 return tuple(fld.scale(fld.inv(x), col))
@@ -810,8 +818,9 @@ class GenSpec(Record):
                 profile = tuple([*map(index, profile)])
         except TypeError:
             raise ValueError("k, n, seed and the profile counts must be integers") from None
-        if not (0 <= k <= MAX_DIM and 0 <= n <= MAX_DIM):
-            raise ValueError(f"dimensions must lie in [0, {MAX_DIM}]")
+        # k * n bounds what a generation builds, a k x k S included
+        if not (k >= 0 and n >= 0 and max(k, n, k * n) <= MAX_DIM):
+            raise ValueError(f"dimensions must lie in [0, {MAX_DIM}], with at most {MAX_DIM} entries")
         if planted is not Planted.UNLABELED and k > n:
             raise ValueError("planted instances need k <= n for full row rank")
         if profile is not None:

@@ -33,9 +33,9 @@ from .core import (
     preprocess,
     verify_witness,
 )
-from .errors import DimMismatch, FieldMismatch, StructureViolation, WitnessInvalid
+from .errors import DimMismatch, FieldMismatch, StructureViolation, UnsupportedSize, WitnessInvalid
 from .field import Field
-from .matrix import Mat, Mono, Perm, max_column_multiplicity
+from .matrix import MAX_DIM, Mat, Mono, Perm, max_column_multiplicity
 from .record import Record
 
 CHECK_BLOCKS = "permutation crosses gadget block boundaries"
@@ -152,7 +152,8 @@ def reduction_cert(inst: Instance, target: Tag) -> ReductionCert:
     Deterministic, so the cert file `reduce` writes is a function of the
     instance and the target alone: preprocessing rejections give a
     rejected cert, and otherwise the normalized pair's shape, journal and
-    shared duplication count.
+    shared duplication count. A gadget wider than `matrix.MAX_DIM`, which
+    no file could hold, raises UnsupportedSize before anything is built.
     """
     if inst.tag is not Tag.PCE:
         raise ValueError("reduction input must be a PCE instance")
@@ -166,15 +167,19 @@ def reduction_cert(inst: Instance, target: Tag) -> ReductionCert:
     m_h = max_column_multiplicity(norm.H)
     if m_g != m_h:
         raise DimMismatch(f"column multiplicities {m_g} and {m_h} passed the profile check")
-    return ReductionCert(inst.field, target, norm.n, norm.k, m_g + 1, outcome.journal)
+    cert = ReductionCert(inst.field, target, norm.n, norm.k, m_g + 1, outcome.journal)
+    if cert.n_prime > MAX_DIM:
+        raise UnsupportedSize(f"the gadget would have {cert.n_prime} columns, above {MAX_DIM}")
+    return cert
 
 
 def reduce_instance(inst: Instance, target: Tag) -> tuple[Instance, ReductionCert]:
     """Karp-reduce a PCE instance to the target problem (LCE or SPCE).
 
-    Deterministic; always emits an instance. Rejections from
-    preprocessing become the canonical NO pair; otherwise both normalized
-    matrices go through the gadget with a shared duplication count.
+    Deterministic; emits an instance unless the gadget is too wide (see
+    `reduction_cert`). Rejections from preprocessing become the canonical
+    NO pair; otherwise both normalized matrices go through the gadget with
+    a shared duplication count.
     """
     cert = reduction_cert(inst, target)
     if cert.rejected:

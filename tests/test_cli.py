@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from ceq import fileio
 from ceq.cli import main
+from ceq.matrix import MAX_DIM
 
 
 def run(args):
@@ -437,25 +439,49 @@ def test_oversized_field_spec_exits_promptly(tmp_path, spec, source):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("width, code", [(MAX_DIM, 0), (MAX_DIM + 1, 2), (10**30, 2)])
 @pytest.mark.parametrize("command", ["reduce", "solve", "gen"])
-def test_oversized_dimensions_exit_promptly(tmp_path, command):
-    # a matrix with no rows has no entries to bound its width; a width of
-    # 10^30 is refused before anything is built or scanned for it
-    width = "1" + "0" * 30
+def test_declared_widths_exit_promptly(tmp_path, command, width, code):
+    # a matrix with no rows has no entries to bound its width: a pair as
+    # wide as MAX_DIM is reduced, decided within a 1-s limit (as YES) and
+    # generated, and a wider one is refused before anything is built or
+    # scanned for it
     inst = tmp_path / "wide.ceq"
     inst.write_text(f"%CEQ 1\nfield 2\ntag PCE\nG 0 {width}\nH 0 {width}\n")
     args = {
         "reduce": ["reduce", "--in", inst, "--target", "lce", "--out", tmp_path / "r.ceq",
                    "--cert-out", tmp_path / "r.cert"],
-        "solve": ["solve", "--in", inst],
+        "solve": ["solve", "--in", inst, "--time-limit", "1"],
         "gen": ["gen", "--k", "0", "--n", width, "--field", "2", "--tag", "PCE",
                 "--planted", "unlabeled", "--seed", "0", "--out", tmp_path / "g.ceq"],
     }[command]
     proc = subprocess.run([sys.executable, "-m", "ceq", *map(str, args)],
                           capture_output=True, text=True, timeout=10)
-    assert proc.returncode == 2
-    assert "error:" in proc.stderr
+    assert proc.returncode == code
+    assert ("error:" in proc.stderr) == bool(code)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("n, code", [(180, 0), (181, 2)])
+def test_reduce_writes_no_gadget_that_a_file_cannot_hold(tmp_path, capsys, n, code):
+    # one row of n equal columns has multiplicity n, so its gadget is
+    # 2 x (n + 2n(n+1) + 1): 65,341 columns at n = 180 and 66,066 at
+    # n = 181, past MAX_DIM = 65,536. What reduce writes reads back; what
+    # could not, reduce refuses before building it
+    assert MAX_DIM == 65536
+    inst = tmp_path / "equal.ceq"
+    row = " ".join(["1"] * n)
+    inst.write_text(f"%CEQ 1\nfield 2\ntag PCE\nG 1 {n}\n{row}\nH 1 {n}\n{row}\n")
+    out, cert = tmp_path / "r.ceq", tmp_path / "r.cert"
+    assert run(["reduce", "--in", inst, "--target", "lce", "--out", out, "--cert-out", cert]) == code
+    if code:
+        assert capsys.readouterr().err == "error: the gadget would have 66066 columns, above 65536\n"
+        assert not out.exists() and not cert.exists()
+        return
+    reduced, _ = fileio.read_instance(out)
+    assert (reduced.k, reduced.n) == (2, 65341)
+    original, _ = fileio.read_instance(inst)
+    assert fileio.parse_cert(cert.read_text(), original).n_prime == 65341
 
 
 @pytest.mark.parametrize("which, old, new", [

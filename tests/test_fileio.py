@@ -212,7 +212,7 @@ def test_number_checks_keep_their_messages():
     cases = (
         ("G 1 2", "G -1 2", "f:4: negative matrix dimensions"),
         ("G 1 2", "G 1 x", "f:4: bad matrix dimensions (not a decimal numeral: 'x')"),
-        ("G 1 2", "G 0 1048577", "f:4: matrix dimensions above 1048576"),
+        ("G 1 2", "G 0 65537", "f:4: matrix dimensions above 65536"),
         ("field 3", "field 0_3", "f:2: bad field spec (not a decimal numeral: '0_3')"),
         ("field 3", "field 9", "f:2: bad field spec: "),
         ("2 1\n", "-1 1\n", "f:7: bad H entries: entry -1 not in GF(3)"),

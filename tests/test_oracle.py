@@ -5,7 +5,7 @@ import pytest
 from ceq.core import Instance, Tag, verify_witness
 from ceq.errors import BudgetExceeded
 from ceq.field import field
-from ceq.matrix import Mat, Mono, Perm
+from ceq.matrix import MAX_DIM, Mat, Mono, Perm
 from ceq import oracle
 from ceq.reduction import reduce_instance
 from ceq.oracle import (
@@ -739,6 +739,16 @@ def test_budget_takes_only_a_real_time_limit():
             Budget(time_limit=limit)
     for limit in (None, 0, 2, 0.5, Fraction(1, 4)):
         assert Budget(time_limit=limit).time_limit == limit
+
+
+def test_genspec_caps_dimensions_and_entries():
+    # k * n bounds what a generation builds; a rowless pair may be as wide
+    # as a file may declare
+    for k, n in ((0, MAX_DIM), (MAX_DIM, 0), (1, MAX_DIM), (256, 256)):
+        GenSpec(F5, k, n, Tag.PCE, Planted.UNLABELED, seed=0)
+    for k, n in ((0, MAX_DIM + 1), (MAX_DIM + 1, 0), (2, MAX_DIM // 2 + 1), (257, 256), (-1, 2)):
+        with pytest.raises(ValueError, match="dimensions must lie in"):
+            GenSpec(F5, k, n, Tag.PCE, Planted.UNLABELED, seed=0)
 
 
 def test_generate_planted_needs_k_le_n():
