@@ -32,27 +32,26 @@ S * (d * v) = y with the scalar d unknown, since whether the pair adds
 rank does not depend on d. The pairs that add rank are the slots, held
 in two echelon accumulators, one of their values and one of their
 targets, each row carrying its coordinates over the slots. A target
-position reduces y once and each candidate v at most once. If exactly
-one of them leaves the pinned span, the branch dies: the x-side and
-y-side ranks would differ. If both do, the pair becomes a slot with a
-free scalar. If neither does, v = sum a_i v_i and y = sum b_i y_i over
+position reduces y once and each candidate v once. If exactly one of
+them leaves the pinned span, the branch dies: the x-side and y-side
+ranks would differ. If both do, the pair becomes a slot with a free
+scalar. If neither does, v = sum a_i v_i and y = sum b_i y_i over
 the slots, and S * (d * v) = y holds exactly when a and b have the same
 support and d / d_i = b_i / a_i on it. Each such ratio must be an
 allowed scalar, and the ratios live in a union-find over the slots whose
 weights compose through the field's mul and inv: a pair that gives one
 component two different weights dies, and one that meets several
-components joins them. While one component holds every slot,
-S^-1 * y is known for each y in the slots' span, so such a pair needs no
-reduction of v, which must lie in the class of S^-1 * y. Once the slots
-have rank k and one component holds them all, S is fixed up to the
-global scalar below, and the rest of the assignment is forced by
-lookups instead of search: each remaining target column y needs the
-source column S^-1 * y. With one allowed scalar every slot joins the
-first one's component, so S is known up to the global scalar at every
-step, and node counts and witnesses are those of a search that pinned
-each column with scalar 1. With more, branching on columns goes on past
-rank k until the components join; a component that no pinned column
-ties keeps scalar 1 at its root, since every scalar of it gives a
+components joins them. Once the slots have rank k and one component
+holds them all, S is fixed up to the global scalar below, and the rest
+of the assignment is forced by lookups instead of search: each remaining
+target column y = sum b_i y_i needs the source column
+S^-1 * y = sum b_i d_i v_i, formed from y's coordinates and the slots'
+weights, with scalar 1 at the root. With one allowed scalar every slot
+joins the first one's component, so S is known up to the global scalar
+at every step, and node counts and witnesses are those of a search that
+pinned each column with scalar 1. With more, branching on columns goes
+on past rank k until the components join; a component that no pinned
+column ties keeps scalar 1 at its root, since every scalar of it gives a
 witness. Compared with branching on the scalar of every pinned column,
 node counts fall and answers stay the same; an LCE or SPCE witness may
 differ, as it is the first one found in column order.
@@ -220,12 +219,12 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
     add, mul, neg = fld.add, fld.mul, fld.neg
 
     def accept(sigma, diag):
+        """The witness of a leaf: every residual vanishes there and rank(G)
+        = rank(H), so the row spaces of G*M and H coincide."""
         m = Mono(fld, Perm(tuple(sigma)), tuple(diag))
         s = row_basis_transform(g.apply_mono(m), h)
-        if s is None:
-            return None
-        w = Witness(s, m)
-        if not verify_witness(inst, w):
+        w = None if s is None else Witness(s, m)
+        if w is None or not verify_witness(inst, w):
             raise WitnessInvalid("exhaustive search recovered a non-verifying witness")
         return w
 
@@ -309,11 +308,7 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
         while s:
             if s == n:
                 ticker.tick()
-                w = accept(sigma, diag)
-                if w is not None:
-                    return w
-                s -= 1
-                continue
+                return accept(sigma, diag)
             i = pick[s] + 1
             if i == len(scal):
                 pick[s] = -1
@@ -461,13 +456,11 @@ class _Backtracker:
         self.lock: dict[tuple, tuple] = {}
         self.lock_rev: dict[tuple, tuple] = {}
         # the pinned pairs that add rank, the slots: (value, y) with the
-        # value's scalar unknown. acc_x holds rows (u | c) and acc_y rows
-        # (u | c | x), u the sum of c_i times the value (the y) of slot i
-        # and x the sum of c_i d_i value_i, so that a vector in the pinned
-        # span reduces to (0 | minus its coordinates | minus the x of
-        # them). x is kept exact only while one component holds every
-        # slot, the only time it is read. A vector reduced while r slots
-        # are pinned carries tails[r] = e_r, so that it enters as slot r
+        # value's scalar unknown. acc_x and acc_y hold rows (u | c), u the
+        # sum of c_i times the value (the y) of slot i, so that a vector
+        # in the pinned span reduces to (0 | minus its coordinates). A
+        # vector reduced while r slots are pinned carries tails[r] = e_r,
+        # so that it enters as slot r
         self.acc_x = _Echelon(fld, k)
         self.acc_y = _Echelon(fld, k)
         self.slots: list[tuple[tuple, tuple]] = []
@@ -502,33 +495,12 @@ class _Backtracker:
 
     # -- constraint stack ----------------------------------------------------
 
-    def _target(self, y: tuple) -> tuple:
-        """What `_push` needs of target y, worked out once per target
-        position: ry, that is y + tails[r] + 0 reduced against acc_y with r
-        slots pinned, and, if y lies in the pinned span and one component
-        holds every slot, S^-1 * y for root scalar 1 and its class key."""
-        k = self.k
-        ry = self.acc_y.reduce(y + self.tails[len(self.slots)] + self.zero)
-        if self.comps > 1 or any(ry[:k]):
-            return ry, None, None
-        x_req = tuple(map(self.fld.neg, ry[2 * k:]))
-        return ry, x_req, _class_key(self.fld, self.scal, x_req)
-
-    def _push(self, value: tuple, gkey: tuple, y: tuple, target: tuple) -> Optional[tuple]:
-        """Pin S * (d * value) = y with the scalar d unknown; gkey is the
-        value's class key and target is `_target(y)`. None: inconsistent,
-        nothing retained. Otherwise (grew, tie, undo) for `_pop`: whether
-        the pair became a slot, and d as a (slot, ratio) tie, None for a
-        zero column. The test is the module docstring's."""
-        ry, x_req, x_key = target
-        if x_key is not None:
-            # d * value = S^-1 * y needs the same class
-            if gkey != x_key:
-                return None
-            if x_req == self.zero:
-                return False, None, None
-            nz = next(i for i, v in enumerate(x_req) if v)
-            return False, (0, self.fld.mul(x_req[nz], self.fld.inv(value[nz]))), None
+    def _push(self, value: tuple, y: tuple, ry: tuple) -> Optional[tuple]:
+        """Pin S * (d * value) = y with the scalar d unknown; ry is
+        y + tails[r] reduced against acc_y with r slots pinned. None:
+        inconsistent, nothing retained. Otherwise (grew, tie, undo) for
+        `_pop`: whether the pair became a slot, and d as a (slot, ratio)
+        tie, None for a zero column. The test is the module docstring's."""
         k = self.k
         r = len(self.slots)
         rv = self.acc_x.reduce(value + self.tails[r])
@@ -537,7 +509,7 @@ class _Backtracker:
             if not (new_x and new_y):
                 return None
             self.acc_x.append(rv)
-            self.acc_y.append(self.fld.axpy(ry, 1, self.zero + self.tails[k] + value))
+            self.acc_y.append(ry)
             self.slots.append((value, y))
             # with one scalar every ratio is 1: all slots share one component
             root = 0 if r and len(self.scal) == 1 else r
@@ -546,8 +518,7 @@ class _Backtracker:
             self.weight.append(1)
             return True, (r, 1), None
         # value = sum a_i value_i and y = sum b_i y_i over the slots, with
-        # a_i = -rv[k + i] and b_i = -ry[k + i]; more than one component,
-        # so more than one scalar
+        # a_i = -rv[k + i] and b_i = -ry[k + i]
         mul, inv, scal = self.fld.mul, self.fld.inv, self.scal
         root, weight = self.root, self.weight
         # each component the support meets -> d over the scalar of its root
@@ -571,7 +542,7 @@ class _Backtracker:
         if not meets:
             return False, (first, t_first), None
         # join the other components into first's
-        undo = (root[:], weight[:], self.comps, self.acc_y.rows)
+        undo = (root[:], weight[:], self.comps)
         for c, t in meets.items():
             f = mul(t_first, inv(t))  # root c's scalar over root first's
             for i in range(r):
@@ -579,23 +550,7 @@ class _Backtracker:
                     root[i] = first
                     weight[i] = mul(weight[i], f)
         self.comps -= len(meets)
-        if self.comps == 1:
-            self._rebuild_x()
         return False, (first, t_first), undo
-
-    def _rebuild_x(self):
-        """Recompute the x part of every acc_y row from its coordinates,
-        once the weights are those of a single component (only a tag with
-        more than one scalar joins components)."""
-        k, axpy, mul = self.k, self.fld.axpy, self.fld.mul
-        rows = []
-        for row in self.acc_y.rows:
-            x = self.zero
-            for c, w, (value, _) in zip(row[k:2 * k], self.weight, self.slots):
-                if c:
-                    x = axpy(x, mul(c, w), value)
-            rows.append(tuple(row[:2 * k]) + tuple(x))
-        self.acc_y.rows = rows
 
     def _pop(self, pin: tuple):
         grew, _, undo = pin
@@ -607,7 +562,7 @@ class _Backtracker:
             if self.root.pop() == len(self.slots):
                 self.comps -= 1
         elif undo is not None:
-            self.root, self.weight, self.comps, self.acc_y.rows = undo
+            self.root, self.weight, self.comps = undo
 
     # -- search ---------------------------------------------------------------
 
@@ -643,12 +598,12 @@ class _Backtracker:
         y = self.hcols[j]
         hkey = self.hkeys[j]
         locked = self.lock.get(hkey)
-        target = None
+        ry = None
         for gkey, value, rep in self._candidates(hkey, locked):
             self.ticker.tick()
-            if target is None:
-                target = self._target(y)
-            pin = self._push(value, gkey, y, target)
+            if ry is None:
+                ry = self.acc_y.reduce(y + self.tails[len(self.slots)])
+            pin = self._push(value, y, ry)
             if pin is None:
                 continue
             tie = pin[1]
@@ -684,7 +639,6 @@ class _Backtracker:
         targets, run_end, ticker = self.targets, self.run_end, self.ticker
         sources: dict[tuple, list[tuple[list[int], int]]] = {}
         consumed = []
-        ok = True
         while t < len(targets):
             end = run_end[t]
             y = self.hcols[targets[t]]
@@ -696,8 +650,11 @@ class _Backtracker:
             if len(picks) < need:
                 # the column after the last pick fails
                 ticker.skip(len(picks) + 1)
-                ok = False
-                break
+                for j, rep in reversed(consumed):
+                    used[rep] = False
+                    sigma[j] = -1
+                    diag[rep] = 1
+                return None
             ticker.skip(need)
             for j, (rep, d) in zip(targets[t:end], picks):
                 used[rep] = True
@@ -705,30 +662,30 @@ class _Backtracker:
                 diag[rep] = d
                 consumed.append((j, rep))
             t = end
-        if ok:
-            got = self._finish()
-            if got is not None:
-                return got
-        for j, rep in reversed(consumed):
-            used[rep] = False
-            sigma[j] = -1
-            diag[rep] = 1
-        return None
+        return self._finish()
 
     def _sources(self, y: tuple) -> list[tuple[list[int], int]]:
         """The G values that target y can take under the pinned S, in order:
-        each value's members and the scalar d with S^-1 * y = d * value."""
-        _, x_req, key = self._target(y)
-        by_val = self.gvalues.get(key, ())
+        each value's members and the scalar d with S^-1 * y = d * value.
+        With the slots at rank k, y = sum b_i y_i with b_i = -ry[k + i],
+        and S^-1 * y = sum b_i * weight[i] * value_i for root scalar 1."""
+        k, fld = self.k, self.fld
+        ry = self.acc_y.reduce(y + self.zero)
+        x_req = self.zero
+        for c, w, (value, _) in zip(ry[k:], self.weight, self.slots):
+            if c:
+                x_req = fld.axpy(x_req, fld.neg(fld.mul(c, w)), value)
+        x_req = tuple(x_req)
+        by_val = self.gvalues.get(_class_key(fld, self.scal, x_req), ())
         if x_req == self.zero:
             return [(members, 1) for _, members in by_val]
         # each value shares x_req's class key, its least multiple by an
         # allowed scalar, so x_req = d * value with d allowed
         nz = next(i for i, v in enumerate(x_req) if v)
-        c, inv, mul = x_req[nz], self.fld.inv, self.fld.mul
+        c, inv, mul = x_req[nz], fld.inv, fld.mul
         return [(members, mul(c, inv(value[nz]))) for value, members in by_val]
 
-    def _finish(self) -> Optional[Witness]:
+    def _finish(self) -> Witness:
         """The witness of a complete assignment. The root of each component
         of slots takes scalar 1, so slot i takes weight[i] (module
         docstring)."""

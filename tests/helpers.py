@@ -1,6 +1,19 @@
 """Constructors and reference arithmetic that only the tests use."""
 
+import os
+from pathlib import Path
+
+import ceq
 from ceq.matrix import Mat, Mono
+
+
+def src_env() -> dict:
+    """The environment with this checkout's package directory first on
+    PYTHONPATH, for a test's child interpreters."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(ceq.__file__).parent.parent),
+                                                      env.get("PYTHONPATH")]))
+    return env
 
 
 def zeros(fld, k: int, n: int) -> Mat:

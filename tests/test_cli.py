@@ -8,9 +8,18 @@ from ceq import fileio
 from ceq.cli import main
 from ceq.matrix import MAX_DIM
 
+from helpers import src_env
+
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_module(args, timeout):
+    """`python -m ceq` on args in a child interpreter that finds this
+    checkout's package."""
+    return subprocess.run([sys.executable, "-m", "ceq", *map(str, args)], env=src_env(),
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_gen_verify_roundtrip(tmp_path):
@@ -55,9 +64,14 @@ def test_gen_budget_exit_code(tmp_path):
     assert rc == 3
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path, capsys):
     assert run(["solve"]) == 2
     assert run(["frobnicate"]) == 2
+    capsys.readouterr()
+    assert run(["gen", "--k", 1, "--n", 2, "--field", 2, "--tag", "XYZ",
+                "--planted", "yes", "--seed", 1, "--out", tmp_path / "x.ceq"]) == 2
+    assert "unknown tag 'XYZ'" in capsys.readouterr().err
+    assert not (tmp_path / "x.ceq").exists()
 
 
 def test_reduce_header_dims(tmp_path):
@@ -72,7 +86,7 @@ def test_reduce_header_dims(tmp_path):
     assert "G 3 11" in body and "H 3 11" in body and "tag LCE" in body
 
 
-def test_reduce_reject_reason_in_output(tmp_path):
+def test_reduce_reject_reason_in_output(tmp_path, capsys):
     inst = tmp_path / "i.ceq"
     inst.write_text("%CEQ 1\nfield 2\ntag PCE\nG 1 2\n1 0\nH 1 2\n1 1\n")
     red = tmp_path / "r.ceq"
@@ -81,6 +95,15 @@ def test_reduce_reject_reason_in_output(tmp_path):
                 "--cert-out", cert]) == 0
     assert "reject-reason ZeroColumnCountMismatch" in red.read_text()
     assert "cert rejected" in cert.read_text()
+    # a rejected reduction carries no witness either way
+    wit = tmp_path / "i.wit"
+    wit.write_text("%CEQ 1\nfield 2\nS 1 1\n1\nperm 1 2\ndiag 1 1\n")
+    capsys.readouterr()
+    for command in ("lift", "extract"):
+        out = tmp_path / f"{command}.wit"
+        assert run([command, "--cert", cert, "--instance", inst, "--witness", wit, "--out", out]) == 1
+        assert "rejected reduction" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_reduce_rejects_non_pce(tmp_path):
@@ -225,7 +248,7 @@ def test_solve_stats_csv(tmp_path):
         assert row[:8] == [str(inst), "PCE", "2", "1", "2", "exhaustive", "1", "YES"]
 
 
-def test_verify_fail_exit(tmp_path):
+def test_verify_fail_exit(tmp_path, capsys):
     inst = tmp_path / "i.ceq"
     other = tmp_path / "j.ceq"
     run(["gen", "--k", 2, "--n", 3, "--field", 3, "--tag", "PCE",
@@ -233,6 +256,14 @@ def test_verify_fail_exit(tmp_path):
     run(["gen", "--k", 2, "--n", 3, "--field", 3, "--tag", "PCE",
          "--planted", "yes", "--seed", 22, "--out", other])
     assert run(["verify", "--instance", inst, "--witness", str(other) + ".wit"]) == 1
+    # a witness over another field is malformed input, not a NO
+    gf5 = tmp_path / "k.ceq"
+    run(["gen", "--k", 2, "--n", 3, "--field", 5, "--tag", "PCE",
+         "--planted", "yes", "--seed", 21, "--out", gf5])
+    capsys.readouterr()
+    assert run(["verify", "--instance", inst, "--witness", str(gf5) + ".wit"]) == 2
+    err = capsys.readouterr().err
+    assert "witness field GF(5)" in err and "instance field GF(3)" in err
 
 
 def test_witness_shaped_for_another_instance_exits_1(tmp_path, capsys):
@@ -411,12 +442,8 @@ def test_non_utf8_input_is_malformed_input(tmp_path, capsys, command, bad):
 
 def test_module_entry_point_smoke(tmp_path):
     out = tmp_path / "m.ceq"
-    proc = subprocess.run(
-        [sys.executable, "-m", "ceq", "gen", "--k", "1", "--n", "2", "--field", "2",
-         "--tag", "PCE", "--planted", "yes", "--seed", "0", "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["gen", "--k", 1, "--n", 2, "--field", 2, "--tag", "PCE",
+                       "--planted", "yes", "--seed", 0, "--out", out], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
 
@@ -433,7 +460,7 @@ def test_oversized_field_spec_exits_promptly(tmp_path, spec, source):
     else:
         args = ["gen", "--k", "1", "--n", "2", "--field", spec, "--tag", "PCE",
                 "--planted", "yes", "--seed", "0", "--out", str(tmp_path / "x.ceq")]
-    proc = subprocess.run([sys.executable, "-m", "ceq", *args], capture_output=True, text=True, timeout=10)
+    proc = run_module(args, timeout=10)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -455,8 +482,7 @@ def test_declared_widths_exit_promptly(tmp_path, command, width, code):
         "gen": ["gen", "--k", "0", "--n", width, "--field", "2", "--tag", "PCE",
                 "--planted", "unlabeled", "--seed", "0", "--out", tmp_path / "g.ceq"],
     }[command]
-    proc = subprocess.run([sys.executable, "-m", "ceq", *map(str, args)],
-                          capture_output=True, text=True, timeout=10)
+    proc = run_module(args, timeout=10)
     assert proc.returncode == code
     assert ("error:" in proc.stderr) == bool(code)
     assert "Traceback" not in proc.stderr
@@ -517,11 +543,7 @@ def test_solve_has_no_workers_flag(tmp_path):
     wit = tmp_path / "x.wit"
     assert run(["gen", "--k", 2, "--n", 4, "--field", 3, "--tag", "SPCE",
                 "--planted", "yes", "--seed", 31, "--out", inst]) == 0
-    proc = subprocess.run(
-        [sys.executable, "-m", "ceq", "solve", "--in", str(inst), "--witness-out", str(wit),
-         "--workers", "2"],
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = run_module(["solve", "--in", inst, "--witness-out", wit, "--workers", 2], timeout=60)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr

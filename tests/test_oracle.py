@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from ceq.core import Instance, Tag, verify_witness
+from ceq.core import Instance, Tag, scalars, verify_witness
 from ceq.errors import BudgetExceeded
 from ceq.field import field
 from ceq.matrix import MAX_DIM, Mat, Mono, Perm
@@ -493,7 +494,8 @@ def test_push_and_pop_match_the_rank_triple(p, e):
     # rank X = rank Y = rank [X | Y] still holds over every pair pushed so
     # far; _push answers None when it does not, else a pin whose first
     # entry says whether rank X grew. PCE has one scalar, 1, and its class
-    # key of a column is the column itself
+    # key of a column is the column itself; see the next test for tags
+    # with several scalars
     fld = field(p, e)
     add, mul = fld.add, fld.mul
     rng = stream(14, "push-pop", p, e)
@@ -561,7 +563,7 @@ def test_push_and_pop_match_the_rank_triple(p, e):
                     seen["y only"] += ry > rx == before
                     seen["x only"] += rx > ry == before
                     expected = rx > before if rx == ry == rxy else None
-                    got = bt._push(x, x, y, bt._target(y))
+                    got = bt._push(x, y, bt.acc_y.reduce(y + bt.tails[len(bt.slots)]))
                     assert (None if got is None else got[0]) is expected, (k, x, y, stack)
                     if got is not None:
                         stack.append((x, y, got))
@@ -571,6 +573,141 @@ def test_push_and_pop_match_the_rank_triple(p, e):
                     for y, want in zip(probes, preimages):
                         assert {bt.inst.G.cols()[i] for members, _ in bt._sources(y) for i in members} == {want}
                     seen["full rank"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize(
+    "tag, p, e",
+    [(Tag.LCE, 2, 2), (Tag.LCE, 5, 1), (Tag.LCE, 7, 1), (Tag.SPCE, 5, 1), (Tag.SPCE, 7, 1)],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_push_matches_brute_force_over_the_scalars(tag, p, e):
+    # with several scalars a pair (x, y) pins S * (d * x) = y with d
+    # unknown: _push must accept exactly when some allowed scalars d_i,
+    # the first non-zero x's being 1, make rank X = rank Y = rank [X | Y]
+    # over the scaled pairs (d_i * x_i, y_i) pushed so far. The ties that
+    # _push returns must name one such choice, with scalar 1 at the root
+    # of each component (as `_finish` reads them)
+    fld = field(p, e)
+    q, add, mul, inv = fld.q, fld.add, fld.mul, fld.inv
+    scal = list(scalars(fld, tag))
+    rng = stream(15, "push-scalars", tag.value, p, e)
+
+    def vec(k):
+        return tuple(rng.randrange(q) for _ in range(k))
+
+    def nonzero(k):
+        while True:
+            v = vec(k)
+            if any(v):
+                return v
+
+    def scaled(c, v):
+        return tuple(mul(c, a) for a in v)
+
+    def comb(vecs, k, coefs=None):
+        out = (0,) * k
+        for i, v in enumerate(vecs):
+            c = rng.randrange(q) if coefs is None else coefs[i]
+            out = tuple(add(a, mul(c, b)) for a, b in zip(out, v))
+        return out
+
+    def apply(m, v):
+        return tuple(r[0] for r in m.mul(Mat(fld, [[c] for c in v], 1)).rows)
+
+    def rank(vecs, width):
+        return Mat(fld, vecs, width).rank()
+
+    def joint_rank(xs, ys, ds, k):
+        return rank([scaled(d, x) + y for d, x, y in zip(ds, xs, ys)], 2 * k)
+
+    def brute(xs, ys, k):
+        # scaling x by a unit keeps rank X; d = 1 wherever x = 0, and on
+        # the first non-zero x, since (c * d_i) works whenever (d_i) does
+        rx = rank(xs, k)
+        if rx != rank(ys, k):
+            return False
+        free = [i for i, x in enumerate(xs) if any(x)][1:]
+        for choice in itertools.product(scal, repeat=len(free)):
+            ds = [1] * len(xs)
+            for i, d in zip(free, choice):
+                ds[i] = d
+            if joint_rank(xs, ys, ds, k) == rx:
+                return True
+        return False
+
+    seen = {"x only": 0, "y only": 0, "ratio": 0, "in span": 0, "join": 0, "full rank": 0}
+    for k in range(4):
+        zero = (0,) * k
+        for _ in range(10):
+            while True:
+                s = Mat(fld, [vec(k) for _ in range(k)], k)
+                if s.is_invertible():
+                    break
+            probes = [vec(k) for _ in range(3)]
+            preimages = [apply(s.inv(), y) for y in probes]
+            g = Mat(fld, list(zip(*preimages)) if k else [], 3)
+            bt = oracle._Backtracker(Instance(fld, g, g, tag), oracle._Ticker(Budget(), 0.0))
+            stack = []  # (x, y, the planted scalar or None, what _push returned)
+            for _ in range(4 * k + 6):
+                # at most k + 1 scalars for the brute force to range over
+                if stack and (sum(any(x) for x, *_ in stack) > k + 1 or rng.random() < 0.15):
+                    bt._pop(stack.pop()[3])
+                else:
+                    xs = [x for x, *_ in stack]
+                    ys = [y for _, y, *_ in stack]
+                    d = None
+                    draw = rng.randrange(10) if k else 0
+                    if draw <= 5:  # a pair of the planted S, with its scalar
+                        d = rng.choice(scal)
+                        spread = comb(xs, k, [rng.randrange(1, q) for _ in xs])
+                        x = rng.choice([zero, vec(k), vec(k), comb(xs, k), spread, spread])
+                        y = apply(s, scaled(d, x))
+                    elif draw == 6:
+                        x, y = rng.choice([(zero, zero), (zero, nonzero(k)), (nonzero(k), zero)])
+                    elif draw == 7:  # x dependent, y most likely not
+                        x, y = comb(xs, k), vec(k)
+                    elif draw == 8:  # y dependent, x most likely not
+                        x, y = vec(k), comb(ys, k)
+                    else:  # both dependent, with ratios of allowed scalars
+                        coefs = [rng.randrange(q) for _ in stack]
+                        x = comb(xs, k, coefs)
+                        y = comb(ys, k, [mul(c, rng.choice(scal)) for c in coefs])
+                    before, rx, ry = rank(xs, k), rank(xs + [x], k), rank(ys + [y], k)
+                    seen["y only"] += ry > rx == before
+                    seen["x only"] += rx > ry == before
+                    expected = brute(xs + [x], ys + [y], k)
+                    got = bt._push(x, y, bt.acc_y.reduce(y + bt.tails[len(bt.slots)]))
+                    assert (got is not None) is expected, (k, x, y, stack)
+                    if got is None:
+                        seen["ratio"] += rx == ry == before
+                        continue
+                    assert got[0] is (rx > before)
+                    seen["in span"] += not got[0] and got[1] is not None
+                    seen["join"] += got[2] is not None
+                    stack.append((x, y, d, got))
+                r = rank([x for x, *_ in stack], k)
+                assert len(bt.acc_x.rows) == len(bt.acc_y.rows) == len(bt.slots) == r
+                assert all(len(row) == 2 * k for row in bt.acc_x.rows + bt.acc_y.rows)
+                # the scalars the ties name, each root's scalar 1
+                ds = [1 if pin[1] is None else mul(pin[1][1], bt.weight[pin[1][0]]) for *_, pin in stack]
+                assert joint_rank([x for x, *_ in stack], [y for _, y, *_ in stack], ds, k) == r
+                if 0 < r == k and bt.comps == 1 and all(d is not None for _, _, d, _ in stack):
+                    # S is pinned with slot 0's scalar 1: S' = d_0 * S for
+                    # the planted scalar d_0 of slot 0, so S'^-1 * y is
+                    # d_0^-1 times the planted preimage
+                    d0 = next(d for x, _, d, _ in stack if any(x))
+                    key = oracle._class_key
+                    for y, want in zip(probes, preimages):
+                        got_values = set()
+                        for members, c in bt._sources(y):
+                            value = g.cols()[members[0]]
+                            assert scaled(c, value) == scaled(inv(d0), want)
+                            got_values.add(value)
+                        same = {col for col in g.cols() if key(fld, scal, col) == key(fld, scal, want)}
+                        assert got_values == same
+                    # past one slot, only joins make one component
+                    seen["full rank"] += r > 1
     assert min(seen.values()) > 0, seen
 
 

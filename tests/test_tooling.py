@@ -1,5 +1,4 @@
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,14 +7,9 @@ import pytest
 
 import ceq
 
+from helpers import src_env
+
 SOURCES = sorted(Path(ceq.__file__).parent.glob("*.py"))
-
-
-def _src_env():
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(ceq.__file__).parent.parent),
-                                                      env.get("PYTHONPATH")]))
-    return env
 
 
 def test_package_sources_found():
@@ -96,7 +90,7 @@ print("ok")
 def test_checks_hold_under_python_O(tmp_path):
     # python -O strips assert statements: verification, extraction's
     # structure checks and the parser must still reject bad input
-    env = _src_env()
+    env = src_env()
     proc = subprocess.run([sys.executable, "-O", "-c", _UNDER_O, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "ok", "")
@@ -338,7 +332,7 @@ def test_no_process_pools_in_package():
 def test_cli_import_loads_no_slow_stdlib_modules():
     # compared with a bare interpreter in the same environment, whose
     # site hooks may load modules of their own
-    env = _src_env()
+    env = src_env()
 
     def modules(code):
         proc = subprocess.run([sys.executable, "-c", code + "import sys; print(' '.join(sys.modules))"],
@@ -463,7 +457,7 @@ def test_row_basis_transform_work_counts(monkeypatch):
 def _fresh(code, *args, cwd=None):
     """stdout of code run in a fresh interpreter that imports ceq from
     this checkout and writes no bytecode."""
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=_src_env(), cwd=cwd,
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=src_env(), cwd=cwd,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
