@@ -16,18 +16,21 @@ when, at every non-pivot column f of R = rref(H), the residual
 v[f] - sum_i v[piv_i] * R[i][f] is zero. For a row of rref(G) scaled by
 M that residual is a linear form in diag, one term per position it
 reads, and it is complete once sigma has placed position f (R's pivots
-in it lie left of f). The scan places sigma position by position and
-then diag source by source, in the same order, and checks each residual
-once per prefix instead of once per candidate: a complete form with a
-single non-zero term never vanishes, and with one scalar a form is
-evaluated as soon as it is complete; other forms are evaluated once
-diag has assigned their largest source index.
-A prefix that breaks a residual is pruned, and every candidate below it
-is counted at once, so node counts are those of a scan that ticks each
-candidate.
+in it lie left of f). The scan is one depth-first loop over 2n - 1
+levels: sigma positions 0..n-1, then diag sources 1..n-1, each in the
+same order. It checks each residual once per prefix instead of once per
+candidate: a complete form with a single non-zero term never vanishes,
+and with one scalar a form is evaluated as soon as it is complete;
+other forms are evaluated once diag has assigned their largest source
+index. A prefix that breaks a residual is pruned, and the candidates
+below it, one table entry per level, are counted at once, so node counts
+are those of a scan that ticks each candidate.
 
 BACKTRACKING assigns the permutation column by column and branches on
-source columns only. Pinning target y to a source value v states
+source columns only, depth first from an explicit stack with one
+generator per target position: it pins that position's candidates in
+order and takes each pin back when resumed, so no input depth reaches
+Python's frame limit. Pinning target y to a source value v states
 S * (d * v) = y with the scalar d unknown, since whether the pair adds
 rank does not depend on d. The pairs that add rank are the slots, held
 in two echelon accumulators, one of their values and one of their
@@ -80,7 +83,8 @@ has one, and the members of distinct values are disjoint, so the run
 takes the first unused members across those values in order. It counts one node
 per column of the run, and on a failing run one per column taken plus
 one for the column that fails, so node counts are those of a per-column
-completion.
+completion. A completion works on copies of the used columns and sigma
+and on a fresh diagonal, so one that fails leaves nothing to undo.
 
 Under a time limit both deciders read the clock once per searched node
 and once per block of nodes counted at once (the candidates under a
@@ -218,20 +222,6 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
     reduced_rows = rg.rows[:rank_g]
     add, mul, neg = fld.add, fld.mul, fld.neg
 
-    def accept(sigma, diag):
-        """The witness of a leaf: every residual vanishes there and rank(G)
-        = rank(H), so the row spaces of G*M and H coincide."""
-        m = Mono(fld, Perm(tuple(sigma)), tuple(diag))
-        s = row_basis_transform(g.apply_mono(m), h)
-        w = None if s is None else Witness(s, m)
-        if w is None or not verify_witness(inst, w):
-            raise WitnessInvalid("exhaustive search recovered a non-verifying witness")
-        return w
-
-    if n == 0:
-        ticker.tick()
-        return accept((), ())
-
     # the residual check at each non-pivot column f of rref(H), done when
     # sigma places position f (module docstring), with -R[i][f] stored
     check_at: list[Optional[list]] = [None] * n
@@ -239,26 +229,28 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
         if f not in piv_h:
             check_at[f] = [(c, neg(row[f])) for c, row in zip(piv_h, rh.rows) if row[f]]
     single = len(scal) == 1
-    # candidates under a pruned prefix: (n-1-p)! * |scal|^(n-1) below
-    # sigma position p, |scal|^(n-1-s) below diag index s; each is capped
-    # where the budget ends the search anyway, so that no count grows to
-    # n digits
-    cap = ticker.max_nodes + 1
-    below_diag = [1] * n
-    for s in range(n - 2, -1, -1):
-        below_diag[s] = min(below_diag[s + 1] * len(scal), cap)
-    below_sigma = [below_diag[0]] * n
-    for p in range(n - 2, -1, -1):
-        below_sigma[p] = min(below_sigma[p + 1] * (n - 1 - p), cap)
-
-    # sigma[p] is -1 while no value is placed at position p; diag[0] = 1
-    # since the global scalar is quotiented out (module docstring)
-    sigma = [-1] * n
+    # levels 0..n-1 place sigma positions 0..n-1, levels n..2n-2 diag
+    # sources 1..n-1, and a path that reaches the leaf is a candidate.
+    # pick[l] is the choice at level l, -1 before the first: sigma's value
+    # at position l < n, else the index into scal of diag[l - n + 1].
+    # diag[0] = 1 since the global scalar is quotiented out (module
+    # docstring)
+    leaf = max(2 * n - 1, 0)
+    pick = [-1] * leaf
     used = [False] * n
     diag = [1] * n
+    # candidates under a pruned prefix at level l: (n-1-l)! * |scal|^(n-1)
+    # below sigma position l, |scal|^(n-1-s) below diag source s; each is
+    # capped where the budget ends the search anyway, so that no count
+    # grows to n digits
+    cap = ticker.max_nodes + 1
+    below = [1] * leaf
+    for l in range(leaf - 2, -1, -1):
+        below[l] = min(below[l + 1] * (len(scal) if l + 1 >= n else n - 1 - l), cap)
     # residuals that sigma leaves to the diagonal: (largest source index,
     # [(source s, c_s)]) for the form sum_s c_s * diag[s]; the forms of
-    # position p start at marks[p]
+    # position p start at marks[p], and once sigma is placed forms_at[s]
+    # holds those whose largest source is s
     pending: list[tuple[int, list[tuple[int, int]]]] = []
     marks = [0] * n
 
@@ -268,12 +260,12 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
         terms = check_at[p]
         if terms is None:
             return True
-        sf = sigma[p]
+        sf = pick[p]
         for row in reduced_rows:
             if single:
                 res = row[sf]
                 for c, coef in terms:
-                    x = row[sigma[c]]
+                    x = row[pick[c]]
                     if x:
                         res = add(res, mul(coef, x))
                 if res:
@@ -281,7 +273,7 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
                 continue
             form = [(sf, row[sf])] if row[sf] else []
             for c, coef in terms:
-                s = sigma[c]
+                s = pick[c]
                 x = row[s]
                 if x:
                     form.append((s, mul(coef, x)))
@@ -298,67 +290,68 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
             res = add(res, mul(c, diag[s]))
         return not res
 
-    def scale():
-        """Scan the diagonals under the placed sigma, in order."""
-        forms_at: list[list] = [[] for _ in range(n)]
-        for s, form in pending:
-            forms_at[s].append(form)
-        pick = [-1] * n  # index into scal of diag[s], -1 before the first
-        s = 1
-        while s:
-            if s == n:
-                ticker.tick()
-                return accept(sigma, diag)
-            i = pick[s] + 1
-            if i == len(scal):
-                pick[s] = -1
-                s -= 1
+    # depth first over the levels, iteratively so that wide instances need
+    # no deep recursion; every value below `free` is used, so a sigma
+    # position entered afresh starts its scan there and a first descent is
+    # O(n)
+    l = free = 0
+    while 0 <= l < leaf:
+        v = pick[l]
+        if l < n:
+            if v >= 0:
+                # take back the value tried last at l
+                used[v] = False
+                if v < free:
+                    free = v
+                del pending[marks[l]:]
+                v += 1
+            else:
+                v = free
+            while v < n and used[v]:
+                v += 1
+            if v == n:
+                pick[l] = -1
+                l -= 1
                 continue
-            pick[s] = i
-            diag[s] = scal[i]
+            pick[l] = v
+            used[v] = True
+            if v == free:
+                free += 1
+            marks[l] = len(pending)
+            if not residuals_vanish(l):
+                ticker.skip(below[l])
+                continue
+            if l == n - 1:
+                forms_at: list[list] = [[] for _ in range(n)]
+                for s, form in pending:
+                    forms_at[s].append(form)
+            l += 1
+        else:
+            v += 1
+            if v == len(scal):
+                pick[l] = -1
+                l -= 1
+                continue
+            pick[l] = v
+            s = l - n + 1
+            diag[s] = scal[v]
             for form in forms_at[s]:
                 if not vanishes(form):
-                    ticker.skip(below_diag[s])
+                    ticker.skip(below[l])
                     break
             else:
-                s += 1
+                l += 1
+    if l < 0:
         return None
-
-    # depth first over sigma, iteratively so that wide instances need no
-    # deep recursion; every value below `free` is used, so a position
-    # entered afresh starts its scan there and a first descent is O(n)
-    p = free = 0
-    while p >= 0:
-        v = sigma[p]
-        if v >= 0:
-            # take back the value tried last at p
-            used[v] = False
-            if v < free:
-                free = v
-            del pending[marks[p]:]
-            v += 1
-        else:
-            v = free
-        while v < n and used[v]:
-            v += 1
-        if v == n:
-            sigma[p] = -1
-            p -= 1
-            continue
-        sigma[p] = v
-        used[v] = True
-        if v == free:
-            free += 1
-        marks[p] = len(pending)
-        if not residuals_vanish(p):
-            ticker.skip(below_sigma[p])
-        elif p + 1 < n:
-            p += 1
-        else:
-            w = scale()
-            if w is not None:
-                return w
-    return None
+    # the leaf: every residual vanishes there and rank(G) = rank(H), so the
+    # row spaces of G*M and H coincide
+    ticker.tick()
+    m = Mono(fld, Perm(tuple(pick[:n])), tuple(diag))
+    s = row_basis_transform(g.apply_mono(m), h)
+    w = None if s is None else Witness(s, m)
+    if w is None or not verify_witness(inst, w):
+        raise WitnessInvalid("exhaustive search recovered a non-verifying witness")
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +467,6 @@ class _Backtracker:
         # pinned: its scalar is ratio times that of the slot
         self.ties: dict[int, tuple[int, int]] = {}
         self.sigma = [-1] * n
-        self.diag = [1] * n
 
         # targets ordered by class (small, distinctive classes first), each
         # class's members in index order
@@ -570,7 +562,7 @@ class _Backtracker:
         """Candidates for a target column of class hkey, in a fixed order and
         one at a time: (gkey, value, rep index). Duplicates collapse to the
         smallest unused rep. Each draw reads the search state afresh;
-        `_assign` restores it before drawing the next candidate."""
+        `_moves` takes its pin back before drawing the next candidate."""
         if locked is not None:
             gkeys = [locked]
         else:
@@ -588,12 +580,31 @@ class _Backtracker:
                         yield gkey, value, rep
                         break
 
-    def _assign(self, t: int) -> Optional[Witness]:
-        """Search from target position t; `decide` starts at 0 once
-        `infeasible_by_counting` has passed. With n = 0 there are no
-        targets, and `_assign` finishes at once."""
-        if t == len(self.targets):
-            return self._finish()
+    def _search(self) -> Optional[Witness]:
+        """Depth first over the target positions, from an explicit stack of
+        `_moves` generators, so that no input depth reaches Python's frame
+        limit; `decide` runs it once `infeasible_by_counting` has passed.
+        With n = 0 there are no targets, and it finishes at once."""
+        end = len(self.targets)
+        if not end:
+            return self._complete(0)
+        stack = [self._moves(0)]
+        while stack:
+            t = next(stack[-1], None)
+            if t is None:
+                stack.pop()
+            elif t == end or (len(self.slots) == self.k and self.comps <= 1):
+                w = self._complete(t)
+                if w is not None:
+                    return w
+            else:
+                stack.append(self._moves(t))
+        return None
+
+    def _moves(self, t: int):
+        """Pin each candidate for target position t that `_push` accepts, in
+        order, and yield t + 1 with it pinned; resumed, take the pin back
+        and go on to the next candidate."""
         j = self.targets[t]
         y = self.hcols[j]
         hkey = self.hkeys[j]
@@ -611,34 +622,27 @@ class _Backtracker:
             self.sigma[j] = rep
             if tie is not None:
                 self.ties[rep] = tie
-            did_lock = locked is None
-            if did_lock:
+            if locked is None:
                 self.lock[hkey] = gkey
                 self.lock_rev[gkey] = hkey
-            if len(self.slots) == self.k and self.comps <= 1:
-                got = self._complete(t + 1)
-            else:
-                got = self._assign(t + 1)
-            if got is not None:
-                return got
-            if did_lock:
+            yield t + 1
+            if locked is None:
                 del self.lock[hkey]
                 del self.lock_rev[gkey]
             self.used[rep] = False
             self.sigma[j] = -1
             self.ties.pop(rep, None)
             self._pop(pin)
-        return None
 
     def _complete(self, t: int) -> Optional[Witness]:
         """With the change of basis pinned, the rest of the assignment is
-        forced; consume matching source columns or fail. The sources of a
-        target are worked out once per distinct target value, and a run of
-        equal targets is consumed at once (module docstring)."""
-        used, sigma, diag = self.used, self.sigma, self.diag
+        forced: take matching source columns on copies of the search state,
+        or fail. The sources of a target are worked out once per distinct
+        target value, and a run of equal targets is taken at once (module
+        docstring)."""
+        used, sigma, diag = self.used[:], self.sigma[:], [1] * len(self.used)
         targets, run_end, ticker = self.targets, self.run_end, self.ticker
         sources: dict[tuple, list[tuple[list[int], int]]] = {}
-        consumed = []
         while t < len(targets):
             end = run_end[t]
             y = self.hcols[targets[t]]
@@ -650,19 +654,14 @@ class _Backtracker:
             if len(picks) < need:
                 # the column after the last pick fails
                 ticker.skip(len(picks) + 1)
-                for j, rep in reversed(consumed):
-                    used[rep] = False
-                    sigma[j] = -1
-                    diag[rep] = 1
                 return None
             ticker.skip(need)
             for j, (rep, d) in zip(targets[t:end], picks):
                 used[rep] = True
                 sigma[j] = rep
                 diag[rep] = d
-                consumed.append((j, rep))
             t = end
-        return self._finish()
+        return self._finish(sigma, diag)
 
     def _sources(self, y: tuple) -> list[tuple[list[int], int]]:
         """The G values that target y can take under the pinned S, in order:
@@ -685,15 +684,15 @@ class _Backtracker:
         c, inv, mul = x_req[nz], fld.inv, fld.mul
         return [(members, mul(c, inv(value[nz]))) for value, members in by_val]
 
-    def _finish(self) -> Witness:
-        """The witness of a complete assignment. The root of each component
-        of slots takes scalar 1, so slot i takes weight[i] (module
-        docstring)."""
+    def _finish(self, sigma: list[int], diag: list[int]) -> Witness:
+        """The witness of a complete assignment: sigma, and diag with the
+        completion's scalars, to which it adds those of the pinned columns.
+        The root of each component of slots takes scalar 1, so slot i takes
+        weight[i] (module docstring)."""
         fld, k, weight = self.fld, self.k, self.weight
-        diag = list(self.diag)
         for rep, (slot, ratio) in self.ties.items():
             diag[rep] = fld.mul(ratio, weight[slot])
-        m = Mono(fld, Perm(tuple(self.sigma)), tuple(diag))
+        m = Mono(fld, Perm(tuple(sigma)), tuple(diag))
         # the r slots as columns S * (d_i * value_i) = y_i: two k x r
         # matrices of full column rank, so both RREFs are [I_r; 0] and S
         # exists (unique when r = k); Y's rank r is recorded, so
@@ -731,7 +730,7 @@ def decide(inst: Instance, budget: Budget = Budget()) -> DecideResult:
             bt = _Backtracker(inst, ticker)
             if bt.infeasible_by_counting():
                 return DecideResult(Status.NO, None, 0, time.perf_counter() - t0, "class counts")
-            w = bt._assign(0)
+            w = bt._search()
     except _OutOfBudget:
         return DecideResult(Status.UNKNOWN, None, ticker.nodes, time.perf_counter() - t0, "budget exhausted")
     if w is None:
@@ -804,18 +803,19 @@ _MAX_SAMPLE_TRIES = 2000
 _MAX_NO_TRIES = 256
 
 
-def _sample_full_rank(spec: GenSpec, rng) -> Mat:
-    """A k x n matrix of rank min(k, n); unlabeled specs allow k > n."""
-    fld, k, n = spec.field, spec.k, spec.n
+def _sample_full_rank(fld: Field, k: int, n: int, profile: Optional[tuple[int, ...]], rng) -> Mat:
+    """A k x n matrix of rank min(k, n), its columns drawn as the profile's
+    classes when one is given; unlabeled specs allow k > n, and k = n
+    gives an invertible matrix."""
     q = fld.q
     rank = min(k, n)
     for _ in range(_MAX_SAMPLE_TRIES):
-        if spec.profile is None:
+        if profile is None:
             rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
             mat = Mat(fld, rows, n)
         else:
             cols = []
-            for count in spec.profile:
+            for count in profile:
                 col = [rng.randrange(q) for _ in range(k)]
                 cols.extend([col] * count)
             rng.shuffle(cols)
@@ -823,15 +823,6 @@ def _sample_full_rank(spec: GenSpec, rng) -> Mat:
         if mat.rank() == rank:
             return mat
     raise BudgetExceeded(f"could not sample a full-rank {k}x{n} matrix over {fld!r}")
-
-
-def _sample_invertible(fld: Field, k: int, rng) -> Mat:
-    q = fld.q
-    for _ in range(_MAX_SAMPLE_TRIES):
-        m = Mat(fld, [[rng.randrange(q) for _ in range(k)] for _ in range(k)], k)
-        if m.is_invertible():
-            return m
-    raise BudgetExceeded(f"could not sample an invertible {k}x{k} matrix over {fld!r}")
 
 
 def _sample_action(fld: Field, n: int, tag: Tag, rng) -> Mono:
@@ -862,8 +853,8 @@ def generate(spec: GenSpec) -> Generated:
         fld.e,
     )
     if spec.planted is Planted.YES:
-        g = _sample_full_rank(spec, rng)
-        s = _sample_invertible(fld, spec.k, rng)
+        g = _sample_full_rank(fld, spec.k, spec.n, spec.profile, rng)
+        s = _sample_full_rank(fld, spec.k, spec.k, None, rng)
         m = _sample_action(fld, spec.n, spec.tag, rng)
         h = s.mul(g).apply_mono(m)
         # s is invertible and m monomial, so h has g's rank
@@ -874,8 +865,8 @@ def generate(spec: GenSpec) -> Generated:
             raise WitnessInvalid("planted witness does not verify")
         return Generated(inst, w)
     if spec.planted is Planted.UNLABELED:
-        g = _sample_full_rank(spec, rng)
-        h = _sample_full_rank(spec, rng)
+        g = _sample_full_rank(fld, spec.k, spec.n, spec.profile, rng)
+        h = _sample_full_rank(fld, spec.k, spec.n, spec.profile, rng)
         return Generated(Instance(fld, g, h, spec.tag))
     cap_n, cap_q = NO_CERT_CAPS[spec.tag]
     if spec.tag is Tag.SPCE and fld.p == 2:
@@ -886,8 +877,8 @@ def generate(spec: GenSpec) -> Generated:
             f"n <= {cap_n}, q <= {cap_q}"
         )
     for _ in range(_MAX_NO_TRIES):
-        g = _sample_full_rank(spec, rng)
-        h = _sample_full_rank(spec, rng)
+        g = _sample_full_rank(fld, spec.k, spec.n, spec.profile, rng)
+        h = _sample_full_rank(fld, spec.k, spec.n, spec.profile, rng)
         inst = Instance(fld, g, h, spec.tag)
         res = decide(inst, Budget(mode=Mode.EXHAUSTIVE))
         if res.status is Status.NO:

@@ -548,3 +548,23 @@ def test_solve_has_no_workers_flag(tmp_path):
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert not wit.exists()
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "backtracking"])
+@pytest.mark.parametrize("p, tag, ones, twos", [
+    (5, "LCE", 1100, 1), (2, "PCE", 1500, 1500), (2, "LCE", 1500, 1500), (3, "SPCE", 1500, 1500),
+])
+def test_solve_pins_long_runs_without_deep_recursion(tmp_path, mode, p, tag, ones, twos):
+    # G = H = [1...1 0...0; 0...0 1...1], `ones` equal columns and then
+    # `twos`. The backtracker pins a column per search level until the
+    # slots reach rank 2 in one component: at least the whole first of two
+    # classes of 1,500, and every column over GF(5), where the two slots'
+    # scalars never join. Either is deeper than Python's default frame
+    # limit. Both modes answer YES
+    n = ones + twos
+    rows = " ".join(["1"] * ones + ["0"] * twos) + "\n" + " ".join(["0"] * ones + ["1"] * twos)
+    inst = tmp_path / "runs.ceq"
+    inst.write_text(f"%CEQ 1\nfield {p}\ntag {tag}\nG 2 {n}\n{rows}\nH 2 {n}\n{rows}\n")
+    proc = run_module(["solve", "--in", inst, "--mode", mode], timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(f"solve: YES ({tag} 2x{n} over GF({p}), {mode}, nodes=")

@@ -3,10 +3,11 @@
 `reference_complete` is `_Backtracker._complete` as it was before it
 consumed runs of equal target values at once: one target column at a
 time, each taking the first unused member of the first source value
-that has one, one tick each. The run-wise completion must pick the same
-columns and count the same nodes, so status, nodes, detail and witness
-must agree exactly, also under node budgets that end the search inside a
-run. Under a time limit the two read the clock at different points: the
+that has one, one tick each. Like `_complete`, it works on copies of the
+search state and hands a fresh diagonal to `_finish`. The run-wise
+completion must pick the same columns and count the same nodes, so
+status, nodes, detail and witness must agree exactly, also under node
+budgets that end the search inside a run. Under a time limit the two read the clock at different points: the
 reference at every column, the run-wise completion once per run.
 
 The same corpus, cut to 96 decides, guards search determinism:
@@ -36,10 +37,8 @@ MAX_NODES = 3000
 def reference_complete(self, t, seen=None):
     """seen, when given, collects the node count of every tick spent on a
     column that continues a run of equal targets."""
-    used, sigma, diag = self.used, self.sigma, self.diag
+    used, sigma, diag = self.used[:], self.sigma[:], [1] * len(self.used)
     sources = {}
-    consumed = []
-    ok = True
     for tt in range(t, len(self.targets)):
         self.ticker.tick()
         j = self.targets[tt]
@@ -54,21 +53,11 @@ def reference_complete(self, t, seen=None):
             if rep is not None:
                 break
         else:
-            ok = False
-            break
+            return None
         used[rep] = True
         sigma[j] = rep
         diag[rep] = d
-        consumed.append((j, rep))
-    if ok:
-        got = self._finish()
-        if got is not None:
-            return got
-    for j, rep in reversed(consumed):
-        used[rep] = False
-        sigma[j] = -1
-        diag[rep] = 1
-    return None
+    return self._finish(sigma, diag)
 
 
 def _hard_no(fld, k, n, profile, seed):

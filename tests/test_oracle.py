@@ -464,11 +464,11 @@ def test_full_rank_witness_costs_one_elimination(monkeypatch):
             per_finish[-1] += 1
         return real_eliminate(*args)
 
-    def finish(bt):
+    def finish(bt, sigma, diag):
         inside.append(True)
         per_finish.append(0)
         try:
-            return real_finish(bt)
+            return real_finish(bt, sigma, diag)
         finally:
             inside.pop()
 

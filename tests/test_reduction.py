@@ -552,6 +552,68 @@ def test_soundness_hard_no_through_gadget_wide():
     assert reached >= 55
 
 
+def _margin_pair(fld, a, b, target):
+    """The PCE pair (a, b), checked NO in both modes, and its gadget pair
+    for target with its cert."""
+    inst = Instance(fld, Mat(fld, a), Mat(fld, b), Tag.PCE)
+    for mode in Mode:
+        assert decide(inst, Budget(mode=mode)).status is Status.NO
+    red, cert = reduce_instance(inst, target)
+    assert not cert.rejected
+    return red, cert
+
+
+def _backtrack(fld, g, h, target):
+    res = decide(Instance(fld, g, h, target), Budget(mode=Mode.BACKTRACKING))
+    return res.status, res.nodes
+
+
+@pytest.mark.parametrize("target", [Tag.LCE, Tag.SPCE])
+def test_soundness_margin_of_m_duplicates_gf3(target):
+    """A PCE NO pair whose gadget needs all m = mu_max + 1 duplicates.
+
+    Over GF(3), A = [1 0 0 0 1; 0 1 0 1 0; 0 0 1 1 1] and B is A with
+    columns 3-5 negated. With m duplicates the class of each [a_j; 0] is
+    here m times as large as that of [a_j; 1], so no witness exchanges
+    the two.
+    With m - 1 = 1 they are the same size, and S = [S' 0; v c] may swap
+    [a_j; 1] with [a_j; 0] wherever v . a_j = -c: v = (0, 0, 1) takes the
+    one non-zero value 1 on A's columns, and on columns 3-5 exactly, which
+    gives their sign flip. The 4 x 26 gadget pair is NO; its m - 1 twin
+    is YES, with a witness that `decide` verifies.
+    """
+    a = [[1, 0, 0, 0, 1], [0, 1, 0, 1, 0], [0, 0, 1, 1, 1]]
+    b = [[1, 0, 0, 0, 2], [0, 1, 0, 2, 0], [0, 0, 2, 2, 2]]
+    red, cert = _margin_pair(F3, a, b, target)
+    assert _backtrack(F3, red.G, red.H, target) == (Status.NO, 421)
+    assert (red.k, red.n, cert.m) == (4, 26, 2)
+    norm = cert.journal.normalized
+    fewer = [build_gadget(x, cert.m - 1) for x in (norm.G, norm.H)]
+    assert _backtrack(F3, *fewer, target) == (Status.YES, 803)
+
+
+@pytest.mark.parametrize("target, nodes", [(Tag.LCE, 100), (Tag.SPCE, 76)])
+def test_soundness_margin_of_the_third_block_gf4(target, nodes):
+    """A PCE NO pair whose gadget needs the third block's nm + 1 columns.
+
+    Over GF(4), A = [1 0 0 1; 0 1 2 1] and B = [1 0 0 1; 0 1 2 2]. With
+    nm + 1 columns e_{k+1} is the largest class, so S fixes its line. Cut
+    to one column, the 3 x 13 LCE pair is YES: S = [1 0 0; 2 2 2; 0 0 1]
+    sends e_3 to the first-block column [0; 2; 1], that to [0; 1; 1] and
+    that to e_3, and so [1; 1; 1] to B's [1; 2; 1]. It maps [0; y; 0] to
+    [0; 2y; 0], which the second block's columns [0; 1; 0] and [0; 2; 0]
+    undo with the scalar 3 = 2^-1: an LCE scalar other than +-1, which
+    SPCE over GF(4) lacks. The 3 x 21 gadget pair is NO for both targets.
+    """
+    fld = field(2, 2)
+    red, cert = _margin_pair(fld, [[1, 0, 0, 1], [0, 1, 2, 1]], [[1, 0, 0, 1], [0, 1, 2, 2]], target)
+    assert _backtrack(fld, red.G, red.H, target) == (Status.NO, nodes)
+    assert (red.k, red.n, cert.m) == (3, 21, 2)
+    width = cert.n + cert.n * cert.m + 1
+    cut = [Mat(fld, [row[:width] for row in x.rows], width) for x in (red.G, red.H)]
+    assert _backtrack(fld, *cut, target) == ((Status.YES, 48) if target is Tag.LCE else (Status.NO, 99))
+
+
 def _subspaces(fld, k, n):
     """Every k-dimensional subspace of F_q^n, as the RREF matrix of its basis."""
     for pivots in itertools.combinations(range(n), k):

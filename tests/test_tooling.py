@@ -300,6 +300,56 @@ def test_no_private_imports_across_modules():
     assert found == []
 
 
+def _recursive_calls(path):
+    """"module:line Owner.name" for every call in the module at path of the
+    function it lies in: by the function's bare name, unless that name is
+    rebound inside it, or as self.<its name>."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {id(f): f"{cls.name}." for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for f in cls.body}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inside = list(ast.walk(fn))[1:]
+        rebound = any(
+            isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == fn.name
+            or isinstance(node, ast.arg) and node.arg == fn.name
+            or isinstance(node, defs) and node.name == fn.name
+            or isinstance(node, ast.alias) and (node.asname or node.name) == fn.name
+            for node in inside
+        )
+        for node in inside:
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == fn.name and not rebound) or (
+                isinstance(f, ast.Attribute) and f.attr == fn.name
+                and isinstance(f.value, ast.Name) and f.value.id == "self"
+            ):
+                found.append(f"{path.name}:{node.lineno} {owner.get(id(fn), '')}{fn.name}")
+    return found
+
+
+def test_no_function_calls_itself():
+    # a search that recurses once per step ends a deep but valid input in
+    # a RecursionError; each loop keeps its state on an explicit stack
+    assert [f for path in SOURCES for f in _recursive_calls(path)] == []
+
+
+def test_the_recursion_guard_sees_both_spellings(tmp_path):
+    # `Mat.scale` reads a local `scale`, which is not a call of itself
+    path = tmp_path / "m.py"
+    path.write_text(
+        "def walk(t):\n    return walk(t - 1)\n"
+        "def shadowed(x):\n    shadowed = len\n    return shadowed(x)\n"
+        "class C:\n"
+        "    def visit(self, t):\n        return self.visit(t)\n"
+        "    def scale(self, a):\n        scale = abs\n        return scale(a)\n"
+    )
+    assert _recursive_calls(path) == ["m.py:2 walk", "m.py:8 C.visit"]
+
+
 # both cost every CLI command several ms of import time; see record.py
 SLOW_IMPORTS = {"dataclasses", "inspect"}
 
