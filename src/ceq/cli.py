@@ -134,7 +134,8 @@ def cmd_solve(args) -> int:
 
 def _append_stats(path: str, instance_path: str, inst: Instance, mode: oracle.Mode, res) -> None:
     p = Path(path)
-    new = not p.exists()
+    # an empty file, as mktemp leaves one, gets the header too
+    new = not p.exists() or p.stat().st_size == 0
     with p.open("a", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
         if new:

@@ -68,23 +68,29 @@ choices, U_Y^-1 * U_X.
 
 The gadget holds [a_j; 1] once, [a_j; 0] m times and e_{k+1} nm + 1
 times, so a gadget pair has at most 2d + 1 distinct column values for d
-distinct columns of A. The backtracker's set-up therefore groups each
-side's columns by value once, with members in index order, and computes
-one class key per distinct value: the lexicographically least multiple
-of the value by an allowed scalar, so two values share a key exactly
-when one is an allowed multiple of the other. The classes, their sizes
-and the target order (H classes by size and key, each class's members
-in index order) come from those records. A forced completion computes
-S^-1 * y, its class key and the scalars of the matching source values
-once per distinct target value y. The completion consumes a run of
-equal consecutive target values at once: one column at a time would
-take, for each, the first unused member of the first source value that
-has one, and the members of distinct values are disjoint, so the run
-takes the first unused members across those values in order. It counts one node
-per column of the run, and on a failing run one per column taken plus
-one for the column that fails, so node counts are those of a per-column
-completion. A completion works on copies of the used columns and sigma
-and on a fresh diagonal, so one that fails leaves nothing to undo.
+distinct columns of A. The backtracker's set-up therefore groups G's
+columns by value once, members in index order, and computes one class
+key per distinct value of either side: the lexicographically least
+multiple of the value by an allowed scalar, so two values share a key
+exactly when one is an allowed multiple of the other. The classes, their
+sizes and the target order (H classes by size and key, each class's
+members in index order) come from those records. The members of a value
+are interchangeable, so a pin takes the first free one; pins come off in
+the reverse order of going on, so the pinned members of a value are
+always its first ones, and the search keeps only their count per value.
+The free member is read at once, and a class of c equal columns costs
+O(c) to pin, not O(c^2). A forced completion computes S^-1 * y, its
+class key and the scalars of the matching source values once per
+distinct target value y, and takes the run of equal consecutive targets
+that starts at y at once, finding its end as it goes: one column at a
+time would take, for each, the first free member of the first source
+value that has one, and the members of distinct values are disjoint, so
+the run takes the first free members across those values in order. It
+counts one node per column of the run, and on a failing run one per
+column taken plus one for the column that fails, so node counts are
+those of a per-column completion. A completion works on copies of the
+counts and sigma and on a fresh diagonal, so one that fails leaves
+nothing to undo.
 
 Under a time limit both deciders read the clock once per searched node
 and once per block of nodes counted at once (the candidates under a
@@ -110,7 +116,6 @@ from __future__ import annotations
 
 import enum
 import time
-from itertools import islice
 from numbers import Real
 from operator import index
 from typing import Optional
@@ -420,32 +425,33 @@ class _Backtracker:
         # the allowed scalars, also the values a ratio of two of them takes
         self.scal = scal = scalars(fld, inst.tag)
 
-        # each side's columns grouped by value, members in index order, and
-        # one class key per distinct value (see the module docstring)
+        # G's columns grouped by value, members in index order, and one
+        # class key per distinct value of G and H (see the module docstring)
         gvals: dict[tuple, list[int]] = {}
-        hvals: dict[tuple, list[int]] = {}
-        for cols, by_val in ((inst.G.cols(), gvals), (self.hcols, hvals)):
-            for i, col in enumerate(cols):
-                by_val.setdefault(col, []).append(i)
-        keys = {col: _class_key(fld, scal, col) for col in {*gvals, *hvals}}
+        for i, col in enumerate(inst.G.cols()):
+            gvals.setdefault(col, []).append(i)
+        keys = {col: _class_key(fld, scal, col) for col in {*gvals, *self.hcols}}
         self.hkeys = [keys[col] for col in self.hcols]
 
-        # the values inside each G class in sorted order, each with its
-        # members; the class sizes; G class keys by size, each list sorted
-        self.gvalues: dict[tuple, list[tuple[tuple, list[int]]]] = {}
+        # distinct G value v has the columns members[v], of which the first
+        # taken[v] are pinned; each G class holds its (value, v) pairs in
+        # sorted order. The class sizes; G class keys by size, each list
+        # sorted; H's members of each class in index order
+        self.members: list[list[int]] = []
+        self.gvalues: dict[tuple, list[tuple[tuple, int]]] = {}
         for value, members in sorted(gvals.items()):
-            self.gvalues.setdefault(keys[value], []).append((value, members))
-        self.gsize = {key: sum(len(m) for _, m in vals) for key, vals in self.gvalues.items()}
+            self.gvalues.setdefault(keys[value], []).append((value, len(self.members)))
+            self.members.append(members)
+        self.taken = [0] * len(self.members)
+        self.gsize = {key: sum(len(self.members[v]) for _, v in vals) for key, vals in self.gvalues.items()}
         self.gkeys_by_size: dict[int, list[tuple]] = {}
         for key in sorted(self.gsize):
             self.gkeys_by_size.setdefault(self.gsize[key], []).append(key)
         hmembers: dict[tuple, list[int]] = {}
-        for value, members in hvals.items():
-            hmembers.setdefault(keys[value], []).extend(members)
+        for j, key in enumerate(self.hkeys):
+            hmembers.setdefault(key, []).append(j)
         self.hsize = {key: len(members) for key, members in hmembers.items()}
 
-        n = inst.n
-        self.used = [False] * n
         self.lock: dict[tuple, tuple] = {}
         self.lock_rev: dict[tuple, tuple] = {}
         # the pinned pairs that add rank, the slots: (value, y) with the
@@ -466,19 +472,12 @@ class _Backtracker:
         # rep -> (slot, ratio) for each non-zero column that branching
         # pinned: its scalar is ratio times that of the slot
         self.ties: dict[int, tuple[int, int]] = {}
-        self.sigma = [-1] * n
+        self.sigma = [-1] * inst.n
 
         # targets ordered by class (small, distinctive classes first), each
         # class's members in index order
         order = sorted(hmembers, key=lambda key: (self.hsize[key], key))
-        self.targets = [j for key in order for j in sorted(hmembers[key])]
-        # run_end[t]: one past the last position of the run of equal
-        # consecutive target values that holds position t
-        values = [self.hcols[j] for j in self.targets]
-        self.run_end = run_end = list(range(1, len(values) + 1))
-        for t in range(len(values) - 2, -1, -1):
-            if values[t] == values[t + 1]:
-                run_end[t] = run_end[t + 1]
+        self.targets = [j for key in order for j in hmembers[key]]
 
     def infeasible_by_counting(self) -> bool:
         if sorted(self.gsize.values()) != sorted(self.hsize.values()):
@@ -558,28 +557,6 @@ class _Backtracker:
 
     # -- search ---------------------------------------------------------------
 
-    def _candidates(self, hkey: tuple, locked: Optional[tuple]):
-        """Candidates for a target column of class hkey, in a fixed order and
-        one at a time: (gkey, value, rep index). Duplicates collapse to the
-        smallest unused rep. Each draw reads the search state afresh;
-        `_moves` takes its pin back before drawing the next candidate."""
-        if locked is not None:
-            gkeys = [locked]
-        else:
-            size = self.hsize[hkey]
-            gkeys = [
-                key
-                for key in self.gkeys_by_size.get(size, ())
-                if key not in self.lock_rev
-            ]
-        used = self.used
-        for gkey in gkeys:
-            for value, members in self.gvalues[gkey]:
-                for rep in members:
-                    if not used[rep]:
-                        yield gkey, value, rep
-                        break
-
     def _search(self) -> Optional[Witness]:
         """Depth first over the target positions, from an explicit stack of
         `_moves` generators, so that no input depth reaches Python's frame
@@ -603,36 +580,50 @@ class _Backtracker:
 
     def _moves(self, t: int):
         """Pin each candidate for target position t that `_push` accepts, in
-        order, and yield t + 1 with it pinned; resumed, take the pin back
-        and go on to the next candidate."""
+        a fixed order, and yield t + 1 with it pinned; resumed, take the pin
+        back and go on to the next candidate. The candidates are the G
+        values of the locked class, or of each unlocked class of the
+        target's size, that have a member left; a value's copies collapse
+        to its first free member, members[v][taken[v]]. Pins come off in
+        the reverse order of going on, so the pinned members of each value
+        are always its first taken[v]."""
         j = self.targets[t]
         y = self.hcols[j]
         hkey = self.hkeys[j]
         locked = self.lock.get(hkey)
+        if locked is not None:
+            gkeys = [locked]
+        else:
+            gkeys = [key for key in self.gkeys_by_size.get(self.hsize[hkey], ()) if key not in self.lock_rev]
+        members, taken = self.members, self.taken
         ry = None
-        for gkey, value, rep in self._candidates(hkey, locked):
-            self.ticker.tick()
-            if ry is None:
-                ry = self.acc_y.reduce(y + self.tails[len(self.slots)])
-            pin = self._push(value, y, ry)
-            if pin is None:
-                continue
-            tie = pin[1]
-            self.used[rep] = True
-            self.sigma[j] = rep
-            if tie is not None:
-                self.ties[rep] = tie
-            if locked is None:
-                self.lock[hkey] = gkey
-                self.lock_rev[gkey] = hkey
-            yield t + 1
-            if locked is None:
-                del self.lock[hkey]
-                del self.lock_rev[gkey]
-            self.used[rep] = False
-            self.sigma[j] = -1
-            self.ties.pop(rep, None)
-            self._pop(pin)
+        for gkey in gkeys:
+            for value, v in self.gvalues[gkey]:
+                if taken[v] == len(members[v]):
+                    continue
+                self.ticker.tick()
+                if ry is None:
+                    ry = self.acc_y.reduce(y + self.tails[len(self.slots)])
+                pin = self._push(value, y, ry)
+                if pin is None:
+                    continue
+                tie = pin[1]
+                rep = members[v][taken[v]]
+                taken[v] += 1
+                self.sigma[j] = rep
+                if tie is not None:
+                    self.ties[rep] = tie
+                if locked is None:
+                    self.lock[hkey] = gkey
+                    self.lock_rev[gkey] = hkey
+                yield t + 1
+                if locked is None:
+                    del self.lock[hkey]
+                    del self.lock_rev[gkey]
+                taken[v] -= 1
+                self.sigma[j] = -1
+                self.ties.pop(rep, None)
+                self._pop(pin)
 
     def _complete(self, t: int) -> Optional[Witness]:
         """With the change of basis pinned, the rest of the assignment is
@@ -640,32 +631,36 @@ class _Backtracker:
         or fail. The sources of a target are worked out once per distinct
         target value, and a run of equal targets is taken at once (module
         docstring)."""
-        used, sigma, diag = self.used[:], self.sigma[:], [1] * len(self.used)
-        targets, run_end, ticker = self.targets, self.run_end, self.ticker
-        sources: dict[tuple, list[tuple[list[int], int]]] = {}
-        while t < len(targets):
-            end = run_end[t]
-            y = self.hcols[targets[t]]
+        taken, sigma, diag = self.taken[:], self.sigma[:], [1] * len(self.sigma)
+        targets, hcols, members, ticker = self.targets, self.hcols, self.members, self.ticker
+        end = len(targets)
+        sources: dict[tuple, list[tuple[int, int]]] = {}
+        while t < end:
+            y = hcols[targets[t]]
             options = sources.get(y)
             if options is None:
                 options = sources[y] = self._sources(y)
-            need = end - t
-            picks = list(islice(((i, d) for members, d in options for i in members if not used[i]), need))
-            if len(picks) < need:
+            # take the run of targets equal to y, value after value
+            start = t
+            for v, d in options:
+                pool, i = members[v], taken[v]
+                while i < len(pool) and t < end and hcols[targets[t]] == y:
+                    rep = pool[i]
+                    sigma[targets[t]] = rep
+                    diag[rep] = d
+                    i += 1
+                    t += 1
+                taken[v] = i
+            if t < end and hcols[targets[t]] == y:
                 # the column after the last pick fails
-                ticker.skip(len(picks) + 1)
+                ticker.skip(t - start + 1)
                 return None
-            ticker.skip(need)
-            for j, (rep, d) in zip(targets[t:end], picks):
-                used[rep] = True
-                sigma[j] = rep
-                diag[rep] = d
-            t = end
+            ticker.skip(t - start)
         return self._finish(sigma, diag)
 
-    def _sources(self, y: tuple) -> list[tuple[list[int], int]]:
+    def _sources(self, y: tuple) -> list[tuple[int, int]]:
         """The G values that target y can take under the pinned S, in order:
-        each value's members and the scalar d with S^-1 * y = d * value.
+        each value's index v and the scalar d with S^-1 * y = d * value.
         With the slots at rank k, y = sum b_i y_i with b_i = -ry[k + i],
         and S^-1 * y = sum b_i * weight[i] * value_i for root scalar 1."""
         k, fld = self.k, self.fld
@@ -677,12 +672,12 @@ class _Backtracker:
         x_req = tuple(x_req)
         by_val = self.gvalues.get(_class_key(fld, self.scal, x_req), ())
         if x_req == self.zero:
-            return [(members, 1) for _, members in by_val]
+            return [(v, 1) for _, v in by_val]
         # each value shares x_req's class key, its least multiple by an
         # allowed scalar, so x_req = d * value with d allowed
         nz = next(i for i, v in enumerate(x_req) if v)
         c, inv, mul = x_req[nz], fld.inv, fld.mul
-        return [(members, mul(c, inv(value[nz]))) for value, members in by_val]
+        return [(v, mul(c, inv(value[nz]))) for value, v in by_val]
 
     def _finish(self, sigma: list[int], diag: list[int]) -> Witness:
         """The witness of a complete assignment: sigma, and diag with the

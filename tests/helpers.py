@@ -1,9 +1,11 @@
 """Constructors and reference arithmetic that only the tests use."""
 
+import itertools
 import os
 from pathlib import Path
 
 import ceq
+from ceq.core import scalars
 from ceq.matrix import Mat, Mono
 
 
@@ -85,3 +87,57 @@ def neg_raw(fld, a: int) -> int:
         out += (-x) % p * scale
         scale *= p
     return out
+
+
+def subspaces(fld, k: int, n: int) -> list[tuple]:
+    """The k-subspaces of F_q^n, each as the rows of its RREF: for every set
+    of k pivot columns, every choice of the entries right of each pivot in
+    the columns that are not pivots."""
+    out = []
+    for pivots in itertools.combinations(range(n), k):
+        free = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+        for entries in itertools.product(range(fld.q), repeat=len(free)):
+            rows = [[int(c == p) for c in range(n)] for p in pivots]
+            for (i, c), x in zip(free, entries):
+                rows[i][c] = x
+            out.append(tuple(map(tuple, rows)))
+    return out
+
+
+def monomial_orbits(fld, tag, k: int, n: int) -> list[list[tuple]]:
+    """The orbits of the k-subspaces of F_q^n, n >= 2, under the monomial
+    matrices whose entries `scalars(fld, tag)` allows, each a list of RREF
+    rows in the order of `subspaces`. The transposition (0 1), the n-cycle
+    and column 0 times a generator of the scalars generate that group, so
+    a union-find over one step of each finds the orbits."""
+    spaces = subspaces(fld, k, n)
+    where = {rows: i for i, rows in enumerate(spaces)}
+    scal = scalars(fld, tag)
+
+    def order(c):
+        x, m = c, 1
+        while x != 1:
+            x, m = fld.mul(x, c), m + 1
+        return m
+
+    gen = next(c for c in scal if order(c) == len(scal))
+    moves = (
+        lambda row: (row[1], row[0], *row[2:]),
+        lambda row: (*row[1:], row[0]),
+        lambda row: (fld.mul(gen, row[0]), *row[1:]),
+    )
+    parent = list(range(len(spaces)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, rows in enumerate(spaces):
+        for move in moves:
+            a, b = find(i), find(where[Mat(fld, [move(r) for r in rows], n).rref()[0].rows])
+            parent[max(a, b)] = min(a, b)
+    orbits: dict[int, list[tuple]] = {}
+    for i, rows in enumerate(spaces):
+        orbits.setdefault(find(i), []).append(rows)
+    return list(orbits.values())

@@ -233,19 +233,23 @@ def test_solve_rejects_bad_budget_flags(tmp_path, capsys, flag, value):
 
 def test_solve_stats_csv(tmp_path):
     inst = tmp_path / "i.ceq"
-    stats = tmp_path / "stats.csv"
     run(["gen", "--k", 1, "--n", 2, "--field", 2, "--tag", "PCE",
          "--planted", "yes", "--seed", 2, "--out", inst])
-    assert run(["solve", "--in", inst, "--stats", stats]) == 0
-    assert run(["solve", "--in", inst, "--stats", stats]) == 0
-    with stats.open(newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
-    # harnesses read the columns by position: status is index 7
-    assert header == ["instance", "tag", "q", "k", "n", "mode", "workers", "status", "nodes", "elapsed_s"]
-    assert len(rows) == 2
-    for row in rows:
-        assert len(row) == 10
-        assert row[:8] == [str(inst), "PCE", "2", "1", "2", "exhaustive", "1", "YES"]
+    # a missing file, and one that exists but is empty, as `mktemp` or
+    # `: > f` leave it, both get the header before the first row
+    empty = tmp_path / "empty.csv"
+    empty.touch()
+    for stats in (tmp_path / "stats.csv", empty):
+        assert run(["solve", "--in", inst, "--stats", stats]) == 0
+        assert run(["solve", "--in", inst, "--stats", stats]) == 0
+        with stats.open(newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        # harnesses read the columns by position: status is index 7
+        assert header == ["instance", "tag", "q", "k", "n", "mode", "workers", "status", "nodes", "elapsed_s"]
+        assert len(rows) == 2
+        for row in rows:
+            assert len(row) == 10
+            assert row[:8] == [str(inst), "PCE", "2", "1", "2", "exhaustive", "1", "YES"]
 
 
 def test_verify_fail_exit(tmp_path, capsys):

@@ -3,8 +3,11 @@
 `reference_complete` is `_Backtracker._complete` as it was before it
 consumed runs of equal target values at once: one target column at a
 time, each taking the first unused member of the first source value
-that has one, one tick each. Like `_complete`, it works on copies of the
-search state and hands a fresh diagonal to `_finish`. The run-wise
+that has one, one tick each. It marks the columns that sigma pins as
+used and scans each value's members for the first unused one, where the
+search counts the pinned members of each value. Like `_complete`, it
+works on copies of the search state and hands a fresh diagonal to
+`_finish`. The run-wise
 completion must pick the same columns and count the same nodes, so
 status, nodes, detail and witness must agree exactly, also under node
 budgets that end the search inside a run. Under a time limit the two read the clock at different points: the
@@ -37,7 +40,11 @@ MAX_NODES = 3000
 def reference_complete(self, t, seen=None):
     """seen, when given, collects the node count of every tick spent on a
     column that continues a run of equal targets."""
-    used, sigma, diag = self.used[:], self.sigma[:], [1] * len(self.used)
+    used = [False] * len(self.sigma)
+    for rep in self.sigma:
+        if rep >= 0:
+            used[rep] = True
+    sigma, diag = self.sigma[:], [1] * len(self.sigma)
     sources = {}
     for tt in range(t, len(self.targets)):
         self.ticker.tick()
@@ -48,8 +55,8 @@ def reference_complete(self, t, seen=None):
         options = sources.get(y)
         if options is None:
             options = sources[y] = self._sources(y)
-        for members, d in options:
-            rep = next((i for i in members if not used[i]), None)
+        for v, d in options:
+            rep = next((i for i in self.members[v] if not used[i]), None)
             if rep is not None:
                 break
         else:

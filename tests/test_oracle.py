@@ -571,7 +571,7 @@ def test_push_and_pop_match_the_rank_triple(p, e):
                 assert len(bt.acc_x.rows) == len(bt.acc_y.rows) == len(bt.slots) == r
                 if r == k and all(apply(s, x) == y for x, y, _ in stack):
                     for y, want in zip(probes, preimages):
-                        assert {bt.inst.G.cols()[i] for members, _ in bt._sources(y) for i in members} == {want}
+                        assert {bt.inst.G.cols()[i] for v, _ in bt._sources(y) for i in bt.members[v]} == {want}
                     seen["full rank"] += 1
     assert min(seen.values()) > 0, seen
 
@@ -700,8 +700,8 @@ def test_push_matches_brute_force_over_the_scalars(tag, p, e):
                     key = oracle._class_key
                     for y, want in zip(probes, preimages):
                         got_values = set()
-                        for members, c in bt._sources(y):
-                            value = g.cols()[members[0]]
+                        for v, c in bt._sources(y):
+                            value = g.cols()[bt.members[v][0]]
                             assert scaled(c, value) == scaled(inv(d0), want)
                             got_values.add(value)
                         same = {col for col in g.cols() if key(fld, scal, col) == key(fld, scal, want)}
@@ -867,6 +867,22 @@ def test_genspec_takes_only_a_field():
     for fld in ("GF3", 3, None):
         with pytest.raises(ValueError, match="must be a Field"):
             GenSpec(fld, 2, 3, Tag.PCE, Planted.YES, 1)
+
+
+def test_backtracker_pins_the_widest_pair_in_linear_time():
+    # G = H = [1...1 0...0; 0...0 1...1], two classes of MAX_DIM / 2. The
+    # backtracker pins every column of the first class before the slots
+    # reach rank 2, and the completion takes the second class as one run:
+    # one node per column. Each pin reads its value's first free member
+    # at once; a scan of the members from the start for a free one took
+    # 16 s here
+    fld = field(5)
+    half = MAX_DIM // 2
+    g = Mat(fld, [(1,) * half + (0,) * half, (0,) * half + (1,) * half], MAX_DIM)
+    inst = Instance(fld, g, g, Tag.LCE)
+    res = decide(inst, Budget(time_limit=8, mode=Mode.BACKTRACKING))
+    assert (res.status, res.nodes) == (Status.YES, MAX_DIM)
+    assert verify_witness(inst, res.witness)
 
 
 def test_budget_takes_only_a_real_time_limit():

@@ -4,17 +4,22 @@ The exhaustive decider and the backtracker each fix one scalar to 1,
 because (c*S, c^-1*M) is a witness whenever (S, M) is. The reference
 below shares none of that: it tries every permutation and every diagonal
 whose entries `scalars` allows, and asks whether the row spaces of G*M and
-H agree.
+H agree. The orbit test takes its truth from the group's orbits on
+subspaces instead, which no decide computes.
 """
 
 import itertools
 
+import pytest
+
 from ceq import oracle
-from ceq.core import Instance, Tag, scalars
+from ceq.core import Instance, Tag, scalars, verify_witness
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm
 from ceq.oracle import Budget, GenSpec, Mode, Planted, Status, decide, generate
 from ceq.rng import stream
+
+from helpers import monomial_orbits, subspaces
 
 FIELDS = (field(2), field(3), field(2, 2), field(5))
 
@@ -161,3 +166,34 @@ def test_planted_yes_found_outside_the_quotient():
             col = 0 if mode is Mode.EXHAUSTIVE else m.perm.sigma[j0]
             assert m.diag[col] == 1, (mode, fld, tag, n, seed)
     assert min(outside.values()) >= 15, outside
+
+
+@pytest.mark.parametrize("p, e, counts", [
+    (3, 1, (130, 16, 7, 7)),
+    (2, 2, (357, 31, 31, 7)),
+    (5, 1, (806, 56, 18, 7)),
+], ids=["GF3", "GF4", "GF5"])
+def test_deciders_agree_with_orbit_truth(p, e, counts):
+    # every 2-subspace of F_q^4, the orbits taken under each tag's group:
+    # two codes are equivalent exactly when their row spaces share an
+    # orbit. Every ordered pair of distinct orbit representatives is NO,
+    # and the first and last members of each orbit are YES, in both modes.
+    # The counts are (subspaces, PCE, SPCE, LCE orbits). H enters as
+    # [[1, 1], [1, 0]] times its RREF, so that no pair is in RREF on both
+    # sides
+    fld = field(p, e)
+    mix = Mat(fld, [[1, 1], [1, 0]], 2)
+    got = [len(subspaces(fld, 2, 4))]
+    for tag in Tag:
+        orbits = monomial_orbits(fld, tag, 2, 4)
+        got.append(len(orbits))
+        reps = [orbit[0] for orbit in orbits]
+        pairs = [(a, b, Status.NO) for a in reps for b in reps if a != b]
+        pairs += [(orbit[0], orbit[-1], Status.YES) for orbit in orbits]
+        for a, b, want in pairs:
+            inst = Instance(fld, Mat(fld, a, 4), mix.mul(Mat(fld, b, 4)), tag)
+            for mode in Mode:
+                res = decide(inst, Budget(mode=mode))
+                assert res.status is want, (tag, mode, a, b)
+                assert want is Status.NO or verify_witness(inst, res.witness)
+    assert tuple(got) == counts

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from test_reduction import _long
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -61,3 +63,25 @@ def test_answers_yes_probe_quick_prints_its_keys(capsys):
     assert {k: v for k, v in again.items() if not k.endswith("_s")} == {
         k: v for k, v in probe.items() if not k.endswith("_s") and k != "rows"
     }
+
+
+def test_search_corpus_answers_are_pinned():
+    # the full `search` stratum: every status, node count and witness of
+    # its decides goes into the hash, so a search change that moves any
+    # of them fails here
+    summary, _ = _load("answers").search()
+    assert summary["count"] == 2880
+    assert summary["nodes"]["total"] == 232_136
+    assert summary["unknown"] == 0
+    assert summary["answers_sha256"] == "ca09e9af8890ad76d225d46c2eb99065903c73694a16691a949eede48e37b0bf"
+
+
+@_long
+def test_yes_probe_corpus_answers_are_pinned():
+    # the full `yes-probe` stratum, about 7 s; its two UNKNOWNs are the
+    # (2, 6, 12) pairs at seed 7, which stay past the node budget
+    summary, _ = _load("answers").yes_probe()
+    assert summary["count"] == 80
+    assert summary["nodes"]["total"] == 1_116_472
+    assert summary["unknown"] == 2
+    assert summary["answers_sha256"] == "2f2a5c522401de8527de342985a079c8b08bc705e2bdacc8bf6d5d651525a531"
