@@ -9,8 +9,10 @@ of M lies in the class the problem tag allows.
 strips zero columns, replaces both matrices by the non-zero rows of
 their RREF (full row rank), and rejects early when a cheap invariant
 already refutes equivalence (zero-column counts, ranks, or column
-multiplicity profiles differing). The returned journal carries enough
-to map witnesses across the normalization in both directions.
+multiplicity profiles differing). Only the distinct columns are
+row-reduced; the normalized rows are gathered from them by slot. The
+returned journal carries enough to map witnesses across the
+normalization in both directions.
 
 Instances, witnesses, journals and preprocessing outcomes are immutable
 `Record`s (see `record.py`).
@@ -182,7 +184,10 @@ def preprocess(inst: Instance) -> PreprocessOutcome:
     """Normalize a PCE instance or reject it on a cheap refuting invariant.
 
     Non-PCE instances pass through untouched with a trivial journal.
-    Rejection is a value, not an error.
+    Rejection is a value, not an error. Each side's row reduction runs
+    over its d distinct non-zero columns and the k columns of the
+    transform (see `_normalized`), so the profile check counts off slots
+    that the reduction recorded.
     """
     if inst.tag is not Tag.PCE:
         return Normalized(inst, _identity_journal(inst))
@@ -190,15 +195,13 @@ def preprocess(inst: Instance) -> PreprocessOutcome:
     h_stripped, removed_h = strip_zero_columns(inst.H)
     if len(removed_g) != len(removed_h):
         return Rejection(RejectReason.ZERO_COLUMN_COUNT_MISMATCH)
-    rg, rank_g, _, u_g = g_stripped.rref_with_transform()
-    rh, rank_h, _, u_h = h_stripped.rref_with_transform()
+    g_norm, rank_g, u_g = _normalized(g_stripped)
+    h_norm, rank_h, u_h = _normalized(h_stripped)
     # dropping zero columns keeps the rank
     inst.G.memo("rank", lambda: rank_g)
     inst.H.memo("rank", lambda: rank_h)
     if rank_g != rank_h:
         return Rejection(RejectReason.RANK_MISMATCH)
-    g_norm = _normalized(g_stripped, rg, rank_g)
-    h_norm = _normalized(h_stripped, rh, rank_h)
     if column_multiplicity_profile(g_norm) != column_multiplicity_profile(h_norm):
         return Rejection(RejectReason.PROFILE_MISMATCH)
     norm_inst = Instance(inst.field, g_norm, h_norm, Tag.PCE)
@@ -206,20 +209,28 @@ def preprocess(inst: Instance) -> PreprocessOutcome:
     return Normalized(norm_inst, journal)
 
 
-def _normalized(stripped: Mat, rref: Mat, rank: int) -> Mat:
-    """The first rank rows of stripped's RREF, with their rank and
-    distinct-column view recorded. Column j is the first rank entries of
-    u * (column j of stripped), an injective image (u is invertible and
-    the other rows of the RREF are zero), so the view has stripped's
-    slots and the columns at their first occurrences."""
-    norm = Mat._of(stripped.field, rref.rows[:rank], stripped.n)
+def _normalized(stripped: Mat) -> tuple[Mat, int, Mat]:
+    """(norm, rank, u): the first rank rows of stripped's RREF, with
+    their rank and distinct-column view recorded, and the transform u
+    with u * stripped = RREF.
+
+    Only the distinct columns D are row-reduced, as [D | I_k]: a repeated
+    column never pivots and rides along equal to its first copy, so this
+    is the elimination of [stripped | I_k] on d + k columns instead of
+    n + k, with the same row operations, rank and u. The normalized rows
+    gather D's reduced rows through stripped's slots. Column j is the
+    first rank entries of u * (column j of stripped), an injective image
+    (u is invertible and the other rows of the RREF are zero), so those
+    reduced rows and the slots are its distinct-column view."""
+    distinct, slots = stripped.distinct_cols()
+    rd, rank, _, u = distinct.rref_with_transform()
+    top = rd.rows[:rank]
+    norm = Mat._of(stripped.field, [[r[s] for s in slots] for r in top], stripped.n)
     # the non-zero rows of an RREF are independent
     norm.memo("rank", lambda: rank)
-    stripped_distinct, slots = stripped.distinct_cols()
-    firsts = [slots.index(s) for s in range(stripped_distinct.n)]
-    distinct = Mat._of(norm.field, [[r[j] for j in firsts] for r in norm.rows], len(firsts))
-    norm.memo("distinct_cols", lambda: (distinct, slots))
-    return norm
+    view = (Mat._of(stripped.field, top, distinct.n), slots)
+    norm.memo("distinct_cols", lambda: view)
+    return norm, rank, u
 
 
 # ---------------------------------------------------------------------------

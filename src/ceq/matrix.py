@@ -34,12 +34,18 @@ preprocessing, the gadget, the planted generator and the backtracker's
 witness record under "rank" the ranks they know by construction, so
 that `rank` and `row_basis_transform` find them without an RREF. The
 latter has two branches by b's rank: one elimination at full row rank,
-two transforms, an inverse and a product below it. Preprocessing and
-the gadget likewise record the distinct-column view of the matrices
-they build under "distinct_cols", derived from their input's view, so
-that no pass over the columns is needed. Only this module reads the
-memo directly. Pickling and every constructor start with an empty one,
-and `==` and `hash` ignore it.
+two transforms, an inverse and a product below it. Preprocessing
+row-reduces each stripped matrix through its distinct-column view D:
+the RREF with the transform lives in D's memo, not the stripped
+matrix's, and is the elimination of [D | I_k], d + k columns wide
+instead of n + k (a repeated column never pivots, so the row
+operations, rank and transform are the full matrix's). Preprocessing
+gathers the normalized rows from D's reduced rows by slot and records
+those rows with the same slots as the normalized matrix's view under
+"distinct_cols"; the gadget derives its view from its input's. So no
+pass over the columns is needed to find either view. Only this module
+reads the memo directly. Pickling and every constructor start with an
+empty one, and `==` and `hash` ignore it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from ceq.core import (
 )
 from ceq.errors import DimMismatch, WitnessInvalid
 from ceq.field import field
-from ceq.matrix import Mat, Mono, Perm
+from ceq.matrix import Mat, Mono, Perm, column_multiplicity_profile, strip_zero_columns
 from ceq.oracle import Budget, DecideResult, Mode, Status
 from ceq.rng import stream
 
@@ -357,6 +357,94 @@ def _assert_identity_journal(journal):
     assert journal.rank == k
     assert journal.u_g == journal.u_h == Mat.identity(journal.original.field, k)
     assert journal.normalized == journal.original
+
+
+def _reference_preprocess(inst):
+    """(reason, None) or (None, sides): PCE preprocessing by the full-width
+    elimination of [stripped | I_k], on fresh matrices that share no memo
+    with `preprocess`; sides holds (removed, rank, u, normalized) per side."""
+    fld = inst.field
+    sides = []
+    for a in (inst.G, inst.H):
+        stripped, removed = strip_zero_columns(Mat(fld, a.rows, a.n))
+        r, rank, _, u = stripped.rref_with_transform()
+        sides.append((removed, rank, u, Mat(fld, r.rows[:rank], stripped.n)))
+    (removed_g, rank_g, _, g), (removed_h, rank_h, _, h) = sides
+    if len(removed_g) != len(removed_h):
+        return RejectReason.ZERO_COLUMN_COUNT_MISMATCH, None
+    if rank_g != rank_h:
+        return RejectReason.RANK_MISMATCH, None
+    if column_multiplicity_profile(g) != column_multiplicity_profile(h):
+        return RejectReason.PROFILE_MISMATCH, None
+    return None, sides
+
+
+def _of_columns(fld, k, cols):
+    return Mat(fld, [[c[i] for c in cols] for i in range(k)], len(cols))
+
+
+def _reference_pairs(fld, rng):
+    """PCE pairs whose columns repeat a few drawn columns: permuted images
+    S * G * P, which normalize, and pairs drawn apart, which mostly reject;
+    with zero columns, all-equal columns, short rank and empty shapes."""
+    pairs = [(0, []), (3, [])]
+    for k, n in ((0, 3), (2, 5), (3, 4)):
+        col = tuple(rng.randrange(1, fld.q) for _ in range(k))
+        pairs.append((k, [col] * n))
+    # (k, distinct columns drawn, n); a pool under k columns or k > n
+    # gives a short rank
+    for k, d, n in ((2, 3, 6), (3, 4, 9), (4, 3, 8), (5, 3, 4), (4, 6, 12), (6, 8, 14)):
+        for zero in (False, True):
+            pool = [tuple(rng.randrange(fld.q) for _ in range(k)) for _ in range(d)]
+            if zero:
+                pool[0] = (0,) * k
+            pairs.append((k, [rng.choice(pool) for _ in range(n)]))
+    for k, cols in pairs:
+        g = _of_columns(fld, k, cols)
+        s = rand_invertible(fld, k, rng)
+        perm = _random_perm(len(cols), rng)
+        h = s.mul(g).apply_mono(mono_from_perm(fld, perm))
+        yield Instance(fld, g, h, Tag.PCE)
+        if cols:
+            # drawn apart: the same pool size, or one column of the image
+            # replaced by zero or by a copy of another
+            other = [rng.choice(cols) if rng.random() < 0.5 else tuple(rng.randrange(fld.q) for _ in range(k))
+                     for _ in cols]
+            yield Instance(fld, g, _of_columns(fld, k, other), Tag.PCE)
+            edited = list(h.cols())
+            j = rng.randrange(len(edited))
+            edited[j] = (0,) * k if rng.random() < 0.5 else rng.choice(edited)
+            yield Instance(fld, g, _of_columns(fld, k, edited), Tag.PCE)
+
+
+def test_preprocess_matches_the_full_width_reference():
+    # preprocessing row-reduces the distinct columns only; the journal,
+    # the normalized pair, its recorded ranks and distinct views and the
+    # rejection reasons are those of the elimination of [stripped | I_k]
+    rng = stream(23, "preprocess-reference")
+    outcomes = dict.fromkeys([None, *RejectReason], 0)
+    for pe in ((2, 1), (7, 1), (65521, 1), (2, 8), (2, 16), (3, 5)):
+        fld = field(*pe)
+        for inst in _reference_pairs(fld, rng):
+            reason, sides = _reference_preprocess(inst)
+            out = preprocess(inst)
+            outcomes[reason] += 1
+            if reason is not None:
+                assert isinstance(out, Rejection) and out.reason is reason, inst
+                continue
+            assert isinstance(out, Normalized), inst
+            (removed_g, rank, u_g, g), (removed_h, _, u_h, h) = sides
+            j = out.journal
+            assert (j.removed_g, j.removed_h, j.rank, j.u_g, j.u_h) == (removed_g, removed_h, rank, u_g, u_h)
+            assert inst.G.rank() == inst.H.rank() == rank
+            for got, want in ((out.instance.G, g), (out.instance.H, h)):
+                assert got == want
+                # recorded, and equal to what a fresh matrix computes
+                assert {"rank", "distinct_cols"} <= set(got._memo)
+                fresh = Mat(fld, want.rows, want.n)
+                assert got.rank() == fresh.rank() == rank
+                assert got.distinct_cols() == fresh.distinct_cols()
+    assert min(outcomes.values()) >= 6, outcomes
 
 
 def test_witness_map_trivial_journal_is_identity():

@@ -396,12 +396,14 @@ def test_cli_import_loads_no_slow_stdlib_modules():
 
 
 def test_readme_pipeline_work_counts(monkeypatch):
-    # the README walkthrough's pair, carried through reduce, lift and
-    # extract in-process; the counts are deterministic, so a change that
-    # brings back an inverse, a product or a per-witness row reduction
-    # shows here, while one that saves an elimination or a product still
-    # passes. The two eliminations are preprocessing's RREFs of G and H;
-    # every rank after them is recorded, so verification reduces no S
+    # the README walkthrough's pair, and a pair with repeated columns,
+    # carried through reduce, lift and extract in-process; the counts are
+    # deterministic, so a change that brings back an inverse, a product or
+    # a per-witness row reduction shows here, while one that saves an
+    # elimination or a product still passes. The two eliminations are
+    # preprocessing's RREFs of G and H, each over the d distinct non-zero
+    # columns and the k columns of the transform, not over all n; every
+    # rank after them is recorded, so verification reduces no S
     from ceq import matrix
     from ceq.core import Instance, Tag, Witness, map_witness_to_normalized, map_witness_to_original, verify_witness
     from ceq.field import field
@@ -409,17 +411,17 @@ def test_readme_pipeline_work_counts(monkeypatch):
     from ceq.oracle import GenSpec, Planted, generate
     from ceq.reduction import extract_witness, lift_witness, reduce_instance
 
-    fld = field(2)
-    got = generate(GenSpec(fld, 2, 3, Tag.PCE, Planted.YES, 1))
-    inst = Instance(fld, Mat(fld, got.instance.G.rows), Mat(fld, got.instance.H.rows), Tag.PCE)
-    w = Witness(Mat(fld, got.witness.S.rows), Mono(fld, got.witness.M.perm, got.witness.M.diag))
     calls = {"_eliminate": 0, "mul": 0, "inv": 0}
+    widths = []
 
     def counting(owner, name):
         inner = getattr(owner, name)
 
         def wrapper(*args):
             calls[name] += 1
+            if name == "_eliminate":
+                rows = args[1]
+                widths.append(len(rows[0]) if rows else 0)
             return inner(*args)
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -427,18 +429,33 @@ def test_readme_pipeline_work_counts(monkeypatch):
     counting(matrix, "_eliminate")
     counting(Mat, "mul")
     counting(Mat, "inv")
-    reduced, cert = reduce_instance(inst, Tag.LCE)
-    assert cert.journal.rank == inst.k
-    w_norm = map_witness_to_normalized(cert.journal, w)
-    assert calls["inv"] == 0
-    lifted = lift_witness(cert, w_norm)
-    assert verify_witness(reduced, lifted)
-    norm = cert.journal.normalized
-    back = map_witness_to_original(cert.journal, extract_witness(cert, norm.G, norm.H, lifted))
-    assert back == w
-    assert calls["inv"] == 0
-    assert calls["_eliminate"] <= 2
-    assert calls["mul"] <= 8
+    specs = (
+        GenSpec(field(2), 2, 3, Tag.PCE, Planted.YES, 1),
+        GenSpec(field(7), 3, 9, Tag.PCE, Planted.YES, 1, (3, 2, 2, 1, 1)),
+    )
+    for spec in specs:
+        fld = spec.field
+        got = generate(spec)
+        inst = Instance(fld, Mat(fld, got.instance.G.rows), Mat(fld, got.instance.H.rows), Tag.PCE)
+        w = Witness(Mat(fld, got.witness.S.rows), Mono(fld, got.witness.M.perm, got.witness.M.diag))
+        d = len({c for c in inst.G.cols() if any(c)})
+        calls.update(dict.fromkeys(calls, 0))
+        widths.clear()
+        reduced, cert = reduce_instance(inst, Tag.LCE)
+        assert cert.journal.rank == inst.k
+        assert len(widths) == 2 and max(widths) <= d + inst.k
+        w_norm = map_witness_to_normalized(cert.journal, w)
+        assert calls["inv"] == 0
+        lifted = lift_witness(cert, w_norm)
+        assert verify_witness(reduced, lifted)
+        norm = cert.journal.normalized
+        back = map_witness_to_original(cert.journal, extract_witness(cert, norm.G, norm.H, lifted))
+        assert back == w
+        assert calls["inv"] == 0
+        assert calls["_eliminate"] <= 2
+        assert calls["mul"] <= 8
+    # the second pair repeats columns, so the full width would show
+    assert d < inst.n
 
 
 def test_row_basis_transform_work_counts(monkeypatch):

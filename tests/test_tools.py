@@ -65,6 +65,44 @@ def test_answers_yes_probe_quick_prints_its_keys(capsys):
     }
 
 
+def test_answers_roundtrip_quick_prints_its_keys(capsys):
+    answers = _load("answers")
+    assert answers.main(["--stratum", "roundtrip", "--quick", "--rows"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"roundtrip"}
+    rt = out["roundtrip"]
+    assert set(rt) == {"count", "rejected", "answers_sha256", "wall_s", "rows"}
+    rows = rt["rows"]
+    per_field = 2 + len(answers.ROUND_BUILT) + len(answers.ROUND_REJECTS)
+    assert rt["count"] == len(rows) == len(answers.ROUND_FIELDS) * per_field
+    # every field rejects once for each reason
+    assert rt["rejected"] == dict.fromkeys(("ZeroColumnCountMismatch", "RankMismatch", "ProfileMismatch"),
+                                           len(answers.ROUND_FIELDS))
+    # a rejected pair has its cert and reduced pair, a YES pair adds the
+    # normalized, lifted and returned witnesses
+    kinds = {row[0] for row in rows}
+    assert kinds == {"yes", "built", "reject"}
+    for row in rows:
+        texts = [x for x in row if isinstance(x, str) and x.startswith("%CEQ")]
+        assert len(texts) == (2 if row[0] == "reject" else 5), row[:8]
+    assert len(rt["answers_sha256"]) == 64
+    again, _ = answers.roundtrip(quick=True)
+    assert {k: v for k, v in again.items() if not k.endswith("_s")} == {
+        k: v for k, v in rt.items() if not k.endswith("_s") and k != "rows"
+    }
+
+
+def test_roundtrip_corpus_answers_are_pinned():
+    # the full `roundtrip` stratum, well under a second: every cert,
+    # reduced pair and transported witness goes into the hash, so a
+    # change to preprocessing, the gadget or the witness maps that moves
+    # any byte of them fails here
+    summary, _ = _load("answers").roundtrip()
+    assert summary["count"] == 192
+    assert summary["rejected"] == {"ZeroColumnCountMismatch": 16, "RankMismatch": 16, "ProfileMismatch": 16}
+    assert summary["answers_sha256"] == "c2d851dfdac189bb7b03264a5dce193a286ced01c8f170b72a711df0cf5fb4ae"
+
+
 def test_search_corpus_answers_are_pinned():
     # the full `search` stratum: every status, node count and witness of
     # its decides goes into the hash, so a search change that moves any

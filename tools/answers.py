@@ -1,6 +1,6 @@
 """Answer corpora: seeded decides whose answers must not move unless a change means them to.
 
-Two strata:
+Three strata:
 
 - `search`, with three groups of decides:
   - `gadget`: planted-YES and hard-NO PCE pairs over GF(2), GF(3),
@@ -22,27 +22,43 @@ Two strata:
   with `Mode.BACKTRACKING` under a node budget: 20 shapes x seeds 7 and
   11 x {LCE, SPCE} = 80 runs under 300,000 nodes each. An answer NO
   stops the run with an error.
+- `roundtrip`: the witness transport that perfbench's `roundtrip`
+  workload times, over its eight fields. Each YES pair goes through
+  `reduce_instance`, `map_witness_to_normalized`, `lift_witness`,
+  `verify_witness` on the gadget pair, `extract_witness` and
+  `map_witness_to_original`, and the returned witness must verify. The
+  pairs are planted YES pairs with repeated columns (the workload's
+  shapes, targets LCE and SPCE alternating), pairs with zero columns,
+  and short-rank pairs whose k rows span fewer columns; pairs that
+  preprocessing rejects (differing profiles, zero-column counts or
+  ranks) are only reduced, and must reject for the reason expected.
 
 Every seed is fixed here, and a YES whose witness does not verify stops
 the run with an error.
 
-It prints one JSON object with one key per stratum run. Each entry holds
-`count`, `max_nodes`, `nodes` (per group and mode in `search`, per tag
-in `yes-probe`, and the total), `unknown`, `answers_sha256` and
-`wall_s`; `yes-probe` adds `field_s`, its wall time per field. The hash
-is the sha256 of the per-decide rows as compact JSON, in run order:
+It prints one JSON object with one key per stratum run. The `search`
+and `yes-probe` entries hold `count`, `max_nodes`, `nodes` (per group
+and mode in `search`, per tag in `yes-probe`, and the total),
+`unknown`, `answers_sha256` and `wall_s`; `yes-probe` adds `field_s`,
+its wall time per field. The `roundtrip` entry holds `count`,
+`rejected` (per reason), `answers_sha256` and `wall_s`. The hash is the
+sha256 of the per-decide rows as compact JSON, in run order:
 [status, nodes, detail, witness] in `search`, where the witness is its
-text from `ceq.fileio.serialize_witness` or null, and
-[q, k, n, seed, tag, status, nodes] in `yes-probe`. Every key but the
+text from `ceq.fileio.serialize_witness` or null,
+[q, k, n, seed, tag, status, nodes] in `yes-probe`, and in `roundtrip`
+[label..., cert, reduced instance, witnesses] with the texts of
+`ceq.fileio`'s serializers: the cert, the reduced pair and, for a YES
+pair, the normalized, lifted and returned witnesses. Every key but the
 `*_s` ones is the same on every machine and run.
 
 Usage: python tools/answers.py [--stratum NAME]... [--quick] [--rows]
 
 `--stratum` runs the named stratum, and may be given more than once;
-without it both run. `--quick` decides one pair per field and kind in
-`search`, and 2 shapes, (4, 3, 6) and (16, 3, 4), under a 2,000-node
-budget in `yes-probe`. `--rows` adds the per-decide rows, each led by
-its label in `search`, to the output. The script uses the standard
+without it all run. `--quick` decides one pair per field and kind in
+`search`, 2 shapes, (4, 3, 6) and (16, 3, 4), under a 2,000-node
+budget in `yes-probe`, and one seed and the two smaller YES shapes in
+`roundtrip`. `--rows` adds the per-decide rows, each led by its label
+in `search` and `roundtrip`, to the output. The script uses the standard
 library and the public API of `ceq` only; run it with `src` on
 `PYTHONPATH`, or with `ceq` installed.
 """
@@ -52,6 +68,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 import time
 
@@ -90,6 +107,31 @@ YES_MAX_NODES = 300_000
 # scalars than signs
 YES_QUICK_SHAPES = ((2, 2, 3, 6), (2, 4, 3, 4))
 YES_QUICK_MAX_NODES = 2_000
+
+# (p, e) of the roundtrip fields: prime, 2^e and odd p^e on both sides of
+# the q = 256 flat-table cap, as in perfbench's `roundtrip` workload
+ROUND_FIELDS = ((2, 1), (7, 1), (65521, 1), (2, 8), (2, 16), (3, 5), (3, 6), (5, 4))
+# (k, n, column-multiplicity profile, target) of the planted YES pairs
+ROUND_SHAPES = (
+    (3, 10, (3, 2, 2, 1, 1, 1), "LCE"),
+    (4, 14, (3, 3, 2, 2, 1, 1, 1, 1), "SPCE"),
+    (5, 19, (3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1), "LCE"),
+    (6, 24, (3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1), "SPCE"),
+)
+ROUND_SEEDS = (13, 29)
+# (k, column-multiplicity profile, zero columns) of the built YES pairs:
+# zero columns at full rank, and short ranks with fewer distinct columns
+# than rows, one pair with all its non-zero columns equal
+ROUND_BUILT = (
+    (3, (2, 2, 1, 1), 2), (4, (3, 2, 2, 1, 1), 3), (4, (3, 2), 0), (5, (2, 2, 2), 1), (6, (5,), 2),
+)
+# (profile, zero columns) of G and of H in the pairs that preprocessing
+# rejects, all with k = 3 and n = 8
+ROUND_REJECTS = (
+    (((3, 2, 1, 1, 1), 0), ((2, 2, 2, 1, 1), 0), "PROFILE_MISMATCH"),
+    (((3, 2, 1, 1, 1), 0), ((3, 2, 1, 1), 1), "ZERO_COLUMN_COUNT_MISMATCH"),
+    (((3, 2, 1, 1, 1), 0), ((4, 4), 0), "RANK_MISMATCH"),
+)
 
 
 def _sha256(rows: list[list]) -> str:
@@ -235,7 +277,90 @@ def yes_probe(quick: bool = False) -> tuple[dict, list[list]]:
     return summary, rows
 
 
-STRATA = {"search": search, "yes-probe": yes_probe}
+def _drawn(fld, k: int, profile: tuple, zeros: int, rng: random.Random) -> "ceq.Mat":
+    """A k x n matrix of rank min(k, len(profile)): `zeros` zero columns
+    and distinct non-zero columns of the given multiplicities, shuffled."""
+    d = len(profile)
+    while True:
+        pool = [tuple(rng.randrange(fld.q) for _ in range(k)) for _ in range(d)]
+        if all(map(any, pool)) and len(set(pool)) == d:
+            basis = ceq.Mat(fld, [[c[i] for c in pool] for i in range(k)], d)
+            if basis.rank() == min(k, d):
+                break
+    cols = [c for c, count in zip(pool, profile) for _ in range(count)] + [(0,) * k] * zeros
+    rng.shuffle(cols)
+    return ceq.Mat(fld, [[c[i] for c in cols] for i in range(k)], len(cols))
+
+
+def _permuted_image(g, rng: random.Random):
+    """(instance, witness): the PCE pair (g, S * g * P) for a drawn
+    invertible S and permutation P."""
+    fld, k = g.field, g.k
+    while True:
+        s = ceq.Mat(fld, [[rng.randrange(fld.q) for _ in range(k)] for _ in range(k)], k)
+        if s.rank() == k:
+            break
+    sigma = list(range(g.n))
+    rng.shuffle(sigma)
+    m = ceq.Mono(fld, ceq.Perm(tuple(sigma)), (1,) * g.n)
+    return ceq.Instance(fld, g, s.mul(g).apply_mono(m), ceq.Tag.PCE), ceq.Witness(s, m)
+
+
+def _roundtrip_cases(quick: bool):
+    """(label, instance, witness or None, target, expected rejection or
+    None) in run order."""
+    for p, e in ROUND_FIELDS:
+        fld = ceq.field(p, e)
+        for seed in ROUND_SEEDS[:1] if quick else ROUND_SEEDS:
+            rng = random.Random(f"roundtrip:{p}:{e}:{seed}")
+            for k, n, profile, target in ROUND_SHAPES[:2] if quick else ROUND_SHAPES:
+                got = ceq.generate(ceq.GenSpec(fld, k, n, ceq.Tag.PCE, ceq.Planted.YES, seed, profile))
+                yield ["yes", fld.q, k, n, seed, target], got.instance, got.witness, ceq.Tag[target], None
+            for i, (k, profile, zeros) in enumerate(ROUND_BUILT):
+                inst, w = _permuted_image(_drawn(fld, k, profile, zeros, rng), rng)
+                target = ("LCE", "SPCE")[i % 2]
+                yield ["built", fld.q, k, inst.n, zeros, seed, target], inst, w, ceq.Tag[target], None
+            for (g_prof, g_zeros), (h_prof, h_zeros), reason in ROUND_REJECTS:
+                g, h = _drawn(fld, 3, g_prof, g_zeros, rng), _drawn(fld, 3, h_prof, h_zeros, rng)
+                label = ["reject", fld.q, 3, g.n, seed, "LCE"]
+                yield label, ceq.Instance(fld, g, h, ceq.Tag.PCE), None, ceq.Tag.LCE, ceq.RejectReason[reason]
+
+
+def roundtrip(quick: bool = False) -> tuple[dict, list[list]]:
+    """Run the `roundtrip` stratum; return its summary and its labelled rows."""
+    t0 = time.perf_counter()
+    rows = []
+    rejected = {reason.value: 0 for reason in ceq.RejectReason}
+    serialize_witness = ceq.fileio.serialize_witness
+    for label, inst, w, target, expected in _roundtrip_cases(quick):
+        fld = inst.field
+        reduced, cert = ceq.reduce_instance(_fresh(inst), target)
+        if cert.reject_reason is not expected:
+            raise RuntimeError(f"{label}: preprocessing gave {cert.reject_reason}, expected {expected}")
+        texts = [ceq.fileio.serialize_cert(cert), ceq.fileio.serialize_instance(reduced, cert.reject_reason)]
+        if cert.rejected:
+            rejected[cert.reject_reason.value] += 1
+        else:
+            w_norm = ceq.map_witness_to_normalized(cert.journal, w)
+            lifted = ceq.lift_witness(cert, w_norm)
+            if not ceq.verify_witness(reduced, lifted):
+                raise RuntimeError(f"{label}: lifted witness does not verify")
+            norm = cert.journal.normalized
+            back = ceq.map_witness_to_original(cert.journal, ceq.extract_witness(cert, norm.G, norm.H, lifted))
+            if not ceq.verify_witness(inst, back):
+                raise RuntimeError(f"{label}: returned witness does not verify")
+            texts += [serialize_witness(fld, w_norm), serialize_witness(fld, lifted), serialize_witness(fld, back)]
+        rows.append([*label, *texts])
+    summary = {
+        "count": len(rows),
+        "rejected": rejected,
+        "answers_sha256": _sha256(rows),
+        "wall_s": round(time.perf_counter() - t0, 3),
+    }
+    return summary, rows
+
+
+STRATA = {"search": search, "yes-probe": yes_probe, "roundtrip": roundtrip}
 
 
 def main(argv=None) -> int:
