@@ -20,27 +20,28 @@ binds one kernel set (`Field._bind`); the field never changes after
 that, so a call pays for no dispatch:
 
 * primes: integer arithmetic mod p, with XOR add for p = 2;
-* 2^e: XOR add; mul and inv through log and exp tables (the exp table
-  has 2(q - 1) entries, so a sum of two logs indexes it without a
-  reduction);
-* odd p^e: the same exp/log mul and inv, and add through Zech's
-  logarithms (K. Huber, "Some comments on Zech's logarithms", IEEE
-  Trans. IT 36(4), 1990): with g primitive and Z(i) = log_g(1 + g^i),
-  g^i + g^j = g^(i + Z(j - i)).
+* 2^e: XOR add; mul through log and exp tables (the exp table has
+  2(q - 1) entries, so a sum of two logs indexes it without a
+  reduction), and inv(g^l) = exp[-l];
+* odd p^e: the same exp/log mul and inv, neg(g^l) = exp[l + (q - 1)/2],
+  and add through Zech's logarithms (K. Huber, "Some comments on Zech's
+  logarithms", IEEE Trans. IT 36(4), 1990): with g primitive and
+  Z(i) = log_g(1 + g^i), g^i + g^j = g^(i + Z(j - i)).
 
 The byte-row fields, characteristic 2 with q <= 256 and primes with
-2(p - 1) < 256 (p <= 127), also keep q `bytes` rows of products filled
-from those kernels, row a holding a*b at byte b and padded to 256 bytes
-so that row c is also the `bytes.translate` table of c*row; mul reads
-them, and for those primes inv and neg read lists. Every other field
-keeps only its family's tables: none for a prime, exp, log and inv for
-2^e, and for odd p^e also Zech and neg. Up to q = 2^13 these are lists;
-above it exp, log, inv and neg are `array("H")` and Zech, whose entries
-run from -1 to q - 2, is `array("i")` (a C int has 32 bits). A list
-entry above 256 points to an int object of its own, so as lists
-GF(2^16) held 5.7 MiB and GF(3^10) 6.5 MiB, as arrays 0.5 and 1.0 MiB,
-and a reduce-lift-extract round trip over them runs 10-20% faster on
-the smaller tables. Below 2^13 the int that each array read creates
+2(p - 1) < 256 (p <= 127), also keep q `bytes` rows of products, row a
+holding a*b at byte b and padded to 256 bytes so that row c is also the
+`bytes.translate` table of c*row, and a q-entry inv list; mul and inv
+read them, and for those primes neg reads a list too. In characteristic
+2 a row is one `operator.itemgetter` gather from exp. Every other field
+keeps only the tables its kernels read: none for a prime, exp and log
+for 2^e, and for odd p^e also Zech. Up to q = 2^13 these are lists;
+above it exp and log are `array("H")` and Zech, whose entries run from
+-1 to q - 2, is `array("i")` (a C int has 32 bits). A list entry above
+256 points to an int object of its own, so as lists GF(2^16) held
+5.7 MiB and GF(3^10) 6.5 MiB, as arrays 0.4 and 0.8 MiB, and a
+reduce-lift-extract round trip over them runs 10-20% faster on the
+smaller tables. Below 2^13 the int that each array read creates
 costs more than it saves: as arrays, GF(3^6) and GF(5^4) ran a third
 slower.
 
@@ -70,13 +71,18 @@ J. Symb. Comput. 44(10), 2009):
   through row c of the product table, and the sum is an XOR of ints;
 * every other field: one `axpy` per non-zero entry of A.
 
-The exp table is the walk 1, g, g^2, ... with a lookup per step.
-Multiplication by g is F_p-linear: with a = lo + P*hi and P = p^(e//2),
-a*g is the digit-wise sum of the images of lo and of P*hi, which cost
-about 2 sqrt(q) digit-wise products to precompute. In characteristic 2
-that sum is XOR. For odd p each image holds one w-bit slot per digit,
-w the bit length of 2(p - 1), so an int sum adds digits without carries
-and one lookup per half maps the slot sums back to digits mod p.
+The exp table is the walk 1, g, g^2, ... with a lookup per step, which
+fills log as it goes. Multiplication by g is F_p-linear: with
+a = lo + P*hi and P = p^(e//2), a*g is the digit-wise sum of the images
+of lo and of P*hi, which cost about 2 sqrt(q) digit-wise products to
+precompute. In characteristic 2 that sum is XOR. For odd p each image
+holds one w-bit slot per digit, w the bit length of 2(p - 1), so an int
+sum adds digits without carries and one lookup per half maps the slot
+sums back to digits mod p. Zech is then one C-level gather from log
+shifted by one within each block of p entries, as 1 + x changes only
+digit 0 of x. The built-in modulus is the smallest monic irreducible;
+the test for one divides only by the monic irreducibles of degree 2 to
+e//2, sieved degree by degree.
 
 The digit-wise `_mul_raw` and `_pow_raw` are the reference that the
 tables are built from and tested against. No table is built from a
@@ -150,32 +156,38 @@ def _poly_mul_mod(a: Sequence[int], b: Sequence[int], den: Sequence[int], p: int
     return _poly_mod(out, den, p)
 
 
-def _poly_divides(den: Sequence[int], num: Sequence[int], p: int) -> bool:
-    """Whether the monic polynomial den divides num over F_p."""
-    rem = _poly_mod(list(num), den, p)
-    return not any(rem)
-
-
 def _irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Exhaustive root/divisor search; fine for the capped degrees here."""
+    """Whether the monic coeffs is irreducible over F_p: it has no root
+    and no monic irreducible factor of degree 2..e//2."""
     e = len(coeffs) - 1
     if e < 1 or coeffs[-1] != 1:
         return False
-    if e == 1:
-        return True
+    return e == 1 or _no_factor(coeffs, p, _divisors(p, e // 2))
+
+
+def _no_factor(coeffs: Sequence[int], p: int, divisors) -> bool:
+    """Whether coeffs has no root over F_p, and a non-zero remainder
+    modulo each monic polynomial in divisors."""
     for x in range(p):
         acc = 0
         for c in reversed(coeffs):
             acc = (acc * x + c) % p
         if acc == 0:
             return False
-    # trial division by every monic polynomial of degree 2..e//2
-    for d in range(2, e // 2 + 1):
-        for enc in range(p**d):
-            den = _digits(enc, p, d) + [1]
-            if _poly_divides(den, coeffs, p):
-                return False
-    return True
+    return all(any(_poly_mod(list(coeffs), den, p)) for den in divisors)
+
+
+@functools.lru_cache(maxsize=None)
+def _divisors(p: int, top: int) -> tuple[tuple[int, ...], ...]:
+    """The monic irreducibles of degree 2..top over F_p, by degree, each
+    degree sieved by roots and by those of degree up to half its own:
+    69 for p = 2 and top = 8, where all monic divisors number 508."""
+    out: list[tuple[int, ...]] = []
+    for d in range(2, top + 1):
+        below = [f for f in out if 2 * (len(f) - 1) <= d]
+        monic = (tuple(_digits(enc, p, d)) + (1,) for enc in range(p**d))
+        out += [f for f in monic if _no_factor(f, p, below)]
+    return tuple(out)
 
 
 def _digits(x: int, p: int, width: int) -> list[int]:
@@ -323,7 +335,7 @@ class Field:
     # -- table construction --------------------------------------------------
 
     def _build_exp_log(self):
-        q = self.q
+        p, q = self.p, self.q
         span = q - 1
         fs = []
         t = span
@@ -336,60 +348,49 @@ class Field:
             f += 1
         if t > 1:
             fs.append(t)
-        g = None
-        # below p lies F_p, where no unit has order q - 1
-        for cand in range(self.p, q):
-            if all(self._pow_raw(cand, span // f) != 1 for f in fs):
-                g = cand
-                break
-        if g is None:
-            raise ReducibleModulus(f"{self!r} has no primitive element")
-        # above 2^13 a list's own int per entry costs more than the int an
-        # array read makes (module docstring)
-        packed = q > 1 << 13
-        exp = self._powers(g)
-        # straight into an array: a list would hold q more ints until converted
-        log = array("H", bytes(2 * q)) if packed else [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        # exp[-l] is g^(-l), the inverse of g^l, and exp[l - half] is
-        # g^(l + half), its negative
-        inv = [0] + [exp[-l] for l in log[1:]]
-        if self.p != 2:
-            p = self.p
-            half = span // 2
-            # 1 + x changes only coefficient 0 of x
-            zech = [log[x - x % p + (x + 1) % p] for x in exp]
-            zech[half] = -1  # g^half = -1, so 1 + g^half = 0 has no log
-            neg = [0] + [exp[l - half] for l in log[1:]]
-            if packed:
-                # Zech logs run from -1 to q - 2; a C int has 32 bits
-                zech, neg = array("i", zech), array("H", neg)
+        # the least generator of the cyclic group of units; below p lies
+        # F_p, where no unit has order q - 1
+        g = next(c for c in range(p, q) if all(self._pow_raw(c, span // f) != 1 for f in fs))
+        exp, log = self._powers(g)
+        if p != 2:
+            # Z(i) = log(1 + g^i), and 1 + x changes only coefficient 0 of
+            # x: one_up[x] = log[1 + x] is log shifted by one within each
+            # block of p entries. Zech logs run from -1 to q - 2; a C int
+            # has 32 bits
+            one_up = log[1:] + log[:1]
+            one_up[p - 1::p] = log[::p]
+            zech = map(one_up.__getitem__, exp)
+            zech = array("i", zech) if type(log) is array else list(zech)
+            zech[span // 2] = -1  # g^half = -1, and 1 + g^half = 0 has no log
             # doubled, so that an index log[b] - log[a] lands in it from
             # either side
-            self._zech = zech + zech
-            self._neg_list = neg
-        if packed:
-            exp, inv = array("H", exp), array("H", inv)
-        # doubled as well: a sum of two logs indexes it without reduction
-        self._exp = exp + exp
-        self._log, self._inv_list = log, inv
+            zech *= 2
+            self._zech = zech
+        # doubled as well: a sum of two logs indexes it without a reduction
+        exp *= 2
+        self._exp, self._log = exp, log
 
     def _powers(self, g):
-        """[g^0, ..., g^(q - 2)] by the lookup walk of the module docstring."""
+        """(exp, log): [g^0, ..., g^(q - 2)] by the lookup walk of the module
+        docstring, and its inverse, log[0] = 0, filled on the way; arrays
+        above q = 2^13, where a list's own int per entry costs more."""
         p, e, q = self.p, self.e, self.q
         h = e // 2
         P = p**h
         lo_img = [0] + [self._mul_raw(lo, g) for lo in range(1, P)]
         hi_img = [0] + [self._mul_raw(P * hi, g) for hi in range(1, q // P)]
-        out = [0] * (q - 1)
+        if q > 1 << 13:
+            exp, log = array("H", bytes(2 * q - 2)), array("H", bytes(2 * q))
+        else:
+            exp, log = [0] * (q - 1), [0] * q
         if p == 2:
             mask = P - 1
             acc = 1
             for i in range(q - 1):
-                out[i] = acc
+                exp[i] = acc
+                log[acc] = i
                 acc = lo_img[acc & mask] ^ hi_img[acc >> h]
-            return out
+            return exp, log
         w = (2 * (p - 1)).bit_length()
         shift = h * w
         mask = (1 << shift) - 1
@@ -399,23 +400,36 @@ class Field:
         hi_of = _slot_sums(e - h, p, w)
         lo, hi = 1, 0
         for i in range(q - 1):
-            out[i] = lo + P * hi
+            acc = lo + P * hi
+            exp[i] = acc
+            log[acc] = i
             s = lo_img[lo] + hi_img[hi]
             lo = lo_of[s & mask]
             hi = hi_of[s >> shift]
-        return out
+        return exp, log
 
     def _bind(self):
         """Store the element kernels (add/mul/neg/inv), the row
         kernels (axpy/scale) and the product kernel (matmul) of the
         field's family; the byte-row fields look mul, inv and neg up in
-        tables filled from those kernels."""
+        tables filled from those kernels, and in characteristic 2 cut
+        their product rows from exp."""
         p, e, q = self.p, self.e, self.q
         exp, log = self._exp, self._log
+        zero = f"zero has no inverse in {self!r}"
         if e == 1:
             mul = lambda a, b: a * b % p
+            def inv(a):
+                if not a:
+                    raise ZeroInverse(zero)
+                return pow(a, -1, p)
         else:
             mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+            # exp[-l] is g^(-l), the inverse of g^l
+            def inv(a):
+                if not a:
+                    raise ZeroInverse(zero)
+                return exp[-log[a]]
         if p == 2:
             add = operator.xor
             neg = operator.pos  # -a = a in characteristic 2
@@ -424,18 +438,31 @@ class Field:
             neg = lambda a: -a % p
         else:
             add = _zech_add(exp, log, self._zech)
-            neg = self._neg_list.__getitem__
+            half = (q - 1) // 2
+            # exp[l + half] is g^(l + half), the negative of g^l
+            neg = lambda a: exp[log[a] + half] if a else 0
         # byte i holds i mod p: the reduction of the byte slots that the
         # prime axpy and matmul sum into
         mod_t = bytes([i % p for i in range(256)]) if e == 1 else None
         if p == 2 and q <= FLAT_TABLE_CAP or e == 1 and 2 * (p - 1) < 256:
             els = range(q)
-            mul_rows = self._mul_rows = [bytes([mul(a, b) for b in els]) + bytes(256 - q) for a in els]
-            mul = lambda a, b: mul_rows[a][b]
+            pad = bytes(256 - q)
             if e == 1:
-                self._inv_list = [0] + [pow(a, -1, p) for a in els[1:]]
+                rows = [bytes([mul(a, b) for b in els]) + pad for a in els]
                 self._neg_list = [neg(a) for a in els]
                 neg = self._neg_list.__getitem__
+            else:
+                # byte b of row a is exp[log a + log b]: one gather at the
+                # logs of 1..q - 1 from exp shifted by log a
+                at_logs = operator.itemgetter(*log[1:])
+                rows = [bytes(256)] + [bytes((0, *at_logs(exp[l:]))) + pad for l in log[1:]]
+            mul_rows = self._mul_rows = rows
+            mul = lambda a, b: mul_rows[a][b]
+            inv_t = self._inv_list = [0] + [inv(a) for a in els[1:]]
+            def inv(a):
+                if not a:
+                    raise ZeroInverse(zero)
+                return inv_t[a]
             scale = lambda c, y: bytes(y).translate(mul_rows[c])
             axpy = _xor_bytes_axpy(mul_rows) if p == 2 else _sum_bytes_axpy(mul_rows, mod_t)
         elif e == 1:
@@ -450,22 +477,8 @@ class Field:
             matmul = _translate_matmul(self._mul_rows)
         else:
             matmul = _axpy_matmul(axpy)
-        self.add, self.mul, self.neg = add, mul, neg
+        self.add, self.mul, self.neg, self.inv = add, mul, neg, inv
         self.axpy, self.scale, self.matmul = axpy, scale, matmul
-
-        zero = f"zero has no inverse in {self!r}"
-        inv_t = self._inv_list
-        if inv_t is None:  # a prime without byte rows
-            def inv(a):
-                if not a:
-                    raise ZeroInverse(zero)
-                return pow(a, -1, p)
-        else:
-            def inv(a):
-                if not a:
-                    raise ZeroInverse(zero)
-                return inv_t[a]
-        self.inv = inv
 
     def warm(self):
         """Return the field unchanged. The constructor already builds every

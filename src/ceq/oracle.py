@@ -753,6 +753,14 @@ NO_CERT_CAPS = {
 
 
 class GenSpec(Record):
+    """What `generate` draws: a k x n pair over field with the tag and
+    planted answer, from seed. A profile is a hint, not a promise: its
+    class columns are drawn independently, so two classes can coincide
+    and merge, and a class can be the zero column. Over small fields
+    that is common: replaying the seed-13 draws of the `roundtrip`
+    benchmark, 10 of its 96 planted pairs miss their profile, 9 of them
+    over GF(2)."""
+
     __slots__ = ("field", "k", "n", "tag", "planted", "seed", "profile")
 
     def __init__(self, field: Field, k: int, n: int, tag: Tag, planted: Planted, seed: int,
@@ -834,7 +842,9 @@ def generate(spec: GenSpec) -> Generated:
 
     YES plants a witness by construction; NO is certified by the
     exhaustive decider (within the published size caps) and resampled on
-    accidental equivalence; UNLABELED skips certification.
+    accidental equivalence; UNLABELED skips certification. A matrix drawn
+    with a profile has one uniform column per class, so its multiplicity
+    profile can be coarser than the one asked for (see `GenSpec`).
     """
     fld = spec.field
     rng = stream(

@@ -117,9 +117,12 @@ def test_inv_examples():
     assert f4.inv(2) == 3  # x * (x+1) = 1
     with pytest.raises(ZeroInverse):
         field(7).inv(0)
-    # an array table holds 0 at index 0: the check, not the table, refuses
+    # a byte-row field reads inv from a list of q entries, 0 at index 0
+    assert type(f4._inv_list) is list and f4._inv_list == [0, 1, 3, 2]
+    # GF(2^16) reads inv(a) = exp[-log a] from its arrays, and log[0] = 0
+    # would give exp[0] = 1: the check, not the table, refuses
     f16 = field(2, 16)
-    assert type(f16._inv_list) is array
+    assert f16._inv_list is None and type(f16._exp) is array and f16._exp[-f16._log[0]] == 1
     with pytest.raises(ZeroInverse):
         f16.inv(0)
 
@@ -224,13 +227,15 @@ def test_small_field_tables_are_bytes_rows():
 
 def test_exp_log_tables_are_arrays_above_2_to_the_13():
     # up to q = 2^13 the exp/log fields keep lists; above it, arrays of
-    # unsigned 16-bit entries and a signed Zech array of at least 32 bits
+    # unsigned 16-bit entries and a signed Zech array of at least 32 bits.
+    # Without byte rows they keep no inv or neg table: both read exp and log
     for f in (Field(2, 13), Field(3, 8)):
-        tables = [f._exp, f._log, f._inv_list] + ([f._zech, f._neg_list] if f.p != 2 else [])
+        tables = [f._exp, f._log] + ([f._zech] if f.p != 2 else [])
         assert all(type(t) is list for t in tables)
+        assert f._inv_list is None and f._neg_list is None
     for f in (Field(2, 14), Field(3, 9), Field(251, 2)):
-        tables = [f._exp, f._log, f._inv_list] + ([f._neg_list] if f.p != 2 else [])
-        assert all(type(t) is array and t.typecode == "H" for t in tables)
+        assert all(type(t) is array and t.typecode == "H" for t in (f._exp, f._log))
+        assert f._inv_list is None and f._neg_list is None
         if f.p != 2:
             assert type(f._zech) is array and f._zech.typecode == "i" and f._zech.itemsize >= 4
             assert min(f._zech) == -1 and max(f._zech) == f.q - 2
@@ -249,17 +254,29 @@ def test_small_field_tables_hold_under_a_mebibyte():
     assert len(fields) == 3 and held < 1 << 20
 
 
-def test_large_field_tables_hold_under_two_mebibytes():
-    # as lists of ints, these two fields held 12.3 MiB
+def test_large_field_builds_hold_and_peak_within_bounds():
+    # as lists of ints, these two fields held 12.3 MiB; as arrays with inv
+    # and neg tables 1.53 MiB, and 1.23 MiB without them. Their exp, inv
+    # and Zech built as lists and then converted peaked at 3.66 MiB for
+    # GF(2^16) and 6.01 MiB for GF(3^10); filled in place as arrays they
+    # peak at 0.41 and 0.94 MiB
     import tracemalloc
 
+    fields, peaks = [], []
+    for p, e in ((2, 16), (3, 10)):
+        default_modulus(p, e)  # the modulus search is no part of the build
     tracemalloc.start()
     try:
-        fields = [Field(2, 16), Field(3, 10)]
+        for p, e in ((2, 16), (3, 10)):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fields.append(Field(p, e))
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(fields) == 2 and held < 2 << 20
+    assert len(fields) == 2 and held < 3 << 19
+    assert peaks[0] < 1 << 20 and peaks[1] < 3 << 19
 
 
 def _assert_kernels_match_raw(f, pairs):
@@ -565,3 +582,137 @@ def test_field_constructor_is_cached_and_picklable():
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+# ---------------------------------------------------------------------------
+# Reference builders for the field's one-walk tables: trial division by
+# every monic polynomial, a second pass for log, list comprehensions for
+# inv, neg and Zech, and q^2 exp/log products for the byte rows.
+
+
+def _irreducible_ref(coeffs, p):
+    """No root and no monic divisor of degree 2..e//2, all p^d of each
+    degree tried."""
+    from ceq.field import _digits, _poly_mod
+
+    e = len(coeffs) - 1
+    if e < 1 or coeffs[-1] != 1:
+        return False
+    if e == 1:
+        return True
+    if any(sum(c * x**i for i, c in enumerate(coeffs)) % p == 0 for x in range(p)):
+        return False
+    for d in range(2, e // 2 + 1):
+        for enc in range(p**d):
+            if not any(_poly_mod(list(coeffs), _digits(enc, p, d) + [1], p)):
+                return False
+    return True
+
+
+def _powers_ref(f, g):
+    """[g^0, ..., g^(q - 2)] by lookup images of multiply-by-g."""
+    from ceq.field import _slot_sums, _slots
+
+    p, e, q = f.p, f.e, f.q
+    h = e // 2
+    P = p**h
+    lo_img = [0] + [f._mul_raw(lo, g) for lo in range(1, P)]
+    hi_img = [0] + [f._mul_raw(P * hi, g) for hi in range(1, q // P)]
+    out = [0] * (q - 1)
+    if p == 2:
+        acc = 1
+        for i in range(q - 1):
+            out[i] = acc
+            acc = lo_img[acc & (P - 1)] ^ hi_img[acc >> h]
+        return out
+    w = (2 * (p - 1)).bit_length()
+    shift = h * w
+    lo_img = [_slots(x, p, e, w) for x in lo_img]
+    hi_img = [_slots(x, p, e, w) for x in hi_img]
+    lo_of, hi_of = _slot_sums(h, p, w), _slot_sums(e - h, p, w)
+    lo, hi = 1, 0
+    for i in range(q - 1):
+        out[i] = lo + P * hi
+        s = lo_img[lo] + hi_img[hi]
+        lo, hi = lo_of[s & ((1 << shift) - 1)], hi_of[s >> shift]
+    return out
+
+
+def _tables_ref(f):
+    """(exp, log, inv, neg, zech, rows) as the field built them before:
+    exp and Zech doubled, neg and Zech only for odd p, the byte rows only
+    for GF(2^e) with q <= 256."""
+    p, q = f.p, f.q
+    span = q - 1
+    fs = [d for d in range(2, q) if span % d == 0 and is_prime(d)]
+    g = next(c for c in range(p, q) if all(f._pow_raw(c, span // d) != 1 for d in fs))
+    exp = _powers_ref(f, g)
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    inv = [0] + [exp[-l] for l in log[1:]]
+    neg = zech = rows = None
+    if p != 2:
+        half = span // 2
+        zech = [log[x - x % p + (x + 1) % p] for x in exp]
+        zech[half] = -1
+        neg = [0] + [exp[l - half] for l in log[1:]]
+        zech += zech
+    elif q <= 256:
+        els = range(q)
+        mul = lambda a, b: exp[(log[a] + log[b]) % span] if a and b else 0
+        rows = [bytes([mul(a, b) for b in els]) + bytes(256 - q) for a in els]
+    return exp + exp, log, inv, neg, zech, rows
+
+
+REFERENCE_FIELDS = [(2, e) for e in range(2, 17)] + [(3, e) for e in range(2, 11)]
+REFERENCE_FIELDS += [(5, 4), (5, 6), (7, 5), (13, 4), (251, 2)]
+
+
+@pytest.mark.parametrize("p, e", REFERENCE_FIELDS, ids=[f"GF({p}^{e})" for p, e in REFERENCE_FIELDS])
+def test_tables_equal_the_reference_builders(p, e):
+    f = field(p, e)
+    exp, log, inv, neg, zech, rows = _tables_ref(f)
+    assert list(f._exp) == exp and list(f._log) == log
+    assert (None if f._zech is None else list(f._zech)) == zech
+    assert f._mul_rows == rows
+    assert [f.inv(a) for a in range(1, f.q)] == inv[1:]
+    assert [f.neg(a) for a in range(f.q)] == (neg or list(range(f.q)))
+    # the byte-row fields keep their inv list; the others keep none, nor neg
+    assert f._inv_list == (inv if rows else None) and f._neg_list is None
+    assert _irreducible_ref(f.modulus, p)
+
+
+def _mobius(n):
+    out, k = 1, 2
+    while n > 1:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            out = -out
+        k += 1
+    return out
+
+
+@pytest.mark.parametrize("p, top", [(2, 8), (3, 5), (5, 3), (7, 2), (13, 2)])
+def test_divisor_lists_are_the_monic_irreducibles(p, top):
+    from ceq.field import _digits, _divisors
+
+    divisors = _divisors(p, top)
+    for d in range(2, top + 1):
+        of_d = [f for f in divisors if len(f) == d + 1]
+        # Gauss's formula (Lidl and Niederreiter, "Finite Fields", Thm. 3.25)
+        assert len(of_d) == sum(_mobius(k) * p ** (d // k) for k in range(1, d + 1) if d % k == 0) // d
+        assert of_d == [tuple(_digits(enc, p, d)) + (1,) for enc in range(p**d)
+                        if _irreducible_ref(_digits(enc, p, d) + [1], p)]
+    assert [len(f) - 1 for f in divisors] == sorted(len(f) - 1 for f in divisors)
+
+
+@pytest.mark.parametrize("p, e", [(2, 8), (3, 5), (5, 4), (7, 3)])
+def test_irreducibility_test_matches_the_reference_on_every_monic(p, e):
+    from ceq.field import _digits, _irreducible
+
+    for enc in range(p**e):
+        coeffs = _digits(enc, p, e) + [1]
+        assert _irreducible(coeffs, p) == _irreducible_ref(coeffs, p), coeffs

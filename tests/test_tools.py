@@ -92,6 +92,37 @@ def test_answers_roundtrip_quick_prints_its_keys(capsys):
     }
 
 
+def test_answers_fields_quick_prints_its_keys(capsys):
+    answers = _load("answers")
+    assert answers.main(["--stratum", "fields", "--quick", "--rows"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"fields"}
+    fields = out["fields"]
+    assert set(fields) == {"count", "answers_sha256", "wall_s", "build_s", "rows"}
+    rows = fields["rows"]
+    assert fields["count"] == len(rows) == len(answers.FIELD_QUICK)
+    assert set(fields["build_s"]) == {"GF(2)", "GF(131)", "GF(2^2)", "GF(2^3)", "GF(3^2)", "GF(5^2)"}
+    # [p, e, modulus, generator, three hashes]: GF(4) is F_2[x]/(x^2 + x + 1),
+    # generated by x
+    assert rows[2][:4] == [2, 2, [1, 1, 1], 2]
+    assert all(len(row) == 7 and all(len(h) == 64 for h in row[4:]) for row in rows)
+    assert fields["answers_sha256"] == "a8384ba6a9bcc7af73bb7c5970465eea527ea1db609f27e2b397a44a5ac7c741"
+    again, _ = answers.fields(quick=True)
+    assert {k: v for k, v in again.items() if not k.endswith("_s")} == {
+        k: v for k, v in fields.items() if not k.endswith("_s") and k != "rows"
+    }
+
+
+@_long
+def test_fields_corpus_answers_are_pinned():
+    # the full `fields` stratum, about 3 s: the modulus, the generator and
+    # every product by it, inverse and negative of 93 extension fields and
+    # 8 prime fields
+    summary, _ = _load("answers").fields()
+    assert summary["count"] == 101
+    assert summary["answers_sha256"] == "aef94c07deb369b5f0908e0a820e6e49e4a4e3336937795ab34029cb40ba7908"
+
+
 def test_roundtrip_corpus_answers_are_pinned():
     # the full `roundtrip` stratum, well under a second: every cert,
     # reduced pair and transported witness goes into the hash, so a

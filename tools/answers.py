@@ -1,6 +1,6 @@
 """Answer corpora: seeded decides whose answers must not move unless a change means them to.
 
-Three strata:
+Four strata:
 
 - `search`, with three groups of decides:
   - `gadget`: planted-YES and hard-NO PCE pairs over GF(2), GF(3),
@@ -32,6 +32,13 @@ Three strata:
   and short-rank pairs whose k rows span fewer columns; pairs that
   preprocessing rejects (differing profiles, zero-column counts or
   ranks) are only reduced, and must reject for the reason expected.
+- `fields`: the arithmetic of every extension field with q <= 2^16 and
+  of the primes 2, 3, 7, 127, 131, 251, 257 and 65521, on both sides of
+  the byte-row switch at 127. Each field records its built-in modulus,
+  its generator g (the least element of multiplicative order q - 1,
+  found through `mul`), and the sha256 of [mul(g, x)] and [neg(x)] over
+  every x and of [inv(x)] over every x but 0. An x whose inv(x) * x is
+  not 1 stops the run with an error.
 
 Every seed is fixed here, and a YES whose witness does not verify stops
 the run with an error.
@@ -49,7 +56,11 @@ text from `ceq.fileio.serialize_witness` or null,
 [label..., cert, reduced instance, witnesses] with the texts of
 `ceq.fileio`'s serializers: the cert, the reduced pair and, for a YES
 pair, the normalized, lifted and returned witnesses. Every key but the
-`*_s` ones is the same on every machine and run.
+`*_s` ones is the same on every machine and run. The `fields` entry
+holds `count`, `answers_sha256` over the rows [p, e, modulus, g,
+mul sha256, inv sha256, neg sha256], `wall_s` and `build_s`, the
+seconds of each field's first `ceq.field(p, e)` call in the process,
+modulus search included; run the stratum alone for cold builds.
 
 Usage: python tools/answers.py [--stratum NAME]... [--quick] [--rows]
 
@@ -57,7 +68,8 @@ Usage: python tools/answers.py [--stratum NAME]... [--quick] [--rows]
 without it all run. `--quick` decides one pair per field and kind in
 `search`, 2 shapes, (4, 3, 6) and (16, 3, 4), under a 2,000-node
 budget in `yes-probe`, and one seed and the two smaller YES shapes in
-`roundtrip`. `--rows` adds the per-decide rows, each led by its label
+`roundtrip`, and in `fields` GF(2), GF(131), GF(2^2), GF(2^3), GF(3^2)
+and GF(5^2). `--rows` adds the per-decide rows, each led by its label
 in `search` and `roundtrip`, to the output. The script uses the standard
 library and the public API of `ceq` only; run it with `src` on
 `PYTHONPATH`, or with `ceq` installed.
@@ -360,7 +372,74 @@ def roundtrip(quick: bool = False) -> tuple[dict, list[list]]:
     return summary, rows
 
 
-STRATA = {"search": search, "yes-probe": yes_probe, "roundtrip": roundtrip}
+# primes of the `fields` stratum: XOR add at 2, byte rows up to 127,
+# mod-p kernels from 131 on, and the largest prime order
+FIELD_PRIMES = (2, 3, 7, 127, 131, 251, 257, 65521)
+FIELD_QUICK = ((2, 1), (131, 1), (2, 2), (2, 3), (3, 2), (5, 2))
+
+
+def _primes_to(n: int) -> list[int]:
+    return [m for m in range(2, n + 1) if all(m % d for d in range(2, int(m**0.5) + 1))]
+
+
+def _field_specs(quick: bool) -> list[tuple[int, int]]:
+    """(p, e) of the `fields` stratum in run order: the primes, then every
+    extension field with q <= 2^16 by p and e."""
+    if quick:
+        return list(FIELD_QUICK)
+    ext = [(p, e) for p in _primes_to(256) for e in range(2, 17) if p**e <= 1 << 16]
+    return [(p, 1) for p in FIELD_PRIMES] + ext
+
+
+def _generator(fld) -> int:
+    """The least element of multiplicative order q - 1, by `fld.mul`."""
+    span = fld.q - 1
+    factors = [f for f in _primes_to(int(span**0.5) + 1) if span % f == 0]
+    rest = span
+    for f in factors:
+        while rest % f == 0:
+            rest //= f
+    factors += [rest] if rest > 1 else []
+
+    def power(a: int, k: int) -> int:
+        out = 1
+        while k:
+            if k & 1:
+                out = fld.mul(out, a)
+            a = fld.mul(a, a)
+            k >>= 1
+        return out
+
+    return next(c for c in range(1, fld.q) if all(power(c, span // f) != 1 for f in factors))
+
+
+def fields(quick: bool = False) -> tuple[dict, list[list]]:
+    """Run the `fields` stratum; return its summary and its rows."""
+    t_all = time.perf_counter()
+    rows = []
+    build_s: dict[str, float] = {}
+    for p, e in _field_specs(quick):
+        t0 = time.perf_counter()
+        fld = ceq.field(p, e)
+        build_s[repr(fld)] = round(time.perf_counter() - t0, 4)
+        g = _generator(fld)
+        els = range(fld.q)
+        inv = [fld.inv(x) for x in els[1:]]
+        if any(fld.mul(x, y) != 1 for x, y in zip(els[1:], inv)):
+            raise RuntimeError(f"{fld!r}: inv(x) * x is not 1")
+        modulus = None if fld.modulus is None else list(fld.modulus)
+        mul_g, neg = [fld.mul(g, x) for x in els], [fld.neg(x) for x in els]
+        rows.append([p, e, modulus, g, _sha256(mul_g), _sha256(inv), _sha256(neg)])
+    summary = {
+        "count": len(rows),
+        "answers_sha256": _sha256(rows),
+        "wall_s": round(time.perf_counter() - t_all, 3),
+        "build_s": build_s,
+    }
+    return summary, rows
+
+
+STRATA = {"search": search, "yes-probe": yes_probe, "roundtrip": roundtrip, "fields": fields}
 
 
 def main(argv=None) -> int:
