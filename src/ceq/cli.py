@@ -66,7 +66,7 @@ def cmd_gen(args) -> int:
         raise UsageError(f"unknown tag {args.tag!r}") from None
     planted = oracle.Planted(args.planted)
     profile = None
-    if args.profile:
+    if args.profile is not None:
         try:
             profile = tuple(map(fileio.decimal, args.profile.split(",")))
         except ValueError:

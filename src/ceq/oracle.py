@@ -44,7 +44,9 @@ support and d / d_i = b_i / a_i on it. Each such ratio must be an
 allowed scalar, and the ratios live in a union-find over the slots whose
 weights compose through the field's mul and inv: a pair that gives one
 component two different weights dies, and one that meets several
-components joins them. Once the slots have rank k and one component
+components joins them. Slot 0 is always the root of its component, and a
+join relabels every member, so one component holds all the slots exactly
+when every slot's root is 0. Once the slots have rank k and one component
 holds them all, S is fixed up to the global scalar below, and the rest
 of the assignment is forced by lookups instead of search: each remaining
 target column y = sum b_i y_i needs the source column
@@ -74,7 +76,12 @@ key per distinct value of either side: the lexicographically least
 multiple of the value by an allowed scalar, so two values share a key
 exactly when one is an allowed multiple of the other. The classes, their
 sizes and the target order (H classes by size and key, each class's
-members in index order) come from those records. The members of a value
+members in index order) come from those records. The first target of an
+H class locks the G class of its size that it takes, and the class's
+later targets draw only on that one. Targets come class by class, and a
+class pins as many columns as the G class it locks holds, so when a
+later H class reaches its first target every G class locked before has
+no free member left: the lock is kept one way only. The members of a value
 are interchangeable, so a pin takes the first free one; pins come off in
 the reverse order of going on, so the pinned members of a value are
 always its first ones, and the search keeps only their count per value.
@@ -92,10 +99,11 @@ those of a per-column completion. A completion works on copies of the
 counts and sigma and on a fresh diagonal, so one that fails leaves
 nothing to undo.
 
-Under a time limit both deciders read the clock once per searched node
-and once per block of nodes counted at once (the candidates under a
-pruned prefix, the columns of a forced run), so a limit that does not
-bind gives the answer and node count of the run without it.
+Both deciders count nodes through one `_Ticker.tick`, of one searched
+node or of a block counted at once (the candidates under a pruned
+prefix, the columns of a forced run). Under a time limit it reads the
+clock once per call, so a limit that does not bind gives the answer and
+node count of the run without it.
 
 Both deciders fix one scalar to 1. If (S, M) is a witness, so is
 (c*S, c^-1*M) for every allowed scalar c, so each class of witnesses
@@ -108,7 +116,8 @@ root of each component of slots scalar 1; the first non-zero column it
 pins is slot 0, the root of its component, so that column's scalar is
 1. PCE, whose only scalar is 1, is unaffected.
 
-Both modes return identical YES/NO answers; witnesses may differ.
+Both modes return identical YES/NO answers; witnesses may differ. Each
+search returns its witness unchecked, and `decide` verifies it once.
 Budgets, results and generator specs are immutable `Record`s.
 """
 
@@ -176,39 +185,26 @@ class _OutOfBudget(Exception):
 class _Ticker:
     """Node counter with budget enforcement.
 
-    `tick` counts one searched node and `skip` a block of nodes at once:
-    pruned candidates, or the columns of a forced run. Without a time
-    limit the check point is the node after the budget, and a block that
-    crosses it stops at that node. A time limit adds one clock read per
-    `tick` and one per `skip` block, so a limit that does not bind leaves
-    the answer and the node count as they are without it.
+    `tick(count)` counts `count` nodes at once: one searched node, or a
+    block of them (pruned candidates, the columns of a forced run). A
+    count that crosses the budget stops at the node after it. A time limit
+    adds one clock read per call, so a limit that does not bind leaves the
+    answer and the node count as they are without it.
     """
 
-    __slots__ = ("nodes", "max_nodes", "deadline", "_check_at")
+    __slots__ = ("nodes", "max_nodes", "deadline")
 
     def __init__(self, budget: Budget, t0: float):
         self.nodes = 0
         self.max_nodes = budget.max_nodes
         self.deadline = None if budget.time_limit is None else t0 + budget.time_limit
-        self._check_at = self.max_nodes + 1 if self.deadline is None else 1
 
-    def tick(self):
-        self.nodes += 1
-        if self.nodes >= self._check_at:
-            self._check()
-
-    def skip(self, count: int):
-        """Account for `count` nodes in one step, capped at the node after
-        the budget; under a time limit, read the clock once for the block."""
+    def tick(self, count: int = 1):
         self.nodes += count
         if self.nodes > self.max_nodes:
             self.nodes = self.max_nodes + 1
             raise _OutOfBudget
         if self.deadline is not None and time.perf_counter() > self.deadline:
-            raise _OutOfBudget
-
-    def _check(self):
-        if self.nodes > self.max_nodes or time.perf_counter() > self.deadline:
             raise _OutOfBudget
 
 
@@ -217,7 +213,8 @@ class _Ticker:
 
 
 def _exhaustive(inst: Instance, ticker: _Ticker):
-    """Scan candidates. Returns a witness or None after scanning them all."""
+    """Scan candidates. Returns the first accepted candidate's witness, for
+    `decide` to verify, or None after scanning them all."""
     fld, g, h = inst.field, inst.G, inst.H
     n = g.n
     # a tuple, as the scan indexes it once per candidate
@@ -324,7 +321,7 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
                 free += 1
             marks[l] = len(pending)
             if not residuals_vanish(l):
-                ticker.skip(below[l])
+                ticker.tick(below[l])
                 continue
             if l == n - 1:
                 forms_at: list[list] = [[] for _ in range(n)]
@@ -342,7 +339,7 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
             diag[s] = scal[v]
             for form in forms_at[s]:
                 if not vanishes(form):
-                    ticker.skip(below[l])
+                    ticker.tick(below[l])
                     break
             else:
                 l += 1
@@ -352,11 +349,7 @@ def _exhaustive(inst: Instance, ticker: _Ticker):
     # row spaces of G*M and H coincide
     ticker.tick()
     m = Mono(fld, Perm(tuple(pick[:n])), tuple(diag))
-    s = row_basis_transform(g.apply_mono(m), h)
-    w = None if s is None else Witness(s, m)
-    if w is None or not verify_witness(inst, w):
-        raise WitnessInvalid("exhaustive search recovered a non-verifying witness")
-    return w
+    return Witness(row_basis_transform(g.apply_mono(m), h), m)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +409,6 @@ def _class_key(fld: Field, scal, col: tuple) -> tuple:
 
 class _Backtracker:
     def __init__(self, inst: Instance, ticker: _Ticker):
-        self.inst = inst
         self.fld = fld = inst.field
         self.k = k = inst.k
         self.ticker = ticker
@@ -453,7 +445,6 @@ class _Backtracker:
         self.hsize = {key: len(members) for key, members in hmembers.items()}
 
         self.lock: dict[tuple, tuple] = {}
-        self.lock_rev: dict[tuple, tuple] = {}
         # the pinned pairs that add rank, the slots: (value, y) with the
         # value's scalar unknown. acc_x and acc_y hold rows (u | c), u the
         # sum of c_i times the value (the y) of slot i, so that a vector
@@ -468,7 +459,6 @@ class _Backtracker:
         # slot i, is weight[i] times that of its component's root root[i]
         self.root: list[int] = []
         self.weight: list[int] = []
-        self.comps = 0
         # rep -> (slot, ratio) for each non-zero column that branching
         # pinned: its scalar is ratio times that of the slot
         self.ties: dict[int, tuple[int, int]] = {}
@@ -503,9 +493,7 @@ class _Backtracker:
             self.acc_y.append(ry)
             self.slots.append((value, y))
             # with one scalar every ratio is 1: all slots share one component
-            root = 0 if r and len(self.scal) == 1 else r
-            self.comps += root == r
-            self.root.append(root)
+            self.root.append(0 if r and len(self.scal) == 1 else r)
             self.weight.append(1)
             return True, (r, 1), None
         # value = sum a_i value_i and y = sum b_i y_i over the slots, with
@@ -533,14 +521,13 @@ class _Backtracker:
         if not meets:
             return False, (first, t_first), None
         # join the other components into first's
-        undo = (root[:], weight[:], self.comps)
+        undo = (root[:], weight[:])
         for c, t in meets.items():
             f = mul(t_first, inv(t))  # root c's scalar over root first's
             for i in range(r):
                 if root[i] == c:
                     root[i] = first
                     weight[i] = mul(weight[i], f)
-        self.comps -= len(meets)
         return False, (first, t_first), undo
 
     def _pop(self, pin: tuple):
@@ -549,11 +536,10 @@ class _Backtracker:
             self.acc_x.pop()
             self.acc_y.pop()
             self.slots.pop()
+            self.root.pop()
             self.weight.pop()
-            if self.root.pop() == len(self.slots):
-                self.comps -= 1
         elif undo is not None:
-            self.root, self.weight, self.comps = undo
+            self.root, self.weight = undo
 
     # -- search ---------------------------------------------------------------
 
@@ -570,7 +556,7 @@ class _Backtracker:
             t = next(stack[-1], None)
             if t is None:
                 stack.pop()
-            elif t == end or (len(self.slots) == self.k and self.comps <= 1):
+            elif t == end or (len(self.slots) == self.k and not any(self.root)):
                 w = self._complete(t)
                 if w is not None:
                     return w
@@ -582,19 +568,18 @@ class _Backtracker:
         """Pin each candidate for target position t that `_push` accepts, in
         a fixed order, and yield t + 1 with it pinned; resumed, take the pin
         back and go on to the next candidate. The candidates are the G
-        values of the locked class, or of each unlocked class of the
-        target's size, that have a member left; a value's copies collapse
-        to its first free member, members[v][taken[v]]. Pins come off in
-        the reverse order of going on, so the pinned members of each value
-        are always its first taken[v]."""
+        values of the locked class, or of each class of the target's size,
+        that have a member left; a value's copies collapse to its first
+        free member, members[v][taken[v]]. At an H class's first target
+        every class locked so far is fully taken (module docstring), so
+        the free-member test alone passes over them. Pins come off in the
+        reverse order of going on, so the pinned members of each value are
+        always its first taken[v]."""
         j = self.targets[t]
         y = self.hcols[j]
         hkey = self.hkeys[j]
         locked = self.lock.get(hkey)
-        if locked is not None:
-            gkeys = [locked]
-        else:
-            gkeys = [key for key in self.gkeys_by_size.get(self.hsize[hkey], ()) if key not in self.lock_rev]
+        gkeys = self.gkeys_by_size.get(self.hsize[hkey], ()) if locked is None else (locked,)
         members, taken = self.members, self.taken
         ry = None
         for gkey in gkeys:
@@ -615,11 +600,9 @@ class _Backtracker:
                     self.ties[rep] = tie
                 if locked is None:
                     self.lock[hkey] = gkey
-                    self.lock_rev[gkey] = hkey
                 yield t + 1
                 if locked is None:
                     del self.lock[hkey]
-                    del self.lock_rev[gkey]
                 taken[v] -= 1
                 self.sigma[j] = -1
                 self.ties.pop(rep, None)
@@ -653,9 +636,9 @@ class _Backtracker:
                 taken[v] = i
             if t < end and hcols[targets[t]] == y:
                 # the column after the last pick fails
-                ticker.skip(t - start + 1)
+                ticker.tick(t - start + 1)
                 return None
-            ticker.skip(t - start)
+            ticker.tick(t - start)
         return self._finish(sigma, diag)
 
     def _sources(self, y: tuple) -> list[tuple[int, int]]:
@@ -680,10 +663,10 @@ class _Backtracker:
         return [(v, mul(c, inv(value[nz]))) for value, v in by_val]
 
     def _finish(self, sigma: list[int], diag: list[int]) -> Witness:
-        """The witness of a complete assignment: sigma, and diag with the
-        completion's scalars, to which it adds those of the pinned columns.
-        The root of each component of slots takes scalar 1, so slot i takes
-        weight[i] (module docstring)."""
+        """The witness of a complete assignment, for `decide` to verify:
+        sigma, and diag with the completion's scalars, to which it adds
+        those of the pinned columns. The root of each component of slots
+        takes scalar 1, so slot i takes weight[i] (module docstring)."""
         fld, k, weight = self.fld, self.k, self.weight
         for rep, (slot, ratio) in self.ties.items():
             diag[rep] = fld.mul(ratio, weight[slot])
@@ -698,10 +681,7 @@ class _Backtracker:
         x_mat = Mat._of(fld, zip(*xs) if r else [()] * k, r)
         y_mat = Mat._of(fld, zip(*ys) if r else [()] * k, r)
         y_mat.memo("rank", lambda: r)
-        w = Witness(row_basis_transform(x_mat, y_mat), m)
-        if not verify_witness(self.inst, w):
-            raise WitnessInvalid("backtracking search completed a non-verifying witness")
-        return w
+        return Witness(row_basis_transform(x_mat, y_mat), m)
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +691,11 @@ class _Backtracker:
 def decide(inst: Instance, budget: Budget = Budget()) -> DecideResult:
     """Decide an instance by brute force under the given budget.
 
-    YES always carries a verifying witness. A NO names why it ended in
-    `detail`: rank mismatch, class counts or search exhausted.
+    YES always carries a verifying witness: this is the one place that
+    checks what either search returns, and it raises WitnessInvalid,
+    naming the mode, when the change of basis is None or the witness does
+    not verify. A NO names why it ended in `detail`: rank mismatch, class
+    counts or search exhausted.
     """
     t0 = time.perf_counter()
     if inst.G.rank() != inst.H.rank():
@@ -730,6 +713,8 @@ def decide(inst: Instance, budget: Budget = Budget()) -> DecideResult:
         return DecideResult(Status.UNKNOWN, None, ticker.nodes, time.perf_counter() - t0, "budget exhausted")
     if w is None:
         return DecideResult(Status.NO, None, ticker.nodes, time.perf_counter() - t0, "search exhausted")
+    if w.S is None or not verify_witness(inst, w):
+        raise WitnessInvalid(f"{budget.mode.value} search found a non-verifying witness")
     return DecideResult(Status.YES, w, ticker.nodes, time.perf_counter() - t0)
 
 

@@ -408,6 +408,17 @@ def test_flags_read_numbers_as_ascii_decimal(tmp_path, capsys, flag, template, n
     assert not (tmp_path / "out.wit").exists()
 
 
+@pytest.mark.parametrize("value", ["", ",", "1,", ",1", "1,,1"])
+def test_gen_refuses_a_profile_with_an_empty_count(tmp_path, capsys, value):
+    # an empty --profile is a malformed value too, not an absent flag
+    out = tmp_path / "x.ceq"
+    capsys.readouterr()
+    assert run(["gen", "--k", 1, "--n", 2, "--field", 3, "--tag", "PCE", "--planted", "yes",
+                "--seed", 1, "--profile", value, "--out", out]) == 2
+    assert f"bad --profile value {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_seed_is_still_a_number(tmp_path):
     out = tmp_path / "x.ceq"
     assert run(["gen", "--k", 1, "--n", 2, "--field", 3, "--tag", "PCE",

@@ -159,18 +159,18 @@ def _instances():
 
 
 def _skips(inst, budget):
-    """(nodes before, count) of every skip of more than one candidate that
+    """(nodes before, count) of every tick of more than one candidate that
     the pruning scan makes."""
     seen = []
-    real_skip = oracle._Ticker.skip
+    real_tick = oracle._Ticker.tick
 
-    def skip(ticker, count):
+    def tick(ticker, count=1):
         if count > 1:
             seen.append((ticker.nodes, count))
-        real_skip(ticker, count)
+        real_tick(ticker, count)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle._Ticker, "skip", skip)
+        mp.setattr(oracle._Ticker, "tick", tick)
         decide(inst, budget)
     return seen
 
@@ -209,11 +209,11 @@ def test_pruning_scan_matches_the_per_candidate_scan():
 @pytest.mark.parametrize("count", [7, 10 ** 30])
 def test_skip_under_node_budget_caps_at_the_node_after_it(count):
     ticker = oracle._Ticker(Budget(max_nodes=10), 0.0)
-    ticker.skip(4)
-    ticker.skip(6)
+    ticker.tick(4)
+    ticker.tick(6)
     assert ticker.nodes == 10
     with pytest.raises(oracle._OutOfBudget):
-        ticker.skip(count)
+        ticker.tick(count)
     assert ticker.nodes == 11
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ceq.core import Instance, Tag, scalars, verify_witness
-from ceq.errors import BudgetExceeded
+from ceq.errors import BudgetExceeded, WitnessInvalid
 from ceq.field import field
 from ceq.matrix import MAX_DIM, Mat, Mono, Perm
 from ceq import oracle
@@ -176,9 +176,9 @@ def test_backtracker_draws_one_scalar_per_node(monkeypatch):
     real_scalars, real_tick = oracle.scalars, oracle._Ticker.tick
     gaps = []
 
-    def tick(ticker):
+    def tick(ticker, count=1):
         gaps.append(CountingScalars.drawn - sum(gaps))
-        real_tick(ticker)
+        real_tick(ticker, count)
 
     monkeypatch.setattr(oracle, "scalars", lambda fld, tag: CountingScalars(real_scalars(fld, tag)))
     monkeypatch.setattr(oracle._Ticker, "tick", tick)
@@ -428,7 +428,7 @@ def test_backtracker_works_once_per_distinct_column_value(monkeypatch):
     def init(bt, inst, ticker):
         before = calls["key"]
         real_init(bt, inst, ticker)
-        setups.append((calls["key"] - before, len({*bt.inst.G.cols(), *bt.hcols}), bt.inst.n))
+        setups.append((calls["key"] - before, len({*inst.G.cols(), *bt.hcols}), inst.n))
 
     def complete(bt, t):
         before = dict(calls)
@@ -571,7 +571,7 @@ def test_push_and_pop_match_the_rank_triple(p, e):
                 assert len(bt.acc_x.rows) == len(bt.acc_y.rows) == len(bt.slots) == r
                 if r == k and all(apply(s, x) == y for x, y, _ in stack):
                     for y, want in zip(probes, preimages):
-                        assert {bt.inst.G.cols()[i] for v, _ in bt._sources(y) for i in bt.members[v]} == {want}
+                        assert {g.cols()[i] for v, _ in bt._sources(y) for i in bt.members[v]} == {want}
                     seen["full rank"] += 1
     assert min(seen.values()) > 0, seen
 
@@ -692,7 +692,7 @@ def test_push_matches_brute_force_over_the_scalars(tag, p, e):
                 # the scalars the ties name, each root's scalar 1
                 ds = [1 if pin[1] is None else mul(pin[1][1], bt.weight[pin[1][0]]) for *_, pin in stack]
                 assert joint_rank([x for x, *_ in stack], [y for _, y, *_ in stack], ds, k) == r
-                if 0 < r == k and bt.comps == 1 and all(d is not None for _, _, d, _ in stack):
+                if 0 < r == k and not any(bt.root) and all(d is not None for _, _, d, _ in stack):
                     # S is pinned with slot 0's scalar 1: S' = d_0 * S for
                     # the planted scalar d_0 of slot 0, so S'^-1 * y is
                     # d_0^-1 times the planted preimage
@@ -795,6 +795,21 @@ def test_no_names_why_it_ended():
     for mode in Mode:
         res = decide(rank_mismatch, Budget(mode=mode))
         assert (res.status, res.nodes, res.detail) == (Status.NO, 0, "rank mismatch")
+
+
+@pytest.mark.parametrize("fault", ["no change of basis", "no verify"])
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_a_witness_that_fails_raises_witness_invalid_naming_the_mode(mode, fault, monkeypatch):
+    # decide checks every witness a search returns, once, whichever way it
+    # fails: a change of basis that comes back None, or an S * G * M != H
+    inst = generate(GenSpec(F5, 2, 4, Tag.LCE, Planted.YES, seed=3)).instance
+    assert decide(inst, Budget(mode=mode)).status is Status.YES
+    if fault == "no change of basis":
+        monkeypatch.setattr(oracle, "row_basis_transform", lambda x, y: None)
+    else:
+        monkeypatch.setattr(oracle, "verify_witness", lambda inst, w: False)
+    with pytest.raises(WitnessInvalid, match=f"^{mode.value} search"):
+        decide(inst, Budget(mode=mode))
 
 
 # ---------------------------------------------------------------------------

@@ -648,23 +648,25 @@ _long = pytest.mark.skipif(not LONG_CENSUS, reason="set CEQ_LONG_CENSUS=1 to run
 
 
 @pytest.mark.parametrize(
-    "p, e, k, n, subspaces, orbits, gadget_no_floor",
+    "p, e, k, n, subspaces, orbits, gadget_no_floor, scaled_floor",
     [
-        (3, 1, 2, 4, 130, 16, 600),
-        (2, 1, 3, 5, 155, 10, 225),
-        (2, 2, 2, 3, 21, 7, 108),
-        (5, 1, 2, 3, 31, 9, 270),
-        (7, 1, 2, 3, 57, 15, 1100),
-        pytest.param(2, 2, 2, 4, 357, 31, 5600, marks=_long),
-        pytest.param(5, 1, 2, 4, 806, 56, 32500, marks=_long),
+        (3, 1, 2, 4, 130, 16, 600, 36),
+        (2, 1, 3, 5, 155, 10, 225, 0),
+        (2, 2, 2, 3, 21, 7, 108, 3),
+        (5, 1, 2, 3, 31, 9, 270, 3),
+        (7, 1, 2, 3, 57, 15, 1100, 6),
+        pytest.param(2, 2, 2, 4, 357, 31, 5600, 100, marks=_long),
+        pytest.param(5, 1, 2, 4, 806, 56, 32500, 280, marks=_long),
     ],
     ids=["GF3-k2-n4", "GF2-k3-n5", "GF4-k2-n3", "GF5-k2-n3", "GF7-k2-n3", "GF4-k2-n4", "GF5-k2-n4"],
 )
-def test_karp_census(p, e, k, n, subspaces, orbits, gadget_no_floor):
+def test_karp_census(p, e, k, n, subspaces, orbits, gadget_no_floor, scaled_floor):
     """The Karp property on every PCE pair of one size, up to permuting G's
     columns, which does not change PCE equivalence: the truth comes from
     the exhaustive decider, and both gadgets, decided by backtracking, must
-    give the same answer.
+    give the same answer. Every gadget YES witness is carried back through
+    `extract_witness` and `map_witness_to_original` and must verify on the
+    PCE pair; from GF(3) on, some of them carry a scalar other than 1.
 
     Over GF(2) and GF(3) every LCE scalar is a sign; from GF(4) on, LCE has
     scalars other than +-1, which the gadget's third block (the nm + 1
@@ -675,11 +677,18 @@ def test_karp_census(p, e, k, n, subspaces, orbits, gadget_no_floor):
     - without the third block, LCE answers go wrong at n = 3: 6 over
       GF(4), 4 over GF(5) and 10 over GF(7). The GF(2) and GF(3) cases,
       and both hard-NO sweeps, pass on that mutant;
-    - a third block of one column instead of nm + 1 passes every case at
-      n = 3, and gives 40 wrong LCE answers over GF(4) and 24 over GF(5)
-      at n = 4, which only the CEQ_LONG_CENSUS cases run;
+    - a third block of one column instead of nm + 1, with the cert's
+      width cut to match so that extraction reads the blocks it has,
+      passes every case at n = 3, and gives 40 wrong LCE answers over
+      GF(4) and 24 over GF(5) at n = 4, which only the CEQ_LONG_CENSUS
+      cases run; in tier-1, `test_soundness_margin_of_the_third_block_gf4`
+      kills it;
     - one duplicate fewer per column (m - 1, with the cert's lower bound
-      on m relaxed) passes every case, up to GF(5) at n = 4.
+      on m relaxed) gives no wrong answer, up to GF(5) at n = 4, but some
+      of its YES witnesses draw a column from another block, which
+      `extract_witness` refuses, over GF(3) at n = 4 and over GF(5) and
+      GF(7) at n = 3; `test_soundness_margin_of_m_duplicates_gf3` kills it
+      through a wrong answer.
     """
     fld = field(p, e)
     every_h = list(_subspaces(fld, k, n))
@@ -687,6 +696,7 @@ def test_karp_census(p, e, k, n, subspaces, orbits, gadget_no_floor):
     assert (len(every_h), len(reps)) == (subspaces, orbits)
     exhaustive, backtracking = Budget(mode=Mode.EXHAUSTIVE), Budget(mode=Mode.BACKTRACKING)
     gadget_no = 0
+    scaled = 0
     for g in reps:
         for h in every_h:
             inst = Instance(fld, g, h, Tag.PCE)
@@ -694,10 +704,19 @@ def test_karp_census(p, e, k, n, subspaces, orbits, gadget_no_floor):
             assert truth in (Status.YES, Status.NO)
             for target in (Tag.LCE, Tag.SPCE):
                 red, cert = reduce_instance(inst, target)
-                assert decide(red, backtracking).status is truth, (g.rows, h.rows, target)
+                res = decide(red, backtracking)
+                assert res.status is truth, (g.rows, h.rows, target)
                 gadget_no += truth is Status.NO and not cert.rejected
+                if truth is Status.YES:
+                    # every gadget witness carries back to the PCE pair
+                    norm = cert.journal.normalized
+                    back = extract_witness(cert, norm.G, norm.H, res.witness)
+                    assert verify_witness(inst, map_witness_to_original(cert.journal, back)), (g.rows, h.rows)
+                    scaled += any(d != 1 for d in res.witness.M.diag)
     # NOs that reach the gadget instead of a preprocessing rule
     assert gadget_no >= gadget_no_floor
+    # YES witnesses with a diagonal entry other than 1, over both targets
+    assert scaled >= scaled_floor, scaled
 
 
 def test_stripping_preserves_decision():
