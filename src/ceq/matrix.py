@@ -17,13 +17,15 @@ unpickling and the file parser take every entry as an integer (a float
 or a string is refused, not truncated or parsed) and check that it is a
 canonical element of the field. Rows the package computes
 itself (products, scalings, monomial actions, eliminations, column
-selections, the gadget and preprocessing's normalized matrices) are
-canonical by construction and go through the trusted `Mat._of`, which
-only freezes them. `Perm` and `Mono` are immutable `Record`s whose
-constructors store sigma and the diagonal as tuples of ints and check
-that sigma is a bijection and the diagonal non-zero; the trusted
-`Record._of`, as `Perm._of` and `Mono._of`, takes tuples the package
-built as such itself (the reduction's lifted and extracted actions) and
+selections, the gadget, preprocessing's normalized matrices and the
+generator's draws of `randrange(q)` entries) are canonical by
+construction and go through the trusted `Mat._of`, which only freezes
+them. `Perm` and `Mono` are immutable `Record`s whose constructors store
+sigma and the diagonal as tuples of ints and check that sigma is a
+bijection and the diagonal non-zero; the trusted `Record._of`, as
+`Perm._of` and `Mono._of`, takes tuples the package built as such itself
+(the reduction's lifted and extracted actions, and the generator's
+planted action: a shuffled range(n) and units from `core.scalars`) and
 checks nothing.
 
 A `Mat` never changes, so what depends on its rows alone is computed

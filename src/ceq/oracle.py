@@ -119,6 +119,17 @@ pins is slot 0, the root of its component, so that column's scalar is
 Both modes return identical YES/NO answers; witnesses may differ. Each
 search returns its witness unchecked, and `decide` verifies it once.
 Budgets, results and generator specs are immutable `Record`s.
+
+Certified-NO generation draws pairs until one is NO. S * G * M maps each
+class of G's columns under the tag's scalars onto a class of H's of the
+same size, and zero columns onto zero columns, so a draw whose class
+sizes or zero-column counts differ is NO without a search: the test
+`infeasible_by_counting` makes for backtracking `decide`'s "class
+counts" NO. Only the draws it leaves are certified by the exhaustive
+decider. The draws and their order are those of certifying every draw,
+so the same one is returned. For PCE, with both sides at full rank, the
+counts are the zero-column count and the column profile, and they
+refute exactly the draws that preprocessing rejects.
 """
 
 from __future__ import annotations
@@ -798,16 +809,18 @@ def _sample_full_rank(fld: Field, k: int, n: int, profile: Optional[tuple[int, .
     q = fld.q
     rank = min(k, n)
     for _ in range(_MAX_SAMPLE_TRIES):
+        # randrange(q) draws canonical entries, so the trusted constructor
+        # takes them as they are
         if profile is None:
             rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
-            mat = Mat(fld, rows, n)
+            mat = Mat._of(fld, rows, n)
         else:
             cols = []
             for count in profile:
                 col = [rng.randrange(q) for _ in range(k)]
                 cols.extend([col] * count)
             rng.shuffle(cols)
-            mat = Mat(fld, [[col[i] for col in cols] for i in range(k)], n)
+            mat = Mat._of(fld, [[col[i] for col in cols] for i in range(k)], n)
         if mat.rank() == rank:
             return mat
     raise BudgetExceeded(f"could not sample a full-rank {k}x{n} matrix over {fld!r}")
@@ -819,14 +832,17 @@ def _sample_action(fld: Field, n: int, tag: Tag, rng) -> Mono:
     scal = scalars(fld, tag)
     # PCE draws nothing: a choice over its one scalar would still take bits
     diag = (1,) * n if tag is Tag.PCE else tuple(rng.choice(scal) for _ in range(n))
-    return Mono(fld, Perm(tuple(sigma)), diag)
+    # a shuffled range(n) is a bijection and the scalars are units, so the
+    # trusted constructors take both as they are
+    return Mono._of(fld, Perm._of(tuple(sigma)), diag)
 
 
 def generate(spec: GenSpec) -> Generated:
     """Generate an instance from a GenSpec; deterministic in the seed.
 
-    YES plants a witness by construction; NO is certified by the
-    exhaustive decider (within the published size caps) and resampled on
+    YES plants a witness by construction; NO is refuted by class counts
+    or else certified by the exhaustive decider (within the published
+    size caps, which bound the exhaustive scan), and resampled on
     accidental equivalence; UNLABELED skips certification. A matrix drawn
     with a profile has one uniform column per class, so its multiplicity
     profile can be coarser than the one asked for (see `GenSpec`).
@@ -866,11 +882,16 @@ def generate(spec: GenSpec) -> Generated:
             f"certified NO generation for {spec.tag.value} capped at "
             f"n <= {cap_n}, q <= {cap_q}"
         )
+    budget = Budget(mode=Mode.EXHAUSTIVE)
     for _ in range(_MAX_NO_TRIES):
         g = _sample_full_rank(fld, spec.k, spec.n, spec.profile, rng)
         h = _sample_full_rank(fld, spec.k, spec.n, spec.profile, rng)
         inst = Instance(fld, g, h, spec.tag)
-        res = decide(inst, Budget(mode=Mode.EXHAUSTIVE))
+        # class counts that differ refute the draw (module docstring);
+        # counting reads no ticker
+        if _Backtracker(inst, None).infeasible_by_counting():
+            return Generated(inst)
+        res = decide(inst, budget)
         if res.status is Status.NO:
             return Generated(inst)
         if res.status is not Status.YES:

@@ -5,10 +5,13 @@ seed through `derive`, which mixes the seed with string/int labels via
 FNV-1a and splitmix64, and `stream`, which feeds the derived value into
 the stdlib Mersenne Twister (`random.Random`). Both algorithms are fixed;
 changing them would break byte-exact reproducibility of generated files.
+Each label's FNV-1a tag is computed once and kept in a bounded cache, as
+a generator run derives from the same few labels many times.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 _MASK = (1 << 64) - 1
@@ -32,15 +35,21 @@ def _fnv1a(data: bytes) -> int:
     return h
 
 
+# typed, so that 1 and 1.0, equal as keys, keep their distinct tags
+@functools.lru_cache(maxsize=1024, typed=True)
+def _tag(label) -> int:
+    """A label's FNV-1a tag: of its 16-byte signed form for an int, of its
+    UTF-8 string otherwise."""
+    if isinstance(label, int):
+        return _fnv1a(b"i" + label.to_bytes(16, "little", signed=True))
+    return _fnv1a(b"s" + str(label).encode("utf-8"))
+
+
 def derive(seed: int, *labels) -> int:
     """Derive an independent 64-bit value from a seed and a label path."""
     x = seed & _MASK
     for label in labels:
-        if isinstance(label, int):
-            tag = _fnv1a(b"i" + label.to_bytes(16, "little", signed=True))
-        else:
-            tag = _fnv1a(b"s" + str(label).encode("utf-8"))
-        x = splitmix64(x ^ tag)
+        x = splitmix64(x ^ _tag(label))
     return splitmix64(x)
 
 

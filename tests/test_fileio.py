@@ -262,6 +262,26 @@ def test_generated_files_match_the_pinned_hash():
     assert digest.hexdigest() == "a1b94ff990c0afaa4f24b400aab6ea29baa001a51d0949f8f056196cd4405a3a"
 
 
+def test_generated_no_files_match_the_pinned_hash():
+    # the certified-NO sibling of the hash above: which draw `generate`
+    # returns depends on how it certifies, so a change to the certification
+    # that returns another draw moves this hash. Profiled and unprofiled
+    # shapes, LCE only where its NOs can be certified (q <= 5, n <= 4)
+    digest = hashlib.sha256()
+    for fld in (F2, field(3), field(2, 2), field(5), field(7), field(2, 3), F9, field(2, 4)):
+        for tag in Tag:
+            if tag is Tag.LCE and fld.q > 5:
+                continue
+            shapes = [(2, 4, None), (2, 4, (2, 1, 1))]
+            if tag is not Tag.LCE:
+                shapes += [(2, 5, (2, 1, 1, 1)), (3, 5, None), (3, 5, (2, 1, 1, 1))]
+            for k, n, profile in shapes:
+                for seed in range(2):
+                    gen = generate(GenSpec(fld, k, n, tag, Planted.NO, seed, profile))
+                    digest.update(fileio.serialize_instance(gen.instance).encode())
+    assert digest.hexdigest() == "8e2a6697fb6b2a7cfa7ca6e9376d23659f8f1f74f297ad1604e3862fc3345162"
+
+
 def _fuzz_corpus():
     """Seeded instance, witness and cert files, each with the original
     instance its cert was built from."""

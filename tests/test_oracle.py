@@ -412,6 +412,11 @@ def test_backtracker_works_once_per_distinct_column_value(monkeypatch):
     # values. Set-up computes one class key per distinct value of G and H,
     # and a forced completion computes S^-1 * y (in `_sources`) and its
     # class key once per distinct target value, not once per target column.
+    # The instances are built before the counters go in: certified-NO
+    # generation builds backtrackers of its own, on pairs that need not
+    # repeat a column
+    cases = [case for case in _PINNED_SEARCH if case[-2] == "gadget"]
+    instances = [_pinned_instance(case) for case in cases]
     calls = {"key": 0, "sources": 0}
 
     def counting(name, real):
@@ -440,8 +445,8 @@ def test_backtracker_works_once_per_distinct_column_value(monkeypatch):
 
     monkeypatch.setattr(oracle._Backtracker, "__init__", init)
     monkeypatch.setattr(oracle._Backtracker, "_complete", complete)
-    for case in [case for case in _PINNED_SEARCH if case[-2] == "gadget"]:
-        assert decide(_pinned_instance(case), Budget(mode=Mode.BACKTRACKING)).nodes == _PINNED_SEARCH[case][1]
+    for case, inst in zip(cases, instances):
+        assert decide(inst, Budget(mode=Mode.BACKTRACKING)).nodes == _PINNED_SEARCH[case][1]
     assert all(keys <= distinct < n for keys, distinct, n in setups)
     assert all(sources <= distinct and keys <= distinct for sources, keys, distinct, _ in completions)
     # the completions do reach targets that repeat a value
@@ -826,6 +831,50 @@ def test_generate_no_is_certified():
     gen = generate(GenSpec(F2, 1, 2, Tag.PCE, Planted.NO, seed=7))
     assert gen.witness is None
     assert decide(gen.instance).status is Status.NO
+
+
+def _reference_no(spec):
+    """The certified-NO loop of `generate` with every draw decided by the
+    exhaustive decider: the first NO draw, and how many draws the class
+    counts refute, each of them checked NO on the way."""
+    fld = spec.field
+    rng = stream(spec.seed, "gen", spec.tag.value, spec.planted.value, spec.k, spec.n, fld.p, fld.e)
+    refuted = 0
+    for _ in range(oracle._MAX_NO_TRIES):
+        g = oracle._sample_full_rank(fld, spec.k, spec.n, spec.profile, rng)
+        h = oracle._sample_full_rank(fld, spec.k, spec.n, spec.profile, rng)
+        inst = Instance(fld, g, h, spec.tag)
+        status = decide(inst, Budget(mode=Mode.EXHAUSTIVE)).status
+        if oracle._Backtracker(inst, None).infeasible_by_counting():
+            assert status is Status.NO
+            refuted += 1
+        if status is Status.NO:
+            return inst, refuted
+    raise AssertionError(f"no NO draw for {spec}")
+
+
+def test_generate_no_matches_the_exhaustive_reference():
+    # generate returns a draw that the class counts refute without a
+    # search; the counts are invariant under S * G * M, so it must return
+    # the reference's draw, and every draw they refute must be NO
+    refuted = dict.fromkeys(Tag, 0)
+    for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)):
+        fld = field(p, e)
+        for tag in Tag:
+            if tag is Tag.LCE and fld.q > 5:
+                continue
+            shapes = [(2, 3, None), (2, 4, (2, 1, 1)), (3, 4, None)]
+            if tag is not Tag.LCE:
+                shapes += [(2, 5, (2, 1, 1, 1)), (3, 5, (2, 1, 1, 1))]
+            for k, n, profile in shapes:
+                for seed in range(8):
+                    spec = GenSpec(fld, k, n, tag, Planted.NO, seed, profile)
+                    want, count = _reference_no(spec)
+                    assert generate(spec).instance == want
+                    refuted[tag] += count
+    # the counts do refute draws in every tag: 118, 133 and 87 draws over
+    # 320, 320 and 96 specs
+    assert refuted == {Tag.PCE: 118, Tag.SPCE: 133, Tag.LCE: 87}
 
 
 def test_generate_is_deterministic():

@@ -521,6 +521,41 @@ def test_row_basis_transform_work_counts(monkeypatch):
     assert calls == {"_eliminate": 1, "inv": 0, "mul": 0}
 
 
+def test_hard_no_generation_work_counts(monkeypatch):
+    # the first six hard-NO PCE pairs of each field of tools/answers.py's
+    # gadget group: `generate` certifies a NO draw exhaustively only when
+    # the class counts do not refute it, and most draws that preprocessing
+    # rejects are refuted so. 46 exhaustive decides here; certifying every
+    # draw took 133
+    from ceq import oracle
+    from test_tools import _load
+
+    answers = _load("answers")
+    real_decide = oracle.decide
+    calls = {"generate": 0, "exhaustive": 0}
+
+    def decide(inst, budget=oracle.Budget()):
+        calls["exhaustive"] += budget.mode is oracle.Mode.EXHAUSTIVE
+        return real_decide(inst, budget)
+
+    def generate(spec):
+        calls["generate"] += 1
+        return real_generate(spec)
+
+    # ceq.generate reads oracle.generate at every access
+    real_generate = oracle.generate
+    monkeypatch.setattr(oracle, "decide", decide)
+    monkeypatch.setattr(oracle, "generate", generate)
+    for p, e in answers.GADGET_FIELDS:
+        fld = ceq.field(p, e)
+        for s in range(6):
+            k, n, profile = answers._gadget_shape(fld.q, s)
+            answers._hard_no(fld, k, n, profile, 1000 * p + 100 * e + s)
+    # preprocessing rejects most NO draws: over twice as many as the 36 pairs
+    assert calls["generate"] > 2 * 36
+    assert calls["exhaustive"] <= 50
+
+
 def _fresh(code, *args, cwd=None):
     """stdout of code run in a fresh interpreter that imports ceq from
     this checkout and writes no bytecode."""
