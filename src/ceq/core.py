@@ -217,19 +217,18 @@ def _normalized(stripped: Mat) -> tuple[Mat, int, Mat]:
     Only the distinct columns D are row-reduced, as [D | I_k]: a repeated
     column never pivots and rides along equal to its first copy, so this
     is the elimination of [stripped | I_k] on d + k columns instead of
-    n + k, with the same row operations, rank and u. The normalized rows
-    gather D's reduced rows through stripped's slots. Column j is the
-    first rank entries of u * (column j of stripped), an injective image
-    (u is invertible and the other rows of the RREF are zero), so those
-    reduced rows and the slots are its distinct-column view."""
+    n + k, with the same row operations, rank and u. The normalized
+    matrix is expanded by `Mat._expand` from D's top rank reduced rows
+    through stripped's slots. Column j is the first rank entries of
+    u * (column j of stripped), an injective image (u is invertible and
+    the other rows of the RREF are zero), so those reduced rows have
+    distinct columns, and with the slots they are its distinct-column
+    view."""
     distinct, slots = stripped.distinct_cols()
     rd, rank, _, u = distinct.rref_with_transform()
-    top = rd.rows[:rank]
-    norm = Mat._of(stripped.field, [[r[s] for s in slots] for r in top], stripped.n)
+    norm = Mat._expand(Mat._of(stripped.field, rd.rows[:rank], distinct.n), slots)
     # the non-zero rows of an RREF are independent
     norm.memo("rank", lambda: rank)
-    view = (Mat._of(stripped.field, top, distinct.n), slots)
-    norm.memo("distinct_cols", lambda: view)
     return norm, rank, u
 
 

@@ -217,7 +217,9 @@ def _parse_field(r: _Reader) -> Field:
     parts = _tokens(r.take())
     if parts[:1] != ["field"]:
         raise r.error("expected a field line")
-    if len(parts) == 2:
+    # `field <p>` or `field <p>^<e> mod <c0,...,1>`: no p^e without its
+    # modulus, and so no p^1, since a prime field takes no modulus
+    if len(parts) == 2 and "^" not in parts[1]:
         modulus = None
     elif len(parts) == 4 and parts[2] == "mod" and "^" in parts[1]:
         modulus = parts[3]

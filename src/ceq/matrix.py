@@ -17,10 +17,11 @@ unpickling and the file parser take every entry as an integer (a float
 or a string is refused, not truncated or parsed) and check that it is a
 canonical element of the field. Rows the package computes
 itself (products, scalings, monomial actions, eliminations, column
-selections, the gadget, preprocessing's normalized matrices and the
-generator's draws of `randrange(q)` entries) are canonical by
-construction and go through the trusted `Mat._of`, which only freezes
-them. `Perm` and `Mono` are immutable `Record`s whose constructors store
+selections, the views the gadget and preprocessing's normalized
+matrices are expanded from, and the generator's draws of `randrange(q)`
+entries) are canonical by construction and go through the trusted
+`Mat._of`, which only freezes them, or `Mat._expand`, which builds on
+it. `Perm` and `Mono` are immutable `Record`s whose constructors store
 sigma and the diagonal as tuples of ints and check that sigma is a
 bijection and the diagonal non-zero; the trusted `Record._of`, as
 `Perm._of` and `Mono._of`, takes tuples the package built as such itself
@@ -41,18 +42,20 @@ row-reduces each stripped matrix through its distinct-column view D:
 the RREF with the transform lives in D's memo, not the stripped
 matrix's, and is the elimination of [D | I_k], d + k columns wide
 instead of n + k (a repeated column never pivots, so the row
-operations, rank and transform are the full matrix's). Preprocessing
-gathers the normalized rows from D's reduced rows by slot and records
-those rows with the same slots as the normalized matrix's view under
-"distinct_cols"; the gadget derives its view from its input's. So no
-pass over the columns is needed to find either view. Only this module
-reads the memo directly. Pickling and every constructor start with an
+operations, rank and transform are the full matrix's). A matrix known
+by its distinct columns is built by the trusted `Mat._expand(view,
+slots)`, which records (view, slots) as its distinct-column view:
+preprocessing's normalized matrices are expanded from D's reduced
+rows, and the gadget from the view the reduction derives from its
+input's, so no pass over the columns finds either view. Only this
+module reads or writes the memo directly, and `_expand` alone records
+a view that `distinct_cols` did not find. Pickling and every constructor start with an
 empty one, and `==` and `hash` ignore it.
 """
 
 from __future__ import annotations
 
-from operator import index
+from operator import index, itemgetter
 from typing import Optional
 
 from .errors import DimMismatch, FieldMismatch, NotSquare, Singular
@@ -110,6 +113,20 @@ class Mat:
         self.k = len(rows)
         self.n = n
         self._memo = {}
+        return self
+
+    @classmethod
+    def _expand(cls, view: "Mat", slots: tuple[int, ...]) -> "Mat":
+        """Trusted constructor for the matrix whose column j is column
+        slots[j] of view, where view's columns are distinct and first
+        occur in slot order; (view, slots) is recorded as its
+        distinct-column view. Each row is gathered by one itemgetter."""
+        n = len(slots)
+        # itemgetter of one index returns the entry, not a tuple, and of
+        # none raises; slots first occur in order, so one slot is slot 0
+        take = itemgetter(*slots) if n > 1 else lambda r: r[:n]
+        self = cls._of(view.field, [take(r) for r in view.rows], n)
+        self._memo["distinct_cols"] = (view, slots)
         return self
 
     # -- constructors --------------------------------------------------------

@@ -20,7 +20,6 @@ reduction run leaves is an immutable `ReductionCert` record.
 
 from __future__ import annotations
 
-import operator
 from typing import Optional
 
 from .core import (
@@ -86,13 +85,15 @@ class ReductionCert(Record):
 def build_gadget(a: Mat, m: int) -> Mat:
     """Expand a k x n matrix into its (k+1) x (n + 2nm + 1) gadget form.
 
-    The gadget's rank is always rank(a) + 1, because each first-block
-    column is the sum of two other gadget columns, so a full-row-rank
-    input gives a full-row-rank gadget and nothing is checked; that rank
-    is recorded on the gadget, so verifying a witness on it needs no
-    elimination. Its distinct-column view is recorded too, derived from
-    a's (at most 2d + 1 columns for a's d), so no pass over its n + 2nm +
-    1 columns is made. The gadget is memoized on a, one per m, so that
+    The layout is spelled once, by `_gadget_view` as the gadget's
+    distinct-column view (at most 2d + 1 columns for a's d) and its
+    slots, and the gadget is `Mat._expand` of that view, which records
+    it, so no pass over its n + 2nm + 1 columns finds it again. The
+    gadget's rank is always rank(a) + 1, because each first-block column
+    is the sum of two other gadget columns, so a full-row-rank input
+    gives a full-row-rank gadget and nothing is checked; that rank is
+    recorded on the gadget, so verifying a witness on it needs no
+    elimination. The gadget is memoized on a, one per m, so that
     extracting on the pair a reduction built reuses its gadgets and
     their memoized views.
     """
@@ -102,30 +103,24 @@ def build_gadget(a: Mat, m: int) -> Mat:
 
 
 def _gadget(a: Mat, m: int) -> Mat:
-    n = a.n
-    nm = n * m
-    idx = [c for c in range(n) for _ in range(m)]
-    # itemgetter of one index returns the entry, not a tuple, and of none raises
-    dup = operator.itemgetter(*idx) if nm > 1 else lambda r: r[:nm]
-    tail = (0,) * (nm + 1)
-    rows = [r + dup(r) + tail for r in a.rows]
-    rows.append((1,) * n + (0,) * nm + (1,) * (nm + 1))
+    out = Mat._expand(*_gadget_view(a, m))
     # rank(out) = rank(a) + 1: with m >= 1 the gadget has the columns
     # [a_j; 0] (A-hat) and e_{k+1} (last block), and each first-block
     # column [a_j; 1] is their sum, so the column space is that of [A; 0]
     # plus e_{k+1}
-    out = Mat._of(a.field, rows, n + 2 * nm + 1)
     out.memo("rank", lambda: a.rank() + 1)
-    out.memo("distinct_cols", lambda: _gadget_view(a, dup, nm))
     return out
 
 
-def _gadget_view(a: Mat, dup, nm: int) -> tuple[Mat, tuple[int, ...]]:
-    """The gadget's distinct-column view, from a's view (D, slots) with d
-    columns: the [D_s; 1] of block 1 take slots 0..d-1 in a's order, the
-    [D_s; 0] of block 2 slots d..2d-1, and e_{k+1} of block 3 slot 2d,
-    unless a has a zero column at slot z, whose [0; 1] is e_{k+1} and
-    gives block 3 slot z (every column is zero when k = 0)."""
+def _gadget_view(a: Mat, m: int) -> tuple[Mat, tuple[int, ...]]:
+    """The gadget's distinct-column view and slots, from a's view (D,
+    slots) with d columns. The view's columns are [D_s; 1] for block 1
+    at slots 0..d-1 in a's order, [D_s; 0] for block 2 at slots
+    d..2d-1, and e_{k+1} for block 3 at slot 2d, unless a has a zero
+    column at slot z, whose [0; 1] is e_{k+1}, so block 3 takes slot z
+    (every column is zero when k = 0). The gadget's slots are a's for
+    block 1, each of a's shifted by d, m times over, for block 2, and
+    block 3's slot nm + 1 times."""
     distinct, slots = a.distinct_cols()
     d, cols, zero = distinct.n, distinct.cols(), (0,) * distinct.k
     last, tail = (cols.index(zero), ()) if zero in cols else (2 * d, (0,))
@@ -135,8 +130,7 @@ def _gadget_view(a: Mat, dup, nm: int) -> tuple[Mat, tuple[int, ...]]:
     rows = [[*r, *r, *tail] for r in distinct.rows]
     rows.append([1] * d + [0] * d + [1] * len(tail))
     view = Mat._of(a.field, rows, 2 * d + len(tail))
-    shifted = [d + s for s in slots]
-    return view, (*slots, *dup(shifted), *(last,) * (nm + 1))
+    return view, (*slots, *[d + s for s in slots for _ in range(m)], *(last,) * (a.n * m + 1))
 
 
 def canonical_no_instance(fld: Field, target: Tag) -> Instance:
@@ -163,11 +157,8 @@ def reduction_cert(inst: Instance, target: Tag) -> ReductionCert:
     if isinstance(outcome, Rejection):
         return ReductionCert(inst.field, target, 0, 0, 0, None, outcome.reason)
     norm = outcome.instance
-    m_g = max_column_multiplicity(norm.G)
-    m_h = max_column_multiplicity(norm.H)
-    if m_g != m_h:
-        raise DimMismatch(f"column multiplicities {m_g} and {m_h} passed the profile check")
-    cert = ReductionCert(inst.field, target, norm.n, norm.k, m_g + 1, outcome.journal)
+    # preprocessing found G's and H's multiplicity profiles equal, so H's largest is G's
+    cert = ReductionCert(inst.field, target, norm.n, norm.k, max_column_multiplicity(norm.G) + 1, outcome.journal)
     if cert.n_prime > MAX_DIM:
         raise UnsupportedSize(f"the gadget would have {cert.n_prime} columns, above {MAX_DIM}")
     return cert

@@ -139,6 +139,10 @@ def test_format_errors_name_the_line_at_fault():
     # 1 magic, 2 field, 3 tag, 4 "G 2 3", 5-6 G rows, 7 "H 2 3", 8-9 H rows
     assert _error_line(fileio.parse_instance, _replace_line(inst, 1, "%CEQ 2")) == 1
     assert _error_line(fileio.parse_instance, _replace_line(inst, 2, "field 4")) == 2
+    # a field line is `field <p>` or `field <p>^<e> mod <c0,...,1>`: no
+    # p^e without its modulus, and no p^1 with or without one
+    for line in ("field 2^3", "field 11^1", "field 7^1 mod 0,1", "field 3^2 mod", "field 3^2 0,2,1"):
+        assert _error_line(fileio.parse_instance, _replace_line(inst, 2, line)) == 2
     assert _error_line(fileio.parse_instance, _replace_line(inst, 3, "tag WAT")) == 3
     assert _error_line(fileio.parse_instance, _replace_line(inst, 4, "G 2")) == 4
     assert _error_line(fileio.parse_instance, _replace_line(inst, 6, "0 4 x")) == 6

@@ -506,6 +506,22 @@ def test_memoized_views_equal_a_fresh_recomputation():
             assert a == fresh and hash(a) == hash(fresh)
 
 
+def test_expand_gathers_columns_by_slot_and_records_the_view():
+    # Mat._expand(view, slots) has column j equal to column slots[j] of
+    # view, with view and slots recorded as what a fresh copy finds; a
+    # single slot and no slot are the cases itemgetter does not cover
+    rng = stream(43, "expand")
+    for fld in (F2, F5, field(2, 16), field(3, 6)):
+        for k, n in ((0, 0), (0, 1), (2, 0), (2, 1), (1, 3), (3, 7), (4, 9)):
+            view, slots = _with_repeats(fld, k, n, rng).distinct_cols()
+            out = Mat._expand(view, slots)
+            want = [[row[s] for s in slots] for row in view.rows]
+            assert [list(r) for r in out.rows] == want and (out.k, out.n) == (k, n)
+            assert all(type(r) is tuple for r in out.rows)
+            assert out.distinct_cols() == (view, slots) == Mat(fld, want, n).distinct_cols()
+            assert out.distinct_cols()[0] is view
+
+
 def test_cols_cannot_be_mutated():
     a = Mat(F5, [[1, 2, 1], [3, 4, 3]])
     cols = a.cols()

@@ -30,7 +30,7 @@ from ceq.reduction import (
 )
 from ceq.rng import stream
 
-from helpers import mono_from_perm, of_rank, with_zero_columns, zeros
+from helpers import monomial_orbits, mono_from_perm, of_rank, with_zero_columns, zeros
 
 F2 = field(2)
 F3 = field(3)
@@ -86,16 +86,32 @@ def test_gadget_1x1_layout():
 
 
 def test_gadget_rows_match_the_block_layout():
-    # [a | each column of a m times | 0] over [1 | 0 | 1], built entry by entry
+    # [a | each column of a m times | 0] over [1 | 0 | 1], built entry by
+    # entry. The gadget's rows come from its distinct-column view, so the
+    # inputs also repeat columns and hold an all-zero column, whose slot
+    # the view gives block 3
     rng = stream(20261019, "gadget-layout")
+    zero_slots = 0
     for fld in (F2, F5, field(2, 8), field(3, 5)):
+        inputs = []
         for k, n, m in ((0, 2, 3), (1, 1, 1), (2, 1, 3), (3, 4, 1), (4, 5, 2), (2, 6, 4)):
-            a = Mat(fld, [[rng.randrange(fld.q) for _ in range(n)] for _ in range(k)], n)
+            inputs.append((Mat(fld, [[rng.randrange(fld.q) for _ in range(n)] for _ in range(k)], n), m))
+        for k, n, m in ((1, 4, 1), (2, 5, 2), (3, 7, 3), (2, 6, 1)):
+            pool = [(0,) * k] + [tuple(rng.randrange(fld.q) for _ in range(k)) for _ in range(2)]
+            cols = pool + [rng.choice(pool) for _ in range(n - len(pool))]
+            rng.shuffle(cols)
+            a = Mat(fld, [[c[i] for c in cols] for i in range(k)], n)
+            assert (0,) * k in a.cols() and a.distinct_cols()[0].n < n
+            inputs.append((a, m))
+        for a, m in inputs:
+            n = a.n
             want = [list(r) + [r[c] for c in range(n) for _ in range(m)] + [0] * (n * m + 1) for r in a.rows]
             want.append([1] * n + [0] * (n * m) + [1] * (n * m + 1))
             out = build_gadget(a, m)
             assert [list(r) for r in out.rows] == want
             assert all(type(r) is tuple for r in out.rows) and out.n == n + 2 * n * m + 1
+            zero_slots += a.k > 0 and (0,) * a.k in a.cols()
+    assert zero_slots >= 16
 
 
 def test_gadget_identity_layout():
@@ -671,8 +687,10 @@ def test_karp_census(p, e, k, n, subspaces, orbits, gadget_no_floor, scaled_floo
     Over GF(2) and GF(3) every LCE scalar is a sign; from GF(4) on, LCE has
     scalars other than +-1, which the gadget's third block (the nm + 1
     columns e_{k+1}) exists for. Mutants of the gadget checked against the
-    census, each with `reduce_instance`'s shape check and the gadget's
-    recorded column view switched off:
+    census; the layout is spelled once, so a margin mutant is an edit to
+    `_gadget_view` (and to the cert's width, `ReductionCert.n_prime`,
+    which `reduce_instance`'s shape check ties to it), with no recorded
+    view to switch off:
 
     - without the third block, LCE answers go wrong at n = 3: 6 over
       GF(4), 4 over GF(5) and 10 over GF(7). The GF(2) and GF(3) cases,
@@ -717,6 +735,81 @@ def test_karp_census(p, e, k, n, subspaces, orbits, gadget_no_floor, scaled_floo
     assert gadget_no >= gadget_no_floor
     # YES witnesses with a diagonal entry other than 1, over both targets
     assert scaled >= scaled_floor, scaled
+
+
+def _orbit_pairs(fld, k, n):
+    """The PCE orbits of the k-subspaces of F_q^n, under column
+    permutations, and the census pairs they give: every ordered pair of
+    distinct orbit representatives is NO, and each representative with
+    every member of its orbit is YES."""
+    orbits = [[Mat(fld, rows, n) for rows in orbit] for orbit in monomial_orbits(fld, Tag.PCE, k, n)]
+    reps = [orbit[0] for orbit in orbits]
+    pairs = [(g, h, Status.NO) for g in reps for h in reps if g is not h]
+    pairs += [(orbit[0], h, Status.YES) for orbit in orbits for h in orbit]
+    return orbits, pairs
+
+
+@pytest.mark.parametrize(
+    "p, e, k, n, subspaces, orbits",
+    [(3, 1, 2, 4, 130, 16), (2, 1, 3, 5, 155, 10), (2, 2, 2, 3, 21, 7), (5, 1, 2, 3, 31, 9),
+     (7, 1, 2, 3, 57, 15)],
+    ids=["GF3-k2-n4", "GF2-k3-n5", "GF4-k2-n3", "GF5-k2-n3", "GF7-k2-n3"],
+)
+def test_orbit_truth_matches_the_exhaustive_decider(p, e, k, n, subspaces, orbits):
+    # the orbit census's truth on the tier-1 `test_karp_census` shapes,
+    # whose orbit counts that census pins from its own orbit walk
+    fld = field(p, e)
+    found, pairs = _orbit_pairs(fld, k, n)
+    assert (sum(map(len, found)), len(found)) == (subspaces, orbits)
+    exhaustive = Budget(mode=Mode.EXHAUSTIVE)
+    for g, h, truth in pairs:
+        assert decide(Instance(fld, g, h, Tag.PCE), exhaustive).status is truth, (g.rows, h.rows)
+
+
+@pytest.mark.parametrize(
+    "p, e, k, n, subspaces, orbits, pairs, gadget_no",
+    [
+        (2, 2, 2, 4, 357, 31, 1287, 496),
+        pytest.param(3, 1, 3, 5, 1210, 39, 2692, 892, marks=_long),
+        pytest.param(7, 1, 2, 4, 2850, 162, 28932, 28616, marks=_long),
+    ],
+    ids=["GF4-k2-n4", "GF3-k3-n5", "GF7-k2-n4"],
+)
+def test_karp_orbit_census(p, e, k, n, subspaces, orbits, pairs, gadget_no):
+    """The Karp property on one pair per orbit relation of a size, both
+    targets. PCE truth comes from the column-permutation orbits (see
+    `_orbit_pairs`), and the exhaustive decider must agree with it; PCE
+    truth and the gadget's answer are both constant on orbits, so these
+    pairs cover what `test_karp_census` checks at the same size with one
+    pair per (representative, orbit) relation. Every gadget YES witness
+    is carried back to the PCE pair and must verify.
+
+    Wrong answers of the margin mutants (see `test_karp_census`), over
+    both targets: a one-column third block gives 4 at GF(4) k2n4 and 6 at
+    GF(7) k2n4, no third block 6 and 32, all LCE; m - 1 duplicates per
+    column give 16 at GF(3) k3n5 and 4 at GF(7) k2n4, half of them SPCE.
+    So the tier-1 case sees the third block's margins, and the gated ones
+    see all three.
+    """
+    fld = field(p, e)
+    found, census = _orbit_pairs(fld, k, n)
+    assert (sum(map(len, found)), len(found), len(census)) == (subspaces, orbits, pairs)
+    exhaustive, backtracking = Budget(mode=Mode.EXHAUSTIVE), Budget(mode=Mode.BACKTRACKING)
+    reached = 0
+    for g, h, truth in census:
+        inst = Instance(fld, g, h, Tag.PCE)
+        assert decide(inst, exhaustive).status is truth, (g.rows, h.rows)
+        for target in (Tag.LCE, Tag.SPCE):
+            red, cert = reduce_instance(inst, target)
+            res = decide(red, backtracking)
+            assert res.status is truth, (g.rows, h.rows, target)
+            reached += truth is Status.NO and not cert.rejected
+            if truth is Status.YES:
+                norm = cert.journal.normalized
+                back = extract_witness(cert, norm.G, norm.H, res.witness)
+                assert verify_witness(inst, map_witness_to_original(cert.journal, back)), (g.rows, h.rows)
+    # NOs that reach the gadget instead of a preprocessing rule
+    assert reached == gadget_no
 
 
 def test_stripping_preserves_decision():

@@ -208,6 +208,20 @@ def test_only_the_matrix_module_touches_the_mat_memo():
     assert _names_outside("matrix.py", {"_memo", "_rref", "_rref_t"}) == []
 
 
+def test_only_the_matrix_module_records_a_column_view():
+    # Mat.distinct_cols finds a view and Mat._expand records the view a
+    # matrix is built from; no other module writes the memo key, so the
+    # gadget's layout and the normalized matrices are spelled once
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "matrix.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and node.value == "distinct_cols"
+    ]
+    assert found == []
+
+
 def test_no_unused_imports_in_package():
     # a name imported but never read is a leftover of deleted code;
     # __init__.py imports to re-export
