@@ -22,7 +22,6 @@ import sys
 from .core import (
     Instance,
     Journal,
-    Normalized,
     RejectReason,
     Rejection,
     Tag,
@@ -85,7 +84,6 @@ __all__ = [
     "Mat",
     "Mode",
     "Mono",
-    "Normalized",
     "Perm",
     "Planted",
     "ReductionCert",

@@ -173,12 +173,19 @@ def cmd_verify(args) -> int:
     return EXIT_NO
 
 
-def cmd_lift(args) -> int:
+def _load_cert_and_witness(args, refusal: str):
+    """(original instance, cert checked against it, witness) of a lift or
+    extract command; a rejected cert raises WitnessInvalid(refusal)."""
     original = _load_instance(args.instance)
     cert = fileio.read_cert(args.cert, original)
     w = _load_witness(args.witness, original.field)
     if cert.rejected:
-        raise WitnessInvalid("cannot lift a witness through a rejected reduction")
+        raise WitnessInvalid(refusal)
+    return original, cert, w
+
+
+def cmd_lift(args) -> int:
+    original, cert, w = _load_cert_and_witness(args, "cannot lift a witness through a rejected reduction")
     w_norm = map_witness_to_normalized(cert.journal, w)
     lifted = reduction.lift_witness(cert, w_norm)
     fileio.write_text(args.out, fileio.serialize_witness(original.field, lifted))
@@ -187,11 +194,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    original = _load_instance(args.instance)
-    cert = fileio.read_cert(args.cert, original)
-    w = _load_witness(args.witness, original.field)
-    if cert.rejected:
-        raise WitnessInvalid("cannot extract a witness from a rejected reduction")
+    original, cert, w = _load_cert_and_witness(args, "cannot extract a witness from a rejected reduction")
     norm = cert.journal.normalized
     extracted = reduction.extract_witness(cert, norm.G, norm.H, w)
     out = map_witness_to_original(cert.journal, extracted)

@@ -5,23 +5,22 @@ witness is an invertible change of basis S together with a monomial
 action M, and it verifies when S * G * M = H entrywise and the diagonal
 of M lies in the class the problem tag allows.
 
-`preprocess` normalizes PCE inputs ahead of the gadget reduction: it
-strips zero columns, replaces both matrices by the non-zero rows of
-their RREF (full row rank), and rejects early when a cheap invariant
-already refutes equivalence (zero-column counts, ranks, or column
-multiplicity profiles differing). Only the distinct columns are
-row-reduced; the normalized rows are gathered from them by slot. The
-returned journal carries enough to map witnesses across the
-normalization in both directions.
+`preprocess` normalizes PCE inputs ahead of the gadget reduction, the
+only side the Karp reductions normalize: it strips zero columns,
+replaces both matrices by the non-zero rows of their RREF (full row
+rank), and rejects early when a cheap invariant already refutes
+equivalence (zero-column counts, ranks, or column multiplicity profiles
+differing). Only the distinct columns are row-reduced; the normalized
+rows are gathered from them by slot. The returned journal carries
+enough to map witnesses across the normalization in both directions.
 
-Instances, witnesses, journals and preprocessing outcomes are immutable
-`Record`s (see `record.py`).
+Instances, witnesses, journals and rejections are immutable `Record`s
+(see `record.py`).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Union
 
 from .errors import DimMismatch, FieldMismatch, WitnessInvalid
 from .field import Field
@@ -142,7 +141,8 @@ def verify_witness(inst: Instance, w: Witness) -> bool:
 
 
 class Journal(Record):
-    """Record of one normalization run, enough to move witnesses across it.
+    """Record of one normalization of a PCE instance, enough to move
+    witnesses across it.
 
     removed_g / removed_h are the dropped zero-column indices (0-based,
     ascending); u_g / u_h are invertible k x k transforms with
@@ -165,32 +165,18 @@ class Rejection(Record):
         Record.__init__(self, reason)
 
 
-class Normalized(Record):
-    __slots__ = ("instance", "journal")
+def preprocess(inst: Instance) -> Journal | Rejection:
+    """Normalize a PCE instance, returning its journal, or reject it on a
+    cheap refuting invariant.
 
-    def __init__(self, instance: Instance, journal: Journal):
-        Record.__init__(self, instance, journal)
-
-
-PreprocessOutcome = Union[Rejection, Normalized]
-
-
-def _identity_journal(inst: Instance) -> Journal:
-    u = Mat.identity(inst.field, inst.k)
-    return Journal(inst, inst, (), (), inst.k, u, u)
-
-
-def preprocess(inst: Instance) -> PreprocessOutcome:
-    """Normalize a PCE instance or reject it on a cheap refuting invariant.
-
-    Non-PCE instances pass through untouched with a trivial journal.
+    Only PCE instances are normalized; any other tag raises ValueError.
     Rejection is a value, not an error. Each side's row reduction runs
     over its d distinct non-zero columns and the k columns of the
     transform (see `_normalized`), so the profile check counts off slots
     that the reduction recorded.
     """
     if inst.tag is not Tag.PCE:
-        return Normalized(inst, _identity_journal(inst))
+        raise ValueError("preprocessing normalizes PCE instances only")
     g_stripped, removed_g = strip_zero_columns(inst.G)
     h_stripped, removed_h = strip_zero_columns(inst.H)
     if len(removed_g) != len(removed_h):
@@ -205,8 +191,7 @@ def preprocess(inst: Instance) -> PreprocessOutcome:
     if column_multiplicity_profile(g_norm) != column_multiplicity_profile(h_norm):
         return Rejection(RejectReason.PROFILE_MISMATCH)
     norm_inst = Instance(inst.field, g_norm, h_norm, Tag.PCE)
-    journal = Journal(inst, norm_inst, removed_g, removed_h, rank_g, u_g, u_h)
-    return Normalized(norm_inst, journal)
+    return Journal(inst, norm_inst, removed_g, removed_h, rank_g, u_g, u_h)
 
 
 def _normalized(stripped: Mat) -> tuple[Mat, int, Mat]:
@@ -255,27 +240,25 @@ def _kept(n: int, removed: tuple[int, ...]) -> list[int]:
 def _pivot_images(g_norm: Mat, h_cols, sigma) -> list:
     """Column piv_t of H * M^-1 for each pivot column piv_t of a normalized
     G (each RREF row starts with its pivot's 1), where column j of H is
-    drawn from column sigma[j] of G. A journal that normalizes anything
-    is a PCE one, so M is a permutation and that column is the column of
-    H drawn from piv_t."""
+    drawn from column sigma[j] of G. A journal is a PCE one, so M is a
+    permutation and that column is the column of H drawn from piv_t."""
     drawn_by = {src: j for j, src in enumerate(sigma)}
     return [h_cols[drawn_by[row.index(1)]] for row in g_norm.rows]
 
 
 def map_witness_to_normalized(journal: Journal, w: Witness) -> Witness:
-    """Turn a witness for the original instance into one for the normalized
-    instance (forward through zero-column stripping and rank reduction).
+    """Turn a witness for the original PCE instance into one for the
+    normalized instance (forward through zero-column stripping and rank
+    reduction).
 
     S acts on rows only, so stripping leaves it alone. The normalized S
     solves S_norm * G_norm = H_norm * M_s^-1, and G_norm is in RREF with
     full row rank, so its pivot column piv_t is e_t and column t of
     S_norm is column piv_t of H_norm * M_s^-1: read off, with no product
-    and no inverse. A trivial journal returns its input."""
+    and no inverse."""
     orig = journal.original
     _require(orig, w, "original")
     norm = journal.normalized
-    if norm is orig:
-        return w
     fld = orig.field
     kept_g = _kept(orig.n, journal.removed_g)
     kept_h = _kept(orig.n, journal.removed_h)
@@ -297,21 +280,19 @@ def map_witness_to_normalized(journal: Journal, w: Witness) -> Witness:
 
 
 def map_witness_to_original(journal: Journal, w: Witness) -> Witness:
-    """Turn a witness for the normalized instance into one for the original:
-    dropped zero columns are re-inserted (paired in ascending index order)
-    and S is padded with the identity on the discarded row complement.
+    """Turn a witness for the normalized instance into one for the original
+    PCE instance: dropped zero columns are re-inserted (paired in
+    ascending index order) and S is padded with the identity on the
+    discarded row complement.
 
     The padded S is u_h^-1 * pad(S) * u_g = C * u_g, one product. With
     R_g = u_g * G_s the RREF of stripped G, C * R_g = H_s * M^-1, and
     column piv_t of R_g is e_t, so for t < r column t of C is column
     piv_t of H_s * M^-1, read off the original H; for t >= r it is column
-    t of u_h^-1, the only inverse, needed only when the rank is short. A
-    trivial journal returns its input."""
+    t of u_h^-1, the only inverse, needed only when the rank is short."""
     norm = journal.normalized
     _require(norm, w, "normalized")
     orig = journal.original
-    if norm is orig:
-        return w
     fld = orig.field
     k = orig.k
     r = journal.rank

@@ -411,7 +411,8 @@ class Field:
     def _bind(self):
         """Store the element kernels (add/mul/neg/inv), the row
         kernels (axpy/scale) and the product kernel (matmul) of the
-        field's family; the byte-row fields look mul, inv and neg up in
+        field's family, each family's row and product kernels picked in
+        one branch; the byte-row fields look mul, inv and neg up in
         tables filled from those kernels, and in characteristic 2 cut
         their product rows from exp."""
         p, e, q = self.p, self.e, self.q
@@ -465,17 +466,15 @@ class Field:
                 return inv_t[a]
             scale = lambda c, y: bytes(y).translate(mul_rows[c])
             axpy = _xor_bytes_axpy(mul_rows) if p == 2 else _sum_bytes_axpy(mul_rows, mod_t)
+            # an extension field here is GF(2^e); GF(2) keeps the packed product
+            matmul = _packed_matmul(p, mod_t) if e == 1 else _translate_matmul(mul_rows)
         elif e == 1:
             axpy = lambda x, c, y: [(a + c * b) % p for a, b in zip(x, y)]
             scale = lambda c, y: [c * b % p for b in y]
+            matmul = _packed_matmul(p, mod_t)
         else:
             axpy = _xor_axpy(exp, log) if p == 2 else _zech_axpy(exp, log, self._zech)
             scale = _log_scale(exp, log)
-        if e == 1:
-            matmul = _packed_matmul(p, mod_t)
-        elif p == 2 and q <= FLAT_TABLE_CAP:
-            matmul = _translate_matmul(self._mul_rows)
-        else:
             matmul = _axpy_matmul(axpy)
         self.add, self.mul, self.neg, self.inv = add, mul, neg, inv
         self.axpy, self.scale, self.matmul = axpy, scale, matmul

@@ -750,12 +750,13 @@ NO_CERT_CAPS = {
 
 class GenSpec(Record):
     """What `generate` draws: a k x n pair over field with the tag and
-    planted answer, from seed. A profile is a hint, not a promise: its
-    class columns are drawn independently, so two classes can coincide
-    and merge, and a class can be the zero column. Over small fields
-    that is common: replaying the seed-13 draws of the `roundtrip`
-    benchmark, 10 of its 96 planted pairs miss their profile, 9 of them
-    over GF(2)."""
+    planted answer, from seed. The seed is any integer, read modulo 2^64
+    (see `rng.derive`), so -1 and 2^64 - 1 draw the same pair. A profile
+    is a hint, not a promise: its class columns are drawn independently,
+    so two classes can coincide and merge, and a class can be the zero
+    column. Over small fields that is common: replaying the seed-13 draws
+    of the `roundtrip` benchmark, 10 of its 96 planted pairs miss their
+    profile, 9 of them over GF(2)."""
 
     __slots__ = ("field", "k", "n", "tag", "planted", "seed", "profile")
 

@@ -153,12 +153,12 @@ def reduction_cert(inst: Instance, target: Tag) -> ReductionCert:
         raise ValueError("reduction input must be a PCE instance")
     if target not in (Tag.LCE, Tag.SPCE):
         raise ValueError("reduction target must be LCE or SPCE")
-    outcome = preprocess(inst)
-    if isinstance(outcome, Rejection):
-        return ReductionCert(inst.field, target, 0, 0, 0, None, outcome.reason)
-    norm = outcome.instance
+    journal = preprocess(inst)
+    if isinstance(journal, Rejection):
+        return ReductionCert(inst.field, target, 0, 0, 0, None, journal.reason)
+    norm = journal.normalized
     # preprocessing found G's and H's multiplicity profiles equal, so H's largest is G's
-    cert = ReductionCert(inst.field, target, norm.n, norm.k, max_column_multiplicity(norm.G) + 1, outcome.journal)
+    cert = ReductionCert(inst.field, target, norm.n, norm.k, max_column_multiplicity(norm.G) + 1, journal)
     if cert.n_prime > MAX_DIM:
         raise UnsupportedSize(f"the gadget would have {cert.n_prime} columns, above {MAX_DIM}")
     return cert

@@ -46,7 +46,10 @@ def _tag(label) -> int:
 
 
 def derive(seed: int, *labels) -> int:
-    """Derive an independent 64-bit value from a seed and a label path."""
+    """Derive an independent 64-bit value from a seed and a label path.
+
+    The seed is read modulo 2^64, so seeds that differ by a multiple of
+    2^64 (-1 and 2^64 - 1, 1 and 2^64 + 1) derive the same values."""
     x = seed & _MASK
     for label in labels:
         x = splitmix64(x ^ _tag(label))

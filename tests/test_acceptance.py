@@ -222,7 +222,7 @@ def test_criterion_6_preprocessing_equivalence():
             rejects += 1
             ok += truth.status is Status.NO
         else:
-            ok += decide(outcome.instance, budget).status == truth.status
+            ok += decide(outcome.normalized, budget).status == truth.status
     elapsed = time.perf_counter() - t0
     assert rejects > 0
     assert report(

@@ -2,7 +2,7 @@ import pytest
 
 from ceq.core import (
     Instance,
-    Normalized,
+    Journal,
     RejectReason,
     Rejection,
     Tag,
@@ -302,12 +302,12 @@ def test_preprocess_strips_and_normalizes():
     g = Mat(F2, [[1, 0], [0, 0]])
     h = Mat(F2, [[0, 0], [1, 0]])
     out = preprocess(Instance(F2, g, h, Tag.PCE))
-    assert isinstance(out, Normalized)
-    assert out.instance.G.rows == ((1,),)
-    assert out.instance.H.rows == ((1,),)
-    assert out.journal.removed_g == (1,)
-    assert out.journal.removed_h == (1,)
-    assert out.journal.rank == 1
+    assert isinstance(out, Journal)
+    assert out.normalized.G.rows == ((1,),)
+    assert out.normalized.H.rows == ((1,),)
+    assert out.removed_g == (1,)
+    assert out.removed_h == (1,)
+    assert out.rank == 1
 
 
 def test_preprocess_rejects_zero_count_mismatch():
@@ -336,18 +336,17 @@ def test_preprocess_rejects_profile_mismatch():
 def test_preprocess_identity_on_clean_input():
     i2 = Mat.identity(F2, 2)
     out = preprocess(Instance(F2, i2, i2, Tag.PCE))
-    assert isinstance(out, Normalized)
-    assert out.instance.G == i2
-    _assert_identity_journal(out.journal)
+    assert isinstance(out, Journal)
+    assert out.normalized.G == i2
+    _assert_identity_journal(out)
 
 
-def test_preprocess_passes_non_pce_through():
+def test_preprocess_refuses_non_pce():
+    # the reductions normalize only the PCE side
     g = Mat(F2, [[1, 0], [0, 0]])
-    inst = Instance(F2, g, g, Tag.LCE)
-    out = preprocess(inst)
-    assert isinstance(out, Normalized)
-    assert out.instance is inst
-    _assert_identity_journal(out.journal)
+    for tag in (Tag.SPCE, Tag.LCE):
+        with pytest.raises(ValueError, match="PCE instances only"):
+            preprocess(Instance(F2, g, g, tag))
 
 
 def _assert_identity_journal(journal):
@@ -432,12 +431,11 @@ def test_preprocess_matches_the_full_width_reference():
             if reason is not None:
                 assert isinstance(out, Rejection) and out.reason is reason, inst
                 continue
-            assert isinstance(out, Normalized), inst
+            assert isinstance(out, Journal), inst
             (removed_g, rank, u_g, g), (removed_h, _, u_h, h) = sides
-            j = out.journal
-            assert (j.removed_g, j.removed_h, j.rank, j.u_g, j.u_h) == (removed_g, removed_h, rank, u_g, u_h)
+            assert (out.removed_g, out.removed_h, out.rank, out.u_g, out.u_h) == (removed_g, removed_h, rank, u_g, u_h)
             assert inst.G.rank() == inst.H.rank() == rank
-            for got, want in ((out.instance.G, g), (out.instance.H, h)):
+            for got, want in ((out.normalized.G, g), (out.normalized.H, h)):
                 assert got == want
                 # recorded, and equal to what a fresh matrix computes
                 assert {"rank", "distinct_cols"} <= set(got._memo)
@@ -457,16 +455,13 @@ def test_witness_map_trivial_journal_is_identity():
             # columns, so normalizing it again does no row operation
             inst, w = planted(fld, k, n, Tag.PCE, rng)
             first = preprocess(inst)
-            assert isinstance(first, Normalized)
-            pairs = [(first.instance, map_witness_to_normalized(first.journal, w))]
-            for tag in (Tag.SPCE, Tag.LCE):
-                pairs.append(planted(fld, k, n, tag, rng))
-            for inst, w in pairs:
-                out = preprocess(inst)
-                assert isinstance(out, Normalized)
-                _assert_identity_journal(out.journal)
-                assert map_witness_to_normalized(out.journal, w) == w
-                assert map_witness_to_original(out.journal, w) == w
+            assert isinstance(first, Journal)
+            inst, w = first.normalized, map_witness_to_normalized(first, w)
+            out = preprocess(inst)
+            assert isinstance(out, Journal)
+            _assert_identity_journal(out)
+            assert map_witness_to_normalized(out, w) == w
+            assert map_witness_to_original(out, w) == w
 
 
 def test_witness_maps_roundtrip_with_zero_columns():
@@ -477,10 +472,10 @@ def test_witness_maps_roundtrip_with_zero_columns():
         n = rng.randrange(k, k + 3)
         inst, w = planted(fld, k, n, Tag.PCE, rng, zero_cols=rng.randrange(0, 3))
         out = preprocess(inst)
-        assert isinstance(out, Normalized)
-        w_norm = map_witness_to_normalized(out.journal, w)
-        assert verify_witness(out.instance, w_norm)
-        w_back = map_witness_to_original(out.journal, w_norm)
+        assert isinstance(out, Journal)
+        w_norm = map_witness_to_normalized(out, w)
+        assert verify_witness(out.normalized, w_norm)
+        w_back = map_witness_to_original(out, w_norm)
         assert verify_witness(inst, w_back)
 
 
@@ -498,13 +493,13 @@ def test_witness_maps_roundtrip_rank_deficient():
         # witness for the stacked pair: S must route row k of G to row k of H
         big = Instance(fld, stack, stack_h, Tag.PCE)
         out = preprocess(big)
-        assert isinstance(out, Normalized)
-        assert out.journal.rank == k - 1
+        assert isinstance(out, Journal)
+        assert out.rank == k - 1
         # map a normalized witness back to the stacked original
-        w_norm = decide_like_witness(out.instance)
+        w_norm = decide_like_witness(out.normalized)
         if w_norm is None:
             continue
-        w_back = map_witness_to_original(out.journal, w_norm)
+        w_back = map_witness_to_original(out, w_norm)
         assert verify_witness(big, w_back)
 
 
@@ -523,7 +518,7 @@ def test_map_rejects_non_verifying_witness():
     bad = Witness(w.S, Mono.identity(F3, inst.n))
     if not verify_witness(inst, bad):
         with pytest.raises(WitnessInvalid):
-            map_witness_to_normalized(out.journal, bad)
+            map_witness_to_normalized(out, bad)
 
 
 def test_planted_yes_pairs_share_column_profiles():
@@ -545,8 +540,8 @@ def test_zero_column_pairing_maps_across_positions():
     inst = Instance(F2, g, h, Tag.PCE)
     out = preprocess(inst)
     w = Witness(Mat.identity(F2, 2), Mono.identity(F2, 2))
-    assert verify_witness(out.instance, w)
-    back = map_witness_to_original(out.journal, w)
+    assert verify_witness(out.normalized, w)
+    back = map_witness_to_original(out, w)
     assert back.M.perm.sigma[2] == 0
     assert verify_witness(inst, back)
 
@@ -633,9 +628,9 @@ def test_verify_matches_the_reference_check():
                 agree(inst, w)
                 out = preprocess(inst)
                 agree(inst, w)
-                if isinstance(out, Normalized) and s.is_invertible():
-                    norm_w = map_witness_to_normalized(out.journal, w)
-                    agree(out.instance, norm_w)
+                if isinstance(out, Journal) and s.is_invertible():
+                    norm_w = map_witness_to_normalized(out, w)
+                    agree(out.normalized, norm_w)
         # gadget pairs of full-rank normalized pairs, lifted witnesses
         for target in (Tag.LCE, Tag.SPCE):
             inst, w = planted(fld, 3, 5, Tag.PCE, rng, zero_cols=1)

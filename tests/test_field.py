@@ -421,6 +421,25 @@ def test_matmul_matches_sums_of_raw_products(p, e):
         assert f.matmul([list(r) for r in a], [list(r) for r in b], m) == got
 
 
+# each family's product and row kernels, picked in one branch of
+# Field._bind: packed primes (GF(2) among them, with XOR rows), translated
+# GF(2^e) up to q = 256, and the axpy loop of every other extension field
+@pytest.mark.parametrize(
+    "p, e, matmul, axpy",
+    [
+        (2, 1, "_packed_matmul", "_xor_bytes_axpy"),
+        (127, 1, "_packed_matmul", "_sum_bytes_axpy"),
+        (131, 1, "_packed_matmul", "Field._bind"),
+        (2, 8, "_translate_matmul", "_xor_bytes_axpy"),
+        (2, 9, "_axpy_matmul", "_xor_axpy"),
+        (3, 2, "_axpy_matmul", "_zech_axpy"),
+    ],
+)
+def test_each_family_binds_its_kernels(p, e, matmul, axpy):
+    f = field(p, e)
+    assert f.matmul.__qualname__.split(".<locals>")[0] == matmul
+    assert f.axpy.__qualname__.split(".<locals>")[0] == axpy
+
 @pytest.mark.parametrize(
     "p, e, modulus",
     [(2, 16, None), (3, 10, None), (251, 2, None), (3, 2, (1, 0, 1)), (3, 6, (1, 1, 1, 0, 0, 0, 1))],

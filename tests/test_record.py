@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from ceq.core import Instance, Journal, Normalized, RejectReason, Rejection, Tag, Witness
+from ceq.core import Instance, Journal, RejectReason, Rejection, Tag, Witness
 from ceq.errors import DimMismatch
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm
@@ -63,11 +63,6 @@ SAMPLES = {
         lambda: Rejection(RejectReason.RANK_MISMATCH),
         lambda: Rejection(RejectReason.PROFILE_MISMATCH),
         "Rejection(reason=<RejectReason.RANK_MISMATCH: 'RankMismatch'>)",
-    ),
-    "Normalized": (
-        lambda: Normalized(INST, JOURNAL),
-        lambda: Normalized(Instance(F3, H, G, Tag.PCE), JOURNAL),
-        f"Normalized(instance={INST_REPR}, journal={JOURNAL_REPR})",
     ),
     "Budget": (
         lambda: Budget(),

@@ -5,6 +5,7 @@ import pytest
 
 from ceq.core import (
     Instance,
+    Journal,
     Rejection,
     Tag,
     Witness,
@@ -822,10 +823,8 @@ def test_stripping_preserves_decision():
         inst, _ = planted_pce(fld, k, n, rng, zero_cols=rng.randrange(0, 3))
         out = preprocess(inst)
         truth = decide(inst, budget)
-        from ceq.core import Normalized
-
-        if isinstance(out, Normalized):
-            assert decide(out.instance, budget).status == truth.status
+        if isinstance(out, Journal):
+            assert decide(out.normalized, budget).status == truth.status
         else:
             assert truth.status is Status.NO
 
@@ -856,10 +855,10 @@ def test_recorded_ranks_equal_a_fresh_elimination():
             s = of_rank(fld, k, k, k, rng)
             inst = Instance(fld, g, s.mul(g).apply_mono(mono_from_perm(fld, Perm(tuple(sigma)))), Tag.PCE)
             out = preprocess(inst)
-            norm = out.instance
+            norm = out.normalized
             for x in (inst.G, inst.H, norm.G, norm.H):
                 _assert_recorded_rank(x)
-            deficient += out.journal.rank < k
+            deficient += out.rank < k
             if norm.n:
                 for m in (1, 2, 3):
                     for a in (norm.G, norm.H, Mat(fld, g.rows, g.n)):
@@ -904,10 +903,10 @@ def test_recorded_views_equal_a_fresh_computation():
             s = of_rank(fld, k, k, k, rng)
             inst = Instance(fld, g, s.mul(g).apply_mono(mono_from_perm(fld, Perm(tuple(sigma)))), Tag.PCE)
             out = preprocess(inst)
-            norm = out.instance
+            norm = out.normalized
             _assert_recorded_view(norm.G)
             _assert_recorded_view(norm.H)
-            deficient += out.journal.rank < k
+            deficient += out.rank < k
             if norm.n:
                 for m in (1, 2, 3):
                     for a in (norm.G, norm.H, Mat(fld, g.rows, g.n)):

@@ -1,4 +1,6 @@
 from ceq.core import Tag
+from ceq.field import field
+from ceq.oracle import GenSpec, Planted, generate
 from ceq.rng import derive, stream
 
 
@@ -19,3 +21,22 @@ def test_derive_and_stream_are_pinned():
         assert [rng.getrandbits(64), rng.getrandbits(64), rng.randrange(7)] == [
             11792746981545398113, 14394688647793490850, 0,
         ]
+
+
+def test_seeds_are_read_modulo_2_to_the_64():
+    # derive masks the seed, so these pairs alias: the same draws and the
+    # same generated pair, as `gen --seed -1` and `--seed 2^64 - 1` write
+    # the same files
+    def draws(seed):
+        rng = stream(seed, "gen", 3)
+        return [rng.getrandbits(64) for _ in range(4)]
+
+    def generated(seed):
+        return generate(GenSpec(field(3), 2, 4, Tag.LCE, Planted.YES, seed))
+
+    for a, b in ((-1, 2**64 - 1), (1, 2**64 + 1)):
+        assert derive(a, "gen") == derive(b, "gen")
+        assert draws(a) == draws(b)
+        assert generated(a) == generated(b)
+    assert draws(0) != draws(1)
+    assert generated(0) != generated(1)

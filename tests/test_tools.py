@@ -113,6 +113,36 @@ def test_answers_fields_quick_prints_its_keys(capsys):
     }
 
 
+def test_answers_cli_quick_prints_its_keys(capsys):
+    answers = _load("answers")
+    assert answers.main(["--stratum", "cli", "--quick", "--rows"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"cli"}
+    cli = out["cli"]
+    assert set(cli) == {"count", "exit_codes", "files", "answers_sha256", "wall_s", "rows"}
+    rows = cli["rows"]
+    # nine commands per walkthrough, then the rejected reduction, its lift
+    # and its extract; each walkthrough leaves eight files, the stats CSV
+    # and the rejected run five more
+    assert cli["count"] == 9 * answers.CLI_QUICK + 3
+    assert cli["files"] == 8 * answers.CLI_QUICK + 5 == len(rows) - cli["count"]
+    assert cli["exit_codes"] == {"0": 8 * answers.CLI_QUICK + 1, "1": answers.CLI_QUICK + 2}
+    assert cli["answers_sha256"] == "83f817cdfe737aab33e11bff06c0bd4636ad6e0512f0a2ad1c25a3288fe17efe"
+    again, _ = answers.cli(quick=True)
+    assert {k: v for k, v in again.items() if not k.endswith("_s")} == {
+        k: v for k, v in cli.items() if not k.endswith("_s") and k != "rows"
+    }
+
+
+def test_cli_corpus_answers_are_pinned():
+    # the full `cli` stratum, about 0.1 s: every exit code, message and
+    # written byte of the README walkthrough over four fields
+    summary, _ = _load("answers").cli()
+    assert summary["count"] == 39
+    assert summary["exit_codes"] == {"0": 33, "1": 6}
+    assert summary["answers_sha256"] == "82a56f98e22813a8090a61e9246874a7d91ada22dc9fdb3491f1e934d81b67a6"
+
+
 @_long
 def test_fields_corpus_answers_are_pinned():
     # the full `fields` stratum, about 3 s: the modulus, the generator and

@@ -1,6 +1,6 @@
 """Answer corpora: seeded decides whose answers must not move unless a change means them to.
 
-Four strata:
+Five strata:
 
 - `search`, with three groups of decides:
   - `gadget`: planted-YES and hard-NO PCE pairs over GF(2), GF(3),
@@ -39,6 +39,13 @@ Four strata:
   found through `mul`), and the sha256 of [mul(g, x)] and [neg(x)] over
   every x and of [inv(x)] over every x but 0. An x whose inv(x) * x is
   not 1 stops the run with an error.
+- `cli`: the README walkthrough, run in-process through `ceq.cli.main`
+  in a temporary directory, over GF(2), GF(3^2), GF(131) and GF(2^16):
+  gen, reduce, lift, verify, `solve --mode backtracking` on the reduced
+  pair, `solve --mode exhaustive` on the original pair, extract and
+  verify, then a witness of the original pair offered for the reduced
+  one. A rejected reduction follows, with a lift and an extract through
+  its cert.
 
 Every seed is fixed here, and a YES whose witness does not verify stops
 the run with an error.
@@ -60,7 +67,12 @@ pair, the normalized, lifted and returned witnesses. Every key but the
 holds `count`, `answers_sha256` over the rows [p, e, modulus, g,
 mul sha256, inv sha256, neg sha256], `wall_s` and `build_s`, the
 seconds of each field's first `ceq.field(p, e)` call in the process,
-modulus search included; run the stratum alone for cold builds.
+modulus search included; run the stratum alone for cold builds. The
+`cli` entry holds `count` (commands), `exit_codes` (commands per code),
+`files`, `answers_sha256` and `wall_s`; its hash is over one row per
+command, [argv, exit code, stdout, stderr] with solve's elapsed time
+masked, then one row per file left in the directory, [name, sha256 of
+its bytes] with the elapsed time of the `--stats` rows masked.
 
 Usage: python tools/answers.py [--stratum NAME]... [--quick] [--rows]
 
@@ -68,9 +80,10 @@ Usage: python tools/answers.py [--stratum NAME]... [--quick] [--rows]
 without it all run. `--quick` decides one pair per field and kind in
 `search`, 2 shapes, (4, 3, 6) and (16, 3, 4), under a 2,000-node
 budget in `yes-probe`, and one seed and the two smaller YES shapes in
-`roundtrip`, and in `fields` GF(2), GF(131), GF(2^2), GF(2^3), GF(3^2)
-and GF(5^2). `--rows` adds the per-decide rows, each led by its label
-in `search` and `roundtrip`, to the output. The script uses the standard
+`roundtrip`, GF(2), GF(131), GF(2^2), GF(2^3), GF(3^2) and GF(5^2) in
+`fields`, and GF(2) and GF(3^2) in `cli`. `--rows` adds the per-decide
+rows, each led by its label in `search` and `roundtrip`, and the `cli`
+rows to the output. The script uses the standard
 library and the public API of `ceq` only; run it with `src` on
 `PYTHONPATH`, or with `ceq` installed.
 """
@@ -78,13 +91,20 @@ library and the public API of `ceq` only; run it with `src` on
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
+import re
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import ceq
+import ceq.cli
 import ceq.fileio
 
 # node cap of one `search` decide; none of them comes near it
@@ -439,7 +459,82 @@ def fields(quick: bool = False) -> tuple[dict, list[list]]:
     return summary, rows
 
 
-STRATA = {"search": search, "yes-probe": yes_probe, "roundtrip": roundtrip, "fields": fields}
+# (p, e, seed) of the `cli` walkthroughs: the README's GF(2), an odd
+# extension field, a prime above 127 and GF(2^16); --quick runs the first
+# two. The targets alternate LCE, SPCE.
+CLI_FIELDS = ((2, 1, 1), (3, 2, 5), (131, 1, 7), (2, 16, 11))
+CLI_QUICK = 2
+# a PCE pair that preprocessing rejects (G has a zero column, H none),
+# and a witness file to offer its rejected cert
+CLI_FILES = {
+    "rejected.ceq": "%CEQ 1\nfield 2\ntag PCE\nG 1 2\n1 0\nH 1 2\n1 1\n",
+    "rejected.wit": "%CEQ 1\nfield 2\nS 1 1\n1\nperm 2 1\ndiag 1 1\n",
+}
+# solve's elapsed time, on stdout and in the last column of its CSV rows
+_SOLVE_S = re.compile(r"\d+\.\d{3}s\)")
+_STATS_S = re.compile(rb",\d+\.\d{6}\r\n")
+
+
+def _cli_commands(quick: bool):
+    """The argv of each `cli` command in run order; file names are
+    relative to the run's directory."""
+    for i, (p, e, seed) in enumerate(CLI_FIELDS[:CLI_QUICK] if quick else CLI_FIELDS):
+        spec = str(p) if e == 1 else f"{p}^{e}"
+        inst, red, cert = f"gf{p}_{e}.ceq", f"gf{p}_{e}.red.ceq", f"gf{p}_{e}.cert"
+        lifted, solved, direct, back = (f"gf{p}_{e}.{x}.wit" for x in ("lifted", "solved", "direct", "back"))
+        yield ["gen", "--k", "2", "--n", "3", "--field", spec, "--tag", "PCE", "--planted", "yes",
+               "--seed", str(seed), "--out", inst]
+        yield ["reduce", "--in", inst, "--target", ("lce", "spce")[i % 2], "--out", red, "--cert-out", cert]
+        yield ["lift", "--cert", cert, "--instance", inst, "--witness", inst + ".wit", "--out", lifted]
+        yield ["verify", "--instance", red, "--witness", lifted]
+        yield ["solve", "--in", red, "--mode", "backtracking", "--witness-out", solved, "--stats", "stats.csv"]
+        yield ["solve", "--in", inst, "--mode", "exhaustive", "--witness-out", direct, "--stats", "stats.csv"]
+        yield ["extract", "--cert", cert, "--instance", inst, "--witness", solved, "--out", back]
+        yield ["verify", "--instance", inst, "--witness", back]
+        # a witness of the original pair, offered for the reduced one
+        yield ["verify", "--instance", red, "--witness", inst + ".wit"]
+    yield ["reduce", "--in", "rejected.ceq", "--target", "lce", "--out", "rejected.red.ceq",
+           "--cert-out", "rejected.cert"]
+    for command in ("lift", "extract"):
+        yield [command, "--cert", "rejected.cert", "--instance", "rejected.ceq", "--witness", "rejected.wit",
+               "--out", f"rejected.{command}.wit"]
+
+
+def cli(quick: bool = False) -> tuple[dict, list[list]]:
+    """Run the `cli` stratum; return its summary and its rows: one per
+    command, then one per file the run's directory holds at the end."""
+    t0 = time.perf_counter()
+    rows = []
+    exit_codes: dict[str, int] = {}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in CLI_FILES.items():
+                Path(name).write_text(text, encoding="utf-8")
+            for argv in _cli_commands(quick):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = ceq.cli.main(argv)
+                exit_codes[str(code)] = exit_codes.get(str(code), 0) + 1
+                rows.append([argv, code, _SOLVE_S.sub("#s)", out.getvalue()), err.getvalue()])
+            commands = len(rows)
+            for name in sorted(os.listdir()):
+                data = _STATS_S.sub(b",#\r\n", Path(name).read_bytes())
+                rows.append([name, hashlib.sha256(data).hexdigest()])
+        finally:
+            os.chdir(home)
+    summary = {
+        "count": commands,
+        "exit_codes": dict(sorted(exit_codes.items())),
+        "files": len(rows) - commands,
+        "answers_sha256": _sha256(rows),
+        "wall_s": round(time.perf_counter() - t0, 3),
+    }
+    return summary, rows
+
+
+STRATA = {"search": search, "yes-probe": yes_probe, "roundtrip": roundtrip, "fields": fields, "cli": cli}
 
 
 def main(argv=None) -> int:
