@@ -17,6 +17,7 @@ from ceq.core import (
 )
 from ceq.field import field
 from ceq.matrix import Mat, Mono, Perm
+from ceq.reduction import reduction_cert
 from ceq.rng import stream
 
 # the roundtrip benchmark's fields: prime, 2^e and odd p^e on both sides
@@ -152,18 +153,19 @@ def test_maps_match_the_reference_on_all_zero_and_empty_inputs():
             assert _both_ways(inst, w).rank == 0
 
 
-def test_trivial_journals_return_the_input_witness():
-    # a normalized pair is in RREF with full row rank and no zero
-    # columns, so normalizing it again strips nothing and its transforms
-    # are the identity
-    rng = stream(18, "transport:trivial")
+@pytest.mark.parametrize("tag", [Tag.SPCE, Tag.LCE])
+def test_trivial_journals_return_the_input_witness(tag):
+    # the journal a reduction to either target keeps: a normalized pair
+    # is in RREF with full row rank and no zero columns, so normalizing
+    # it again strips nothing and its transforms are the identity
+    rng = stream(18, f"transport:{tag.value}")
     for pe in FIELDS:
         fld = field(*pe)
         k = rng.randrange(1, 4)
         inst, w = _planted(fld, k, k + 2, k, rng)
         first = preprocess(inst)
         inst, w = first.normalized, map_witness_to_normalized(first, w)
-        journal = preprocess(inst)
+        journal = reduction_cert(inst, tag).journal
         assert journal.removed_g == journal.removed_h == () and journal.rank == k
         assert journal.u_g == journal.u_h == Mat.identity(fld, k)
         assert map_witness_to_normalized(journal, w) == w == reference_to_normalized(journal, w)
